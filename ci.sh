@@ -10,6 +10,12 @@ cargo build --release
 echo "== cargo test -q"
 cargo test -q
 
+# benchmark/ is its own workspace, so the builds above never compile it;
+# this catches a renamed maia_sim item it calls before the benchmark run
+# does, and covers its profile-parity and selftest checks.
+echo "== benchmark package: cargo test --release"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -20,9 +20,9 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| {
             let mut eng = Engine::new();
             for i in 0..64 {
-                eng.spawn(format!("p{i}"), |ctx| {
+                eng.spawn_inline(format!("p{i}"), |ctx| async move {
                     for _ in 0..10 {
-                        ctx.advance(SimDuration::from_ns(100.0));
+                        ctx.advance(SimDuration::from_ns(100.0)).await;
                     }
                 });
             }

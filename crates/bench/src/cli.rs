@@ -1,5 +1,4 @@
-//! Argument parsing and driver for the `maia-bench` binary (and, through
-//! [`crate::emit`], every `fig_*` alias binary).
+//! Argument parsing and driver for the `maia-bench` binary.
 //!
 //! Kept in the library (not `src/bin/`) so the parser and the render
 //! paths are unit-testable without spawning processes. The grammar is
@@ -251,7 +250,7 @@ pub enum Command {
 }
 
 /// Usage text shown by `help` and on parse errors — the one source of
-/// truth for every entry point, `fig_*` binaries included.
+/// truth for every subcommand.
 pub const USAGE: &str = "\
 maia-bench — regenerate, validate and profile the paper's tables and figures
 
@@ -797,8 +796,8 @@ pub fn check_exit_code(report: &ConformanceReport) -> i32 {
 }
 
 /// The whole binary, minus `std::process::exit`: parse, dispatch, print.
-/// Shared by `maia-bench` and (argv-translated) every `fig_*` alias, so
-/// all entry points get the same usage text and exit-code contract.
+/// Every subcommand goes through here, so all of them get the same usage
+/// text and exit-code contract.
 pub fn main_with_args(args: &[String]) -> i32 {
     match parse(args) {
         Ok(Command::Help) => {

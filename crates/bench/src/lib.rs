@@ -1,43 +1,16 @@
-//! # maia-bench — the experiment CLI, figure binaries and Criterion benches
+//! # maia-bench — the experiment CLI, report binary and Criterion benches
 //!
 //! The `maia-bench` binary is the front door: `maia-bench run --all
 //! --jobs 4` regenerates every table/figure of the paper in parallel
-//! through `maia_core::run_experiments_parallel`, with `--only`,
-//! `--format md|csv|json`, `--out DIR` and a timing summary on stderr.
-//! The per-figure `fig_*` binaries are thin aliases over the same runner
-//! (CSV to stdout with `--csv`, Markdown otherwise), kept for muscle
-//! memory and scripts. The `report` binary writes the complete
-//! EXPERIMENTS.md. Criterion benches measure the *real* kernels (STREAM,
+//! through `maia_core::run_experiments_parallel`, and `maia-bench run
+//! --only F04` regenerates one, with `--format md|csv|json`, `--out DIR`
+//! and a timing summary on stderr. The `report` binary writes the
+//! complete EXPERIMENTS.md. Criterion benches measure the *real* kernels (STREAM,
 //! EPCC constructs, NPB classes) on the build machine, and the
 //! `ablation_*` binaries quantify the design choices called out in
 //! DESIGN.md.
 
 pub mod cli;
-
-use maia_core::ExperimentId;
-
-/// Run one experiment through the full `maia-bench run` pipeline and
-/// exit with its code.
-///
-/// This is the whole body of every `fig_*` binary: argv is translated to
-/// `run --only <code> ...` (with the legacy `--csv` spelled as
-/// `--format csv`) and handed to [`cli::main_with_args`], so the alias
-/// binaries share the sweep machinery, the [`cli::USAGE`] text, and the
-/// exit-code contract — unknown flags exit 2 here exactly like they do
-/// on `maia-bench` itself.
-pub fn emit(id: ExperimentId) -> ! {
-    let code = id.meta().code;
-    let mut args: Vec<String> = vec!["run".into(), "--only".into(), code.into()];
-    for arg in std::env::args().skip(1) {
-        if arg == "--csv" {
-            args.push("--format".into());
-            args.push("csv".into());
-        } else {
-            args.push(arg);
-        }
-    }
-    std::process::exit(cli::main_with_args(&args));
-}
 
 /// Render EXPERIMENTS.md: every experiment plus the paper's claims and
 /// the oracle predicates that gate it (`maia-bench check`). Runs the
@@ -59,8 +32,9 @@ pub fn render_experiments_md() -> String {
     let mut out = String::new();
     out.push_str("# EXPERIMENTS — paper vs. reproduction\n\n");
     out.push_str(
-        "Regenerate any artifact with `cargo run -p maia-bench --bin fig_<id>` \
-         (e.g. `fig_04`), or everything with `--bin report`. Validate every \
+        "Regenerate any artifact with `maia-bench run --only <code>` \
+         (e.g. `--only F04`; add `--format csv` for CSV), or everything with \
+         `cargo run -p maia-bench --bin report`. Validate every \
          paper-published shape with `maia-bench check --all` (the CI gate); \
          profile any selection with `maia-bench profile --only <ids>`.\n\n\
          Degraded-stack variants: `maia-bench faults --plan <name>` re-runs a \

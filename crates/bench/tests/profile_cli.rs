@@ -138,15 +138,10 @@ fn profile_unknown_experiment_is_a_usage_error() {
 }
 
 #[test]
-fn fig_binaries_share_the_exit_code_contract() {
-    let fig_04 = env!("CARGO_BIN_EXE_fig_04");
-    let bad = Command::new(fig_04).arg("--wat").output().unwrap();
-    assert_eq!(bad.status.code(), Some(2), "fig_04 --wat should be a usage error");
-    assert!(!bad.stderr.is_empty());
-
-    let csv = Command::new(fig_04).arg("--csv").output().unwrap();
+fn run_only_one_figure_emits_csv() {
+    let csv = maia_bench(&["run", "--only", "F04", "--format", "csv"]);
     assert_eq!(csv.status.code(), Some(0));
     let payload = String::from_utf8_lossy(&csv.stdout);
-    assert!(payload.lines().count() >= 2, "fig_04 --csv emitted no rows");
+    assert!(payload.lines().count() >= 2, "run --only F04 --format csv emitted no rows");
     assert!(payload.lines().next().unwrap().contains(','));
 }

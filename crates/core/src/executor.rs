@@ -428,8 +428,8 @@ fn watchdog_timeout() -> Duration {
 /// Suppress the default panic hook's output for experiment guard
 /// threads: their panics are caught, classified, and reported through
 /// [`SweepReport::failures`], so the raw hook output would be noise.
-/// Chained like `maia_sim`'s quiet-shutdown hook; panics on any other
-/// thread still print normally.
+/// Chained onto the previous hook, so panics on any other thread still
+/// print normally.
 fn install_quiet_experiment_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -566,7 +566,7 @@ fn run_experiment_cached(id: ExperimentId) -> FigureData {
 }
 
 /// Run a [`ExperimentSelection`] — the one entry point `run`, `check`,
-/// `profile` and the `fig_NN` aliases all funnel through.
+/// `profile` and `faults` all funnel through.
 pub fn run_selection(selection: &ExperimentSelection, jobs: usize) -> SweepReport {
     run_experiments_parallel(&selection.resolve(), jobs)
 }

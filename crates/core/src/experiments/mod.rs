@@ -207,7 +207,7 @@ impl ExperimentId {
 }
 
 /// Which experiments an invocation operates on. All entry points —
-/// `run`, `check`, `profile` and the `fig_NN` aliases — parse their
+/// `run`, `check`, `profile` and `faults` — parse their
 /// selection flags into this one type and hand it to the executor, so
 /// "which experiments" is decided in exactly one place.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -706,8 +706,8 @@ pub(crate) fn forced_failure_trigger(id: ExperimentId) {
     match kind {
         ForcedFailure::Panic => {
             let mut eng = maia_sim::Engine::new();
-            eng.spawn(format!("rank-0-{code}"), |ctx| {
-                ctx.advance(maia_sim::SimDuration::from_us(1.0));
+            eng.spawn_inline(format!("rank-0-{code}"), |ctx| async move {
+                ctx.advance(maia_sim::SimDuration::from_us(1.0)).await;
                 panic!("injected fault: forced panic");
             });
             if let Err(e) = eng.run() {
@@ -717,8 +717,8 @@ pub(crate) fn forced_failure_trigger(id: ExperimentId) {
         ForcedFailure::Deadlock => {
             let ch = maia_sim::channel::SimChannel::<u8>::new("injected-fault");
             let mut eng = maia_sim::Engine::new();
-            eng.spawn(format!("rank-0-{code}"), move |ctx| {
-                let _ = ch.recv(ctx);
+            eng.spawn_inline(format!("rank-0-{code}"), move |ctx| async move {
+                let _ = ch.recv_inline(&ctx).await;
             });
             if let Err(e) = eng.run() {
                 panic!("{e}");

@@ -1,5 +1,5 @@
 //! The data container produced by every experiment, with Markdown and CSV
-//! renderers used by the `fig_*` binaries and EXPERIMENTS.md.
+//! renderers used by `maia-bench run` and EXPERIMENTS.md.
 
 /// One regenerated table or figure.
 #[derive(Debug, Clone, PartialEq)]

@@ -13,8 +13,8 @@
 //! assert!(fig4.to_markdown().contains("GB/s"));
 //! ```
 //!
-//! The per-figure binaries in `maia-bench` and the EXPERIMENTS.md report
-//! are thin wrappers over this API.
+//! The `maia-bench` CLI and the EXPERIMENTS.md report are thin wrappers
+//! over this API.
 
 pub mod backoff;
 pub mod cache;

@@ -81,8 +81,6 @@ impl maia_sim::Probe for SimProbe {
             stats.events_popped;
         *s.counters.entry("sched.procs_inline".to_string()).or_insert(0) +=
             stats.procs_inline;
-        *s.counters.entry("sched.procs_threaded".to_string()).or_insert(0) +=
-            stats.procs_threaded;
         // Wheel-occupancy histogram: bucket = wheel level (7 = far-future
         // overflow), count = insertions that landed there. Inserted
         // directly — the bucket key is the level itself, not a
@@ -99,28 +97,9 @@ impl maia_sim::Probe for SimProbe {
 
     fn run_complete(&self, end_ps: u64) {
         // Engine makespan is fabric/contention time in this codebase:
-        // only the MPI world and resource models drive engines.
+        // only the MPI world drives engines.
         let mut s = lock_sink(&self.sink);
         *s.vt_ps.entry("mpi-fabric".to_string()).or_insert(0) += end_ps;
-    }
-
-    fn resource_wait(&self, name: &str, _pid: ProcessId, wait_ps: u64) {
-        let mut s = lock_sink(&self.sink);
-        *s.counters
-            .entry(format!("resource.{name}.acquires"))
-            .or_insert(0) += 1;
-        s.hist
-            .entry(format!("resource.{name}.wait_ps"))
-            .or_default()
-            .record(wait_ps);
-    }
-
-    fn resource_service(&self, name: &str, _pid: ProcessId, held_ps: u64) {
-        lock_sink(&self.sink)
-            .hist
-            .entry(format!("resource.{name}.service_ps"))
-            .or_default()
-            .record(held_ps);
     }
 
     fn span(&self, name: &str, start_ps: u64, end_ps: u64, pid: ProcessId) {
@@ -187,7 +166,7 @@ mod tests {
     fn sim_probe_accumulates_into_sink() {
         let sink: SharedSink = Arc::new(Mutex::new(super::super::Sink::default()));
         let probe = SimProbe::new(Arc::clone(&sink));
-        let pid = maia_sim::Engine::new().spawn("rank-0", |_| {});
+        let pid = maia_sim::Engine::new().spawn_inline("rank-0", |_| async {});
         probe.process_spawned(pid, "rank-0");
         probe.event_scheduled(0, pid);
         probe.event_fired(0, pid, 3);
@@ -220,14 +199,12 @@ mod tests {
             events_popped: 12,
             wheel_level_pushes: [8, 3, 0, 0, 0, 0, 0, 1],
             procs_inline: 4,
-            procs_threaded: 1,
         };
         probe.sched_stats(&stats);
         let s = lock_sink(&sink);
         assert_eq!(s.counters.get("sched.events_pushed"), Some(&12));
         assert_eq!(s.counters.get("sched.events_popped"), Some(&12));
         assert_eq!(s.counters.get("sched.procs_inline"), Some(&4));
-        assert_eq!(s.counters.get("sched.procs_threaded"), Some(&1));
         let h = s.hist.get("sched.wheel_level").expect("wheel histogram");
         assert_eq!(h.buckets.get(&0), Some(&8));
         assert_eq!(h.buckets.get(&1), Some(&3));

@@ -24,7 +24,7 @@ use super::{lock_sink, Histogram, SimCounters, VtSpan, WallSpan};
 pub struct ExperimentProfile {
     /// Canonical experiment code (`F05`).
     pub code: String,
-    /// Named event counters (`figdata.rows`, `resource.*.acquires`, ...).
+    /// Named event counters (`figdata.rows`, `sched.events_popped`, ...).
     pub counters: BTreeMap<String, u64>,
     /// Virtual time per subsystem, picoseconds.
     pub vt_ps: BTreeMap<String, u64>,
@@ -32,7 +32,7 @@ pub struct ExperimentProfile {
     pub total_vt_ps: u64,
     /// Virtual time advanced per simulated process (descending, top 8).
     pub proc_vt_ps: Vec<(String, u64)>,
-    /// Value histograms (advance durations, resource waits, ...).
+    /// Value histograms (advance durations, wheel levels, ...).
     pub hist: BTreeMap<String, Histogram>,
     /// Scheduler counters from the engine probe.
     pub sim: SimCounters,

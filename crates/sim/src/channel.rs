@@ -1,22 +1,22 @@
 //! Message channels in virtual time.
 //!
 //! A [`SimChannel`] is an unbounded FIFO between simulated processes.
-//! `send` never blocks and consumes no virtual time — wire/transport time
-//! is a property of the *fabric*, so callers model it explicitly (the MPI
-//! layer advances the clock for latency and occupies link resources for
-//! bandwidth before delivering the payload). `recv` blocks the calling
-//! process in virtual time until a message is available.
+//! `send_inline` never blocks and consumes no virtual time — wire/transport
+//! time is a property of the *fabric*, so callers model it explicitly (the
+//! MPI layer advances the clock for latency and bandwidth before
+//! delivering the payload). `recv_inline` suspends the calling process in
+//! virtual time until a message is available.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::engine::{InjectCtx, ProcCtx, ProcessId, SimCtx};
+use crate::engine::{InjectCtx, ProcessId, SimCtx};
 
 struct Inner<T> {
     queue: VecDeque<T>,
-    /// Processes parked in `recv`, in arrival order.
+    /// Processes parked in `recv_inline`, in arrival order.
     waiters: VecDeque<ProcessId>,
 }
 
@@ -56,20 +56,10 @@ impl<T: Send> SimChannel<T> {
         &self.name
     }
 
-    /// Enqueue a message and wake the longest-waiting receiver, if any.
-    /// Takes zero virtual time.
-    pub fn send(&self, ctx: &ProcCtx, value: T) {
-        let mut inner = self.inner.lock();
-        inner.queue.push_back(value);
-        if let Some(pid) = inner.waiters.pop_front() {
-            ctx.wake(pid);
-        }
-    }
-
     /// Enqueue a message from a scheduled injection (a cross-partition
     /// delivery) and wake the longest-waiting receiver, if any. Identical
-    /// to [`SimChannel::send`] except the waker is the injection, not a
-    /// running process.
+    /// to [`SimChannel::send_inline`] except the waker is the injection,
+    /// not a running process.
     pub fn send_injected(&self, ictx: &InjectCtx<'_>, value: T) {
         let mut inner = self.inner.lock();
         inner.queue.push_back(value);
@@ -78,24 +68,7 @@ impl<T: Send> SimChannel<T> {
         }
     }
 
-    /// Dequeue a message, blocking in virtual time until one is available.
-    pub fn recv(&self, ctx: &mut ProcCtx) -> T {
-        loop {
-            {
-                let mut inner = self.inner.lock();
-                if let Some(v) = inner.queue.pop_front() {
-                    return v;
-                }
-                inner.waiters.push_back(ctx.pid());
-            }
-            ctx.block();
-            // On wake-up the message may have been taken by a receiver that
-            // was scheduled earlier in the same instant; loop and re-check.
-        }
-    }
-
-    /// [`SimChannel::send`] for inline (state-machine) processes.
-    /// Enqueues a message and wakes the longest-waiting receiver, if any.
+    /// Enqueue a message and wake the longest-waiting receiver, if any.
     /// Takes zero virtual time and never suspends, so it is not `async`.
     pub fn send_inline(&self, ctx: &SimCtx, value: T) {
         let mut inner = self.inner.lock();
@@ -105,8 +78,8 @@ impl<T: Send> SimChannel<T> {
         }
     }
 
-    /// [`SimChannel::recv`] for inline (state-machine) processes: dequeue
-    /// a message, suspending in virtual time until one is available.
+    /// Dequeue a message, suspending the calling process in virtual time
+    /// until one is available.
     pub async fn recv_inline(&self, ctx: &SimCtx) -> T {
         loop {
             {
@@ -120,11 +93,6 @@ impl<T: Send> SimChannel<T> {
             // On wake-up the message may have been taken by a receiver that
             // was scheduled earlier in the same instant; loop and re-check.
         }
-    }
-
-    /// Dequeue a message if one is immediately available.
-    pub fn try_recv(&self, _ctx: &ProcCtx) -> Option<T> {
-        self.inner.lock().queue.pop_front()
     }
 
     /// Number of queued (undelivered) messages.
@@ -152,18 +120,19 @@ mod tests {
         let got = Arc::new(PlMutex::new(Vec::new()));
         {
             let ch = ch.clone();
-            eng.spawn("sender", move |ctx| {
+            eng.spawn_inline("sender", move |ctx| async move {
                 for i in 0..8 {
-                    ch.send(ctx, i);
-                    ctx.advance(SimDuration::from_ns(1.0));
+                    ch.send_inline(&ctx, i);
+                    ctx.advance(SimDuration::from_ns(1.0)).await;
                 }
             });
         }
         {
             let got = Arc::clone(&got);
-            eng.spawn("receiver", move |ctx| {
+            eng.spawn_inline("receiver", move |ctx| async move {
                 for _ in 0..8 {
-                    got.lock().push(ch.recv(ctx));
+                    let v = ch.recv_inline(&ctx).await;
+                    got.lock().push(v);
                 }
             });
         }
@@ -179,17 +148,17 @@ mod tests {
         for r in 0..4 {
             let ch = ch.clone();
             let total = Arc::clone(&total);
-            eng.spawn(format!("rx{r}"), move |ctx| {
-                let v = ch.recv(ctx);
+            eng.spawn_inline(format!("rx{r}"), move |ctx| async move {
+                let v = ch.recv_inline(&ctx).await;
                 *total.lock() += v;
             });
         }
         {
             let ch = ch.clone();
-            eng.spawn("tx", move |ctx| {
+            eng.spawn_inline("tx", move |ctx| async move {
                 for i in 1..=4 {
-                    ctx.advance(SimDuration::from_ns(10.0));
-                    ch.send(ctx, i);
+                    ctx.advance(SimDuration::from_ns(10.0)).await;
+                    ch.send_inline(&ctx, i);
                 }
             });
         }
@@ -198,36 +167,15 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_does_not_block() {
-        let mut eng = Engine::new();
-        let ch = SimChannel::<u8>::new("try");
-        let saw = Arc::new(PlMutex::new((false, false)));
-        {
-            let ch = ch.clone();
-            let saw = Arc::clone(&saw);
-            eng.spawn("poller", move |ctx| {
-                saw.lock().0 = ch.try_recv(ctx).is_some(); // nothing yet
-                ctx.advance(SimDuration::from_us(2.0));
-                saw.lock().1 = ch.try_recv(ctx) == Some(5);
-            });
-        }
-        eng.spawn("sender", move |ctx| {
-            ctx.advance(SimDuration::from_us(1.0));
-            ch.send(ctx, 5);
-        });
-        eng.run().unwrap();
-        assert_eq!(*saw.lock(), (false, true));
-    }
-
-    #[test]
     fn send_costs_no_virtual_time() {
         let mut eng = Engine::new();
         let ch = SimChannel::<u8>::new("free");
-        eng.spawn("tx", move |ctx| {
+        eng.spawn_inline("tx", move |ctx| async move {
             for _ in 0..100 {
-                ch.send(ctx, 0);
+                ch.send_inline(&ctx, 0);
             }
             assert_eq!(ctx.now().as_ps(), 0);
+            assert_eq!(ch.len(), 100);
         });
         eng.run().unwrap();
     }

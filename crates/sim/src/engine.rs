@@ -7,33 +7,20 @@
 //! arena-backed timer wheel ([`crate::wheel`]), so simulations are
 //! deterministic regardless of OS thread scheduling.
 //!
-//! Processes come in two flavours:
-//!
-//! * **Inline state machines** ([`Engine::spawn_inline`]) — `async` bodies
-//!   written against [`SimCtx`] whose only awaited futures are
-//!   [`SimCtx::advance`] and the channel/resource waits built on
-//!   [`SimCtx::block`]. The scheduler polls them directly on its own
-//!   thread: no channel handoff, no park/unpark, no thread pool. This is
-//!   the hot path; all MPI rank bodies and scheduled faults use it.
-//! * **Pooled threads** ([`Engine::spawn`]) — arbitrary blocking closures
-//!   written against [`ProcCtx`], each running on a reusable worker
-//!   thread with a rendezvous channel per yield. This path supports code
-//!   that cannot enumerate its blocking points (and the fail-soft tests
-//!   that rely on real stack unwinding).
-//!
-//! Both flavours share one event wheel, one wake list, and one
-//! trace/probe pipeline; scheduling order — and therefore every golden
-//! output — is identical whichever flavour a process uses.
+//! Every simulated process is an inline state machine
+//! ([`Engine::spawn_inline`]): an `async` body written against [`SimCtx`]
+//! whose only awaited futures are [`SimCtx::advance`] and the channel
+//! waits built on [`SimCtx::block`]. The scheduler polls it directly on
+//! its own thread — no channel handoff, no park/unpark, no thread pool —
+//! and catches a panicking poll as [`SimError::ProcessPanicked`].
 
 use std::fmt;
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use parking_lot::Mutex;
 
@@ -87,8 +74,8 @@ impl fmt::Display for ProcessId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The event queue drained while some processes were still blocked:
-    /// every named process is waiting on a channel or resource that no
-    /// runnable process can ever satisfy.
+    /// every named process is waiting on a channel that no runnable
+    /// process can ever satisfy.
     Deadlock {
         /// Names of the blocked processes.
         blocked: Vec<String>,
@@ -97,7 +84,7 @@ pub enum SimError {
     },
     /// A process panicked; the simulation cannot continue.
     ProcessPanicked {
-        /// Name given to [`Engine::spawn`].
+        /// Name given to [`Engine::spawn_inline`].
         name: String,
         /// Rendered panic payload.
         message: String,
@@ -121,28 +108,8 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Sent by the scheduler to resume a pooled-thread process at a given
-/// virtual time.
-struct Resume {
-    now: SimTime,
-}
-
-/// Sent by a pooled process thread back to the scheduler when it yields.
-enum YieldMsg {
-    /// The process consumed `dur` of virtual time and wants to continue.
-    Advance { pid: ProcessId, dur: SimDuration },
-    /// The process is blocked on a channel/resource and must be woken via
-    /// [`Shared::wakes`].
-    Blocked { pid: ProcessId },
-    /// The process closure returned.
-    Finished { pid: ProcessId },
-    /// The process closure panicked.
-    Panicked { pid: ProcessId, message: String },
-}
-
-/// How one scheduler step of a process ended — the common currency of the
-/// inline and pooled-thread paths, applied by a single epilogue so trace
-/// records, probe callbacks, and requeueing are identical for both.
+/// How one scheduler step of a process ended, applied by
+/// `Engine::apply_outcome`.
 enum Outcome {
     Advanced(SimDuration),
     Blocked,
@@ -173,86 +140,6 @@ pub(crate) struct Shared {
     /// Telemetry probe captured at engine construction, reachable from
     /// process bodies for explicit span annotations.
     probe: Option<Arc<dyn Probe>>,
-}
-
-/// Private token used to unwind a process thread when the engine shuts down
-/// before the process has finished (e.g. after a deadlock or early drop).
-struct EngineShutdown;
-
-fn install_quiet_shutdown_hook() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            // Engine-initiated unwinds are part of normal teardown; keep the
-            // default hook's output for genuine panics only.
-            if info.payload().downcast_ref::<EngineShutdown>().is_none() {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// Execution context handed to every pooled-thread simulated process.
-///
-/// All interaction with virtual time flows through this handle. It is
-/// deliberately `!Clone`: a process has exactly one identity on the clock.
-pub struct ProcCtx {
-    pid: ProcessId,
-    now: SimTime,
-    shared: Arc<Shared>,
-    yield_tx: Sender<YieldMsg>,
-    resume_rx: Receiver<Resume>,
-}
-
-impl ProcCtx {
-    /// Identifier of this process.
-    pub fn pid(&self) -> ProcessId {
-        self.pid
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Consume `dur` of virtual time (e.g. compute, memory traffic, wire
-    /// time). Other processes may run in the interim.
-    pub fn advance(&mut self, dur: SimDuration) {
-        self.yield_and_wait(YieldMsg::Advance { pid: self.pid, dur });
-    }
-
-    /// Block until another process wakes this one (used by channels and
-    /// resources). Returns at the waker's virtual time.
-    pub(crate) fn block(&mut self) {
-        self.yield_and_wait(YieldMsg::Blocked { pid: self.pid });
-    }
-
-    /// Request that `pid` be made runnable at the current virtual time.
-    /// The request takes effect when the running process next yields.
-    pub(crate) fn wake(&self, pid: ProcessId) {
-        self.shared.wakes.lock().push(pid);
-    }
-
-    /// Report a named virtual-time span `[since, now]` to the engine's
-    /// telemetry probe, if one is attached. Used by higher layers (e.g.
-    /// MPI rank programs) to annotate timelines; a no-op otherwise.
-    pub fn emit_span(&self, name: &str, since: SimTime) {
-        if let Some(p) = &self.shared.probe {
-            p.span(name, since.as_ps(), self.now.as_ps(), self.pid);
-        }
-    }
-
-    fn yield_and_wait(&mut self, msg: YieldMsg) {
-        if self.yield_tx.send(msg).is_err() {
-            // Scheduler is gone: unwind quietly.
-            panic::panic_any(EngineShutdown);
-        }
-        match self.resume_rx.recv() {
-            Ok(Resume { now }) => self.now = now,
-            Err(_) => panic::panic_any(EngineShutdown),
-        }
-    }
 }
 
 /// What the currently polled inline process asked the scheduler to do.
@@ -329,8 +216,7 @@ impl Future for BlockFut {
     }
 }
 
-/// Execution context handed to inline (state-machine) simulated processes
-/// — the `async` counterpart of [`ProcCtx`].
+/// Execution context handed to every simulated process.
 ///
 /// Cloneable so rank programs can stash it in helper structs; all clones
 /// share the process identity. The only futures an inline body may await
@@ -362,8 +248,8 @@ impl SimCtx {
         AdvanceFut { dur, armed: false }
     }
 
-    /// Park until another process wakes this one (used by channels and
-    /// resources). Returns at the waker's virtual time.
+    /// Park until another process wakes this one (used by channels).
+    /// Returns at the waker's virtual time.
     pub(crate) fn block(&self) -> BlockFut {
         BlockFut { armed: false }
     }
@@ -384,7 +270,7 @@ impl SimCtx {
 }
 
 /// Context handed to a scheduled injection (see
-/// [`Engine::schedule_injection`]). Unlike [`ProcCtx`] it cannot consume
+/// [`Engine::schedule_injection`]). Unlike [`SimCtx`] it cannot consume
 /// virtual time: an injection only deposits state (e.g. a message into a
 /// [`SimChannel`](crate::channel::SimChannel)) and wakes blocked processes
 /// at the injection instant.
@@ -406,45 +292,23 @@ impl InjectCtx<'_> {
     }
 }
 
-/// Sends one quiesce acknowledgement when the worker's job closure — and
-/// with it the process closure's captured state — has been dropped.
-/// Declared first inside the job body so it drops last.
-struct AckGuard {
-    tx: Sender<()>,
-}
-
-impl Drop for AckGuard {
-    fn drop(&mut self) {
-        let _ = self.tx.send(());
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProcState {
     /// Has an event in the queue.
     Queued,
-    /// Currently executing (inline poll or pooled-thread rendezvous).
+    /// Currently being polled.
     Running,
     /// Waiting for a wake-up.
     Blocked,
     Finished,
 }
 
-/// The execution vehicle of one process slot.
-enum ProcBody {
-    /// Inline state machine, polled on the scheduler thread. `None` once
-    /// finished (or quiesced) — the future and its captures are dropped.
-    Inline {
-        fut: Option<Pin<Box<dyn Future<Output = ()> + Send>>>,
-    },
-    /// Pooled worker thread, driven through a rendezvous channel pair.
-    Threaded { resume_tx: Sender<Resume> },
-}
-
 struct ProcEntry {
     name: String,
     state: ProcState,
-    body: ProcBody,
+    /// The process state machine, polled on the scheduler thread. `None`
+    /// once finished — the future and its captures are dropped.
+    fut: Option<Pin<Box<dyn Future<Output = ()> + Send>>>,
 }
 
 /// One recorded scheduler action (see [`Engine::enable_tracing`]).
@@ -469,18 +333,17 @@ pub enum TraceKind {
 
 /// The simulation engine: owns the event wheel and all process slots.
 ///
-/// Typical lifecycle: construct, [`spawn_inline`](Engine::spawn_inline) /
-/// [`spawn`](Engine::spawn) every process, then [`run`](Engine::run) to
-/// completion. Results are communicated out of processes through shared
-/// state (`Arc<Mutex<..>>`) captured by the bodies.
+/// Typical lifecycle: construct, [`spawn_inline`](Engine::spawn_inline)
+/// every process, then [`run`](Engine::run) to completion. Results are
+/// communicated out of processes through shared state (`Arc<Mutex<..>>`)
+/// captured by the bodies. Dropping an engine drops every unfinished
+/// process future, and with it the state the body captured.
 pub struct Engine {
     /// This engine's slot in the process-global epoch sequence; baked into
     /// every [`ProcessId`] it mints.
     epoch: u32,
     procs: Vec<ProcEntry>,
     shared: Arc<Shared>,
-    yield_tx: Sender<YieldMsg>,
-    yield_rx: Receiver<YieldMsg>,
     /// Arena-backed timer wheel over (time, seq, target).
     queue: EventWheel<EvTarget>,
     /// Virtual time of the last processed event; persists across
@@ -489,12 +352,6 @@ pub struct Engine {
     ran: bool,
     /// Slab of pending injections, indexed by [`EvTarget::Inject`].
     injections: Vec<Option<Injection>>,
-    ack_tx: Sender<()>,
-    ack_rx: Receiver<()>,
-    /// How many pooled-thread processes were spawned (each owes one
-    /// quiesce acknowledgement; inline processes have no thread to drain).
-    spawned_threaded: usize,
-    quiesced: bool,
     trace: Option<Vec<TraceRecord>>,
     probe: Option<Arc<dyn Probe>>,
 }
@@ -518,9 +375,6 @@ impl Engine {
     /// per-thread factory. The partition layer uses this to hand every
     /// wheel a pid-remapping view of one shared experiment probe.
     pub fn with_probe(probe: Option<Arc<dyn Probe>>) -> Self {
-        install_quiet_shutdown_hook();
-        let (yield_tx, yield_rx) = unbounded();
-        let (ack_tx, ack_rx) = unbounded();
         Engine {
             epoch: ENGINE_EPOCH.fetch_add(1, Ordering::Relaxed),
             procs: Vec::new(),
@@ -528,16 +382,10 @@ impl Engine {
                 wakes: Mutex::new(Vec::new()),
                 probe: probe.clone(),
             }),
-            yield_tx,
-            yield_rx,
             queue: EventWheel::new(),
             now: SimTime::ZERO,
             ran: false,
             injections: Vec::new(),
-            ack_tx,
-            ack_rx,
-            spawned_threaded: 0,
-            quiesced: false,
             trace: None,
             probe,
         }
@@ -561,13 +409,16 @@ impl Engine {
         }
     }
 
-    /// Spawn an inline simulated process from an `async` body: the hot
-    /// path. The body runs as a poll-state machine directly on the
-    /// scheduler thread — no worker thread, no channel handoff — and may
-    /// only await simulation futures minted by its [`SimCtx`] (channel
-    /// and resource waits included). All processes start at virtual time
-    /// zero, in spawn order; scheduling order is identical to an
-    /// equivalent [`Engine::spawn`] process.
+    /// Spawn a simulated process from an `async` body. The body runs as a
+    /// poll-state machine directly on the scheduler thread and may only
+    /// await simulation futures minted by its [`SimCtx`] (channel waits
+    /// included). All processes start at virtual time zero, in spawn
+    /// order.
+    ///
+    /// # Panics
+    /// Panics if the engine has already started running (a
+    /// [`run_window`](Engine::run_window) call): a late process would
+    /// start in the past.
     pub fn spawn_inline<F, Fut>(&mut self, name: impl Into<String>, f: F) -> ProcessId
     where
         F: FnOnce(SimCtx) -> Fut,
@@ -590,76 +441,7 @@ impl Engine {
         self.procs.push(ProcEntry {
             name,
             state: ProcState::Queued,
-            body: ProcBody::Inline { fut: Some(fut) },
-        });
-        pid
-    }
-
-    /// Spawn a pooled-thread simulated process: the fallback path for
-    /// arbitrary blocking bodies. All processes start at virtual time
-    /// zero, in spawn order. Must be called before [`run`](Engine::run).
-    pub fn spawn<F>(&mut self, name: impl Into<String>, f: F) -> ProcessId
-    where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
-    {
-        assert!(!self.ran, "Engine::spawn called after Engine::run");
-        let pid = self.pid_of(self.procs.len());
-        let (resume_tx, resume_rx) = unbounded::<Resume>();
-        let yield_tx = self.yield_tx.clone();
-        let shared = Arc::clone(&self.shared);
-        let name: String = name.into();
-        let ack = AckGuard {
-            tx: self.ack_tx.clone(),
-        };
-        self.spawned_threaded += 1;
-        // The process body runs on a pooled worker thread (reused across
-        // engines); diagnostics identify processes by `ProcEntry::name`,
-        // never by OS thread name, so pooling is invisible to callers.
-        crate::pool::run_job(Box::new(move || {
-            let _ack = ack; // first in, so it drops after everything else
-            // Wait for the first resume before touching anything.
-            let Ok(Resume { now }) = resume_rx.recv() else {
-                // Never started: `f` is still an unmoved capture of this
-                // job closure, and captures drop only after the body's
-                // locals — i.e. after `_ack` has already acknowledged.
-                // Drop it by hand so the ack really is last.
-                drop(f);
-                return;
-            };
-            let mut ctx = ProcCtx {
-                pid,
-                now,
-                shared,
-                yield_tx: yield_tx.clone(),
-                resume_rx,
-            };
-            let result = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-            match result {
-                Ok(()) => {
-                    let _ = yield_tx.send(YieldMsg::Finished { pid });
-                }
-                Err(payload) => {
-                    if payload.downcast_ref::<EngineShutdown>().is_some() {
-                        // Quiet teardown; the scheduler is already gone
-                        // or no longer cares about this process.
-                        return;
-                    }
-                    let _ = yield_tx.send(YieldMsg::Panicked {
-                        pid,
-                        message: render_panic(payload),
-                    });
-                }
-            }
-        }));
-
-        if let Some(p) = &self.probe {
-            p.process_spawned(pid, &name);
-        }
-        self.push_event(SimTime::ZERO, EvTarget::Proc(pid.index()));
-        self.procs.push(ProcEntry {
-            name,
-            state: ProcState::Queued,
-            body: ProcBody::Threaded { resume_tx },
+            fut: Some(fut),
         });
         pid
     }
@@ -740,15 +522,14 @@ impl Engine {
     }
 
     /// Scheduler counters for the `sched.*` telemetry bucket: event-wheel
-    /// traffic plus the inline/threaded process split.
+    /// traffic plus the process count.
     pub fn sched_stats(&self) -> SchedStats {
         let w = self.queue.stats();
         SchedStats {
             events_pushed: w.pushed,
             events_popped: w.popped,
             wheel_level_pushes: w.level_pushes,
-            procs_inline: (self.procs.len() - self.spawned_threaded) as u64,
-            procs_threaded: self.spawned_threaded as u64,
+            procs_inline: self.procs.len() as u64,
         }
     }
 
@@ -839,20 +620,17 @@ impl Engine {
         if let Some(p) = &self.probe {
             p.event_fired(now.as_ps(), self.pid_of(pidx), self.queue.len());
         }
-        let outcome = match self.procs[pidx].body {
-            ProcBody::Inline { .. } => self.poll_inline(pidx, now),
-            ProcBody::Threaded { .. } => self.step_threaded(pidx, now),
-        };
+        let outcome = self.poll_inline(pidx, now);
         self.apply_outcome(pidx, now, outcome)
     }
 
-    /// Drive one step of an inline process: poll its state machine on this
-    /// thread and read the requested transition out of the scratch cell.
+    /// Drive one step of a process: poll its state machine on this thread
+    /// and read the requested transition out of the scratch cell.
     fn poll_inline(&mut self, pidx: usize, now: SimTime) -> Outcome {
-        let ProcBody::Inline { fut } = &mut self.procs[pidx].body else {
-            unreachable!("poll_inline on a threaded process");
-        };
-        let mut fut = fut.take().expect("inline process resumed after it finished");
+        let mut fut = self.procs[pidx]
+            .fut
+            .take()
+            .expect("inline process resumed after it finished");
         SCRATCH.with(|s| {
             s.set(InlineScratch {
                 now_ps: now.as_ps(),
@@ -865,10 +643,7 @@ impl Engine {
             Ok(Poll::Ready(())) => Outcome::Finished, // future (and captures) drop here
             Ok(Poll::Pending) => {
                 let pending = SCRATCH.with(|s| s.get()).pending;
-                let ProcBody::Inline { fut: slot } = &mut self.procs[pidx].body else {
-                    unreachable!();
-                };
-                *slot = Some(fut);
+                self.procs[pidx].fut = Some(fut);
                 match pending {
                     Pending::Advance(dur) => Outcome::Advanced(dur),
                     Pending::Block => Outcome::Blocked,
@@ -881,44 +656,9 @@ impl Engine {
         }
     }
 
-    /// Drive one step of a pooled-thread process: rendezvous over the
-    /// resume/yield channel pair.
-    fn step_threaded(&mut self, pidx: usize, now: SimTime) -> Outcome {
-        let ProcBody::Threaded { resume_tx } = &self.procs[pidx].body else {
-            unreachable!("step_threaded on an inline process");
-        };
-        if resume_tx.send(Resume { now }).is_err() {
-            return Outcome::Panicked("process thread exited without yielding".to_string());
-        }
-        let msg = self
-            .yield_rx
-            .recv()
-            .expect("yield channel closed while a process was running");
-        match msg {
-            YieldMsg::Advance { pid, dur } => {
-                debug_assert_eq!(pid.index(), pidx);
-                Outcome::Advanced(dur)
-            }
-            YieldMsg::Blocked { pid } => {
-                debug_assert_eq!(pid.index(), pidx);
-                Outcome::Blocked
-            }
-            YieldMsg::Finished { pid } => {
-                debug_assert_eq!(pid.index(), pidx);
-                // The worker that hosted this process returns itself
-                // to the pool; there is no thread to join.
-                Outcome::Finished
-            }
-            YieldMsg::Panicked { pid, message } => {
-                debug_assert_eq!(pid.index(), pidx);
-                Outcome::Panicked(message)
-            }
-        }
-    }
-
-    /// The shared epilogue of both execution paths: record the trace,
-    /// notify the probe, and requeue/park/retire the process — in exactly
-    /// the order the pre-wheel engine used, so goldens are byte-identical.
+    /// The epilogue of every process step: record the trace, notify the
+    /// probe, and requeue/park/retire the process — in exactly the order
+    /// the pre-wheel engine used, so goldens are byte-identical.
     fn apply_outcome(&mut self, pidx: usize, now: SimTime, outcome: Outcome) -> Result<(), SimError> {
         let pid = self.pid_of(pidx);
         match outcome {
@@ -984,45 +724,6 @@ impl Engine {
             // the target will re-check its wait condition anyway.
         }
     }
-
-    /// Quiesce every process: drop inline state machines, unwind all
-    /// still-parked pooled threads, and wait until each worker has dropped
-    /// its job closure — and with it the captured state of the process
-    /// body — before returning. Idempotent, and invoked by `Drop`, so by
-    /// the time an engine is gone no pooled worker still holds references
-    /// into its world. (The worker pool had made teardown asynchronous: a
-    /// pooled worker could still be unwinding a dead engine's closure
-    /// while the caller inspected state those closures captured.)
-    ///
-    /// Must not be called while a process is executing; between windows
-    /// and after a run, every process is parked or finished.
-    pub fn quiesce(&mut self) {
-        if self.quiesced {
-            return;
-        }
-        self.quiesced = true;
-        for p in &mut self.procs {
-            match &mut p.body {
-                ProcBody::Inline { fut } => {
-                    // Dropping the state machine drops its captures
-                    // synchronously, right here on the caller's thread.
-                    *fut = None;
-                }
-                ProcBody::Threaded { resume_tx } => {
-                    // Dropping the real resume sender makes a parked
-                    // process unwind via the quiet EngineShutdown token.
-                    let (dead_tx, _) = unbounded::<Resume>();
-                    *resume_tx = dead_tx;
-                }
-            }
-        }
-        // One acknowledgement per pooled-thread process, sent by its
-        // AckGuard when the job closure is dropped (finished processes
-        // sent theirs already; the channel buffers them).
-        for _ in 0..self.spawned_threaded {
-            let _ = self.ack_rx.recv();
-        }
-    }
 }
 
 fn render_panic(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -1031,12 +732,6 @@ fn render_panic(payload: Box<dyn std::any::Any + Send>) -> String {
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        self.quiesce();
-    }
 }
 
 #[cfg(test)]
@@ -1053,10 +748,16 @@ mod tests {
 
     #[test]
     fn single_process_advances_clock() {
+        // Time consumed inside a nested future counts exactly like a
+        // direct `advance`: collectives await helper futures, not bare
+        // advances.
+        async fn compute(ctx: &SimCtx, us: f64) {
+            ctx.advance(SimDuration::from_us(us)).await;
+        }
         let mut eng = Engine::new();
-        eng.spawn("p", |ctx| {
-            ctx.advance(SimDuration::from_us(5.0));
-            ctx.advance(SimDuration::from_us(2.5));
+        eng.spawn_inline("p", |ctx| async move {
+            compute(&ctx, 5.0).await;
+            compute(&ctx, 2.5).await;
         });
         let end = eng.run().unwrap();
         assert_eq!(end.as_us(), 7.5);
@@ -1080,9 +781,9 @@ mod tests {
         let mut eng = Engine::new();
         for (name, step) in [("a", 3.0), ("b", 2.0)] {
             let order = Arc::clone(&order);
-            eng.spawn(name, move |ctx| {
+            eng.spawn_inline(name, move |ctx| async move {
                 for i in 0..3 {
-                    ctx.advance(SimDuration::from_us(step));
+                    ctx.advance(SimDuration::from_us(step)).await;
                     order.lock().push((name, i, ctx.now().as_us()));
                 }
             });
@@ -1104,9 +805,13 @@ mod tests {
 
     #[test]
     fn inline_processes_interleave_identically_to_threaded() {
-        // The same two-process schedule as above, run once on the inline
-        // path and once mixed (one inline, one threaded): the observable
-        // order must be identical in all three configurations.
+        // `expected` is the order thread-backed processes produced for this
+        // schedule before every process ran inline. It must not depend on
+        // how a body is built: each process awaits its steps either
+        // directly or through a nested helper future, in every combination.
+        async fn step(ctx: &SimCtx, us: f64) {
+            ctx.advance(SimDuration::from_us(us)).await;
+        }
         let expected = vec![
             ("b", 0, 2.0),
             ("a", 0, 3.0),
@@ -1115,53 +820,55 @@ mod tests {
             ("b", 2, 6.0),
             ("a", 2, 9.0),
         ];
-        for threaded_mask in [0b00usize, 0b01, 0b10] {
+        for nested_mask in [0b00usize, 0b01, 0b10, 0b11] {
             let order = Arc::new(PlMutex::new(Vec::new()));
             let mut eng = Engine::new();
-            for (bit, (name, step)) in [("a", 3.0), ("b", 2.0)].into_iter().enumerate() {
+            for (bit, (name, us)) in [("a", 3.0), ("b", 2.0)].into_iter().enumerate() {
                 let order = Arc::clone(&order);
-                if threaded_mask & (1 << bit) != 0 {
-                    eng.spawn(name, move |ctx| {
-                        for i in 0..3 {
-                            ctx.advance(SimDuration::from_us(step));
-                            order.lock().push((name, i, ctx.now().as_us()));
+                let nested = nested_mask & (1 << bit) != 0;
+                eng.spawn_inline(name, move |ctx| async move {
+                    for i in 0..3 {
+                        if nested {
+                            step(&ctx, us).await;
+                        } else {
+                            ctx.advance(SimDuration::from_us(us)).await;
                         }
-                    });
-                } else {
-                    eng.spawn_inline(name, move |ctx| async move {
-                        for i in 0..3 {
-                            ctx.advance(SimDuration::from_us(step)).await;
-                            order.lock().push((name, i, ctx.now().as_us()));
-                        }
-                    });
-                }
+                        order.lock().push((name, i, ctx.now().as_us()));
+                    }
+                });
             }
             eng.run().unwrap();
-            assert_eq!(*order.lock(), expected, "mask {threaded_mask:#04b}");
+            assert_eq!(*order.lock(), expected, "mask {nested_mask:#04b}");
         }
     }
 
     #[test]
     fn rendezvous_over_channel() {
+        // A round trip: the consumer blocks first and is woken by the
+        // send; the producer then blocks on the reply and is woken in turn.
         let mut eng = Engine::new();
-        let ch = SimChannel::<u64>::new("ch");
+        let ping = SimChannel::<u64>::new("ping");
+        let pong = SimChannel::<u64>::new("pong");
         let out = Arc::new(PlMutex::new(None));
         {
-            let ch = ch.clone();
-            eng.spawn("producer", move |ctx| {
-                ctx.advance(SimDuration::from_us(10.0));
-                ch.send(ctx, 42);
-            });
-        }
-        {
+            let (ping, pong) = (ping.clone(), pong.clone());
             let out = Arc::clone(&out);
-            eng.spawn("consumer", move |ctx| {
-                let v = ch.recv(ctx);
-                *out.lock() = Some((v, ctx.now().as_us()));
+            eng.spawn_inline("producer", move |ctx| async move {
+                ctx.advance(SimDuration::from_us(10.0)).await;
+                ping.send_inline(&ctx, 42);
+                let reply = pong.recv_inline(&ctx).await;
+                *out.lock() = Some((reply, ctx.now().as_us()));
             });
         }
-        eng.run().unwrap();
-        assert_eq!(*out.lock(), Some((42, 10.0)));
+        eng.spawn_inline("consumer", move |ctx| async move {
+            let v = ping.recv_inline(&ctx).await;
+            assert_eq!(ctx.now().as_us(), 10.0);
+            ctx.advance(SimDuration::from_us(1.0)).await;
+            pong.send_inline(&ctx, v + 1);
+        });
+        let end = eng.run().unwrap();
+        assert_eq!(*out.lock(), Some((43, 11.0)));
+        assert_eq!(end.as_us(), 11.0);
     }
 
     #[test]
@@ -1189,15 +896,20 @@ mod tests {
 
     #[test]
     fn deadlock_is_reported_with_names() {
+        // Two processes block at different times: both are named, in spawn
+        // order, and the deadlock is dated at the last one to block.
         let mut eng = Engine::new();
-        let ch = SimChannel::<u8>::new("never");
-        eng.spawn("stuck", move |ctx| {
-            let _ = ch.recv(ctx);
-        });
+        for (name, us) in [("x", 2.0), ("y", 3.0)] {
+            let ch = SimChannel::<u8>::new(name);
+            eng.spawn_inline(name, move |ctx| async move {
+                ctx.advance(SimDuration::from_us(us)).await;
+                let _ = ch.recv_inline(&ctx).await;
+            });
+        }
         match eng.run() {
             Err(SimError::Deadlock { blocked, at }) => {
-                assert_eq!(blocked, vec!["stuck".to_string()]);
-                assert_eq!(at, SimTime::ZERO);
+                assert_eq!(blocked, vec!["x".to_string(), "y".to_string()]);
+                assert_eq!(at.as_us(), 3.0);
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
@@ -1221,8 +933,9 @@ mod tests {
 
     #[test]
     fn process_panic_is_captured() {
+        // A panic on the very first poll, before the body ever yields.
         let mut eng = Engine::new();
-        eng.spawn("boom", |_ctx| panic!("kaboom {}", 9));
+        eng.spawn_inline("boom", |_ctx| async move { panic!("kaboom {}", 9) });
         match eng.run() {
             Err(SimError::ProcessPanicked { name, message, at }) => {
                 assert_eq!(name, "boom");
@@ -1283,9 +996,9 @@ mod tests {
             let fired = Arc::clone(&fired);
             let probe = Arc::new(PlMutex::new(0.0f64));
             let probe_w = Arc::clone(&probe);
-            eng.spawn("worker", move |ctx| {
+            eng.spawn_inline("worker", move |ctx| async move {
                 for _ in 0..10 {
-                    ctx.advance(SimDuration::from_us(1.0));
+                    ctx.advance(SimDuration::from_us(1.0)).await;
                     *probe_w.lock() = ctx.now().as_us();
                 }
             });
@@ -1300,19 +1013,24 @@ mod tests {
 
     #[test]
     fn many_processes_round_robin() {
-        let counter = Arc::new(PlMutex::new(0u64));
+        // Every tick runs all 64 processes, in spawn order, before any of
+        // them runs its next tick.
+        let order = Arc::new(PlMutex::new(Vec::new()));
         let mut eng = Engine::new();
-        for i in 0..64 {
-            let counter = Arc::clone(&counter);
-            eng.spawn(format!("w{i}"), move |ctx| {
-                for _ in 0..10 {
-                    ctx.advance(SimDuration::from_ns(100.0));
-                    *counter.lock() += 1;
+        for i in 0..64usize {
+            let order = Arc::clone(&order);
+            eng.spawn_inline(format!("w{i}"), move |ctx| async move {
+                for tick in 0..10usize {
+                    ctx.advance(SimDuration::from_ns(100.0)).await;
+                    order.lock().push((tick, i, ctx.now().as_ns()));
                 }
             });
         }
         let end = eng.run().unwrap();
-        assert_eq!(*counter.lock(), 640);
+        let expected: Vec<(usize, usize, f64)> = (0..10)
+            .flat_map(|tick| (0..64).map(move |i| (tick, i, 100.0 * (tick + 1) as f64)))
+            .collect();
+        assert_eq!(*order.lock(), expected);
         assert_eq!(end.as_ns(), 1000.0);
     }
 
@@ -1358,18 +1076,24 @@ mod tests {
 
     #[test]
     fn spawn_after_run_panics() {
-        // `run` consumes the engine, so "spawn after run" is prevented by
-        // the type system; this test documents the `ran` flag is still a
-        // valid internal invariant by exercising the normal path.
+        // `run` consumes the engine, but `run_window` does not: once a
+        // window has run, a late spawn would start in the past.
         let mut eng = Engine::new();
-        eng.spawn("p", |ctx| ctx.advance(SimDuration::from_ns(1.0)));
+        eng.spawn_inline("p", |ctx| async move {
+            ctx.advance(SimDuration::from_ns(1.0)).await;
+        });
+        eng.run_window(SimTime::ZERO + SimDuration::from_ns(0.5)).unwrap();
+        let late = panic::catch_unwind(AssertUnwindSafe(|| {
+            eng.spawn_inline("late", |_ctx| async move {});
+        }));
+        let message = render_panic(late.expect_err("late spawn must panic"));
+        assert!(message.contains("called after Engine::run"), "{message}");
         assert!(eng.run().is_ok());
     }
 
     #[test]
     fn dropping_unrun_engine_does_not_hang() {
         let mut eng = Engine::new();
-        eng.spawn("never-started", |ctx| ctx.advance(SimDuration::from_us(1.0)));
         eng.spawn_inline("inline-never-started", |ctx| async move {
             ctx.advance(SimDuration::from_us(1.0)).await;
         });
@@ -1423,13 +1147,13 @@ mod tests {
     #[test]
     fn sched_stats_report_wheel_traffic_and_process_split() {
         let mut eng = Engine::new();
-        eng.spawn_inline("i", |ctx| async move {
-            ctx.advance(SimDuration::from_us(1.0)).await;
-        });
-        eng.spawn("t", |ctx| ctx.advance(SimDuration::from_us(1.0)));
+        for name in ["i", "j"] {
+            eng.spawn_inline(name, |ctx| async move {
+                ctx.advance(SimDuration::from_us(1.0)).await;
+            });
+        }
         let stats = eng.sched_stats();
-        assert_eq!(stats.procs_inline, 1);
-        assert_eq!(stats.procs_threaded, 1);
+        assert_eq!(stats.procs_inline, 2);
         assert_eq!(stats.events_pushed, 2); // two spawn events queued
         assert_eq!(stats.events_popped, 0);
         eng.run().unwrap();
@@ -1444,8 +1168,8 @@ mod trace_tests {
     fn trace_records_schedule_in_order() {
         let mut eng = Engine::new();
         eng.enable_tracing();
-        eng.spawn("a", |ctx| {
-            ctx.advance(SimDuration::from_ns(5.0));
+        eng.spawn_inline("a", |ctx| async move {
+            ctx.advance(SimDuration::from_ns(5.0)).await;
         });
         let (end, trace) = eng.run_traced().unwrap();
         assert_eq!(end.as_ns(), 5.0);
@@ -1459,37 +1183,42 @@ mod trace_tests {
                 TraceKind::Finished
             ]
         );
-        // Times never decrease.
+        // Times never decrease, and every record names the one process.
         assert!(trace.windows(2).all(|w| w[0].at_ps <= w[1].at_ps));
+        assert!(trace.iter().all(|r| r.pid.index() == 0));
     }
 
     #[test]
     fn inline_trace_is_identical_to_threaded() {
-        let run = |inline: bool| {
-            let mut eng = Engine::new();
-            eng.enable_tracing();
-            if inline {
-                eng.spawn_inline("a", |ctx| async move {
-                    ctx.advance(SimDuration::from_ns(5.0)).await;
-                });
-            } else {
-                eng.spawn("a", |ctx| {
-                    ctx.advance(SimDuration::from_ns(5.0));
-                });
-            }
-            let (_, trace) = eng.run_traced().unwrap();
-            trace
-                .iter()
-                .map(|r| (r.at_ps, r.pid.index(), r.kind))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(true), run(false));
+        // The exact `(time, pid, kind)` records a thread-backed process
+        // traced for this body before every process ran inline.
+        let mut eng = Engine::new();
+        eng.enable_tracing();
+        eng.spawn_inline("a", |ctx| async move {
+            ctx.advance(SimDuration::from_ns(5.0)).await;
+        });
+        let (_, trace) = eng.run_traced().unwrap();
+        let got: Vec<_> = trace
+            .iter()
+            .map(|r| (r.at_ps, r.pid.index(), r.kind))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (0, 0, TraceKind::Resumed),
+                (0, 0, TraceKind::Advanced),
+                (5000, 0, TraceKind::Resumed),
+                (5000, 0, TraceKind::Finished),
+            ]
+        );
     }
 
     #[test]
     fn tracing_off_returns_empty() {
         let mut eng = Engine::new();
-        eng.spawn("a", |ctx| ctx.advance(SimDuration::from_ns(1.0)));
+        eng.spawn_inline("a", |ctx| async move {
+            ctx.advance(SimDuration::from_ns(1.0)).await;
+        });
         let (_, trace) = eng.run_traced().unwrap();
         assert!(trace.is_empty());
     }
@@ -1502,13 +1231,13 @@ mod trace_tests {
         let ch = SimChannel::<u8>::new("c");
         {
             let ch = ch.clone();
-            eng.spawn("rx", move |ctx| {
-                let _ = ch.recv(ctx);
+            eng.spawn_inline("rx", move |ctx| async move {
+                let _ = ch.recv_inline(&ctx).await;
             });
         }
-        eng.spawn("tx", move |ctx| {
-            ctx.advance(SimDuration::from_ns(3.0));
-            ch.send(ctx, 1);
+        eng.spawn_inline("tx", move |ctx| async move {
+            ctx.advance(SimDuration::from_ns(3.0)).await;
+            ch.send_inline(&ctx, 1);
         });
         let (_, trace) = eng.run_traced().unwrap();
         assert!(trace

@@ -8,21 +8,16 @@
 //!   arena-backed hierarchical timer wheel, in which processes execute
 //!   strictly one at a time, in a total order defined by `(time, sequence)`,
 //!   so every run is bit-for-bit deterministic,
-//! * blocking message channels in virtual time ([`channel::SimChannel`]),
-//! * FIFO resources for modeling contended links and servers
-//!   ([`resource::Resource`]).
+//! * message channels in virtual time ([`channel::SimChannel`]).
 //!
-//! Simulated code comes in two equivalent styles. The hot path is an
-//! `async` body spawned with [`Engine::spawn_inline`]: it receives a
-//! [`SimCtx`], awaits [`SimCtx::advance`] to consume virtual time or
+//! Every simulated process is an `async` body spawned with
+//! [`Engine::spawn_inline`]: it receives a [`SimCtx`], awaits
+//! [`SimCtx::advance`] to consume virtual time or
 //! `SimChannel::recv_inline` to wait for a message, and runs as a poll
-//! state machine directly on the scheduler thread. The fallback is
-//! ordinary blocking Rust spawned with [`Engine::spawn`] on a pooled
-//! worker thread: the process receives a [`ProcCtx`] and calls
-//! [`ProcCtx::advance`] / `SimChannel::recv` / `Resource::acquire`.
-//! Either style lets the MPI layer implement real collective algorithms
-//! (binomial trees, recursive doubling, pairwise exchange) as
-//! straight-line code whose *virtual* timing is measured by the engine.
+//! state machine directly on the scheduler thread. That lets the MPI
+//! layer implement real collective algorithms (binomial trees, recursive
+//! doubling, pairwise exchange) as straight-line code whose *virtual*
+//! timing is measured by the engine.
 //!
 //! ```
 //! use maia_sim::{Engine, SimDuration};
@@ -32,16 +27,16 @@
 //! let pong = maia_sim::channel::SimChannel::<u32>::new("pong");
 //! {
 //!     let (ping, pong) = (ping.clone(), pong.clone());
-//!     eng.spawn("client", move |ctx| {
-//!         ping.send(ctx, 7);
-//!         let x = pong.recv(ctx);
+//!     eng.spawn_inline("client", move |ctx| async move {
+//!         ping.send_inline(&ctx, 7);
+//!         let x = pong.recv_inline(&ctx).await;
 //!         assert_eq!(x, 8);
 //!     });
 //! }
-//! eng.spawn("server", move |ctx| {
-//!     let x = ping.recv(ctx);
-//!     ctx.advance(SimDuration::from_us(1.0)); // 1 us of service time
-//!     pong.send(ctx, x + 1);
+//! eng.spawn_inline("server", move |ctx| async move {
+//!     let x = ping.recv_inline(&ctx).await;
+//!     ctx.advance(SimDuration::from_us(1.0)).await; // 1 us of service time
+//!     pong.send_inline(&ctx, x + 1);
 //! });
 //! let end = eng.run().unwrap();
 //! assert_eq!(end.as_us(), 1.0);
@@ -50,12 +45,10 @@
 pub mod channel;
 pub mod engine;
 pub mod partition;
-mod pool;
 pub mod probe;
-pub mod resource;
 pub mod time;
 mod wheel;
 
-pub use engine::{Engine, InjectCtx, ProcCtx, ProcessId, SimCtx, SimError, TraceKind, TraceRecord};
+pub use engine::{Engine, InjectCtx, ProcessId, SimCtx, SimError, TraceKind, TraceRecord};
 pub use probe::{factory_installed, set_probe_factory, Probe, SchedStats};
 pub use time::{SimDuration, SimTime};

@@ -1,7 +1,7 @@
 //! Partitioned (sharded) execution of a simulated world.
 //!
 //! One [`Engine`] — one *event wheel* — per partition, each driven by its
-//! own pooled OS worker, synchronized by conservative lookahead windows:
+//! own OS thread, synchronized by conservative lookahead windows:
 //! no wheel processes an event at or past the current window boundary
 //! until every cross-partition message generated in the previous window
 //! has been exchanged and scheduled for delivery. The window width is the
@@ -388,14 +388,6 @@ impl Probe for PartitionProbe {
         // Suppressed: the orchestrator reports the global end once.
     }
 
-    fn resource_wait(&self, name: &str, pid: ProcessId, wait_ps: u64) {
-        self.inner.resource_wait(name, self.global(pid), wait_ps);
-    }
-
-    fn resource_service(&self, name: &str, pid: ProcessId, held_ps: u64) {
-        self.inner.resource_service(name, self.global(pid), held_ps);
-    }
-
     fn span(&self, name: &str, start_ps: u64, end_ps: u64, pid: ProcessId) {
         self.spans.lock().push(BufferedSpan {
             name: name.to_string(),
@@ -492,7 +484,7 @@ pub struct WheelReport {
 }
 
 /// Drive one wheel of a sharded world to completion through `comm` —
-/// the per-wheel loop [`run_partitioned`] runs on each pooled worker,
+/// the per-wheel loop [`run_partitioned`] runs on each wheel thread,
 /// public so a *worker process* can drive its single wheel against a
 /// [`WorkerEndpoint`].
 pub fn drive_wheel<T, C>(mut wheel: Wheel<T>, mut comm: C, lookahead: SimDuration) -> WheelReport
@@ -551,9 +543,6 @@ where
     };
     let blocked = wheel.engine.blocked_processes();
     let end = wheel.engine.now();
-    // Quiesce at the final barrier: no pooled worker may still hold this
-    // wheel's closures when the wheel (and the world behind it) drops.
-    wheel.engine.quiesce();
     WheelReport {
         status,
         blocked,
@@ -567,9 +556,10 @@ where
     }
 }
 
-/// Run a sharded world to completion: one pooled OS worker per wheel
+/// Run a sharded world to completion: one scoped OS thread per wheel
 /// (wheel 0 drives on the calling thread), window-synchronized through
-/// the given communicators.
+/// the given communicators. Every wheel thread has been joined — and its
+/// wheel dropped — by the time this returns.
 ///
 /// Returns the global end time — the maximum over wheels, equal to the
 /// single-wheel end time of the same world — and the run statistics.
@@ -586,7 +576,7 @@ pub fn run_partitioned<T, C>(
 ) -> Result<(SimTime, PartitionRunStats), SimError>
 where
     T: Send + 'static,
-    C: SimCommunicator<T> + 'static,
+    C: SimCommunicator<T>,
 {
     assert!(
         lookahead.as_ps() > 0,
@@ -600,23 +590,21 @@ where
         assert_eq!(c.partitions(), n, "communicator bus size must match wheel count");
     }
 
-    let mut reports: Vec<Option<WheelReport>> = (0..n).map(|_| None).collect();
-    let (done_tx, done_rx) = unbounded::<(usize, WheelReport)>();
-    let mut pairs: Vec<(Wheel<T>, C)> = wheels.into_iter().zip(comms).collect();
-    let head = pairs.remove(0);
-    for (i, (wheel, comm)) in pairs.into_iter().enumerate() {
-        let done_tx = done_tx.clone();
-        crate::pool::run_job(Box::new(move || {
-            let report = drive_wheel(wheel, comm, lookahead);
-            let _ = done_tx.send((i + 1, report));
+    let mut pairs = wheels.into_iter().zip(comms);
+    let (head_wheel, head_comm) = pairs
+        .next()
+        .expect("a partitioned world needs at least one wheel");
+    let reports: Vec<WheelReport> = std::thread::scope(|s| {
+        let drivers: Vec<_> = pairs
+            .map(|(wheel, comm)| s.spawn(move || drive_wheel(wheel, comm, lookahead)))
+            .collect();
+        let mut reports = vec![drive_wheel(head_wheel, head_comm, lookahead)];
+        reports.extend(drivers.into_iter().map(|d| {
+            d.join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
         }));
-    }
-    reports[0] = Some(drive_wheel(head.0, head.1, lookahead));
-    for _ in 1..n {
-        let (i, report) = done_rx.recv().expect("wheel driver vanished");
-        reports[i] = Some(report);
-    }
-    let reports: Vec<WheelReport> = reports.into_iter().map(|r| r.expect("all wheels reported")).collect();
+        reports
+    });
     finalize_partitioned(reports, probes)
 }
 
@@ -624,7 +612,7 @@ where
 /// wins (by virtual time, then wheel index), leftover blocked processes
 /// merge into one deadlock, buffered probe spans flush globally sorted.
 /// Shared by [`run_partitioned`] and the process backend, whose worker
-/// reports arrive over the wire instead of from pooled threads.
+/// reports arrive over the wire instead of from wheel threads.
 pub fn finalize_partitioned(
     reports: Vec<WheelReport>,
     probes: Option<ProbeBundle>,
@@ -718,7 +706,7 @@ mod tests {
                 let inbox = inbox.clone();
                 let outbox = outbox.clone();
                 let got = Arc::clone(&got);
-                engine.spawn(format!("rank-{w}"), move |ctx| {
+                engine.spawn_inline(format!("rank-{w}"), move |ctx| async move {
                     if w == 0 {
                         outbox.send(
                             1,
@@ -729,12 +717,12 @@ mod tests {
                                 payload: 7,
                             },
                         );
-                        ctx.advance(cost);
-                        let x = inbox.recv(ctx);
+                        ctx.advance(cost).await;
+                        let x = inbox.recv_inline(&ctx).await;
                         assert_eq!(x, 8);
                         *got.lock() = Some(ctx.now().as_ps());
                     } else {
-                        let x = inbox.recv(ctx);
+                        let x = inbox.recv_inline(&ctx).await;
                         outbox.send(
                             0,
                             RemoteMsg {
@@ -744,7 +732,7 @@ mod tests {
                                 payload: x + 1,
                             },
                         );
-                        ctx.advance(cost);
+                        ctx.advance(cost).await;
                     }
                 });
             }
@@ -777,7 +765,7 @@ mod tests {
         let got = Arc::new(PlMutex::new(None::<(u32, u64)>));
         {
             let outbox = outbox.clone();
-            engine.spawn("tx", move |ctx| {
+            engine.spawn_inline("tx", move |ctx| async move {
                 outbox.send(
                     0,
                     RemoteMsg {
@@ -787,14 +775,14 @@ mod tests {
                         payload: 41,
                     },
                 );
-                ctx.advance(SimDuration::from_us(2.0));
+                ctx.advance(SimDuration::from_us(2.0)).await;
             });
         }
         {
             let inbox_rx = inbox.clone();
             let got = Arc::clone(&got);
-            engine.spawn("rx", move |ctx| {
-                let v = inbox_rx.recv(ctx);
+            engine.spawn_inline("rx", move |ctx| async move {
+                let v = inbox_rx.recv_inline(&ctx).await;
                 *got.lock() = Some((v, ctx.now().as_ps()));
             });
         }
@@ -835,13 +823,13 @@ mod tests {
             let mut engine = Engine::new();
             {
                 let inbox = inbox.clone();
-                engine.spawn(format!("rank-{w}"), move |ctx| {
+                engine.spawn_inline(format!("rank-{w}"), move |ctx| async move {
                     if w == 0 {
-                        ctx.advance(SimDuration::from_us(0.5));
+                        ctx.advance(SimDuration::from_us(0.5)).await;
                         panic!("wheel zero dies");
                     } else {
                         // Waits forever for a message wheel 0 never sends.
-                        let _ = inbox.recv(ctx);
+                        let _ = inbox.recv_inline(&ctx).await;
                     }
                 });
             }
@@ -873,8 +861,8 @@ mod tests {
             let mut engine = Engine::new();
             {
                 let inbox = inbox.clone();
-                engine.spawn(format!("stuck-{w}"), move |ctx| {
-                    let _ = inbox.recv(ctx);
+                engine.spawn_inline(format!("stuck-{w}"), move |ctx| async move {
+                    let _ = inbox.recv_inline(&ctx).await;
                 });
             }
             let deliver_inbox = inbox.clone();

@@ -60,10 +60,20 @@ use crate::probe::{Probe, SchedStats};
 use crate::time::SimTime;
 
 /// Protocol version carried in the Hello frame; both sides must match.
-pub const WIRE_VERSION: u32 = 1;
+pub const WIRE_VERSION: u32 = 2;
 
 /// Frames above this size indicate a desynchronized stream, not data.
 const MAX_FRAME: u32 = 1 << 30;
+
+/// Most payload bytes [`read_frame`] reserves before they arrive; larger
+/// frames grow with the bytes actually read, so a lying length header
+/// costs a read error rather than a gigabyte allocation.
+const FRAME_PREALLOC: usize = 64 << 10;
+
+/// Encoded size of a message before its payload (`u64` arrival, `u32`
+/// slot, two `u64` order keys): the floor of every message's encoding,
+/// which bounds how many messages `n` frame bytes can hold.
+const MSG_HEADER_BYTES: usize = 28;
 
 const TAG_HELLO: u8 = 1;
 const TAG_JOB: u8 = 2;
@@ -201,6 +211,18 @@ fn decode_msg<T: WireItem>(r: &mut wire::Reader<'_>) -> Option<RemoteMsg<T>> {
     })
 }
 
+/// Decode `count` messages. The count comes off the wire, so the
+/// preallocation is capped by what the remaining bytes could hold: a
+/// corrupt count fails on underrun instead of reserving room for
+/// billions of messages.
+fn decode_msgs<T: WireItem>(r: &mut wire::Reader<'_>, count: usize) -> Option<Vec<RemoteMsg<T>>> {
+    let mut msgs = Vec::with_capacity(count.min(r.remaining() / MSG_HEADER_BYTES));
+    for _ in 0..count {
+        msgs.push(decode_msg::<T>(r)?);
+    }
+    Some(msgs)
+}
+
 fn write_frame(w: &mut dyn Write, tag: u8, payload: &[u8]) -> io::Result<()> {
     let len = payload.len() as u32 + 1;
     w.write_all(&len.to_le_bytes())?;
@@ -219,11 +241,21 @@ fn read_frame(r: &mut dyn Read) -> io::Result<(u8, Vec<u8>)> {
             format!("frame length {len} out of range"),
         ));
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)?;
-    let tag = buf[0];
-    buf.remove(0);
-    Ok((tag, buf))
+    let mut tag = [0u8; 1];
+    r.read_exact(&mut tag)?;
+    let want = len as usize - 1;
+    let mut payload = Vec::with_capacity(want.min(FRAME_PREALLOC));
+    r.take(want as u64).read_to_end(&mut payload)?;
+    if payload.len() != want {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "frame truncated after {} of {want} payload bytes",
+                payload.len()
+            ),
+        ));
+    }
+    Ok((tag[0], payload))
 }
 
 // ---------------------------------------------------------------------------
@@ -660,11 +692,7 @@ impl<T: WireItem> SimCommunicator<T> for ProcessCommunicator<T> {
                             while r.remaining() > 0 {
                                 let dest = r.take_u32()? as usize;
                                 let count = r.take_u32()? as usize;
-                                let mut msgs = Vec::with_capacity(count);
-                                for _ in 0..count {
-                                    msgs.push(decode_msg::<T>(&mut r)?);
-                                }
-                                buckets.push((dest, msgs));
+                                buckets.push((dest, decode_msgs::<T>(&mut r, count)?));
                             }
                             Some((wfloor, buckets))
                         })();
@@ -917,11 +945,7 @@ impl<T: WireItem> SimCommunicator<T> for WorkerEndpoint<T> {
                 let decoded = (|| {
                     let next_ps = r.take_u64()?;
                     let count = r.take_u32()? as usize;
-                    let mut msgs = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        msgs.push(decode_msg::<T>(&mut r)?);
-                    }
-                    Some((next_ps, msgs))
+                    Some((next_ps, decode_msgs::<T>(&mut r, count)?))
                 })();
                 let Some((next_ps, msgs)) = decoded else {
                     self.aborted = true;
@@ -965,10 +989,8 @@ const OP_ADVANCED: u8 = 4;
 const OP_BLOCKED: u8 = 5;
 const OP_FINISHED: u8 = 6;
 const OP_RUN_COMPLETE: u8 = 7;
-const OP_RES_WAIT: u8 = 8;
-const OP_RES_SERVICE: u8 = 9;
-const OP_SPAN: u8 = 10;
-const OP_SCHED_STATS: u8 = 11;
+const OP_SPAN: u8 = 8;
+const OP_SCHED_STATS: u8 = 9;
 
 /// A [`Probe`] that records every callback as a compact byte stream, so
 /// a worker process can ship its wheel's probe activity to the hub in
@@ -1042,26 +1064,11 @@ impl Probe for RecordingProbe {
             wire::put_u64(&mut b, lvl);
         }
         wire::put_u64(&mut b, stats.procs_inline);
-        wire::put_u64(&mut b, stats.procs_threaded);
     }
     fn run_complete(&self, end_ps: u64) {
         let mut b = self.buf.lock();
         b.push(OP_RUN_COMPLETE);
         wire::put_u64(&mut b, end_ps);
-    }
-    fn resource_wait(&self, name: &str, pid: ProcessId, wait_ps: u64) {
-        let mut b = self.buf.lock();
-        b.push(OP_RES_WAIT);
-        wire::put_str(&mut b, name);
-        wire::put_u32(&mut b, pid.index() as u32);
-        wire::put_u64(&mut b, wait_ps);
-    }
-    fn resource_service(&self, name: &str, pid: ProcessId, held_ps: u64) {
-        let mut b = self.buf.lock();
-        b.push(OP_RES_SERVICE);
-        wire::put_str(&mut b, name);
-        wire::put_u32(&mut b, pid.index() as u32);
-        wire::put_u64(&mut b, held_ps);
     }
     fn span(&self, name: &str, start_ps: u64, end_ps: u64, pid: ProcessId) {
         let mut b = self.buf.lock();
@@ -1120,22 +1127,9 @@ pub fn replay_probe(bytes: &[u8], probe: &dyn Probe) -> bool {
                         *lvl = r.take_u64()?;
                     }
                     stats.procs_inline = r.take_u64()?;
-                    stats.procs_threaded = r.take_u64()?;
                     probe.sched_stats(&stats);
                 }
                 OP_RUN_COMPLETE => probe.run_complete(r.take_u64()?),
-                OP_RES_WAIT => {
-                    let name = r.take_str()?;
-                    let p = pid(&mut r)?;
-                    let wait = r.take_u64()?;
-                    probe.resource_wait(&name, p, wait);
-                }
-                OP_RES_SERVICE => {
-                    let name = r.take_str()?;
-                    let p = pid(&mut r)?;
-                    let held = r.take_u64()?;
-                    probe.resource_service(&name, p, held);
-                }
                 OP_SPAN => {
                     let name = r.take_str()?;
                     let start = r.take_u64()?;
@@ -1311,6 +1305,118 @@ mod tests {
         assert_eq!(loss.at_ps, 100);
         assert!(loss.detail.contains("connection closed"), "{}", loss.detail);
         worker.join().unwrap();
+    }
+
+    /// Handshake as wheel 1 of 2 by hand, so a test can follow up with
+    /// bytes the real endpoint would never send.
+    fn fake_worker_handshake(io: &mut PipeEnd) {
+        let mut hello = Vec::new();
+        wire::put_u32(&mut hello, WIRE_VERSION);
+        wire::put_u32(&mut hello, 1);
+        wire::put_u32(&mut hello, 2);
+        write_frame(&mut *io.1, TAG_HELLO, &hello).unwrap();
+        let (tag, _) = read_frame(&mut *io.0).unwrap();
+        assert_eq!(tag, TAG_JOB);
+    }
+
+    /// A Batch whose message count promises far more than its bytes hold
+    /// is malformed: the hub must fail the decode, not try to reserve
+    /// room for four billion messages.
+    #[test]
+    fn batch_count_beyond_its_bytes_is_a_malformed_frame() {
+        let (hub_io, mut worker_io) = pipe_pair();
+        let worker = std::thread::spawn(move || {
+            fake_worker_handshake(&mut worker_io);
+            let mut batch = vec![1u8];
+            wire::put_u64(&mut batch, 100);
+            wire::put_u32(&mut batch, 0); // bucket for the hub's wheel...
+            wire::put_u32(&mut batch, u32::MAX); // ...claiming 2^32-1 messages, carrying none
+            write_frame(&mut *worker_io.1, TAG_BATCH, &batch).unwrap();
+            // Hold the pipe open until the hub answers with its abort.
+            let (tag, _) = read_frame(&mut *worker_io.0).unwrap();
+            assert_eq!(tag, TAG_ABORT);
+        });
+        let mut hub =
+            ProcessCommunicator::<u32>::connect(2, vec![hub_io], vec![Vec::new()], fast_cfg())
+                .expect("handshake");
+        assert!(matches!(
+            hub.exchange(vec![Vec::new(), Vec::new()], Some(50)),
+            ExchangeOutcome::Aborted
+        ));
+        let loss = hub.loss().expect("loss recorded");
+        assert_eq!(loss.wheel, 1);
+        assert_eq!(loss.detail, "malformed batch frame");
+        worker.join().unwrap();
+    }
+
+    /// A header claiming a 1 GiB frame followed by EOF is a lost worker.
+    #[test]
+    fn giant_frame_header_then_eof_is_a_loss() {
+        let (hub_io, mut worker_io) = pipe_pair();
+        let worker = std::thread::spawn(move || {
+            fake_worker_handshake(&mut worker_io);
+            worker_io.1.write_all(&MAX_FRAME.to_le_bytes()).unwrap();
+            worker_io.1.write_all(&[TAG_BATCH]).unwrap();
+            // Hang up: the promised payload never arrives.
+        });
+        let mut hub =
+            ProcessCommunicator::<u32>::connect(2, vec![hub_io], vec![Vec::new()], fast_cfg())
+                .expect("handshake");
+        worker.join().unwrap();
+        assert!(matches!(
+            hub.exchange(vec![Vec::new(), Vec::new()], Some(50)),
+            ExchangeOutcome::Aborted
+        ));
+        let loss = hub.loss().expect("loss recorded");
+        assert_eq!(loss.wheel, 1);
+        assert!(loss.detail.contains("connection closed"), "{}", loss.detail);
+    }
+
+    /// The same truncated 1 GiB frame at the reader: the error is an
+    /// EOF, and no read was ever handed a buffer larger than the bounded
+    /// preallocation.
+    #[test]
+    fn read_frame_memory_follows_arriving_bytes() {
+        struct Recorder {
+            bytes: Vec<u8>,
+            pos: usize,
+            widest: usize,
+        }
+        impl Read for Recorder {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.widest = self.widest.max(buf.len());
+                let n = buf.len().min(self.bytes.len() - self.pos);
+                buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+                self.pos += n;
+                Ok(n)
+            }
+        }
+        let mut bytes = MAX_FRAME.to_le_bytes().to_vec();
+        bytes.push(TAG_WINDOW);
+        bytes.extend_from_slice(&[7; 10]);
+        let mut r = Recorder {
+            bytes,
+            pos: 0,
+            widest: 0,
+        };
+        let err = read_frame(&mut r).expect_err("a truncated frame must not decode");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(err.to_string().contains("after 10 of"), "{err}");
+        assert!(
+            r.widest <= FRAME_PREALLOC,
+            "a read asked for {} bytes",
+            r.widest
+        );
+
+        // A well-formed frame still round-trips through the same path.
+        let mut framed = Vec::new();
+        write_frame(&mut framed, TAG_JOB, b"payload").unwrap();
+        let mut r = Recorder {
+            bytes: framed,
+            pos: 0,
+            widest: 0,
+        };
+        assert_eq!(read_frame(&mut r).unwrap(), (TAG_JOB, b"payload".to_vec()));
     }
 
     /// A worker that stops heartbeating (but keeps its pipe open) trips

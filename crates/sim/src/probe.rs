@@ -1,18 +1,17 @@
 //! Instrumentation hook points for the simulation engine.
 //!
 //! A [`Probe`] observes the scheduler from outside: every event push/pop,
-//! every virtual-time advance, process block/finish, and resource
-//! wait/service interval is reported through it. The engine never depends
+//! every virtual-time advance, and every process block/finish is reported
+//! through it. The engine never depends
 //! on what a probe does with the callbacks — probes must not affect
 //! virtual time — so simulations are bit-identical with and without one
 //! attached.
 //!
 //! Probes are attached through a process-wide *factory* rather than a
-//! single global probe: [`Engine::new`](crate::Engine::new) (and
-//! [`Resource::new`](crate::resource::Resource::new)) call the factory on
-//! the constructing thread, which lets an instrumentation layer hand out
-//! a different sink per logical task (e.g. per experiment of a parallel
-//! sweep) via thread-local state. With no factory installed the cost is
+//! single global probe: [`Engine::new`](crate::Engine::new) calls the
+//! factory on the constructing thread, which lets an instrumentation
+//! layer hand out a different sink per logical task (e.g. per experiment
+//! of a parallel sweep) via thread-local state. With no factory installed the cost is
 //! one relaxed atomic load per construction and zero per event.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,18 +34,16 @@ pub struct SchedStats {
     /// level).
     pub wheel_level_pushes: [u64; 8],
     /// Processes executed as inline state machines on the scheduler
-    /// thread.
+    /// thread (every spawned process).
     pub procs_inline: u64,
-    /// Processes executed as closures on pooled worker threads.
-    pub procs_threaded: u64,
 }
 
-/// Observer of engine/resource activity. All methods have no-op defaults;
+/// Observer of engine activity. All methods have no-op defaults;
 /// implement the subset you need. Calls may come from any thread, but —
 /// because the engine runs processes strictly one at a time — calls
 /// belonging to one engine are totally ordered and deterministic.
 pub trait Probe: Send + Sync {
-    /// A process was registered with [`crate::Engine::spawn`].
+    /// A process was registered with [`crate::Engine::spawn_inline`].
     fn process_spawned(&self, _pid: ProcessId, _name: &str) {}
     /// An event was pushed onto the queue for `pid` at virtual time
     /// `at_ps`.
@@ -56,9 +53,9 @@ pub trait Probe: Send + Sync {
     fn event_fired(&self, _now_ps: u64, _pid: ProcessId, _queue_depth: usize) {}
     /// `pid` consumed `dur_ps` of virtual time starting at `now_ps`.
     fn advanced(&self, _now_ps: u64, _pid: ProcessId, _dur_ps: u64) {}
-    /// `pid` blocked on a channel or resource.
+    /// `pid` blocked on a channel.
     fn blocked(&self, _now_ps: u64, _pid: ProcessId) {}
-    /// `pid`'s closure returned.
+    /// `pid`'s body returned.
     fn finished(&self, _now_ps: u64, _pid: ProcessId) {}
     /// End-of-run scheduler counters, reported just before
     /// [`Probe::run_complete`] on a successful complete run (windowed
@@ -67,19 +64,13 @@ pub trait Probe: Send + Sync {
     fn sched_stats(&self, _stats: &SchedStats) {}
     /// The engine drained its queue; `end_ps` is the final virtual time.
     fn run_complete(&self, _end_ps: u64) {}
-    /// `pid` acquired a unit of resource `name` after waiting `wait_ps`
-    /// of virtual time (0 when a unit was free immediately).
-    fn resource_wait(&self, _name: &str, _pid: ProcessId, _wait_ps: u64) {}
-    /// `pid` held a unit of resource `name` for `held_ps` of virtual time
-    /// (reported by [`crate::resource::Resource::use_for`]).
-    fn resource_service(&self, _name: &str, _pid: ProcessId, _held_ps: u64) {}
     /// An explicit annotation span `[start_ps, end_ps]` named by the
     /// simulated code itself (e.g. one MPI rank's program).
     fn span(&self, _name: &str, _start_ps: u64, _end_ps: u64, _pid: ProcessId) {}
 }
 
-/// Produces the probe for engines/resources constructed on the calling
-/// thread; return `None` to leave a particular construction unprobed.
+/// Produces the probe for engines constructed on the calling thread;
+/// return `None` to leave a particular construction unprobed.
 pub type ProbeFactory = dyn Fn() -> Option<Arc<dyn Probe>> + Send + Sync;
 
 static FACTORY_SET: AtomicBool = AtomicBool::new(false);
@@ -160,9 +151,9 @@ mod tests {
         }
         let mut eng = Engine::new();
         set_probe_factory(None); // engine already captured its probe
-        eng.spawn("a", |ctx| {
-            ctx.advance(SimDuration::from_ns(5.0));
-            ctx.advance(SimDuration::from_ns(3.0));
+        eng.spawn_inline("a", |ctx| async move {
+            ctx.advance(SimDuration::from_ns(5.0)).await;
+            ctx.advance(SimDuration::from_ns(3.0)).await;
         });
         let end = eng.run().unwrap();
         assert_eq!(end.as_ns(), 8.0);

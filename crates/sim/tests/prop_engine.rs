@@ -43,9 +43,9 @@ fn run_programs(programs: &[Vec<Step>]) -> (u64, Vec<(usize, usize, u64)>) {
     let seed = recvs;
     {
         let ch = ch.clone();
-        eng.spawn("seeder", move |ctx| {
+        eng.spawn_inline("seeder", move |ctx| async move {
             for _ in 0..seed {
-                ch.send(ctx, 0);
+                ch.send_inline(&ctx, 0);
             }
         });
     }
@@ -54,13 +54,13 @@ fn run_programs(programs: &[Vec<Step>]) -> (u64, Vec<(usize, usize, u64)>) {
         let prog = prog.clone();
         let ch = ch.clone();
         let trace = Arc::clone(&trace);
-        eng.spawn(format!("p{pi}"), move |ctx| {
+        eng.spawn_inline(format!("p{pi}"), move |ctx| async move {
             for (si, step) in prog.iter().enumerate() {
                 match step {
-                    Step::Advance(ns) => ctx.advance(SimDuration::from_ns(*ns as f64)),
-                    Step::Send => ch.send(ctx, 1),
+                    Step::Advance(ns) => ctx.advance(SimDuration::from_ns(*ns as f64)).await,
+                    Step::Send => ch.send_inline(&ctx, 1),
                     Step::Recv => {
-                        let _ = ch.recv(ctx);
+                        let _ = ch.recv_inline(&ctx).await;
                     }
                 }
                 trace.lock().push((pi, si, ctx.now().as_ps()));
@@ -76,8 +76,8 @@ fn run_programs(programs: &[Vec<Step>]) -> (u64, Vec<(usize, usize, u64)>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The same program set always produces bit-identical traces: OS thread
-    /// scheduling must not leak into virtual time.
+    /// The same program set always produces bit-identical traces: nothing
+    /// outside the `(time, seq)` order may leak into virtual time.
     #[test]
     fn engine_is_deterministic(
         programs in prop::collection::vec(

@@ -73,11 +73,11 @@ fn run_folded(programs: &[Vec<Op>], wheels: usize) -> (u64, Vec<Vec<Delivery>>) 
             let outbox = outbox.clone();
             let logs = Arc::clone(&logs);
             let n_in = expect[d];
-            engine.spawn(format!("rank-{d}"), move |ctx| {
+            engine.spawn_inline(format!("rank-{d}"), move |ctx| async move {
                 let mut seq = 0u64;
                 for op in &prog {
                     match op {
-                        Op::Advance(ps) => ctx.advance(SimDuration::from_ps(*ps)),
+                        Op::Advance(ps) => ctx.advance(SimDuration::from_ps(*ps)).await,
                         Op::Send { hop, extra_ps } => {
                             let dest = (d + hop) % DOMAINS;
                             let arrival =
@@ -92,12 +92,13 @@ fn run_folded(programs: &[Vec<Op>], wheels: usize) -> (u64, Vec<Vec<Delivery>>) 
                                 },
                             );
                             seq += 1;
-                            ctx.advance(SimDuration::from_ps(LOOKAHEAD_PS + extra_ps));
+                            ctx.advance(SimDuration::from_ps(LOOKAHEAD_PS + extra_ps))
+                                .await;
                         }
                     }
                 }
                 for _ in 0..n_in {
-                    let (src, sseq, arrival_ps) = inbox.recv(ctx);
+                    let (src, sseq, arrival_ps) = inbox.recv_inline(&ctx).await;
                     // Causality: a message is never received before its
                     // stamped arrival.
                     assert!(

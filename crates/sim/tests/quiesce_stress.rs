@@ -1,139 +1,91 @@
-//! Loom-style serialized stress tests for engine/pool teardown.
+//! Engine teardown releases process state synchronously.
 //!
-//! The worker pool reuses OS threads across engines, which made engine
-//! drop *asynchronous*: a pooled worker could still be unwinding a dead
-//! engine's process closure — still holding `Arc`s into the world's
-//! shared state — after `drop(engine)` returned. Reusing workers across
-//! the wheels of a partitioned run turns that latent race into a
-//! use-after-assumed-release. `Engine::quiesce` (also invoked by `Drop`)
-//! now waits for every worker's acknowledgement that the closure has been
-//! dropped; these tests pin that by checking `Arc::strong_count` the
-//! instant teardown returns, many times in a row so a racy regression
-//! cannot hide behind a lucky schedule.
+//! A process body's captures — typically `Arc`s into the world's shared
+//! state — live inside its future, and the engine owns every future. So
+//! whichever way an engine ends (dropped unrun, a deadlocked `run`, a
+//! panicking `run`), each capture must be released by the time the call
+//! returns, or a caller inspecting that shared state would race a
+//! teardown still in progress. These tests pin that with
+//! `Arc::strong_count` checked the instant teardown returns.
 
 use std::sync::Arc;
 
 use maia_sim::channel::SimChannel;
 use maia_sim::{Engine, SimDuration, SimError};
 
-const ITERS: usize = 200;
-
-/// Never-started processes: each worker is parked waiting for its first
-/// resume. Dropping the engine must synchronously release every closure.
+/// Never-started processes: dropping the engine must release every
+/// body's captures immediately.
 #[test]
 fn dropping_unrun_engine_releases_closure_state_immediately() {
-    for i in 0..ITERS {
-        let payload = Arc::new(());
-        let mut eng = Engine::new();
-        for p in 0..4 {
-            let payload = Arc::clone(&payload);
-            eng.spawn(format!("p{p}"), move |ctx| {
-                let _keep = payload;
-                ctx.advance(SimDuration::from_us(1.0));
-            });
-        }
-        drop(eng);
-        assert_eq!(
-            Arc::strong_count(&payload),
-            1,
-            "iteration {i}: a pooled worker still holds closure state after drop"
-        );
+    let payload = Arc::new(());
+    let mut eng = Engine::new();
+    for p in 0..4 {
+        let payload = Arc::clone(&payload);
+        eng.spawn_inline(format!("p{p}"), move |ctx| async move {
+            let _keep = payload;
+            ctx.advance(SimDuration::from_us(1.0)).await;
+        });
     }
+    drop(eng);
+    assert_eq!(
+        Arc::strong_count(&payload),
+        1,
+        "a process future still holds its captures after drop"
+    );
 }
 
-/// Deadlocked processes are parked inside `recv`; the engine consumed by
-/// `run` must still quiesce them before the error is returned.
+/// Deadlocked processes are parked inside `recv_inline`; the engine
+/// consumed by `run` must release them before the error is returned.
 #[test]
 fn deadlocked_engine_quiesces_before_reporting() {
-    for i in 0..ITERS {
-        let payload = Arc::new(());
-        let ch = SimChannel::<u8>::new("never");
-        let mut eng = Engine::new();
-        for p in 0..3 {
-            let payload = Arc::clone(&payload);
-            let ch = ch.clone();
-            eng.spawn(format!("stuck{p}"), move |ctx| {
-                let _keep = payload;
-                let _ = ch.recv(ctx);
-            });
-        }
-        match eng.run() {
-            Err(SimError::Deadlock { blocked, .. }) => assert_eq!(blocked.len(), 3),
-            other => panic!("expected deadlock, got {other:?}"),
-        }
-        assert_eq!(
-            Arc::strong_count(&payload),
-            1,
-            "iteration {i}: a parked worker survived the deadlocked engine"
-        );
+    let payload = Arc::new(());
+    let ch = SimChannel::<u8>::new("never");
+    let mut eng = Engine::new();
+    for p in 0..3 {
+        let payload = Arc::clone(&payload);
+        let ch = ch.clone();
+        eng.spawn_inline(format!("stuck{p}"), move |ctx| async move {
+            let _keep = payload;
+            let _ = ch.recv_inline(&ctx).await;
+        });
     }
-}
-
-/// Mixed outcomes — finished, blocked, and never-started processes — all
-/// quiesce on an explicit `quiesce()` call between windows.
-#[test]
-fn explicit_quiesce_between_windows_releases_all_workers() {
-    for i in 0..ITERS {
-        let payload = Arc::new(());
-        let ch = SimChannel::<u8>::new("half");
-        let mut eng = Engine::new();
-        {
-            let payload = Arc::clone(&payload);
-            eng.spawn("finisher", move |ctx| {
-                let _keep = payload;
-                ctx.advance(SimDuration::from_ns(10.0));
-            });
-        }
-        {
-            let payload = Arc::clone(&payload);
-            let ch = ch.clone();
-            eng.spawn("blocker", move |ctx| {
-                let _keep = payload;
-                let _ = ch.recv(ctx);
-            });
-        }
-        // Run one bounded window: the finisher completes, the blocker
-        // parks. Quiesce must release both workers' closures.
-        eng.run_window(maia_sim::SimTime::ZERO + SimDuration::from_us(1.0))
-            .unwrap();
-        eng.quiesce();
-        assert_eq!(
-            Arc::strong_count(&payload),
-            1,
-            "iteration {i}: quiesce returned with a worker still live"
-        );
-        drop(eng); // idempotent: the second quiesce must not hang
+    match eng.run() {
+        Err(SimError::Deadlock { blocked, .. }) => assert_eq!(blocked.len(), 3),
+        other => panic!("expected deadlock, got {other:?}"),
     }
+    assert_eq!(
+        Arc::strong_count(&payload),
+        1,
+        "a parked process survived the deadlocked engine"
+    );
 }
 
 /// A process that panics mid-run: the erroring engine must still release
-/// the surviving processes' closures when it is dropped.
+/// the surviving processes' captures before the error is returned.
 #[test]
 fn panicking_world_still_quiesces() {
-    for i in 0..ITERS / 4 {
-        let payload = Arc::new(());
-        let ch = SimChannel::<u8>::new("never");
-        let mut eng = Engine::new();
-        {
-            let payload = Arc::clone(&payload);
-            let ch = ch.clone();
-            eng.spawn("victim", move |ctx| {
-                let _keep = payload;
-                let _ = ch.recv(ctx);
-            });
-        }
-        eng.spawn("bomb", |ctx| {
-            ctx.advance(SimDuration::from_ns(5.0));
-            panic!("scheduled demise");
+    let payload = Arc::new(());
+    let ch = SimChannel::<u8>::new("never");
+    let mut eng = Engine::new();
+    {
+        let payload = Arc::clone(&payload);
+        let ch = ch.clone();
+        eng.spawn_inline("victim", move |ctx| async move {
+            let _keep = payload;
+            let _ = ch.recv_inline(&ctx).await;
         });
-        match eng.run() {
-            Err(SimError::ProcessPanicked { name, .. }) => assert_eq!(name, "bomb"),
-            other => panic!("expected panic error, got {other:?}"),
-        }
-        assert_eq!(
-            Arc::strong_count(&payload),
-            1,
-            "iteration {i}: victim's worker still live after the run failed"
-        );
     }
+    eng.spawn_inline("bomb", |ctx| async move {
+        ctx.advance(SimDuration::from_ns(5.0)).await;
+        panic!("scheduled demise");
+    });
+    match eng.run() {
+        Err(SimError::ProcessPanicked { name, .. }) => assert_eq!(name, "bomb"),
+        other => panic!("expected panic error, got {other:?}"),
+    }
+    assert_eq!(
+        Arc::strong_count(&payload),
+        1,
+        "victim's captures still live after the run failed"
+    );
 }

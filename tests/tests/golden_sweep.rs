@@ -1,7 +1,7 @@
 //! Golden test for the parallel runner: a full `--jobs 4` sweep over the
 //! complete registry must reproduce the serial per-experiment output
 //! byte for byte, in every emitter format. This is the property that
-//! lets the `fig_*` binaries remain thin aliases over the shared runner.
+//! lets `run --only <code>` stand in for a dedicated per-figure binary.
 
 use maia_core::{all_experiments, run_experiment, run_experiments_parallel};
 
