@@ -41,6 +41,11 @@ golden_gate "smoke sweep (run --all --jobs 2)" tests/golden/smoke_sweep.md \
 # or the predicate set itself silently drifted.
 golden_gate "conformance gate (check --all)" tests/golden/conformance.md \
     ./target/release/maia-bench check --all --jobs 2
+# EXPERIMENTS.md is generated: the tables, the conformance index and the
+# paper claims from the experiment table. A diff means one of them
+# changed without the report being regenerated.
+golden_gate "EXPERIMENTS.md (maia-bench report)" EXPERIMENTS.md \
+    ./target/release/maia-bench report
 # Bit-identical resilience report at fixed plan/seed/--jobs: a diff here
 # means fault injection stopped being deterministic, or a hook leaked
 # into (or drifted from) the nominal models.

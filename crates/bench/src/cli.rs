@@ -210,7 +210,8 @@ pub struct FaultsOptions {
 }
 
 /// Parsed `crosscheck` subcommand (no experiment selection: the scope
-/// is exactly the figures with closed-form fast paths, F10–F14).
+/// is exactly the experiments with closed-form fast paths, F10–F14, C01
+/// and C02).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrosscheckOptions {
     /// Worker threads.
@@ -236,6 +237,8 @@ pub enum Command {
     Crosscheck(CrosscheckOptions),
     /// `maia-bench list`
     List,
+    /// `maia-bench report`: print EXPERIMENTS.md to stdout.
+    Report,
     /// `maia-bench partition-worker --wheel W --partitions N` — internal:
     /// host one event wheel of a partitioned run, speaking the wire
     /// protocol on stdin/stdout. Spawned by the supervisor, not by hand.
@@ -261,6 +264,7 @@ USAGE:
     maia-bench faults  [COMMON] --plan NAME|FILE
     maia-bench crosscheck [--jobs N] [--partitions N] [--out PATH]
     maia-bench list
+    maia-bench report  (prints EXPERIMENTS.md to stdout)
     maia-bench help
     maia-bench partition-worker --wheel W --partitions N   (internal: one
                        event wheel of a --backend process run; spawned by
@@ -274,15 +278,16 @@ COMMON OPTIONS (shared by run, check, profile and faults):
                        write the report to this file instead of stdout
     --jobs N           Worker threads (default: available cores)
     --engine MODE      auto (default), des or fast. The collective figures
-                       (F10-F14) normally take an exact closed-form fast path;
-                       des forces every cell through the discrete-event engine
-                       (for debugging), fast forces the closed forms even when
-                       a fault plan or probe would otherwise demand the DES
+                       (F10-F14, C01, C02) normally take an exact closed-form
+                       fast path; des forces every cell through the
+                       discrete-event engine (for debugging), fast forces the
+                       closed forms even when a fault plan or probe would
+                       otherwise demand the DES
     --partitions N     Event wheels for the partitioned cluster DES (C01,
-                       C02): one pooled worker thread per wheel, domains
-                       folded round-robin. Figure data and virtual-side
-                       telemetry are bit-identical at every N (default 1);
-                       N > 1 only changes wall-clock time
+                       C02): wheel 0 on the calling thread, the others on
+                       scoped threads, domains folded round-robin. Figure
+                       data and virtual-side telemetry are bit-identical at
+                       every N (default 1); N > 1 only changes wall-clock time
     --backend B        Exchange transport for partitioned cluster runs:
                        channel (default; wheels on threads) or process
                        (wheels 1..N in supervised worker processes with
@@ -349,7 +354,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     match it.next().map(String::as_str) {
         None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
-        Some("list") => Ok(Command::List),
+        Some(sub @ ("list" | "report")) => {
+            if let Some(stray) = it.next() {
+                return Err(format!("unknown argument '{stray}' ({sub} takes none)"));
+            }
+            Ok(if sub == "list" { Command::List } else { Command::Report })
+        }
         Some("partition-worker") => {
             let mut wheel = None;
             let mut partitions = None;
@@ -721,7 +731,8 @@ pub struct CrosscheckOutcome {
     pub report: maia_core::CrosscheckReport,
 }
 
-/// Compute F10–F14 on both engines and diff the formatted tables.
+/// Compute F10–F14, C01 and C02 on both engines and diff the formatted
+/// tables.
 pub fn execute_crosscheck(opts: &CrosscheckOptions) -> Result<CrosscheckOutcome, String> {
     maia_mpi::partition::set_partitions(opts.partitions);
     let report = maia_core::run_crosscheck(opts.jobs);
@@ -806,6 +817,10 @@ pub fn main_with_args(args: &[String]) -> i32 {
         }
         Ok(Command::List) => {
             print!("{}", render_list());
+            0
+        }
+        Ok(Command::Report) => {
+            print!("{}", crate::render_experiments_md());
             0
         }
         Ok(Command::PartitionWorker { wheel, partitions }) => {
@@ -988,7 +1003,7 @@ mod tests {
             vec!["faults", "--plan"],               // missing value
             vec!["faults", "--plan", "x", "--format", "csv"],
             vec!["faults", "--plan", "x", "--trace", "t.json"], // profile-only
-            vec!["crosscheck", "--only", "F10"], // fixed F10-F14 scope
+            vec!["crosscheck", "--only", "F10"], // fixed closed-form scope
             vec!["crosscheck", "--jobs", "0"],
             vec!["crosscheck", "--engine", "des"], // both engines always run
             vec!["frobnicate"],

@@ -1,14 +1,14 @@
-//! # maia-bench — the experiment CLI, report binary and Criterion benches
+//! # maia-bench — the experiment CLI, ablation binaries and Criterion benches
 //!
 //! The `maia-bench` binary is the front door: `maia-bench run --all
 //! --jobs 4` regenerates every table/figure of the paper in parallel
 //! through `maia_core::run_experiments_parallel`, and `maia-bench run
 //! --only F04` regenerates one, with `--format md|csv|json`, `--out DIR`
-//! and a timing summary on stderr. The `report` binary writes the
-//! complete EXPERIMENTS.md. Criterion benches measure the *real* kernels (STREAM,
-//! EPCC constructs, NPB classes) on the build machine, and the
-//! `ablation_*` binaries quantify the design choices called out in
-//! DESIGN.md.
+//! and a timing summary on stderr. `maia-bench report` prints the
+//! complete EXPERIMENTS.md. Criterion benches measure the *real* kernels
+//! (STREAM, EPCC constructs, NPB classes) on the build machine, and the
+//! `ablation_coll_algo` binary quantifies the collective-algorithm design
+//! choice called out in DESIGN.md.
 
 pub mod cli;
 
@@ -34,7 +34,7 @@ pub fn render_experiments_md() -> String {
     out.push_str(
         "Regenerate any artifact with `maia-bench run --only <code>` \
          (e.g. `--only F04`; add `--format csv` for CSV), or everything with \
-         `cargo run -p maia-bench --bin report`. Validate every \
+         `maia-bench report`. Validate every \
          paper-published shape with `maia-bench check --all` (the CI gate); \
          profile any selection with `maia-bench profile --only <ids>`.\n\n\
          Degraded-stack variants: `maia-bench faults --plan <name>` re-runs a \
@@ -51,8 +51,8 @@ pub fn render_experiments_md() -> String {
     for run in &sweep.runs {
         out.push_str(&run.data.to_markdown());
         out.push_str("\n**Paper reports:**\n\n");
-        for c in maia_core::paper::paper_claims(run.id) {
-            out.push_str(&format!("- {}\n", c.claim));
+        for claim in run.id.meta().claims {
+            out.push_str(&format!("- {claim}\n"));
         }
         out.push('\n');
     }
@@ -104,7 +104,7 @@ mod tests {
     #[test]
     fn report_renders_every_figure() {
         let md = super::render_experiments_md();
-        for id in ["T1", "F4", "F14", "F19", "F27"] {
+        for id in ["T1", "F4", "F10", "F14", "F19", "F23", "F27"] {
             assert!(md.contains(&format!("## {id} ")), "missing {id}");
         }
     }

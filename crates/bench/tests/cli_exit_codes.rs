@@ -51,6 +51,8 @@ fn bad_flags_and_subcommands_exit_two() {
         &["check", "--all", "--only", "F04"],
         &["check", "--wat"],
         &["run", "--only"],
+        &["list", "--bogus"],
+        &["report", "--bogus"],
     ] {
         let out = maia_bench(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} should be a usage error");

@@ -2,11 +2,11 @@
 //!
 //! The closed forms in `maia_mpi::fastpath` claim *exact* equality with
 //! the discrete-event engine — not approximately, bit for bit. This
-//! module makes that claim operational: it regenerates every Figure
-//! 10–14 cell twice, once with the engine forced to the DES and once
-//! forced to the closed forms, and compares the *formatted* tables (the
-//! same strings the goldens pin, OOM markers included). `ci.sh` runs it
-//! on every push via `maia-bench crosscheck`.
+//! module makes that claim operational: it regenerates every F10–F14,
+//! C01 and C02 cell twice, once with the engine forced to the DES and
+//! once forced to the closed forms, and compares the *formatted* tables
+//! (the same strings the goldens pin, OOM markers included). `ci.sh`
+//! runs it on every push via `maia-bench crosscheck`.
 //!
 //! Both sweeps run under dedicated cache epochs (`crosscheck/des`,
 //! `crosscheck/fast`) so neither seeds the nominal memo namespace, and
@@ -128,9 +128,10 @@ impl CrosscheckReport {
     }
 }
 
-/// Compute every F10–F14 cell on both engines and diff the rendered
-/// tables. Serialized against fault activations (the engine mode is
-/// process-global); the mode is always restored to [`EngineMode::Auto`].
+/// Compute every F10–F14, C01 and C02 cell on both engines and diff the
+/// rendered tables. Serialized against fault activations (the engine
+/// mode is process-global); the mode is always restored to
+/// [`EngineMode::Auto`].
 pub fn run_crosscheck(jobs: usize) -> CrosscheckReport {
     let _gate = crate::faults::lock_gate();
     let ids: Vec<ExperimentId> = CROSSCHECK_IDS.to_vec();

@@ -28,47 +28,17 @@ const HUGE: f64 = 1e18;
 /// so the two margins cannot drift apart.
 pub const F13_JUMP_FACTOR: f64 = 1.9;
 
-/// The oracle predicates for one experiment. Every artifact has a
-/// non-empty checklist; the suite averages well over three predicates per
-/// experiment (asserted in `tests/tests/paper_shapes.rs`).
+/// The oracle predicates for one experiment (its table row's
+/// `checklist`). Every artifact has a non-empty checklist; the suite
+/// averages well over three predicates per experiment (asserted in
+/// `tests/tests/paper_shapes.rs`).
 pub fn checklist(id: ExperimentId) -> Vec<Check> {
-    use ExperimentId::*;
-    match id {
-        T1Table => table1(),
-        F4Stream => fig4(),
-        F5Latency => fig5(),
-        F6Bandwidth => fig6(),
-        F7PcieLatency => fig7(),
-        F8PcieBandwidth => fig8(),
-        F9UpdateGain => fig9(),
-        F10SendRecv => fig10(),
-        F11Bcast => fig11(),
-        F12Allreduce => fig12(),
-        F13Allgather => fig13(),
-        F14Alltoall => fig14(),
-        F15OmpSync => fig15(),
-        F16OmpSched => fig16(),
-        F17Io => fig17(),
-        F18OffloadBw => fig18(),
-        F19NpbOmp => fig19(),
-        F20NpbMpi => fig20(),
-        F21Cart3d => fig21(),
-        F22OverflowNative => fig22(),
-        F23OverflowSymmetric => fig23(),
-        F24MgCollapse => fig24(),
-        F25MgModes => fig25(),
-        F26OffloadOverhead => fig26(),
-        F27OffloadCost => fig27(),
-        A1NpbMpiMeasured => a1(),
-        A2OverflowHybrid => a2(),
-        C1ClusterAllreduce => c1(),
-        C2ClusterAlltoall => c2(),
-    }
+    (id.meta().checklist)()
 }
 
 /// Table 1 is prerendered text; the derived headline constants must
 /// survive any refactor of the spec builders.
-fn table1() -> Vec<Check> {
+pub(super) fn table1() -> Vec<Check> {
     vec![
         contains("1008"),  // Phi card peak Gflop/s
         contains("20.8"),  // host Gflop/s per core
@@ -77,7 +47,7 @@ fn table1() -> Vec<Check> {
     ]
 }
 
-fn fig4() -> Vec<Check> {
+pub(super) fn fig4() -> Vec<Check> {
     let host = || series("threads", "GB/s").only("device", "host");
     let phi = || series("threads", "GB/s").only("device", "phi0");
     vec![
@@ -96,7 +66,7 @@ fn fig4() -> Vec<Check> {
     ]
 }
 
-fn fig5() -> Vec<Check> {
+pub(super) fn fig5() -> Vec<Check> {
     let host = || series("working-set", "host ns");
     let phi = || series("working-set", "phi ns");
     vec![
@@ -119,7 +89,7 @@ fn fig5() -> Vec<Check> {
     ]
 }
 
-fn fig6() -> Vec<Check> {
+pub(super) fn fig6() -> Vec<Check> {
     let col = |c: &'static str| series("working-set", c);
     vec![
         monotone_nonincreasing(col("host read")),
@@ -136,7 +106,7 @@ fn fig6() -> Vec<Check> {
     ]
 }
 
-fn fig7() -> Vec<Check> {
+pub(super) fn fig7() -> Vec<Check> {
     let pre = |p: &'static str| cell(&[("path", p)], "pre-update");
     vec![
         scalar_band(pre("host-phi0"), 3.0, 3.6),
@@ -161,7 +131,7 @@ fn fig7() -> Vec<Check> {
     ]
 }
 
-fn fig8() -> Vec<Check> {
+pub(super) fn fig8() -> Vec<Check> {
     let pre = |p: &'static str| series("size", "pre GB/s").only("path", p);
     let post = |p: &'static str| series("size", "post GB/s").only("path", p);
     let at4m = |s: Scalar| s;
@@ -194,7 +164,7 @@ fn fig8() -> Vec<Check> {
     ]
 }
 
-fn fig9() -> Vec<Check> {
+pub(super) fn fig9() -> Vec<Check> {
     let gain = |p: &'static str| series("size", "gain").only("path", p);
     vec![
         // SCIF-sized messages (>= 256 KiB) get the documented lift.
@@ -213,7 +183,7 @@ fn fig9() -> Vec<Check> {
     ]
 }
 
-fn fig10() -> Vec<Check> {
+pub(super) fn fig10() -> Vec<Check> {
     let cfg = |c: &'static str| series("size", "MB/s").only("config", c);
     vec![
         monotone_nondecreasing(cfg("host-16")),
@@ -225,7 +195,7 @@ fn fig10() -> Vec<Check> {
     ]
 }
 
-fn fig11() -> Vec<Check> {
+pub(super) fn fig11() -> Vec<Check> {
     let cfg = |c: &'static str| series("size", "time us").only("config", c);
     vec![
         monotone_nondecreasing(cfg("host-16")),
@@ -236,7 +206,7 @@ fn fig11() -> Vec<Check> {
     ]
 }
 
-fn fig12() -> Vec<Check> {
+pub(super) fn fig12() -> Vec<Check> {
     let cfg = |c: &'static str| series("size", "time us").only("config", c);
     vec![
         monotone_nondecreasing(cfg("host-16")),
@@ -247,7 +217,7 @@ fn fig12() -> Vec<Check> {
     ]
 }
 
-fn fig13() -> Vec<Check> {
+pub(super) fn fig13() -> Vec<Check> {
     let cfg = |c: &'static str| series("size", "time us").only("config", c);
     vec![
         // The algorithm-switch jump between 2 KiB and 4 KiB, every world.
@@ -259,7 +229,7 @@ fn fig13() -> Vec<Check> {
     ]
 }
 
-fn fig14() -> Vec<Check> {
+pub(super) fn fig14() -> Vec<Check> {
     let cfg = |c: &'static str| series("size", "time us").only("config", c);
     vec![
         // 236-rank Alltoall dies beyond 4 KiB for lack of card memory...
@@ -273,7 +243,7 @@ fn fig14() -> Vec<Check> {
     ]
 }
 
-fn fig15() -> Vec<Check> {
+pub(super) fn fig15() -> Vec<Check> {
     let phi = |c: &'static str| cell(&[("construct", c)], "phi us");
     let host = |c: &'static str| cell(&[("construct", c)], "host us");
     vec![
@@ -307,7 +277,7 @@ fn fig15() -> Vec<Check> {
     ]
 }
 
-fn fig16() -> Vec<Check> {
+pub(super) fn fig16() -> Vec<Check> {
     let at = |s: &'static str, chunk: &'static str, col: &'static str| {
         cell(&[("schedule", s), ("chunk", chunk)], col)
     };
@@ -337,7 +307,7 @@ fn fig16() -> Vec<Check> {
     ]
 }
 
-fn fig17() -> Vec<Check> {
+pub(super) fn fig17() -> Vec<Check> {
     let dev = |d: &'static str, op: &'static str| {
         series("block", "MB/s").only("device", d).only("op", op)
     };
@@ -359,7 +329,7 @@ fn fig17() -> Vec<Check> {
     ]
 }
 
-fn fig18() -> Vec<Check> {
+pub(super) fn fig18() -> Vec<Check> {
     let phi0 = || series("size", "phi0 GB/s");
     let phi1 = || series("size", "phi1 GB/s");
     vec![
@@ -375,7 +345,7 @@ fn fig18() -> Vec<Check> {
     ]
 }
 
-fn fig19() -> Vec<Check> {
+pub(super) fn fig19() -> Vec<Check> {
     const PHI_COLS: [&str; 4] = ["phi-59", "phi-118", "phi-177", "phi-236"];
     let best_phi = |b: &'static str| row_max(&[("benchmark", b)], &PHI_COLS);
     let host = |b: &'static str| cell(&[("benchmark", b)], "host-16");
@@ -405,7 +375,7 @@ fn fig19() -> Vec<Check> {
     checks
 }
 
-fn fig20() -> Vec<Check> {
+pub(super) fn fig20() -> Vec<Check> {
     let at = |b: &'static str, c: &'static str| cell(&[("benchmark", b), ("config", c)], "Gflop/s");
     vec![
         // FT needs ~10 GB and cannot run on the 8 GB card...
@@ -427,7 +397,7 @@ fn fig20() -> Vec<Check> {
     ]
 }
 
-fn fig21() -> Vec<Check> {
+pub(super) fn fig21() -> Vec<Check> {
     let phi = || series("threads", "relative perf").only("device", "phi0");
     vec![
         monotone_nondecreasing(phi()),
@@ -439,7 +409,7 @@ fn fig21() -> Vec<Check> {
     ]
 }
 
-fn fig22() -> Vec<Check> {
+pub(super) fn fig22() -> Vec<Check> {
     vec![
         best_label(&[("device", "host")], "s/step", Best::Min, "layout", "16x1"),
         best_label(&[("device", "host")], "s/step", Best::Max, "layout", "1x16"),
@@ -455,7 +425,7 @@ fn fig22() -> Vec<Check> {
     ]
 }
 
-fn fig23() -> Vec<Check> {
+pub(super) fn fig23() -> Vec<Check> {
     vec![
         // Post-update gains land in the paper's 2-28% band.
         within_band(series("phi layout", "gain %"), 1.0, 30.0),
@@ -497,7 +467,7 @@ fn fig23() -> Vec<Check> {
     ]
 }
 
-fn fig24() -> Vec<Check> {
+pub(super) fn fig24() -> Vec<Check> {
     let gain = |c: &'static str| cell(&[("config", c)], "gain %");
     vec![
         // Collapse is a wash on the host...
@@ -513,7 +483,7 @@ fn fig24() -> Vec<Check> {
     ]
 }
 
-fn fig25() -> Vec<Check> {
+pub(super) fn fig25() -> Vec<Check> {
     let mode = |m: &'static str| cell(&[("mode", m)], "Gflop/s");
     vec![
         // Offload granularity: whole > subroutine > loop.
@@ -546,7 +516,7 @@ fn fig25() -> Vec<Check> {
     ]
 }
 
-fn fig26() -> Vec<Check> {
+pub(super) fn fig26() -> Vec<Check> {
     let total = |v: &'static str| cell(&[("variant", v)], "total overhead");
     let mut checks = vec![
         ordered_desc(
@@ -571,7 +541,7 @@ fn fig26() -> Vec<Check> {
     checks
 }
 
-fn fig27() -> Vec<Check> {
+pub(super) fn fig27() -> Vec<Check> {
     let inv = |v: &'static str| cell(&[("variant", v)], "invocations");
     let gb = |v: &'static str| cell(&[("variant", v)], "GB transferred");
     vec![
@@ -597,7 +567,7 @@ fn fig27() -> Vec<Check> {
     ]
 }
 
-fn a1() -> Vec<Check> {
+pub(super) fn a1() -> Vec<Check> {
     vec![
         within_band(series("benchmark", "phi/host"), 2.0, 5.0),
         within_band(series("benchmark", "host ms"), 1e-6, 1e6),
@@ -630,7 +600,7 @@ fn a1() -> Vec<Check> {
     ]
 }
 
-fn a2() -> Vec<Check> {
+pub(super) fn a2() -> Vec<Check> {
     vec![
         // The distributed solver computes the same answer everywhere.
         Check::custom(
@@ -676,7 +646,7 @@ fn a2() -> Vec<Check> {
     ]
 }
 
-fn c1() -> Vec<Check> {
+pub(super) fn c1() -> Vec<Check> {
     let at_nodes = |n: &'static str| series("size", "time us").only("nodes", n);
     let at_size = |s: &'static str| series("nodes", "time us").only("size", s);
     vec![
@@ -698,7 +668,7 @@ fn c1() -> Vec<Check> {
     ]
 }
 
-fn c2() -> Vec<Check> {
+pub(super) fn c2() -> Vec<Check> {
     let at_nodes = |n: &'static str| series("size", "time us").only("nodes", n);
     let at_size = |s: &'static str| series("nodes", "time us").only("size", s);
     let full_rack = |sz: &'static str| cell(&[("nodes", "128"), ("size", sz)], "time us");

@@ -1,4 +1,9 @@
-//! The experiment registry: one entry per table/figure of the paper.
+//! The experiment registry: one [`ExperimentDef`] row per table/figure
+//! of the paper, in `EXPERIMENTS`. A row carries everything known about
+//! its artifact — code, title, scheduling cost, the function that
+//! regenerates its table, the oracle predicates that gate it and the
+//! paper's claims — so adding an experiment is one enum variant plus one
+//! row.
 
 mod app_figs;
 pub mod cluster;
@@ -9,8 +14,10 @@ mod npb_figs;
 mod pcie;
 
 use crate::figdata::FigureData;
+use crate::oracle::Check;
 
-/// Every artifact of the paper's evaluation section.
+/// Every artifact of the paper's evaluation section. The discriminant
+/// indexes `EXPERIMENTS`, so variants stay in row order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExperimentId {
     /// Table 1: system characteristics.
@@ -76,107 +83,372 @@ pub enum ExperimentId {
     C2ClusterAlltoall,
 }
 
-/// All experiments in paper order.
-pub fn all_experiments() -> Vec<ExperimentId> {
-    use ExperimentId::*;
-    vec![
-        T1Table,
-        F4Stream,
-        F5Latency,
-        F6Bandwidth,
-        F7PcieLatency,
-        F8PcieBandwidth,
-        F9UpdateGain,
-        F10SendRecv,
-        F11Bcast,
-        F12Allreduce,
-        F13Allgather,
-        F14Alltoall,
-        F15OmpSync,
-        F16OmpSched,
-        F17Io,
-        F18OffloadBw,
-        F19NpbOmp,
-        F20NpbMpi,
-        F21Cart3d,
-        F22OverflowNative,
-        F23OverflowSymmetric,
-        F24MgCollapse,
-        F25MgModes,
-        F26OffloadOverhead,
-        F27OffloadCost,
-        A1NpbMpiMeasured,
-        A2OverflowHybrid,
-        C1ClusterAllreduce,
-        C2ClusterAlltoall,
-    ]
-}
-
-/// Static metadata about one experiment, used by the parallel runner for
-/// scheduling and by the CLI for selection and display.
-#[derive(Debug, Clone, Copy)]
-pub struct ExperimentMeta {
+/// One experiment: a row of `EXPERIMENTS`.
+#[derive(Debug)]
+pub struct ExperimentDef {
+    /// The experiment this row defines; its discriminant is the row index.
+    pub id: ExperimentId,
     /// Canonical zero-padded code (`"T01"`, `"F04"`, `"A01"`), accepted by
     /// `maia-bench run --only` alongside the short `FigureData` id.
     pub code: &'static str,
-    /// One-line description.
+    /// One-line description (`maia-bench list`).
     pub title: &'static str,
     /// Relative cost estimate (arbitrary units ~ serial milliseconds).
     /// The executor schedules longest-first so stragglers start early.
     pub cost_estimate: u32,
-    /// Experiments whose cached sub-models this one reuses. Purely
-    /// informational: the cache makes order irrelevant for correctness.
-    pub depends_on: &'static [ExperimentId],
-    /// Seed for any stochastic sub-model (pointer-chase shuffles, EP
-    /// streams). Fixed per experiment so reruns are bit-identical.
-    pub seed: u64,
+    /// Regenerates the experiment's table.
+    pub run: fn() -> FigureData,
+    /// The oracle predicates gating the table (`maia-bench check`).
+    pub checklist: fn() -> Vec<Check>,
+    /// The paper's headline claims, printed under the table in
+    /// EXPERIMENTS.md.
+    pub claims: &'static [&'static str],
+}
+
+/// The experiment table, one row per [`ExperimentId`] in declaration
+/// (paper) order.
+static EXPERIMENTS: [ExperimentDef; 29] = {
+    use ExperimentId::*;
+    [
+        ExperimentDef {
+            id: T1Table,
+            code: "T01",
+            title: "Table 1: system characteristics",
+            cost_estimate: 1,
+            run: micro::table1,
+            checklist: conformance::table1,
+            claims: &[
+                "Host: 20.8 Gflop/s/core, 166.4 Gflop/s/socket; Phi: 16.8 Gflop/s/core, 1008 Gflop/s/card",
+                "System: 42.6 Tflop/s host + 258 Tflop/s Phi; Phi holds 86% of the flops",
+            ],
+        },
+        ExperimentDef {
+            id: F4Stream,
+            code: "F04",
+            title: "STREAM triad bandwidth vs threads",
+            cost_estimate: 2,
+            run: micro::fig4_stream,
+            checklist: conformance::fig4,
+            claims: &[
+                "Phi triad: 180 GB/s at 59 and 118 threads, 140 GB/s beyond 118",
+                "Cause: GDDR5 exposes 128 open banks (16 banks x 8 devices)",
+            ],
+        },
+        ExperimentDef {
+            id: F5Latency,
+            code: "F05",
+            title: "Memory load latency vs working set",
+            cost_estimate: 2,
+            run: micro::fig5_latency,
+            checklist: conformance::fig5,
+            claims: &[
+                "Host: 1.5 / 4.6 / 15 / 81 ns (L1 / L2 / L3 / DRAM)",
+                "Phi: 2.9 / 22.9 / 295 ns (L1 / L2 / DRAM)",
+            ],
+        },
+        ExperimentDef {
+            id: F6Bandwidth,
+            code: "F06",
+            title: "Per-core bandwidth vs working set",
+            cost_estimate: 2,
+            run: micro::fig6_bandwidth,
+            checklist: conformance::fig6,
+            claims: &[
+                "Host per-core: read 12.6..7.5 GB/s, write 10.4..7.2 GB/s",
+                "Phi per-core: read 1.68..0.504 GB/s, write 1.538..0.263 GB/s",
+            ],
+        },
+        ExperimentDef {
+            id: F7PcieLatency,
+            code: "F07",
+            title: "MPI latency over PCIe",
+            cost_estimate: 5,
+            run: pcie::fig7_latency,
+            checklist: conformance::fig7,
+            claims: &["Pre-update: 3.3 / 4.6 / 6.3 us; post-update: 3.3 / 4.1 / 6.6 us"],
+        },
+        ExperimentDef {
+            id: F8PcieBandwidth,
+            code: "F08",
+            title: "MPI bandwidth over PCIe",
+            cost_estimate: 20,
+            run: pcie::fig8_bandwidth,
+            checklist: conformance::fig8,
+            claims: &[
+                "4 MB pre-update: 1.6 / 0.455 / 0.444 GB/s",
+                "4 MB post-update: 6 / 6 / 0.899 GB/s (asymmetry removed)",
+            ],
+        },
+        ExperimentDef {
+            id: F9UpdateGain,
+            code: "F09",
+            title: "Post/pre update bandwidth gain",
+            cost_estimate: 20,
+            run: pcie::fig9_gain,
+            checklist: conformance::fig9,
+            claims: &[
+                ">=256 KB (SCIF): 2-3.8x host-phi0, 7-13x host-phi1, ~2x phi0-phi1",
+                "Small/medium messages: 1-1.5x",
+            ],
+        },
+        ExperimentDef {
+            id: F10SendRecv,
+            code: "F10",
+            title: "MPI_Send/Recv ring",
+            cost_estimate: 300,
+            run: coll::fig10_sendrecv,
+            checklist: conformance::fig10,
+            claims: &["Host over Phi: 1.3-3.5x at 1 thread/core, 24-54x at 4 threads/core"],
+        },
+        ExperimentDef {
+            id: F11Bcast,
+            code: "F11",
+            title: "MPI_Bcast",
+            cost_estimate: 250,
+            run: coll::fig11_bcast,
+            checklist: conformance::fig11,
+            claims: &["Host over Phi0 (59T): 1.1-3.8x; per-core vs 236T: 20-35x"],
+        },
+        ExperimentDef {
+            id: F12Allreduce,
+            code: "F12",
+            title: "MPI_Allreduce",
+            cost_estimate: 350,
+            run: coll::fig12_allreduce,
+            checklist: conformance::fig12,
+            claims: &["Host over Phi0: 2.2-13.4x (59T), 28-104x (236T)"],
+        },
+        ExperimentDef {
+            id: F13Allgather,
+            code: "F13",
+            title: "MPI_Allgather",
+            cost_estimate: 500,
+            run: coll::fig13_allgather,
+            checklist: conformance::fig13,
+            claims: &[
+                "Abrupt time jump at 2 KB and 4 KB (collective algorithm change)",
+                "Host over Phi0: 2.6-17.1x (59T), 68-1146x (236T)",
+            ],
+        },
+        ExperimentDef {
+            id: F14Alltoall,
+            code: "F14",
+            title: "MPI_Alltoall with OOM gating",
+            cost_estimate: 600,
+            run: coll::fig14_alltoall,
+            checklist: conformance::fig14,
+            claims: &[
+                "236-rank runs only complete up to 4 KB (out of memory beyond)",
+                "Host over Phi0: 8-20x (59T), 1003-2603x (236T)",
+            ],
+        },
+        ExperimentDef {
+            id: F15OmpSync,
+            code: "F15",
+            title: "OpenMP synchronization overheads",
+            cost_estimate: 50,
+            run: micro::fig15_omp_sync,
+            checklist: conformance::fig15,
+            claims: &[
+                "Phi overheads ~an order of magnitude above host",
+                "Reduction most expensive, then PARALLEL FOR and PARALLEL; ATOMIC least",
+            ],
+        },
+        ExperimentDef {
+            id: F16OmpSched,
+            code: "F16",
+            title: "OpenMP scheduling overheads",
+            cost_estimate: 50,
+            run: micro::fig16_omp_sched,
+            checklist: conformance::fig16,
+            claims: &["STATIC < GUIDED < DYNAMIC; Phi an order of magnitude above host"],
+        },
+        ExperimentDef {
+            id: F17Io,
+            code: "F17",
+            title: "Sequential I/O bandwidth",
+            cost_estimate: 1,
+            run: micro::fig17_io,
+            checklist: conformance::fig17,
+            claims: &[
+                "Host: 210 MB/s write, 295 MB/s read; Phi0: 80 / 75 MB/s",
+                "Cause: NFS reaches the Phi via the MPSS TCP/IP stack over PCIe",
+            ],
+        },
+        ExperimentDef {
+            id: F18OffloadBw,
+            code: "F18",
+            title: "Offload PCIe bandwidth",
+            cost_estimate: 1,
+            run: pcie::fig18_offload_bw,
+            checklist: conformance::fig18,
+            claims: &[
+                "~6.4 GB/s for large transfers; ceilings 6.1/6.9 GB/s from 20-byte TLP wrapping",
+                "Phi0 ~3% above Phi1; unexplained dip at 64 KB",
+            ],
+        },
+        ExperimentDef {
+            id: F19NpbOmp,
+            code: "F19",
+            title: "NPB OpenMP performance",
+            cost_estimate: 400,
+            run: npb_figs::fig19_npb_omp,
+            checklist: conformance::fig19,
+            claims: &[
+                "Host beats the best Phi result for every benchmark except MG",
+                "BT highest / CG lowest on the Phi; 3 threads/core generally best",
+                "Vectorized sparse CG only 10% faster than unvectorized (gather/scatter inefficiency)",
+            ],
+        },
+        ExperimentDef {
+            id: F20NpbMpi,
+            code: "F20",
+            title: "NPB MPI performance",
+            cost_estimate: 700,
+            run: npb_figs::fig20_npb_mpi,
+            checklist: conformance::fig20,
+            claims: &[
+                "FT needs ~10 GB and cannot run on the 8 GB Phi",
+                "BT best at 4 threads/core (225 ranks), unlike the OpenMP version",
+            ],
+        },
+        ExperimentDef {
+            id: F21Cart3d,
+            code: "F21",
+            title: "Cart3D native host vs Phi",
+            cost_estimate: 100,
+            run: app_figs::fig21_cart3d,
+            checklist: conformance::fig21,
+            claims: &[
+                "Host performance 2x the best Phi result",
+                "Phi best at 4 threads/core (236) — Cart3D is not heavily vectorized",
+            ],
+        },
+        ExperimentDef {
+            id: F22OverflowNative,
+            code: "F22",
+            title: "OVERFLOW native sweep",
+            cost_estimate: 100,
+            run: app_figs::fig22_overflow_native,
+            checklist: conformance::fig22,
+            claims: &[
+                "Host best 16x1, worst 1x16; Phi best 8x28 (224T), worst 4x14 (56T)",
+                "Host best beats Phi best by 1.8x",
+            ],
+        },
+        ExperimentDef {
+            id: F23OverflowSymmetric,
+            code: "F23",
+            title: "OVERFLOW symmetric pre/post",
+            cost_estimate: 200,
+            run: app_figs::fig23_overflow_symmetric,
+            checklist: conformance::fig23,
+            claims: &[
+                "Post-update software gains 2-28%",
+                "Symmetric (host+Phi0+Phi1) beats native host by 1.9x but loses to two hosts",
+                "Compute parts ~15% faster than two hosts; communication + imbalance outweigh",
+            ],
+        },
+        ExperimentDef {
+            id: F24MgCollapse,
+            code: "F24",
+            title: "MG loop-collapse gain",
+            cost_estimate: 100,
+            run: npb_figs::fig24_mg_collapse,
+            checklist: conformance::fig24,
+            claims: &[
+                "Loop collapse gains 25-28% on Phi0, loses ~1% on the host (16T)",
+                "59/118/177/236 threads much better than 60/120/180/240 (the 60th core runs OS services)",
+            ],
+        },
+        ExperimentDef {
+            id: F25MgModes,
+            code: "F25",
+            title: "MG native and offload modes",
+            cost_estimate: 100,
+            run: npb_figs::fig25_mg_modes,
+            checklist: conformance::fig25,
+            claims: &[
+                "Native host 23.5 Gflop/s (16T); HT (32T) 6% lower; native Phi 29.9 (177T, 3t/c)",
+                "All offload variants slower than both native modes; whole > subroutine > loop",
+            ],
+        },
+        ExperimentDef {
+            id: F26OffloadOverhead,
+            code: "F26",
+            title: "Offload overhead breakdown",
+            cost_estimate: 50,
+            run: npb_figs::fig26_offload_overhead,
+            checklist: conformance::fig26,
+            claims: &["Offloading one OpenMP loop worst; whole computation best"],
+        },
+        ExperimentDef {
+            id: F27OffloadCost,
+            code: "F27",
+            title: "Offload invocations and volume",
+            cost_estimate: 50,
+            run: npb_figs::fig27_offload_cost,
+            checklist: conformance::fig27,
+            claims: &[
+                "Transfer volume and invocation count maximal for the loop variant, minimal for whole",
+            ],
+        },
+        ExperimentDef {
+            id: A1NpbMpiMeasured,
+            code: "A01",
+            title: "Distributed NPB kernels (measured)",
+            cost_estimate: 800,
+            run: npb_figs::a1_npb_mpi_measured,
+            checklist: conformance::a1,
+            claims: &[
+                "(beyond paper) validation: the distributed kernels compute results identical to the shared-memory kernels while the DES prices their communication",
+            ],
+        },
+        ExperimentDef {
+            id: A2OverflowHybrid,
+            code: "A02",
+            title: "Hybrid OVERFLOW zones (measured)",
+            cost_estimate: 400,
+            run: app_figs::a2_overflow_hybrid,
+            checklist: conformance::a2,
+            claims: &[
+                "(beyond paper) validation: zone data crosses the simulated fabric; PCIe layouts show the communication dominance the paper describes for symmetric mode",
+            ],
+        },
+        ExperimentDef {
+            id: C1ClusterAllreduce,
+            code: "C01",
+            title: "Cluster MPI_Allreduce (partitioned DES)",
+            cost_estimate: 150,
+            run: cluster::c1_cluster_allreduce,
+            checklist: conformance::c1,
+            claims: &[
+                "(beyond paper) extrapolation: hierarchical allreduce over the 128-node FDR fabric grows logarithmically in nodes; the partitioned DES agrees bit-for-bit with the closed form",
+            ],
+        },
+        ExperimentDef {
+            id: C2ClusterAlltoall,
+            code: "C02",
+            title: "Cluster MPI_Alltoall (partitioned DES)",
+            cost_estimate: 200,
+            run: cluster::c2_cluster_alltoall,
+            checklist: conformance::c2,
+            claims: &[
+                "(beyond paper) extrapolation: pairwise-exchange alltoall among node leaders grows linearly in nodes plus incast contention, scaling far worse than allreduce",
+            ],
+        },
+    ]
+};
+
+/// All experiments in paper order.
+pub fn all_experiments() -> Vec<ExperimentId> {
+    EXPERIMENTS.iter().map(|def| def.id).collect()
 }
 
 impl ExperimentId {
-    /// Metadata for this experiment.
-    pub fn meta(self) -> ExperimentMeta {
-        use ExperimentId::*;
-        let (code, title, cost_estimate, depends_on): (_, _, u32, &'static [ExperimentId]) =
-            match self {
-                T1Table => ("T01", "Table 1: system characteristics", 1, &[]),
-                F4Stream => ("F04", "STREAM triad bandwidth vs threads", 2, &[]),
-                F5Latency => ("F05", "Memory load latency vs working set", 2, &[]),
-                F6Bandwidth => ("F06", "Per-core bandwidth vs working set", 2, &[]),
-                F7PcieLatency => ("F07", "MPI latency over PCIe", 5, &[]),
-                F8PcieBandwidth => ("F08", "MPI bandwidth over PCIe", 20, &[F7PcieLatency]),
-                F9UpdateGain => ("F09", "Post/pre update bandwidth gain", 20, &[F8PcieBandwidth]),
-                F10SendRecv => ("F10", "MPI_Send/Recv ring", 300, &[]),
-                F11Bcast => ("F11", "MPI_Bcast", 250, &[]),
-                F12Allreduce => ("F12", "MPI_Allreduce", 350, &[]),
-                F13Allgather => ("F13", "MPI_Allgather", 500, &[]),
-                F14Alltoall => ("F14", "MPI_Alltoall with OOM gating", 600, &[]),
-                F15OmpSync => ("F15", "OpenMP synchronization overheads", 50, &[]),
-                F16OmpSched => ("F16", "OpenMP scheduling overheads", 50, &[]),
-                F17Io => ("F17", "Sequential I/O bandwidth", 1, &[]),
-                F18OffloadBw => ("F18", "Offload PCIe bandwidth", 1, &[]),
-                F19NpbOmp => ("F19", "NPB OpenMP performance", 400, &[F4Stream]),
-                F20NpbMpi => ("F20", "NPB MPI performance", 700, &[]),
-                F21Cart3d => ("F21", "Cart3D native host vs Phi", 100, &[F4Stream]),
-                F22OverflowNative => ("F22", "OVERFLOW native sweep", 100, &[F4Stream]),
-                F23OverflowSymmetric => ("F23", "OVERFLOW symmetric pre/post", 200, &[]),
-                F24MgCollapse => ("F24", "MG loop-collapse gain", 100, &[]),
-                F25MgModes => ("F25", "MG native and offload modes", 100, &[]),
-                F26OffloadOverhead => ("F26", "Offload overhead breakdown", 50, &[]),
-                F27OffloadCost => ("F27", "Offload invocations and volume", 50, &[]),
-                A1NpbMpiMeasured => ("A01", "Distributed NPB kernels (measured)", 800, &[]),
-                A2OverflowHybrid => ("A02", "Hybrid OVERFLOW zones (measured)", 400, &[]),
-                C1ClusterAllreduce => ("C01", "Cluster MPI_Allreduce (partitioned DES)", 150, &[]),
-                C2ClusterAlltoall => ("C02", "Cluster MPI_Alltoall (partitioned DES)", 200, &[]),
-            };
-        ExperimentMeta {
-            code,
-            title,
-            cost_estimate,
-            depends_on,
-            // Decorrelated per-experiment stream; any fixed constant works,
-            // it only has to be stable across runs.
-            seed: 0x6D61_6961_0000_0000 | code.as_bytes()[0] as u64 | (cost_estimate as u64) << 8,
-        }
+    /// This experiment's row of the table.
+    pub fn meta(self) -> &'static ExperimentDef {
+        &EXPERIMENTS[self as usize]
     }
 
     /// Parse a user-supplied experiment code: accepts the canonical
@@ -243,56 +515,11 @@ impl ExperimentSelection {
             ExperimentSelection::Ids(ids) => ids.clone(),
         }
     }
-
-    /// Number of selected experiments.
-    pub fn len(&self) -> usize {
-        match self {
-            ExperimentSelection::All => all_experiments().len(),
-            ExperimentSelection::Ids(ids) => ids.len(),
-        }
-    }
-
-    /// True when the selection denotes no experiments (never produced by
-    /// [`ExperimentSelection::from_spec`]).
-    pub fn is_empty(&self) -> bool {
-        matches!(self, ExperimentSelection::Ids(ids) if ids.is_empty())
-    }
 }
 
 /// Regenerate the data for one experiment.
 pub fn run_experiment(id: ExperimentId) -> FigureData {
-    use ExperimentId::*;
-    match id {
-        T1Table => micro::table1(),
-        F4Stream => micro::fig4_stream(),
-        F5Latency => micro::fig5_latency(),
-        F6Bandwidth => micro::fig6_bandwidth(),
-        F7PcieLatency => pcie::fig7_latency(),
-        F8PcieBandwidth => pcie::fig8_bandwidth(),
-        F9UpdateGain => pcie::fig9_gain(),
-        F10SendRecv => coll::fig10_sendrecv(),
-        F11Bcast => coll::fig11_bcast(),
-        F12Allreduce => coll::fig12_allreduce(),
-        F13Allgather => coll::fig13_allgather(),
-        F14Alltoall => coll::fig14_alltoall(),
-        F15OmpSync => micro::fig15_omp_sync(),
-        F16OmpSched => micro::fig16_omp_sched(),
-        F17Io => micro::fig17_io(),
-        F18OffloadBw => pcie::fig18_offload_bw(),
-        F19NpbOmp => npb_figs::fig19_npb_omp(),
-        F20NpbMpi => npb_figs::fig20_npb_mpi(),
-        F21Cart3d => app_figs::fig21_cart3d(),
-        F22OverflowNative => app_figs::fig22_overflow_native(),
-        F23OverflowSymmetric => app_figs::fig23_overflow_symmetric(),
-        F24MgCollapse => npb_figs::fig24_mg_collapse(),
-        F25MgModes => npb_figs::fig25_mg_modes(),
-        F26OffloadOverhead => npb_figs::fig26_offload_overhead(),
-        F27OffloadCost => npb_figs::fig27_offload_cost(),
-        A1NpbMpiMeasured => npb_figs::a1_npb_mpi_measured(),
-        A2OverflowHybrid => app_figs::a2_overflow_hybrid(),
-        C1ClusterAllreduce => cluster::c1_cluster_allreduce(),
-        C2ClusterAlltoall => cluster::c2_cluster_alltoall(),
-    }
+    (id.meta().run)()
 }
 
 #[cfg(test)]
@@ -329,10 +556,21 @@ mod selection_tests {
             sel.resolve(),
             vec![ExperimentId::F4Stream, ExperimentId::T1Table]
         );
-        assert_eq!(sel.len(), 2);
-        assert!(!sel.is_empty());
         let err = ExperimentSelection::from_spec("F04,F99").unwrap_err();
         assert!(err.contains("F99"), "{err}");
         assert!(ExperimentSelection::from_spec("").is_err());
+    }
+
+    #[test]
+    fn every_row_defines_its_own_experiment() {
+        let mut codes = std::collections::HashSet::new();
+        for (index, def) in EXPERIMENTS.iter().enumerate() {
+            let code = def.code;
+            assert_eq!(def.id as usize, index, "{code} is out of declaration order");
+            assert_eq!(ExperimentId::parse(code), Some(def.id), "parsing {code}");
+            assert!(codes.insert(code), "{code} appears twice");
+            assert!(!def.claims.is_empty(), "{code} lacks paper claims");
+            assert!(!(def.checklist)().is_empty(), "{code} has no predicates");
+        }
     }
 }

@@ -24,7 +24,6 @@ pub mod experiments;
 pub mod faults;
 pub mod figdata;
 pub mod oracle;
-pub mod paper;
 pub mod supervise;
 pub mod telemetry;
 
@@ -35,12 +34,10 @@ pub use executor::{
 pub use crosscheck::{run_crosscheck, CrosscheckReport};
 pub use faults::{run_resilience, Fault, FaultPlan, ForcedFailure, ResilienceReport};
 pub use experiments::{
-    all_experiments, run_experiment, ExperimentId, ExperimentMeta, ExperimentSelection,
+    all_experiments, run_experiment, ExperimentDef, ExperimentId, ExperimentSelection,
 };
 pub use figdata::{write_all_csv, FigureData};
-pub use oracle::{
-    check, check_figure, check_selection, check_sweep, Check, ConformanceReport, PredicateResult,
-};
+pub use oracle::{check, check_figure, check_sweep, Check, ConformanceReport, PredicateResult};
 pub use telemetry::ProfileReport;
 
 /// Library version, mirrored from the workspace.
@@ -58,18 +55,6 @@ impl Maia {
     /// Render the paper's Table 1.
     pub fn table1() -> String {
         maia_arch::table::render_table1(&Self::system())
-    }
-
-    /// Run every experiment and render the complete report.
-    pub fn full_report() -> String {
-        let mut out = String::new();
-        out.push_str("# Maia reproduction — experiment report\n\n");
-        for id in all_experiments() {
-            let data = run_experiment(id);
-            out.push_str(&data.to_markdown());
-            out.push('\n');
-        }
-        out
     }
 }
 

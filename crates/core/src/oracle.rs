@@ -1025,15 +1025,6 @@ pub fn check_sweep(sweep: &crate::SweepReport) -> ConformanceReport {
     ConformanceReport { results }
 }
 
-/// [`check`] over an [`crate::ExperimentSelection`] — the form the CLI
-/// uses, so every subcommand resolves its experiment set the same way.
-pub fn check_selection(
-    selection: &crate::ExperimentSelection,
-    jobs: usize,
-) -> ConformanceReport {
-    check(&selection.resolve(), jobs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -645,19 +645,27 @@ mod tests {
     #[test]
     fn allgather_jump_at_algorithm_switch() {
         // Figure 13: time jumps abruptly when the library leaves Bruck.
-        let time_for = |bytes: u64| {
+        let time_for = |bytes: u64, algo: &'static str| {
             let spec = WorldSpec::all_on(Device::Phi0, 59);
             MpiWorld::run(&spec, move |mut rank| async move {
-                rank.allgather(bytes).await;
+                match algo {
+                    "bruck" => rank.allgather_bruck(bytes).await,
+                    "ring" => rank.allgather_ring(bytes).await,
+                    _ => rank.allgather(bytes).await,
+                }
                 rank
             })
             .unwrap()
             .end_time
             .as_secs_f64()
         };
-        let t2k = time_for(2 * 1024);
-        let t4k = time_for(4 * 1024);
-        let t8k = time_for(8 * 1024);
+        let t2k = time_for(2 * 1024, "switched");
+        let t4k = time_for(4 * 1024, "switched");
+        let t8k = time_for(8 * 1024, "switched");
+        // The jump is the switch itself: Bruck up to ALLGATHER_BRUCK_MAX,
+        // ring from the next size on.
+        assert_eq!(t2k, time_for(2 * 1024, "bruck"));
+        assert_eq!(t4k, time_for(4 * 1024, "ring"));
         // The 2k->4k step (algorithm switch) is abrupt relative to the
         // smooth post-switch 4k->8k growth.
         let jump = t4k / t2k;

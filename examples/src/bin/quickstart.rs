@@ -26,5 +26,5 @@ fn main() {
     for (kernel, gbs) in arrays.measure(4, 3) {
         println!("{:<6} {gbs:6.2} GB/s", kernel.label());
     }
-    println!("\nRun `cargo run -p maia-bench --bin report` for every figure.");
+    println!("\nRun `maia-bench report` for every figure.");
 }
