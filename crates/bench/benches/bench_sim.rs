@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maia_arch::Device;
-use maia_mpi::bench::{collective_time, CollectiveOp};
+use maia_mpi::bench::{collective_time_des, CollectiveOp};
 use maia_sim::{Engine, SimDuration};
 
 fn quick() -> Criterion {
@@ -35,7 +35,7 @@ fn bench_engine(c: &mut Criterion) {
             &ranks,
             |b, &r| {
                 let dev = if r <= 16 { Device::Host } else { Device::Phi0 };
-                b.iter(|| collective_time(dev, r, 4096, CollectiveOp::Allreduce));
+                b.iter(|| collective_time_des(dev, r, 4096, CollectiveOp::Allreduce));
             },
         );
     }

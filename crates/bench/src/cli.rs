@@ -746,7 +746,8 @@ pub fn execute_crosscheck(opts: &CrosscheckOptions) -> Result<CrosscheckOutcome,
     Ok(CrosscheckOutcome { payload, report })
 }
 
-/// Install the process-global knobs a subcommand's common flags carry.
+/// Install the process defaults a subcommand's common flags carry; each
+/// library entry point snapshots them once into a `maia_core::RunConfig`.
 fn apply_process_globals(common: &CommonArgs) {
     maia_mpi::fastpath::set_engine_mode(common.engine);
     maia_mpi::partition::set_partitions(common.partitions);

@@ -128,6 +128,41 @@ fn cache_totals_reflect_shared_submodels() {
     assert!(num(cache, "misses") >= 42.0, "distinct keys missing: {cache:?}");
 }
 
+/// The `--backend` promise: the process backend changes where wheels
+/// run, not what the virtual side records — engine counts included,
+/// which the hub once doubled by fetching its probe twice.
+#[test]
+fn virtual_metrics_are_identical_across_backends() {
+    let profile = |backend| {
+        let args = "profile --only C01,C02 --engine des --partitions 2 --jobs 2 --metrics json";
+        let mut args: Vec<&str> = args.split(' ').collect();
+        args.extend(["--backend", backend]);
+        metrics_json(&args)
+    };
+    let channel = profile("channel");
+    let process = profile("process");
+    assert_eq!(
+        channel.get("virtual"),
+        process.get("virtual"),
+        "virtual metrics differ between the channel and process backends"
+    );
+    let shared = channel
+        .get("virtual")
+        .unwrap()
+        .get("shared")
+        .and_then(Json::as_array)
+        .unwrap();
+    let cluster = shared
+        .iter()
+        .find(|d| d.get("domain").and_then(Json::as_str) == Some("cluster"))
+        .expect("no cluster domain");
+    assert_eq!(
+        num(cluster.get("sim").unwrap(), "engines"),
+        24.0,
+        "one engine per cluster key"
+    );
+}
+
 #[test]
 fn profile_unknown_experiment_is_a_usage_error() {
     let out = maia_bench(&["profile", "--only", "F99"]);

@@ -10,14 +10,16 @@
 //! duplicating it.
 //!
 //! Keys are plain strings of the form `domain/param/param/...`; values can
-//! be any `Clone + Send + Sync` type. Determinism of the underlying models
-//! makes cache reuse output-invariant: a hit returns bit-identical data to
-//! what a fresh computation would produce.
+//! be any `Clone + Send + Sync` type. Experiments build their keys with
+//! [`crate::RunConfig::memo_key`], so every key carries the run config it
+//! was computed under. Determinism of the underlying models makes cache
+//! reuse output-invariant: a hit returns bit-identical data to what a
+//! fresh computation would produce.
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 type Slot = Arc<dyn Any + Send + Sync>;
 
@@ -25,38 +27,8 @@ static CACHE: OnceLock<Mutex<HashMap<String, Slot>>> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Active epoch prefix; when set, every key is namespaced under it.
-static EPOCH_ACTIVE: AtomicBool = AtomicBool::new(false);
-static EPOCH: OnceLock<RwLock<String>> = OnceLock::new();
-
 fn map() -> &'static Mutex<HashMap<String, Slot>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn epoch_slot() -> &'static RwLock<String> {
-    EPOCH.get_or_init(|| RwLock::new(String::new()))
-}
-
-/// Namespace every subsequent [`memo`] key under `epoch` (`None`
-/// restores the default namespace). Used by [`crate::faults`]: a fault
-/// activation switches to a fresh epoch so degraded sub-models never
-/// collide with (or poison) the nominal cache entries, and deactivation
-/// switches back. The default namespace is exactly the pre-existing raw
-/// keys, so goldens are unaffected.
-pub(crate) fn set_epoch(epoch: Option<&str>) {
-    match epoch {
-        Some(e) => {
-            *epoch_slot().write().unwrap_or_else(PoisonError::into_inner) = e.to_string();
-            EPOCH_ACTIVE.store(true, Ordering::Release);
-        }
-        None => {
-            EPOCH_ACTIVE.store(false, Ordering::Release);
-            epoch_slot()
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clear();
-        }
-    }
 }
 
 /// Counters describing cache effectiveness since process start (or the
@@ -92,18 +64,6 @@ where
     T: Clone + Send + Sync + 'static,
     F: FnOnce() -> T,
 {
-    // Under an active epoch (fault activation) the key is namespaced so
-    // degraded results live beside, not instead of, the nominal ones.
-    let namespaced;
-    let key: &str = if EPOCH_ACTIVE.load(Ordering::Acquire) {
-        namespaced = format!(
-            "{}::{key}",
-            epoch_slot().read().unwrap_or_else(PoisonError::into_inner)
-        );
-        &namespaced
-    } else {
-        key
-    };
     let slot = {
         let mut m = map().lock().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(

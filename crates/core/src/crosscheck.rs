@@ -8,24 +8,26 @@
 //! (the same strings the goldens pin, OOM markers included). `ci.sh`
 //! runs it on every push via `maia-bench crosscheck`.
 //!
-//! Both sweeps run under dedicated cache epochs (`crosscheck/des`,
-//! `crosscheck/fast`) so neither seeds the nominal memo namespace, and
-//! under the fault-activation gate so an armed fault plan can never
-//! interleave with the forced engine modes.
+//! The two sweeps run under two explicit [`RunConfig`]s that differ
+//! only in the engine. Memo keys carry the config, so the sweeps never
+//! share an entry with each other or with a nominal (`--engine auto`)
+//! run, and nothing process-wide is flipped. Both run under the
+//! fault-activation gate, because the fault hooks are process-global and
+//! an armed plan would reach the DES sweep only.
 
 use std::collections::HashMap;
 
-use maia_mpi::fastpath::{self, EngineMode};
+use maia_mpi::fastpath::EngineMode;
 
-use crate::cache;
+use crate::config::RunConfig;
 use crate::executor::{run_experiments_parallel, ExperimentFailure};
 use crate::experiments::ExperimentId;
 use crate::figdata::FigureData;
 
 /// The experiments whose cells have closed-form fast paths. The cluster
-/// experiments run their DES side *partitioned* (at the process-global
-/// `maia_mpi::partition::partitions()` count), so the cross-check also
-/// pins closed form == partitioned DES.
+/// experiments run their DES side *partitioned* (at the run config's
+/// wheel count), so the cross-check also pins closed form ==
+/// partitioned DES.
 pub const CROSSCHECK_IDS: [ExperimentId; 7] = [
     ExperimentId::F10SendRecv,
     ExperimentId::F11Bcast,
@@ -128,24 +130,21 @@ impl CrosscheckReport {
     }
 }
 
-/// Compute every F10–F14, C01 and C02 cell on both engines and diff the
-/// rendered tables. Serialized against fault activations (the engine
-/// mode is process-global); the mode is always restored to
-/// [`EngineMode::Auto`].
+/// Compute every F10–F14, C01 and C02 cell on both engines, at the
+/// current [`RunConfig`]'s wheel count and backend, and diff the rendered
+/// tables. Serialized against fault activations.
 pub fn run_crosscheck(jobs: usize) -> CrosscheckReport {
     let _gate = crate::faults::lock_gate();
-    let ids: Vec<ExperimentId> = CROSSCHECK_IDS.to_vec();
-
-    let sweep = |mode: EngineMode, epoch: &str| {
-        fastpath::set_engine_mode(mode);
-        cache::set_epoch(Some(epoch));
-        let out = run_experiments_parallel(&ids, jobs);
-        cache::set_epoch(None);
-        fastpath::set_engine_mode(EngineMode::Auto);
-        out
+    let cfg = RunConfig::current();
+    let sweep = |engine| {
+        let cfg = RunConfig {
+            engine,
+            ..cfg.clone()
+        };
+        run_experiments_parallel(&cfg, &CROSSCHECK_IDS, jobs)
     };
-    let des = sweep(EngineMode::Des, "crosscheck/des");
-    let fast = sweep(EngineMode::Fast, "crosscheck/fast");
+    let des = sweep(EngineMode::Des);
+    let fast = sweep(EngineMode::Fast);
 
     let fast_by_code: HashMap<&str, &FigureData> = fast
         .runs
@@ -211,10 +210,8 @@ fn diff_tables(code: &str, des: &FigureData, fast: &FigureData) -> ExperimentCro
 mod tests {
     use super::*;
 
-    // The full two-engine sweep runs in the serialized cross-crate
-    // suite (tests/tests/fastpath_equivalence.rs) and in ci.sh; running
-    // it here would flip the process-global engine mode under this
-    // binary's nominal-value tests.
+    // The full two-engine sweep runs in the cross-crate suite
+    // (tests/tests/fastpath_equivalence.rs) and in ci.sh.
 
     #[test]
     fn crosscheck_covers_the_collective_figures() {

@@ -30,7 +30,8 @@ use std::time::{Duration, Instant};
 use maia_omp::{LoopState, Schedule, Team};
 
 use crate::cache;
-use crate::experiments::{run_experiment, ExperimentId, ExperimentSelection};
+use crate::config::RunConfig;
+use crate::experiments::{ExperimentId, ExperimentSelection};
 use crate::figdata::FigureData;
 use crate::telemetry;
 
@@ -200,11 +201,11 @@ impl SweepReport {
     }
 }
 
-/// Run `ids` across `jobs` worker threads and collect the tables.
+/// Run `ids` under `cfg` across `jobs` worker threads and collect the tables.
 ///
 /// `jobs` is clamped to `[1, ids.len()]`. The returned runs are in the
 /// same order as `ids` regardless of completion order.
-pub fn run_experiments_parallel(ids: &[ExperimentId], jobs: usize) -> SweepReport {
+pub fn run_experiments_parallel(cfg: &RunConfig, ids: &[ExperimentId], jobs: usize) -> SweepReport {
     let start = Instant::now();
     let cache_before = cache::stats();
     let jobs = jobs.max(1).min(ids.len().max(1));
@@ -228,7 +229,7 @@ pub fn run_experiments_parallel(ids: &[ExperimentId], jobs: usize) -> SweepRepor
             let idx = order[k];
             let id = ids[idx];
             let t0 = Instant::now();
-            let result = run_experiment_guarded(id);
+            let result = run_experiment_guarded(cfg, id);
             let wall = t0.elapsed();
             telemetry::record_wall_span(
                 id.meta().code,
@@ -462,10 +463,14 @@ fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
 /// later [`reap_finished_guards`] pass) — either way the failure is
 /// [`FailureKind::Timeout`] and the thread never bleeds its state into
 /// a subsequent experiment's failure.
-fn run_experiment_guarded(id: ExperimentId) -> Result<FigureData, ExperimentFailure> {
+fn run_experiment_guarded(
+    cfg: &RunConfig,
+    id: ExperimentId,
+) -> Result<FigureData, ExperimentFailure> {
     install_quiet_experiment_hook();
     reap_finished_guards();
     let code = id.meta().code;
+    let cfg = cfg.clone();
     let t0 = Instant::now();
     let timeout = watchdog_timeout();
     let cancel = Arc::new(AtomicBool::new(false));
@@ -477,7 +482,7 @@ fn run_experiment_guarded(id: ExperimentId) -> Result<FigureData, ExperimentFail
             GUARD_CANCEL.with(|c| *c.borrow_mut() = Some(cancel_in));
             let result = panic::catch_unwind(AssertUnwindSafe(|| {
                 crate::faults::forced_failure_trigger(id);
-                run_experiment_cached(id)
+                run_experiment_cached(&cfg, id)
             }));
             // After a timeout the receiver is gone; the send failing is
             // exactly how a cancelled guard retires quietly.
@@ -549,8 +554,8 @@ fn run_experiment_guarded(id: ExperimentId) -> Result<FigureData, ExperimentFail
     }
 }
 
-/// Run one experiment through the process-wide memo cache, inside its
-/// own telemetry scope when profiling is enabled.
+/// Run one experiment under `cfg` through the process-wide memo cache,
+/// inside its own telemetry scope when profiling is enabled.
 ///
 /// The nesting order matters: the memo scope is *outer* so the wrapper
 /// key stays empty, and the experiment scope is *inner* so everything
@@ -558,24 +563,24 @@ fn run_experiment_guarded(id: ExperimentId) -> Result<FigureData, ExperimentFail
 /// time it attributes — lands in the experiment's own sink. Re-running
 /// the same experiment in one process is a cache hit that returns the
 /// first table bit-identically.
-fn run_experiment_cached(id: ExperimentId) -> FigureData {
-    let code = id.meta().code;
-    cache::memo(&format!("experiment/{code}"), || {
-        telemetry::with_experiment_scope(code, || run_experiment(id))
+fn run_experiment_cached(cfg: &RunConfig, id: ExperimentId) -> FigureData {
+    let def = id.meta();
+    cache::memo(&cfg.memo_key(&format!("experiment/{}", def.code)), || {
+        telemetry::with_experiment_scope(def.code, || (def.run)(cfg))
     })
 }
 
-/// Run a [`ExperimentSelection`] — the one entry point `run`, `check`,
-/// `profile` and `faults` all funnel through.
+/// Run a [`ExperimentSelection`] under the current [`RunConfig`] — the one
+/// entry point `run`, `check`, `profile` and `faults` all funnel through.
 pub fn run_selection(selection: &ExperimentSelection, jobs: usize) -> SweepReport {
-    run_experiments_parallel(&selection.resolve(), jobs)
+    run_experiments_parallel(&RunConfig::current(), &selection.resolve(), jobs)
 }
 
-/// Serial convenience wrapper: run one experiment through the same
-/// machinery the sweep uses (shared cache, timed, fail-soft) and return
-/// its table, or the failure that stopped it.
+/// Serial convenience wrapper: run one experiment under the current
+/// [`RunConfig`] through the same machinery the sweep uses (shared cache,
+/// timed, fail-soft) and return its table, or the failure that stopped it.
 pub fn run_one(id: ExperimentId) -> Result<FigureData, ExperimentFailure> {
-    let mut report = run_experiments_parallel(&[id], 1);
+    let mut report = run_experiments_parallel(&RunConfig::current(), &[id], 1);
     match (report.runs.pop(), report.failures.pop()) {
         (Some(run), _) => Ok(run.data),
         (None, Some(failure)) => Err(failure),
@@ -599,7 +604,7 @@ mod tests {
             ExperimentId::T1Table,
             ExperimentId::F17Io,
         ];
-        let report = run_experiments_parallel(&ids, 2);
+        let report = run_experiments_parallel(&RunConfig::default(), &ids, 2);
         let got: Vec<ExperimentId> = report.runs.iter().map(|r| r.id).collect();
         assert_eq!(got, ids);
         assert_eq!(report.jobs, 2);
@@ -613,9 +618,9 @@ mod tests {
             ExperimentId::F17Io,
             ExperimentId::T1Table,
         ];
-        let parallel = run_experiments_parallel(&ids, 4);
+        let parallel = run_experiments_parallel(&RunConfig::default(), &ids, 4);
         for run in &parallel.runs {
-            let serial = run_experiment(run.id);
+            let serial = crate::experiments::run_experiment(run.id);
             assert_eq!(run.data.to_markdown(), serial.to_markdown());
             assert_eq!(run.data.to_csv(), serial.to_csv());
         }
@@ -646,7 +651,7 @@ mod tests {
             ExperimentId::F17Io,
             ExperimentId::T1Table,
         ];
-        let report = run_experiments_parallel(&ids, 2);
+        let report = run_experiments_parallel(&RunConfig::default(), &ids, 2);
         let excl_sum: f64 = report.runs.iter().map(|r| r.excl.as_secs_f64()).sum();
         assert!(
             excl_sum <= report.wall.as_secs_f64() * 1.001 + 1e-6,
@@ -662,7 +667,7 @@ mod tests {
     #[test]
     fn timing_summary_and_json_mention_every_code() {
         let ids = [ExperimentId::T1Table, ExperimentId::F17Io];
-        let report = run_experiments_parallel(&ids, 1);
+        let report = run_experiments_parallel(&RunConfig::default(), &ids, 1);
         let summary = report.timing_summary();
         let json = report.to_bench_json();
         for id in ids {

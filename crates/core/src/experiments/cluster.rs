@@ -12,9 +12,12 @@
 //! domain per node — through `maia_sim::partition`, and is bit-identical
 //! at every `--partitions` count.
 
-use maia_mpi::bench::{cluster_collective_run, CollectiveOp};
+use maia_mpi::bench::{cluster_collective_run_with, CollectiveOp};
+use maia_mpi::fastpath::{self, SelectedEngine};
+use maia_mpi::process_backend::Backend;
 
 use crate::cache;
+use crate::config::RunConfig;
 use crate::figdata::{fmt_bytes, FigureData};
 use crate::telemetry;
 
@@ -26,51 +29,27 @@ const SIZES: [u64; 3] = [64, 4 * 1024, 64 * 1024];
 
 /// Total MPI ranks a hierarchical run stands in for.
 fn total_ranks(nodes: usize) -> usize {
-    nodes * (maia_mpi::fastpath::NODE_HOST_RANKS + 2 * maia_mpi::fastpath::NODE_PHI_RANKS)
+    nodes * (fastpath::NODE_HOST_RANKS + 2 * fastpath::NODE_PHI_RANKS)
 }
 
-/// Memoized cluster collective. The key carries the wheel count so a
-/// process that sweeps several `--partitions` values (the cross-check
-/// harness) never serves one count's run as another's — the *values*
-/// are partition-invariant, but hiding that behind a cache hit would
-/// defeat the invariance tests.
-pub fn cached_cluster_time(nodes: usize, bytes: u64, op: CollectiveOp) -> f64 {
-    let backend = maia_mpi::process_backend::backend();
-    // The backend tag keeps a process-backend run from serving a
-    // channel-backend sweep's cached value (and vice versa) inside the
-    // byte-identity harness; values are backend-invariant, but the
-    // identity tests must see both backends actually run.
-    let key = match backend {
-        maia_mpi::process_backend::Backend::Channel => format!(
-            "cluster/{nodes}/{bytes}/{op:?}/p{}",
-            maia_mpi::partition::partitions()
-        ),
-        maia_mpi::process_backend::Backend::Process => format!(
-            "cluster/{nodes}/{bytes}/{op:?}/p{}/process",
-            maia_mpi::partition::partitions()
-        ),
-    };
+/// Memoized cluster collective. The memo key carries the run config, so
+/// the partition battery and the byte-identity harness see every wheel
+/// count and backend actually run: the *values* are invariant, but a
+/// cache hit across configs would defeat the invariance tests.
+pub fn cached_cluster_time(cfg: &RunConfig, nodes: usize, bytes: u64, op: CollectiveOp) -> f64 {
+    let key = format!("cluster/{nodes}/{bytes}/{op:?}");
     // The partition stats are recorded *outside* the memo compute so the
     // window/message counters land on the experiment's own sink (the
     // determinism battery pins them per experiment); the engine's virtual
     // time stays attributed to the shared `cluster/...` key as usual.
     let mut recorded = None;
-    let time_s = cache::memo(&key, || match maia_mpi::fastpath::selected_engine() {
-        maia_mpi::fastpath::SelectedEngine::Fast => {
-            maia_mpi::fastpath::cluster_collective_time(nodes, bytes, op)
-        }
-        maia_mpi::fastpath::SelectedEngine::Des => {
-            let (time_s, stats) = match backend {
-                maia_mpi::process_backend::Backend::Channel => {
-                    cluster_collective_run(nodes, bytes, op)
-                }
-                maia_mpi::process_backend::Backend::Process => {
-                    crate::supervise::supervised_cluster_run(
-                        nodes,
-                        bytes,
-                        op,
-                        maia_mpi::partition::partitions(),
-                    )
+    let time_s = cache::memo(&cfg.memo_key(&key), || match cfg.resolved_engine() {
+        SelectedEngine::Fast => fastpath::cluster_collective_time(nodes, bytes, op),
+        SelectedEngine::Des => {
+            let (time_s, stats) = match cfg.backend {
+                Backend::Channel => cluster_collective_run_with(nodes, bytes, op, cfg.partitions),
+                Backend::Process => {
+                    crate::supervise::supervised_cluster_run(nodes, bytes, op, cfg.partitions)
                 }
             };
             recorded = Some(stats);
@@ -83,11 +62,17 @@ pub fn cached_cluster_time(nodes: usize, bytes: u64, op: CollectiveOp) -> f64 {
     time_s
 }
 
-fn cluster_fig(id: &'static str, title: &str, op: CollectiveOp, note: &str) -> FigureData {
+fn cluster_fig(
+    cfg: &RunConfig,
+    id: &'static str,
+    title: &str,
+    op: CollectiveOp,
+    note: &str,
+) -> FigureData {
     let mut f = FigureData::new(id, title, &["nodes", "ranks", "size", "time us"]);
     for nodes in NODES {
         for &size in &SIZES {
-            let t = cached_cluster_time(nodes, size, op);
+            let t = cached_cluster_time(cfg, nodes, size, op);
             f.push_row(vec![
                 nodes.to_string(),
                 total_ranks(nodes).to_string(),
@@ -101,8 +86,9 @@ fn cluster_fig(id: &'static str, title: &str, op: CollectiveOp, note: &str) -> F
 }
 
 /// C01: cluster-wide MPI_Allreduce.
-pub fn c1_cluster_allreduce() -> FigureData {
+pub fn c1_cluster_allreduce(cfg: &RunConfig) -> FigureData {
     cluster_fig(
+        cfg,
         "C1",
         "Cluster MPI_Allreduce: hierarchical, node leaders over InfiniBand",
         CollectiveOp::Allreduce,
@@ -112,8 +98,9 @@ pub fn c1_cluster_allreduce() -> FigureData {
 }
 
 /// C02: cluster-wide MPI_Alltoall.
-pub fn c2_cluster_alltoall() -> FigureData {
+pub fn c2_cluster_alltoall(cfg: &RunConfig) -> FigureData {
     cluster_fig(
+        cfg,
         "C2",
         "Cluster MPI_Alltoall: hierarchical, node leaders over InfiniBand",
         CollectiveOp::Alltoall,
@@ -129,7 +116,8 @@ mod tests {
 
     #[test]
     fn tables_cover_the_full_rack() {
-        for f in [c1_cluster_allreduce(), c2_cluster_alltoall()] {
+        let cfg = RunConfig::default();
+        for f in [c1_cluster_allreduce(&cfg), c2_cluster_alltoall(&cfg)] {
             assert_eq!(f.rows.len(), NODES.len() * SIZES.len());
             assert!(f.rows.iter().any(|r| r[0] == "128" && r[1] == "17408"));
         }
@@ -137,7 +125,8 @@ mod tests {
 
     #[test]
     fn alltoall_scales_worse_than_allreduce() {
-        let t = |op, nodes| cached_cluster_time(nodes, 4 * 1024, op);
+        let cfg = RunConfig::default();
+        let t = |op, nodes| cached_cluster_time(&cfg, nodes, 4 * 1024, op);
         let ar_growth = t(CollectiveOp::Allreduce, 128) / t(CollectiveOp::Allreduce, 2);
         let a2a_growth = t(CollectiveOp::Alltoall, 128) / t(CollectiveOp::Alltoall, 2);
         assert!(

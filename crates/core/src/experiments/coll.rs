@@ -1,37 +1,61 @@
 //! Intra-device MPI collective experiments: Figures 10–14. Every data
-//! point runs the real collective algorithm on the discrete-event engine.
+//! point runs the real collective algorithm on the engine the run config
+//! resolves to: the discrete-event engine or its bit-identical closed form.
 
 use maia_arch::Device;
-use maia_mpi::bench::{alltoall_time, collective_time, ring_sendrecv, CollectiveOp, P2pPoint};
+use maia_mpi::bench::{
+    alltoall_time_des, collective_time_des, ring_sendrecv_des, CollectiveOp, P2pPoint,
+};
+use maia_mpi::fastpath::{self, SelectedEngine};
 use maia_mpi::memory::OomError;
 
 use crate::cache;
+use crate::config::RunConfig;
 use crate::figdata::{fmt_bytes, FigureData};
 
 /// Memoized collective world run. The 236-rank worlds are the most
 /// expensive sub-models in the registry; within one process each
-/// (device, ranks, size, op) point simulates once — including Alltoall,
-/// which is routed through [`cached_alltoall_time`] so both entry points
-/// share one memo entry. (They used to live in split `alltoall/...` vs
-/// `coll/.../Alltoall` namespaces, so a caller mixing the two simulated
-/// the same world twice.)
-pub fn cached_collective_time(device: Device, ranks: usize, bytes: u64, op: CollectiveOp) -> f64 {
+/// (config, device, ranks, size, op) point simulates once — including
+/// Alltoall, which is routed through [`cached_alltoall_time`] so both
+/// entry points share one memo entry.
+pub fn cached_collective_time(
+    cfg: &RunConfig,
+    device: Device,
+    ranks: usize,
+    bytes: u64,
+    op: CollectiveOp,
+) -> f64 {
     if op == CollectiveOp::Alltoall {
-        return cached_alltoall_time(device, ranks, bytes)
-            .expect("alltoall exceeds the device budget; call cached_alltoall_time for the gated variant");
+        return cached_alltoall_time(cfg, device, ranks, bytes).expect(
+            "alltoall exceeds the device budget; call cached_alltoall_time for the gated variant",
+        );
     }
     let key = format!("coll/{device:?}/{ranks}/{bytes}/{op:?}");
-    cache::memo(&key, || collective_time(device, ranks, bytes, op))
+    cache::memo(&cfg.memo_key(&key), || match cfg.resolved_engine() {
+        SelectedEngine::Fast => fastpath::collective_time(device, ranks, bytes, op),
+        SelectedEngine::Des => collective_time_des(device, ranks, bytes, op),
+    })
 }
 
-pub fn cached_ring_sendrecv(device: Device, ranks: usize, bytes: u64) -> P2pPoint {
+pub fn cached_ring_sendrecv(cfg: &RunConfig, device: Device, ranks: usize, bytes: u64) -> P2pPoint {
     let key = format!("ring/{device:?}/{ranks}/{bytes}");
-    cache::memo(&key, || ring_sendrecv(device, ranks, bytes))
+    cache::memo(&cfg.memo_key(&key), || match cfg.resolved_engine() {
+        SelectedEngine::Fast => fastpath::ring_sendrecv(device, ranks, bytes),
+        SelectedEngine::Des => ring_sendrecv_des(device, ranks, bytes),
+    })
 }
 
-pub fn cached_alltoall_time(device: Device, ranks: usize, bytes: u64) -> Result<f64, OomError> {
+pub fn cached_alltoall_time(
+    cfg: &RunConfig,
+    device: Device,
+    ranks: usize,
+    bytes: u64,
+) -> Result<f64, OomError> {
     let key = format!("coll/{device:?}/{ranks}/{bytes}/Alltoall");
-    cache::memo(&key, || alltoall_time(device, ranks, bytes))
+    cache::memo(&cfg.memo_key(&key), || match cfg.resolved_engine() {
+        SelectedEngine::Fast => fastpath::alltoall_time(device, ranks, bytes),
+        SelectedEngine::Des => alltoall_time_des(device, ranks, bytes),
+    })
 }
 
 /// The three configurations the paper compares.
@@ -44,7 +68,7 @@ const CONFIGS: [(&str, Device, usize); 3] = [
 const SIZES: [u64; 3] = [64, 4 * 1024, 256 * 1024];
 
 /// Figure 10: ring Send/Recv per-pair bandwidth.
-pub fn fig10_sendrecv() -> FigureData {
+pub fn fig10_sendrecv(cfg: &RunConfig) -> FigureData {
     let mut f = FigureData::new(
         "F10",
         "MPI_Send/Recv ring: per-pair bandwidth (MB/s)",
@@ -52,7 +76,7 @@ pub fn fig10_sendrecv() -> FigureData {
     );
     for (label, dev, ranks) in CONFIGS {
         for &size in &SIZES {
-            let p = cached_ring_sendrecv(dev, ranks, size);
+            let p = cached_ring_sendrecv(cfg, dev, ranks, size);
             f.push_row(vec![
                 label.into(),
                 fmt_bytes(size),
@@ -65,6 +89,7 @@ pub fn fig10_sendrecv() -> FigureData {
 }
 
 fn collective_fig(
+    cfg: &RunConfig,
     id: &'static str,
     title: &str,
     op: CollectiveOp,
@@ -73,7 +98,7 @@ fn collective_fig(
     let mut f = FigureData::new(id, title, &["config", "size", "time us"]);
     for (label, dev, ranks) in CONFIGS {
         for &size in &SIZES {
-            let t = cached_collective_time(dev, ranks, size, op);
+            let t = cached_collective_time(cfg, dev, ranks, size, op);
             f.push_row(vec![label.into(), fmt_bytes(size), format!("{:.1}", t * 1e6)]);
         }
     }
@@ -82,8 +107,9 @@ fn collective_fig(
 }
 
 /// Figure 11.
-pub fn fig11_bcast() -> FigureData {
+pub fn fig11_bcast(cfg: &RunConfig) -> FigureData {
     collective_fig(
+        cfg,
         "F11",
         "MPI_Bcast completion time",
         CollectiveOp::Bcast,
@@ -92,8 +118,9 @@ pub fn fig11_bcast() -> FigureData {
 }
 
 /// Figure 12.
-pub fn fig12_allreduce() -> FigureData {
+pub fn fig12_allreduce(cfg: &RunConfig) -> FigureData {
     collective_fig(
+        cfg,
         "F12",
         "MPI_Allreduce completion time",
         CollectiveOp::Allreduce,
@@ -102,7 +129,7 @@ pub fn fig12_allreduce() -> FigureData {
 }
 
 /// Figure 13.
-pub fn fig13_allgather() -> FigureData {
+pub fn fig13_allgather(cfg: &RunConfig) -> FigureData {
     let mut f = FigureData::new(
         "F13",
         "MPI_Allgather completion time",
@@ -112,7 +139,7 @@ pub fn fig13_allgather() -> FigureData {
     let sizes = [64u64, 1024, 2 * 1024, 4 * 1024, 8 * 1024, 64 * 1024];
     for (label, dev, ranks) in CONFIGS {
         for &size in &sizes {
-            let t = cached_collective_time(dev, ranks, size, CollectiveOp::Allgather);
+            let t = cached_collective_time(cfg, dev, ranks, size, CollectiveOp::Allgather);
             f.push_row(vec![label.into(), fmt_bytes(size), format!("{:.1}", t * 1e6)]);
         }
     }
@@ -121,7 +148,7 @@ pub fn fig13_allgather() -> FigureData {
 }
 
 /// Figure 14 (with the 236-rank OOM gate).
-pub fn fig14_alltoall() -> FigureData {
+pub fn fig14_alltoall(cfg: &RunConfig) -> FigureData {
     let mut f = FigureData::new(
         "F14",
         "MPI_Alltoall completion time",
@@ -130,7 +157,7 @@ pub fn fig14_alltoall() -> FigureData {
     let sizes = [64u64, 1024, 4 * 1024, 8 * 1024, 64 * 1024];
     for (label, dev, ranks) in CONFIGS {
         for &size in &sizes {
-            let cell = match cached_alltoall_time(dev, ranks, size) {
+            let cell = match cached_alltoall_time(cfg, dev, ranks, size) {
                 Ok(t) => format!("{:.1}", t * 1e6),
                 Err(e) => format!("OOM ({:.1} GB needed)", e.required_bytes as f64 / 1e9),
             };
@@ -147,7 +174,7 @@ mod tests {
 
     #[test]
     fn fig13_shows_the_jump() {
-        let f = fig13_allgather();
+        let f = fig13_allgather(&RunConfig::default());
         let t = |cfg: &str, size: &str| {
             f.rows
                 .iter()
@@ -172,7 +199,7 @@ mod tests {
 
     #[test]
     fn fig14_marks_oom() {
-        let f = fig14_alltoall();
+        let f = fig14_alltoall(&RunConfig::default());
         let oom_rows: Vec<_> = f
             .rows
             .iter()

@@ -8,14 +8,21 @@ use maia_mem::latency::analytic_latency_ns;
 use maia_omp::{OmpConstruct, OverheadModel, Schedule};
 
 use crate::cache;
+use crate::config::RunConfig;
 use crate::figdata::{fmt_bytes, FigureData};
 use crate::telemetry;
 
 /// Memoized STREAM triad point; the curve also feeds the application
 /// models (F19/F21/F22), so it is shared through the cache.
-fn cached_stream_gbs(label: &str, proc: &maia_arch::ProcessorSpec, tpc: u32, threads: u32) -> f64 {
+fn cached_stream_gbs(
+    cfg: &RunConfig,
+    label: &str,
+    proc: &maia_arch::ProcessorSpec,
+    tpc: u32,
+    threads: u32,
+) -> f64 {
     let key = format!("stream/{label}/{tpc}/{threads}");
-    cache::memo(&key, || stream_triad_gbs(proc, tpc, threads))
+    cache::memo(&cfg.memo_key(&key), || stream_triad_gbs(proc, tpc, threads))
 }
 
 /// Table 1.
@@ -31,7 +38,7 @@ pub fn table1() -> FigureData {
 }
 
 /// Figure 4: STREAM triad bandwidth vs thread count.
-pub fn fig4_stream() -> FigureData {
+pub fn fig4_stream(cfg: &RunConfig) -> FigureData {
     let host = presets::xeon_e5_2670();
     let phi = presets::xeon_phi_5110p();
     let mut f = FigureData::new(
@@ -44,12 +51,12 @@ pub fn fig4_stream() -> FigureData {
     let mut model_ns = 0.0;
     let gib = (1u64 << 30) as f64;
     for t in [1u32, 2, 4, 8, 16, 32] {
-        let gbs = cached_stream_gbs("host", &host, 2, t);
+        let gbs = cached_stream_gbs(cfg, "host", &host, 2, t);
         model_ns += gib / gbs;
         f.push_row(vec!["host".into(), t.to_string(), format!("{gbs:.1}")]);
     }
     for t in [1u32, 30, 59, 118, 130, 177, 236] {
-        let gbs = cached_stream_gbs("phi0", &phi, 1, t);
+        let gbs = cached_stream_gbs(cfg, "phi0", &phi, 1, t);
         model_ns += gib / gbs;
         f.push_row(vec!["phi0".into(), t.to_string(), format!("{gbs:.1}")]);
     }
@@ -216,7 +223,7 @@ mod tests {
 
     #[test]
     fn fig4_reproduces_bank_cliff() {
-        let f = fig4_stream();
+        let f = fig4_stream(&RunConfig::default());
         // The device label is not unique per row, so pull the phi rows directly.
         let phi: Vec<f64> = f
             .rows

@@ -13,6 +13,7 @@ mod micro;
 mod npb_figs;
 mod pcie;
 
+use crate::config::RunConfig;
 use crate::figdata::FigureData;
 use crate::oracle::Check;
 
@@ -96,8 +97,9 @@ pub struct ExperimentDef {
     /// Relative cost estimate (arbitrary units ~ serial milliseconds).
     /// The executor schedules longest-first so stragglers start early.
     pub cost_estimate: u32,
-    /// Regenerates the experiment's table.
-    pub run: fn() -> FigureData,
+    /// Regenerates the experiment's table under a run configuration.
+    /// Rows whose models read no configuration ignore it.
+    pub run: fn(&RunConfig) -> FigureData,
     /// The oracle predicates gating the table (`maia-bench check`).
     pub checklist: fn() -> Vec<Check>,
     /// The paper's headline claims, printed under the table in
@@ -115,7 +117,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "T01",
             title: "Table 1: system characteristics",
             cost_estimate: 1,
-            run: micro::table1,
+            run: |_| micro::table1(),
             checklist: conformance::table1,
             claims: &[
                 "Host: 20.8 Gflop/s/core, 166.4 Gflop/s/socket; Phi: 16.8 Gflop/s/core, 1008 Gflop/s/card",
@@ -139,7 +141,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F05",
             title: "Memory load latency vs working set",
             cost_estimate: 2,
-            run: micro::fig5_latency,
+            run: |_| micro::fig5_latency(),
             checklist: conformance::fig5,
             claims: &[
                 "Host: 1.5 / 4.6 / 15 / 81 ns (L1 / L2 / L3 / DRAM)",
@@ -151,7 +153,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F06",
             title: "Per-core bandwidth vs working set",
             cost_estimate: 2,
-            run: micro::fig6_bandwidth,
+            run: |_| micro::fig6_bandwidth(),
             checklist: conformance::fig6,
             claims: &[
                 "Host per-core: read 12.6..7.5 GB/s, write 10.4..7.2 GB/s",
@@ -247,7 +249,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F15",
             title: "OpenMP synchronization overheads",
             cost_estimate: 50,
-            run: micro::fig15_omp_sync,
+            run: |_| micro::fig15_omp_sync(),
             checklist: conformance::fig15,
             claims: &[
                 "Phi overheads ~an order of magnitude above host",
@@ -259,7 +261,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F16",
             title: "OpenMP scheduling overheads",
             cost_estimate: 50,
-            run: micro::fig16_omp_sched,
+            run: |_| micro::fig16_omp_sched(),
             checklist: conformance::fig16,
             claims: &["STATIC < GUIDED < DYNAMIC; Phi an order of magnitude above host"],
         },
@@ -268,7 +270,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F17",
             title: "Sequential I/O bandwidth",
             cost_estimate: 1,
-            run: micro::fig17_io,
+            run: |_| micro::fig17_io(),
             checklist: conformance::fig17,
             claims: &[
                 "Host: 210 MB/s write, 295 MB/s read; Phi0: 80 / 75 MB/s",
@@ -280,7 +282,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F18",
             title: "Offload PCIe bandwidth",
             cost_estimate: 1,
-            run: pcie::fig18_offload_bw,
+            run: |_| pcie::fig18_offload_bw(),
             checklist: conformance::fig18,
             claims: &[
                 "~6.4 GB/s for large transfers; ceilings 6.1/6.9 GB/s from 20-byte TLP wrapping",
@@ -292,7 +294,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F19",
             title: "NPB OpenMP performance",
             cost_estimate: 400,
-            run: npb_figs::fig19_npb_omp,
+            run: |_| npb_figs::fig19_npb_omp(),
             checklist: conformance::fig19,
             claims: &[
                 "Host beats the best Phi result for every benchmark except MG",
@@ -305,7 +307,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F20",
             title: "NPB MPI performance",
             cost_estimate: 700,
-            run: npb_figs::fig20_npb_mpi,
+            run: |_| npb_figs::fig20_npb_mpi(),
             checklist: conformance::fig20,
             claims: &[
                 "FT needs ~10 GB and cannot run on the 8 GB Phi",
@@ -317,7 +319,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F21",
             title: "Cart3D native host vs Phi",
             cost_estimate: 100,
-            run: app_figs::fig21_cart3d,
+            run: |_| app_figs::fig21_cart3d(),
             checklist: conformance::fig21,
             claims: &[
                 "Host performance 2x the best Phi result",
@@ -329,7 +331,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F22",
             title: "OVERFLOW native sweep",
             cost_estimate: 100,
-            run: app_figs::fig22_overflow_native,
+            run: |_| app_figs::fig22_overflow_native(),
             checklist: conformance::fig22,
             claims: &[
                 "Host best 16x1, worst 1x16; Phi best 8x28 (224T), worst 4x14 (56T)",
@@ -341,7 +343,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F23",
             title: "OVERFLOW symmetric pre/post",
             cost_estimate: 200,
-            run: app_figs::fig23_overflow_symmetric,
+            run: |_| app_figs::fig23_overflow_symmetric(),
             checklist: conformance::fig23,
             claims: &[
                 "Post-update software gains 2-28%",
@@ -354,7 +356,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F24",
             title: "MG loop-collapse gain",
             cost_estimate: 100,
-            run: npb_figs::fig24_mg_collapse,
+            run: |_| npb_figs::fig24_mg_collapse(),
             checklist: conformance::fig24,
             claims: &[
                 "Loop collapse gains 25-28% on Phi0, loses ~1% on the host (16T)",
@@ -366,7 +368,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F25",
             title: "MG native and offload modes",
             cost_estimate: 100,
-            run: npb_figs::fig25_mg_modes,
+            run: |_| npb_figs::fig25_mg_modes(),
             checklist: conformance::fig25,
             claims: &[
                 "Native host 23.5 Gflop/s (16T); HT (32T) 6% lower; native Phi 29.9 (177T, 3t/c)",
@@ -378,7 +380,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F26",
             title: "Offload overhead breakdown",
             cost_estimate: 50,
-            run: npb_figs::fig26_offload_overhead,
+            run: |_| npb_figs::fig26_offload_overhead(),
             checklist: conformance::fig26,
             claims: &["Offloading one OpenMP loop worst; whole computation best"],
         },
@@ -387,7 +389,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F27",
             title: "Offload invocations and volume",
             cost_estimate: 50,
-            run: npb_figs::fig27_offload_cost,
+            run: |_| npb_figs::fig27_offload_cost(),
             checklist: conformance::fig27,
             claims: &[
                 "Transfer volume and invocation count maximal for the loop variant, minimal for whole",
@@ -398,7 +400,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "A01",
             title: "Distributed NPB kernels (measured)",
             cost_estimate: 800,
-            run: npb_figs::a1_npb_mpi_measured,
+            run: |_| npb_figs::a1_npb_mpi_measured(),
             checklist: conformance::a1,
             claims: &[
                 "(beyond paper) validation: the distributed kernels compute results identical to the shared-memory kernels while the DES prices their communication",
@@ -409,7 +411,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "A02",
             title: "Hybrid OVERFLOW zones (measured)",
             cost_estimate: 400,
-            run: app_figs::a2_overflow_hybrid,
+            run: |_| app_figs::a2_overflow_hybrid(),
             checklist: conformance::a2,
             claims: &[
                 "(beyond paper) validation: zone data crosses the simulated fabric; PCIe layouts show the communication dominance the paper describes for symmetric mode",
@@ -517,9 +519,10 @@ impl ExperimentSelection {
     }
 }
 
-/// Regenerate the data for one experiment.
+/// Regenerate the data for one experiment under the process's current
+/// [`RunConfig`], bypassing the executor and its memo entry.
 pub fn run_experiment(id: ExperimentId) -> FigureData {
-    (id.meta().run)()
+    (id.meta().run)(&RunConfig::current())
 }
 
 #[cfg(test)]

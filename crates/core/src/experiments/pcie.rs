@@ -6,15 +6,16 @@ use maia_interconnect::{NodePath, PcieModel, SoftwareStack};
 use maia_mpi::bench::{pcie_bandwidth, pcie_latency_us, P2pPoint};
 
 use crate::cache;
+use crate::config::RunConfig;
 use crate::figdata::{fmt_bytes, FigureData};
 use crate::telemetry;
 
 /// Memoized Figure 7 ping-pong: one simulated world per (stack, path).
 /// The modeled round-trip time is attributed to the `pcie` subsystem of
 /// the key's telemetry scope (and credited to every consumer).
-fn cached_latency_us(stack: SoftwareStack, path: NodePath) -> f64 {
+fn cached_latency_us(cfg: &RunConfig, stack: SoftwareStack, path: NodePath) -> f64 {
     let key = format!("pcie_latency/{stack:?}/{path:?}");
-    cache::memo(&key, || {
+    cache::memo(&cfg.memo_key(&key), || {
         let us = pcie_latency_us(stack, path);
         telemetry::add_model_vt("pcie", us * 1e3);
         us
@@ -23,9 +24,9 @@ fn cached_latency_us(stack: SoftwareStack, path: NodePath) -> f64 {
 
 /// Memoized Figure 8 bandwidth point: Figure 9 divides the same table, so
 /// the 42 underlying world runs happen once per process.
-fn cached_bandwidth(stack: SoftwareStack, path: NodePath, bytes: u64) -> P2pPoint {
+fn cached_bandwidth(cfg: &RunConfig, stack: SoftwareStack, path: NodePath, bytes: u64) -> P2pPoint {
     let key = format!("pcie_bw/{stack:?}/{path:?}/{bytes}");
-    cache::memo(&key, || {
+    cache::memo(&cfg.memo_key(&key), || {
         let p = pcie_bandwidth(stack, path, bytes);
         // Time to move the message once at the modeled rate.
         telemetry::add_model_vt("pcie", bytes as f64 / p.bandwidth_gbs);
@@ -44,17 +45,18 @@ const SIZES: [u64; 7] = [
 ];
 
 /// Figure 7: zero-byte MPI latency per path and stack.
-pub fn fig7_latency() -> FigureData {
+pub fn fig7_latency(cfg: &RunConfig) -> FigureData {
     let mut f = FigureData::new(
         "F7",
         "MPI latency over PCIe (us)",
         &["path", "pre-update", "post-update"],
     );
     for path in NodePath::ALL {
+        let us = |stack| format!("{:.1}", cached_latency_us(cfg, stack, path));
         f.push_row(vec![
             path.label().into(),
-            format!("{:.1}", cached_latency_us(SoftwareStack::PreUpdate, path)),
-            format!("{:.1}", cached_latency_us(SoftwareStack::PostUpdate, path)),
+            us(SoftwareStack::PreUpdate),
+            us(SoftwareStack::PostUpdate),
         ]);
     }
     f.note("Paper: pre 3.3/4.6/6.3 us; post 3.3/4.1/6.6 us.");
@@ -62,7 +64,7 @@ pub fn fig7_latency() -> FigureData {
 }
 
 /// Figure 8: MPI bandwidth per message size, path and stack.
-pub fn fig8_bandwidth() -> FigureData {
+pub fn fig8_bandwidth(cfg: &RunConfig) -> FigureData {
     let mut f = FigureData::new(
         "F8",
         "MPI bandwidth over PCIe (GB/s)",
@@ -70,17 +72,12 @@ pub fn fig8_bandwidth() -> FigureData {
     );
     for path in NodePath::ALL {
         for &size in &SIZES {
+            let bw = |stack| cached_bandwidth(cfg, stack, path, size).bandwidth_gbs;
             f.push_row(vec![
                 path.label().into(),
                 fmt_bytes(size),
-                format!(
-                    "{:.3}",
-                    cached_bandwidth(SoftwareStack::PreUpdate, path, size).bandwidth_gbs
-                ),
-                format!(
-                    "{:.3}",
-                    cached_bandwidth(SoftwareStack::PostUpdate, path, size).bandwidth_gbs
-                ),
+                format!("{:.3}", bw(SoftwareStack::PreUpdate)),
+                format!("{:.3}", bw(SoftwareStack::PostUpdate)),
             ]);
         }
     }
@@ -89,7 +86,7 @@ pub fn fig8_bandwidth() -> FigureData {
 }
 
 /// Figure 9: post/pre bandwidth gain ratio.
-pub fn fig9_gain() -> FigureData {
+pub fn fig9_gain(cfg: &RunConfig) -> FigureData {
     let mut f = FigureData::new(
         "F9",
         "Post-update / pre-update bandwidth gain",
@@ -99,8 +96,8 @@ pub fn fig9_gain() -> FigureData {
         for &size in &SIZES {
             // Same arithmetic as `maia_mpi::bench::update_gain`, but over
             // the memoized Figure 8 table instead of fresh world runs.
-            let gain = cached_bandwidth(SoftwareStack::PostUpdate, path, size).bandwidth_gbs
-                / cached_bandwidth(SoftwareStack::PreUpdate, path, size).bandwidth_gbs;
+            let bw = |stack| cached_bandwidth(cfg, stack, path, size).bandwidth_gbs;
+            let gain = bw(SoftwareStack::PostUpdate) / bw(SoftwareStack::PreUpdate);
             f.push_row(vec![path.label().into(), fmt_bytes(size), format!("{gain:.2}")]);
         }
     }
@@ -141,7 +138,7 @@ mod tests {
 
     #[test]
     fn fig7_rows_match_paper_to_tenths() {
-        let f = fig7_latency();
+        let f = fig7_latency(&RunConfig::default());
         let row = |p: &str| f.rows.iter().find(|r| r[0] == p).unwrap().clone();
         assert_eq!(row("host-phi0")[1], "3.3");
         assert_eq!(row("host-phi1")[2], "4.1");
@@ -150,7 +147,7 @@ mod tests {
 
     #[test]
     fn fig8_4mb_post_values() {
-        let f = fig8_bandwidth();
+        let f = fig8_bandwidth(&RunConfig::default());
         let v = |path: &str| {
             f.rows
                 .iter()

@@ -11,9 +11,9 @@
 //! A [`FaultPlan`] is a seeded, fully deterministic set of [`Fault`]s.
 //! [`activate`] arms the injection hooks that the lower crates expose
 //! (`maia_interconnect::faults`, `maia_mem::faults`, `maia_mpi::faults`,
-//! `maia_modes::faults`), switches the memo cache to a fresh epoch so
-//! degraded sub-models never collide with nominal cache entries, and
-//! wires the injected-time/mode-switch observers into the `faults`
+//! `maia_modes::faults`), records the activation's identity for
+//! [`RunConfig::current`] (degraded sub-models get memo keys of their own),
+//! and wires the injected-time/mode-switch observers into the `faults`
 //! telemetry bucket. [`run_resilience`] then runs the selection twice —
 //! nominal, then degraded — and reports per-experiment deltas.
 //!
@@ -34,9 +34,10 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::cache;
+use crate::config::RunConfig;
 use crate::executor::{run_experiments_parallel, ExperimentFailure};
 use crate::experiments::{ExperimentId, ExperimentSelection};
+use crate::figdata::json_escape;
 use crate::telemetry;
 
 // ---------------------------------------------------------------------------
@@ -85,9 +86,9 @@ impl fmt::Display for Fault {
 }
 
 /// A named, seeded set of faults. The seed is part of the identity: it
-/// drives [`FaultPlan::generate`] and namespaces the degraded cache
-/// epoch, so two plans with the same faults but different seeds are
-/// distinct (and both deterministic).
+/// drives [`FaultPlan::generate`] and namespaces the degraded memo keys,
+/// so two plans with the same faults but different seeds are distinct
+/// (and both deterministic).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     pub name: String,
@@ -255,15 +256,23 @@ fn parse_fault(s: &str) -> Result<Fault, String> {
 static GATE: Mutex<()> = Mutex::new(());
 
 /// Lock the process-wide activation gate for a non-fault caller. The
-/// engine cross-check flips the global engine mode, which must not
-/// interleave with an armed fault plan (or another cross-check).
+/// engine cross-check holds it so no plan's global hooks reach its DES
+/// sweep.
 pub(crate) fn lock_gate() -> MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(PoisonError::into_inner)
 }
-/// Monotone activation counter: part of the cache epoch so repeated
-/// activations of the *same* plan recompute their degraded sub-models
-/// (keeping injected-time totals identical per activation).
+/// Monotone activation counter: part of the armed plan's identity so
+/// repeated activations of the *same* plan recompute their degraded
+/// sub-models (keeping injected-time totals identical per activation).
 static ACTIVATIONS: AtomicU64 = AtomicU64::new(0);
+/// Identity of the armed plan, `faults/{name}/{seed}/{activation}`,
+/// while an [`ActiveFaults`] guard lives.
+static ARMED: RwLock<Option<Arc<str>>> = RwLock::new(None);
+
+/// The armed plan's identity, read by [`RunConfig::current`].
+pub(crate) fn armed_identity() -> Option<Arc<str>> {
+    ARMED.read().unwrap_or_else(PoisonError::into_inner).clone()
+}
 /// Net model time injected by the active plan, signed picoseconds.
 /// (Signed because a forced DAPL fallback can be *cheaper* on some
 /// paths: the pre-update phi0-phi1 eager latency undercuts post-update.)
@@ -283,33 +292,28 @@ fn note_injected_s(extra_s: f64) {
 }
 
 /// RAII guard for an armed fault plan. Dropping it disarms every hook,
-/// restores the default cache epoch, and releases the activation gate.
+/// clears the armed identity, and releases the activation gate.
 pub struct ActiveFaults {
     _gate: MutexGuard<'static, ()>,
 }
 
 impl Drop for ActiveFaults {
     fn drop(&mut self) {
-        cache::set_epoch(None);
+        *ARMED.write().unwrap_or_else(PoisonError::into_inner) = None;
         maia_interconnect::faults::clear();
         maia_mem::faults::clear();
         maia_mpi::faults::clear();
         maia_modes::faults::clear();
-        maia_mpi::fastpath::set_fault_override(false);
     }
 }
 
 /// Arm `plan`: install every hook in the lower crates, wire the
-/// injected-time and mode-switch observers, and switch the memo cache
-/// to a fresh epoch. Returns the guard that disarms everything on drop.
-/// Activations are serialized process-wide (the hooks are global).
+/// injected-time and mode-switch observers, and record the activation's
+/// identity for [`RunConfig::current`]. Returns the guard that disarms
+/// everything on drop. Activations are serialized process-wide (the
+/// hooks are global).
 pub fn activate(plan: &FaultPlan) -> ActiveFaults {
     let gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    // Some faults arm hooks the MPI layer cannot see (dead cards in
-    // `maia_modes`, GDDR banks in `maia_mem`), so engine selection
-    // cannot infer "a plan is active" from its own crates' flags alone.
-    // Force the discrete-event engine for the whole activation.
-    maia_mpi::fastpath::set_fault_override(true);
     INJECTED_PS.store(0, Ordering::Relaxed);
     mode_switches_slot()
         .lock()
@@ -372,7 +376,8 @@ pub fn activate(plan: &FaultPlan) -> ActiveFaults {
     // recomputed under the degraded stack group under a shared `faults`
     // row instead of polluting the nominal domains.
     let n = ACTIVATIONS.fetch_add(1, Ordering::Relaxed);
-    cache::set_epoch(Some(&format!("faults/{}/{}/{n}", plan.name, plan.seed)));
+    *ARMED.write().unwrap_or_else(PoisonError::into_inner) =
+        Some(format!("faults/{}/{}/{n}", plan.name, plan.seed).into());
     ActiveFaults { _gate: gate }
 }
 
@@ -491,16 +496,15 @@ impl ResilienceReport {
 
     /// Deterministic JSON rendering (same content as the Markdown).
     pub fn to_json(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"plan\": \"{}\",\n", esc(&self.plan.name)));
+        out.push_str(&format!("  \"plan\": {},\n", json_escape(&self.plan.name)));
         out.push_str(&format!("  \"seed\": {},\n", self.plan.seed));
         out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
         out.push_str("  \"faults\": [\n");
         for (i, fault) in self.plan.faults.iter().enumerate() {
             out.push_str(&format!(
-                "    \"{}\"{}\n",
-                esc(&fault.to_string()),
+                "    {}{}\n",
+                json_escape(&fault.to_string()),
                 if i + 1 == self.plan.faults.len() { "" } else { "," }
             ));
         }
@@ -509,8 +513,8 @@ impl ResilienceReport {
         out.push_str("  \"mode_switches\": [\n");
         for (i, m) in self.mode_switches.iter().enumerate() {
             out.push_str(&format!(
-                "    \"{}\"{}\n",
-                esc(m),
+                "    {}{}\n",
+                json_escape(m),
                 if i + 1 == self.mode_switches.len() { "" } else { "," }
             ));
         }
@@ -538,10 +542,10 @@ impl ResilienceReport {
         for (i, (label, f)) in all_failures.iter().enumerate() {
             out.push_str(&format!(
                 "    {{ \"sweep\": \"{label}\", \"code\": \"{}\", \"kind\": \"{}\", \
-                 \"detail\": \"{}\" }}{}\n",
+                 \"detail\": {} }}{}\n",
                 f.id.meta().code,
                 f.kind,
-                esc(&f.detail),
+                json_escape(&f.detail),
                 if i + 1 == all_failures.len() { "" } else { "," }
             ));
         }
@@ -551,18 +555,24 @@ impl ResilienceReport {
 }
 
 /// Run `selection` nominally, then under `plan`, and diff the tables.
-/// Both sweeps are fail-soft: failures land in the report instead of
-/// aborting it.
+/// Both sweeps share the current [`RunConfig`]'s settings; the degraded
+/// one also carries the armed plan. Both are fail-soft: failures land in
+/// the report instead of aborting it.
 pub fn run_resilience(
     plan: &FaultPlan,
     selection: &ExperimentSelection,
     jobs: usize,
 ) -> ResilienceReport {
     let ids = selection.resolve();
-    let nominal = run_experiments_parallel(&ids, jobs);
+    let cfg = RunConfig::current();
+    let nominal = run_experiments_parallel(&cfg, &ids, jobs);
 
     let guard = activate(plan);
-    let degraded = run_experiments_parallel(&ids, jobs);
+    let armed = RunConfig {
+        armed: armed_identity(),
+        ..cfg
+    };
+    let degraded = run_experiments_parallel(&armed, &ids, jobs);
     let injected_vt_ps = injected_vt_ps();
     let switches = mode_switches();
     drop(guard);

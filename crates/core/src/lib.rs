@@ -18,6 +18,7 @@
 
 pub mod backoff;
 pub mod cache;
+mod config;
 pub mod crosscheck;
 pub mod executor;
 pub mod experiments;
@@ -27,6 +28,7 @@ pub mod oracle;
 pub mod supervise;
 pub mod telemetry;
 
+pub use config::RunConfig;
 pub use executor::{
     run_experiments_parallel, run_selection, ExperimentFailure, ExperimentRun, FailureKind,
     SweepReport,

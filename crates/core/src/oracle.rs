@@ -1007,10 +1007,12 @@ pub fn check_figure(
     checks.iter().map(|c| c.eval(figure, fig)).collect()
 }
 
-/// Run `ids` through the cached parallel executor and apply each
-/// experiment's checklist to its regenerated table.
+/// Run `ids` under the current [`crate::RunConfig`] through the cached
+/// parallel executor and apply each experiment's checklist to its
+/// regenerated table.
 pub fn check(ids: &[ExperimentId], jobs: usize) -> ConformanceReport {
-    check_sweep(&run_experiments_parallel(ids, jobs))
+    let cfg = crate::RunConfig::current();
+    check_sweep(&run_experiments_parallel(&cfg, ids, jobs))
 }
 
 /// Apply each experiment's checklist to the tables of an already-run

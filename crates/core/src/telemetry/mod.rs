@@ -537,34 +537,6 @@ pub(crate) fn snapshot_wall_spans() -> Vec<WallSpan> {
         .clone()
 }
 
-/// Drop all recorded data (scopes currently on stacks are unaffected).
-/// Intended for tests; the CLI uses one process per profile run.
-pub fn reset_recorded() {
-    if GLOBAL.get().is_none() {
-        return;
-    }
-    let g = global();
-    g.experiments
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
-    g.keys.lock().unwrap_or_else(PoisonError::into_inner).clear();
-    g.wall_spans
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
-    g.omp_regions.store(0, Ordering::Relaxed);
-    for c in [
-        &g.supervise.workers_lost,
-        &g.supervise.respawns,
-        &g.supervise.missed_heartbeats,
-        &g.supervise.degraded,
-        &g.supervise.backoff_wait_ms,
-    ] {
-        c.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crate::executor::SweepReport;
+use crate::figdata::json_escape;
 
 use super::{lock_sink, Histogram, SimCounters, VtSpan, WallSpan};
 
@@ -125,9 +126,9 @@ pub fn collect(sweep: &SweepReport) -> ProfileReport {
     let mut experiments = Vec::new();
     for run in &sweep.runs {
         let code = run.id.meta().code;
-        // Most recent sink wins: a code re-run under a fresh cache (the
-        // partition-determinism battery does this) registers a new scope
-        // per sweep, and the profile must describe the sweep at hand.
+        // Most recent sink wins: a code re-run under another run config
+        // (the partition-determinism battery does this) registers a new
+        // scope per sweep, and the profile must describe the sweep at hand.
         let profile = match recorded.iter().rfind(|(c, _)| c == code) {
             Some((_, sink)) => {
                 let s = lock_sink(sink);
@@ -272,10 +273,6 @@ fn dominant_subsystem(vt_ps: &BTreeMap<String, u64>) -> String {
         .unwrap_or_else(|| "closed-form".to_string())
 }
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn ps_as_ms(ps: u64) -> f64 {
     ps as f64 / 1e9
 }
@@ -286,7 +283,7 @@ impl ProfileReport {
     pub fn to_json(&self) -> String {
         let mut o = String::from("{\n  \"schema\": \"maia-profile-v1\",\n");
         o.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        let sel: Vec<String> = self.selection.iter().map(|c| format!("\"{}\"", esc(c))).collect();
+        let sel: Vec<String> = self.selection.iter().map(|c| json_escape(c)).collect();
         o.push_str(&format!("  \"selection\": [{}],\n", sel.join(", ")));
         o.push_str("  \"virtual\": {\n");
         o.push_str(&format!("    \"events_total\": {},\n", self.events_total));
@@ -297,8 +294,11 @@ impl ProfileReport {
         o.push_str("    \"experiments\": [\n");
         for (i, e) in self.experiments.iter().enumerate() {
             o.push_str("      {\n");
-            o.push_str(&format!("        \"code\": \"{}\",\n", esc(&e.code)));
-            o.push_str(&format!("        \"dominant\": \"{}\",\n", esc(&e.dominant)));
+            o.push_str(&format!("        \"code\": {},\n", json_escape(&e.code)));
+            o.push_str(&format!(
+                "        \"dominant\": {},\n",
+                json_escape(&e.dominant)
+            ));
             o.push_str(&format!("        \"events\": {},\n", e.events()));
             o.push_str(&format!("        \"total_vt_ps\": {},\n", e.total_vt_ps));
             o.push_str(&format!("        \"vt_ps\": {},\n", json_u64_map(&e.vt_ps, 8)));
@@ -310,7 +310,7 @@ impl ProfileReport {
             let procs: Vec<String> = e
                 .proc_vt_ps
                 .iter()
-                .map(|(n, v)| format!("[\"{}\", {v}]", esc(n)))
+                .map(|(n, v)| format!("[{}, {v}]", json_escape(n)))
                 .collect();
             o.push_str(&format!("        \"processes\": [{}],\n", procs.join(", ")));
             o.push_str(&format!("        \"hist\": {},\n", json_hists(&e.hist, 8)));
@@ -328,7 +328,10 @@ impl ProfileReport {
         o.push_str("    \"shared\": [\n");
         for (i, d) in self.domains.iter().enumerate() {
             o.push_str("      {\n");
-            o.push_str(&format!("        \"domain\": \"{}\",\n", esc(&d.domain)));
+            o.push_str(&format!(
+                "        \"domain\": {},\n",
+                json_escape(&d.domain)
+            ));
             o.push_str(&format!("        \"keys\": {},\n", d.keys));
             o.push_str(&format!("        \"vt_ps\": {},\n", json_u64_map(&d.vt_ps, 8)));
             o.push_str(&format!(
@@ -373,8 +376,8 @@ impl ProfileReport {
         o.push_str("    \"experiments\": [\n");
         for (i, e) in self.experiments.iter().enumerate() {
             o.push_str(&format!(
-                "      {{ \"code\": \"{}\", \"wall_ms\": {:.3} }}{}\n",
-                esc(&e.code),
+                "      {{ \"code\": {}, \"wall_ms\": {:.3} }}{}\n",
+                json_escape(&e.code),
                 e.wall.as_secs_f64() * 1e3,
                 if i + 1 == self.experiments.len() { "" } else { "," }
             ));
@@ -484,8 +487,8 @@ impl ProfileReport {
         let meta = |pid: usize, name: &str, cat: &str| {
             format!(
                 "{{\"ph\": \"M\", \"ts\": 0, \"pid\": {pid}, \"tid\": 0, \"cat\": \"{cat}\", \
-                 \"name\": \"process_name\", \"args\": {{\"name\": \"{}\"}}}}",
-                esc(name)
+                 \"name\": \"process_name\", \"args\": {{\"name\": {}}}}}",
+                json_escape(name)
             )
         };
         for (i, e) in self.experiments.iter().enumerate() {
@@ -494,19 +497,19 @@ impl ProfileReport {
             for (sub, &ps) in &e.vt_ps {
                 ev.push(format!(
                     "{{\"ph\": \"X\", \"ts\": 0.000, \"dur\": {:.3}, \"pid\": {pid}, \"tid\": 0, \
-                     \"cat\": \"vt\", \"name\": \"{}\"}}",
+                     \"cat\": \"vt\", \"name\": {}}}",
                     ps as f64 / 1e6,
-                    esc(&format!("{}:{sub}", e.code)),
+                    json_escape(&format!("{}:{sub}", e.code)),
                 ));
             }
             for s in &e.spans {
                 ev.push(format!(
                     "{{\"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": {pid}, \"tid\": {}, \
-                     \"cat\": \"vt\", \"name\": \"{}\"}}",
+                     \"cat\": \"vt\", \"name\": {}}}",
                     s.start_ps as f64 / 1e6,
                     s.dur_ps as f64 / 1e6,
                     s.tid + 1,
-                    esc(&s.name),
+                    json_escape(&s.name),
                 ));
             }
         }
@@ -516,19 +519,19 @@ impl ProfileReport {
             for (sub, &ps) in &d.vt_ps {
                 ev.push(format!(
                     "{{\"ph\": \"X\", \"ts\": 0.000, \"dur\": {:.3}, \"pid\": {pid}, \"tid\": 0, \
-                     \"cat\": \"vt\", \"name\": \"{}\"}}",
+                     \"cat\": \"vt\", \"name\": {}}}",
                     ps as f64 / 1e6,
-                    esc(&format!("{}:{sub}", d.domain)),
+                    json_escape(&format!("{}:{sub}", d.domain)),
                 ));
             }
             for s in &d.spans {
                 ev.push(format!(
                     "{{\"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": {pid}, \"tid\": {}, \
-                     \"cat\": \"vt\", \"name\": \"{}\"}}",
+                     \"cat\": \"vt\", \"name\": {}}}",
                     s.start_ps as f64 / 1e6,
                     s.dur_ps as f64 / 1e6,
                     s.tid + 1,
-                    esc(&s.name),
+                    json_escape(&s.name),
                 ));
             }
         }
@@ -536,11 +539,11 @@ impl ProfileReport {
         for s in &self.wall_spans {
             ev.push(format!(
                 "{{\"ph\": \"X\", \"ts\": {:.1}, \"dur\": {:.1}, \"pid\": 0, \"tid\": {}, \
-                 \"cat\": \"wall\", \"name\": \"{}\"}}",
+                 \"cat\": \"wall\", \"name\": {}}}",
                 s.start_s * 1e6,
                 s.dur_s * 1e6,
                 s.tid,
-                esc(&s.name),
+                json_escape(&s.name),
             ));
         }
         let mut o = String::from("[\n");
@@ -561,7 +564,7 @@ fn json_u64_map(map: &BTreeMap<String, u64>, indent: usize) -> String {
     let pad = " ".repeat(indent);
     let items: Vec<String> = map
         .iter()
-        .map(|(k, v)| format!("{pad}  \"{}\": {v}", esc(k)))
+        .map(|(k, v)| format!("{pad}  {}: {v}", json_escape(k)))
         .collect();
     format!("{{\n{}\n{pad}}}", items.join(",\n"))
 }
@@ -594,8 +597,8 @@ fn json_hists(hists: &BTreeMap<String, Histogram>, indent: usize) -> String {
                 .map(|(b, c)| format!("\"{b}\": {c}"))
                 .collect();
             format!(
-                "{pad}  \"{}\": {{ \"count\": {}, \"sum\": {}, \"log2\": {{ {} }} }}",
-                esc(k),
+                "{pad}  {}: {{ \"count\": {}, \"sum\": {}, \"log2\": {{ {} }} }}",
+                json_escape(k),
                 h.count,
                 h.sum,
                 buckets.join(", ")

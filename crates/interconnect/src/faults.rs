@@ -80,13 +80,6 @@ pub fn degraded_pcie_lanes() -> Option<u32> {
     }
 }
 
-/// Whether any interconnect fault is currently armed — one relaxed
-/// load; used by the engine-selection logic to keep the analytic fast
-/// path off whenever faulted timing is in play.
-pub fn any_active() -> bool {
-    ACTIVE.load(Ordering::Acquire)
-}
-
 /// Install (or remove) the injected-time observer. `maia-core` routes
 /// this into its `faults` telemetry bucket and the resilience report.
 pub fn set_injected_time_observer(obs: Option<InjectedTimeObserver>) {

@@ -80,18 +80,9 @@ pub fn update_gain(path: NodePath, bytes: u64) -> f64 {
         / pcie_bandwidth(SoftwareStack::PreUpdate, path, bytes).bandwidth_gbs
 }
 
-/// Figure 10: ring `MPI_Send/Recv` — per-pair bandwidth. Dispatches to
-/// the closed-form fast path when [`crate::fastpath::selected_engine`]
-/// allows it (no fault plan armed, no probe attached), else the DES.
-pub fn ring_sendrecv(device: Device, ranks: usize, bytes: u64) -> P2pPoint {
-    match crate::fastpath::selected_engine() {
-        crate::fastpath::SelectedEngine::Fast => crate::fastpath::ring_sendrecv(device, ranks, bytes),
-        crate::fastpath::SelectedEngine::Des => ring_sendrecv_des(device, ranks, bytes),
-    }
-}
-
-/// Figure 10 on the discrete-event engine, unconditionally — the
-/// correctness oracle the fast path is cross-checked against.
+/// Figure 10: ring `MPI_Send/Recv` — per-pair bandwidth, on the
+/// discrete-event engine (the oracle `fastpath::ring_sendrecv` is
+/// cross-checked against).
 pub fn ring_sendrecv_des(device: Device, ranks: usize, bytes: u64) -> P2pPoint {
     let spec = WorldSpec::all_on(device, ranks);
     let iters = 4u32;
@@ -113,23 +104,8 @@ pub fn ring_sendrecv_des(device: Device, ranks: usize, bytes: u64) -> P2pPoint {
     }
 }
 
-/// Figures 11–13: completion time in seconds of one collective.
-/// Engine-dispatched like [`ring_sendrecv`].
-pub fn collective_time(
-    device: Device,
-    ranks: usize,
-    bytes: u64,
-    op: CollectiveOp,
-) -> f64 {
-    match crate::fastpath::selected_engine() {
-        crate::fastpath::SelectedEngine::Fast => {
-            crate::fastpath::collective_time(device, ranks, bytes, op)
-        }
-        crate::fastpath::SelectedEngine::Des => collective_time_des(device, ranks, bytes, op),
-    }
-}
-
-/// Figures 11–13 on the discrete-event engine, unconditionally.
+/// Figures 11–13: completion time in seconds of one collective, on the
+/// discrete-event engine.
 pub fn collective_time_des(
     device: Device,
     ranks: usize,
@@ -160,52 +136,25 @@ pub enum CollectiveOp {
 }
 
 /// Cluster collective (multi-node allreduce/alltoall over the
-/// hierarchical node-leader model): completion time in seconds.
-/// Engine-dispatched like [`ring_sendrecv`]; the DES side runs
-/// partitioned across [`crate::partition::partitions`] event wheels.
-pub fn cluster_collective_time(nodes: usize, bytes: u64, op: CollectiveOp) -> f64 {
-    match crate::fastpath::selected_engine() {
-        crate::fastpath::SelectedEngine::Fast => {
-            crate::fastpath::cluster_collective_time(nodes, bytes, op)
-        }
-        crate::fastpath::SelectedEngine::Des => cluster_collective_time_des(nodes, bytes, op),
-    }
-}
-
-/// Cluster collective on the (partitioned) discrete-event engine,
-/// unconditionally — the oracle [`crate::fastpath::cluster_collective_time`]
-/// is cross-checked against. Discards the partition-run statistics.
-pub fn cluster_collective_time_des(nodes: usize, bytes: u64, op: CollectiveOp) -> f64 {
-    cluster_collective_run(nodes, bytes, op).0
-}
-
-/// Cluster collective on the DES with the partition-run statistics
-/// (window count, cross-wheel messages, per-wheel stall time) — the
-/// telemetry layer's entry point.
-pub fn cluster_collective_run(
-    nodes: usize,
-    bytes: u64,
-    op: CollectiveOp,
-) -> (f64, maia_sim::partition::PartitionRunStats) {
-    cluster_collective_run_with(nodes, bytes, op, crate::partition::partitions())
-}
-
-/// [`cluster_collective_run`] with an explicit wheel count instead of the
-/// process-global one.
+/// hierarchical node-leader model) on the DES, partitioned across
+/// `partitions` event wheels: completion time in seconds plus the
+/// partition-run statistics (window count, cross-wheel messages,
+/// per-wheel stall time). The oracle `fastpath::cluster_collective_time`
+/// is cross-checked against.
 pub fn cluster_collective_run_with(
     nodes: usize,
     bytes: u64,
     op: CollectiveOp,
     partitions: usize,
 ) -> (f64, maia_sim::partition::PartitionRunStats) {
-    // More wheels than domains would idle; clamp so `--partitions 8` on a
-    // 4-node world still folds every wheel onto real work.
-    let plan = crate::partition::PartitionPlan::by_node(partitions.min(nodes));
+    let eff = crate::process_backend::effective_partitions(nodes, partitions);
+    let plan = crate::partition::PartitionPlan::by_node(eff);
     cluster_collective_run_plan(nodes, bytes, op, &plan)
 }
 
-/// [`cluster_collective_run`] under an explicit [`PartitionPlan`] — the
-/// determinism battery uses this to pin shuffled domain→wheel folds
+/// [`cluster_collective_run_with`] under an explicit
+/// [`PartitionPlan`](crate::partition::PartitionPlan) —
+/// the determinism battery uses this to pin shuffled domain→wheel folds
 /// against the default round-robin one.
 pub fn cluster_collective_run_plan(
     nodes: usize,
@@ -214,31 +163,15 @@ pub fn cluster_collective_run_plan(
     plan: &crate::partition::PartitionPlan,
 ) -> (f64, maia_sim::partition::PartitionRunStats) {
     let spec = WorldSpec::node_leaders(nodes);
-    let (pre, post) = crate::fastpath::cluster_intra_phases(bytes, op);
-    let (res, stats) = MpiWorld::run_partitioned(&spec, plan, move |mut rank| async move {
-        rank.compute(pre).await;
-        match op {
-            CollectiveOp::Allreduce => rank.allreduce(bytes).await,
-            CollectiveOp::Alltoall => rank.alltoall(bytes).await,
-            other => panic!("cluster collectives cover allreduce and alltoall, not {other:?}"),
-        }
-        rank.compute(post).await;
-        rank
-    })
-    .expect("cluster collective deadlocked");
+    let program = crate::process_backend::cluster_program(bytes, op);
+    let (res, stats) =
+        MpiWorld::run_partitioned(&spec, plan, program).expect("cluster collective deadlocked");
     (res.end_time.as_secs_f64(), stats)
 }
 
-/// Figure 14: alltoall with the paper's memory gate — returns `Err` when
-/// the buffers exceed the device budget (as happens past 4 KB at 236
-/// ranks).
-pub fn alltoall_time(device: Device, ranks: usize, bytes: u64) -> Result<f64, OomError> {
-    MemoryBudget::check_alltoall(device, ranks, bytes)?;
-    Ok(collective_time(device, ranks, bytes, CollectiveOp::Alltoall))
-}
-
-/// Figure 14 on the discrete-event engine, unconditionally (same memory
-/// gate as [`alltoall_time`]).
+/// Figure 14: alltoall with the paper's memory gate, on the
+/// discrete-event engine — returns `Err` when the buffers exceed the
+/// device budget (as happens past 4 KB at 236 ranks).
 pub fn alltoall_time_des(device: Device, ranks: usize, bytes: u64) -> Result<f64, OomError> {
     MemoryBudget::check_alltoall(device, ranks, bytes)?;
     Ok(collective_time_des(device, ranks, bytes, CollectiveOp::Alltoall))
@@ -247,6 +180,7 @@ pub fn alltoall_time_des(device: Device, ranks: usize, bytes: u64) -> Result<f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fastpath::{alltoall_time, collective_time, ring_sendrecv};
 
     #[test]
     fn figure7_latencies_match_paper() {

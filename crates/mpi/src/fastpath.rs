@@ -11,14 +11,14 @@
 //!
 //! The fast path is an optimization, never a semantic change:
 //!
-//! * with a fault plan armed, a probe/trace consumer attached, or an
-//!   explicit [`EngineMode::Des`] override, [`selected_engine`] yields
-//!   to the full DES so `maia-bench profile` / `maia-bench faults`
-//!   output is unchanged;
+//! * engine selection lives in `maia_core::RunConfig`: with a fault plan
+//!   armed, a probe/trace consumer attached, or an explicit
+//!   [`EngineMode::Des`], it picks the full DES, so `maia-bench profile`
+//!   / `maia-bench faults` output is unchanged;
 //! * the DES remains the correctness oracle: the `crosscheck` suite
 //!   computes every figure cell both ways and compares formatted output.
 
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use maia_arch::Device;
 use maia_interconnect::SoftwareStack;
@@ -53,60 +53,25 @@ impl EngineMode {
     }
 }
 
-static MODE: AtomicU8 = AtomicU8::new(0); // 0 = Auto, 1 = Des, 2 = Fast
-static FORCE_DES: AtomicBool = AtomicBool::new(false);
+static MODE: Mutex<EngineMode> = Mutex::new(EngineMode::Auto);
 
-/// Install the process-wide engine mode (default [`EngineMode::Auto`]).
+/// Install the process-default engine mode (default [`EngineMode::Auto`]),
+/// which `maia_core::RunConfig::current` reads once per run.
 pub fn set_engine_mode(mode: EngineMode) {
-    let v = match mode {
-        EngineMode::Auto => 0,
-        EngineMode::Des => 1,
-        EngineMode::Fast => 2,
-    };
-    MODE.store(v, Ordering::Release);
+    *MODE.lock().unwrap_or_else(PoisonError::into_inner) = mode;
 }
 
 /// The currently installed engine mode.
 pub fn engine_mode() -> EngineMode {
-    match MODE.load(Ordering::Acquire) {
-        1 => EngineMode::Des,
-        2 => EngineMode::Fast,
-        _ => EngineMode::Auto,
-    }
+    *MODE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Arm or disarm the fault override. Fault-plan activation layers above
-/// this crate (maia-core) may hook subsystems the MPI layer cannot see
-/// (memory budgets, execution modes), so they force the DES for the
-/// whole armed window rather than relying on per-subsystem detection.
-pub fn set_fault_override(active: bool) {
-    FORCE_DES.store(active, Ordering::Release);
-}
-
-/// The engine a benchmark call will actually run on.
+/// The engine a run's collective cells actually take, as
+/// `maia_core::RunConfig` resolves [`EngineMode::Auto`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectedEngine {
     Des,
     Fast,
-}
-
-/// Resolve [`engine_mode`] against the live fault/probe state.
-pub fn selected_engine() -> SelectedEngine {
-    match engine_mode() {
-        EngineMode::Des => SelectedEngine::Des,
-        EngineMode::Fast => SelectedEngine::Fast,
-        EngineMode::Auto => {
-            let des_needed = FORCE_DES.load(Ordering::Acquire)
-                || crate::faults::any_active()
-                || maia_interconnect::faults::any_active()
-                || maia_sim::factory_installed();
-            if des_needed {
-                SelectedEngine::Des
-            } else {
-                SelectedEngine::Fast
-            }
-        }
-    }
 }
 
 /// The transport model exactly as `MpiWorld::run` builds it for an
@@ -131,7 +96,7 @@ fn msg_ps(t: &TransportModel, device: Device, bytes: u64) -> u64 {
 }
 
 /// Figure 10 closed form: 4 lockstep sendrecv iterations, one full
-/// message time each. Mirrors `bench::ring_sendrecv`'s derived metrics.
+/// message time each. Mirrors `bench::ring_sendrecv_des`'s derived metrics.
 pub fn ring_sendrecv(device: Device, ranks: usize, bytes: u64) -> P2pPoint {
     let t = model_for(device, ranks);
     let iters = 4u32;
@@ -327,7 +292,7 @@ pub const NODE_PHI_RANKS: usize = 60;
 ///
 /// These closed forms are shared *verbatim* between this module's
 /// [`cluster_collective_time`] and the DES driver
-/// (`bench::cluster_collective_time_des`), which charges them as leader
+/// (`bench::cluster_collective_run_with`), which charges them as leader
 /// `compute()` durations — so closed-form-vs-DES equality hinges exactly
 /// on the inter-node recurrence, which the DES actually simulates.
 ///

@@ -93,8 +93,7 @@ pub fn set_injected_time_observer(obs: Option<InjectedTimeObserver>) {
 }
 
 /// Whether any MPI-layer fault (straggler or link) is currently armed —
-/// one relaxed load; used by the engine-selection logic to keep the
-/// analytic fast path off whenever faulted timing is in play.
+/// one relaxed load.
 pub fn any_active() -> bool {
     ACTIVE.load(Ordering::Acquire)
 }

@@ -144,8 +144,9 @@ pub fn lookahead(
     min.unwrap_or_else(|| SimDuration::from_ms(1.0))
 }
 
-/// Process-global partition count, set from the CLI (`--partitions N`)
-/// and read by the cluster experiment family. Defaults to 1.
+/// Process-default partition count, set from the CLI (`--partitions N`)
+/// and read once per run by `maia_core::RunConfig::current`. Defaults
+/// to 1.
 static PARTITIONS: AtomicUsize = AtomicUsize::new(1);
 
 /// Set the number of event wheels partitioned runs should use.

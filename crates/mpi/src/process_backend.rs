@@ -14,11 +14,11 @@
 //! in `maia-core`); this module provides the hub entry point
 //! ([`cluster_collective_run_process`]), the worker entry point
 //! ([`worker_main`], called by the `maia-bench partition-worker`
-//! subcommand), the process-global backend selector, and the
+//! subcommand), the process-default backend selector, and the
 //! `MAIA_WORKER_CHAOS` fault-injection hooks the chaos battery drives.
 
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use maia_sim::partition::process::{wire, WireItem};
 use maia_sim::partition::{PartitionRunStats, ProcessConfig, WorkerEndpoint};
@@ -60,32 +60,23 @@ impl Backend {
     }
 }
 
-/// Process-global backend selector, set from the CLI (`--backend`) and
-/// read by the cluster experiment family. Defaults to `Channel`.
-static BACKEND: AtomicUsize = AtomicUsize::new(0);
+/// Process-default backend selector, set from the CLI (`--backend`) and
+/// read once per run by `maia_core::RunConfig::current`. Defaults to
+/// `Channel`.
+static BACKEND: Mutex<Backend> = Mutex::new(Backend::Channel);
 
 /// Select the exchange backend partitioned cluster runs should use.
 pub fn set_backend(b: Backend) {
-    BACKEND.store(
-        match b {
-            Backend::Channel => 0,
-            Backend::Process => 1,
-        },
-        Ordering::SeqCst,
-    );
+    *BACKEND.lock().unwrap_or_else(PoisonError::into_inner) = b;
 }
 
 /// The currently selected exchange backend.
 pub fn backend() -> Backend {
-    match BACKEND.load(Ordering::SeqCst) {
-        0 => Backend::Channel,
-        _ => Backend::Process,
-    }
+    *BACKEND.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Wheel count a cluster run actually uses: more wheels than domains
-/// would idle, so `--partitions 8` on a 4-node world clamps to 4 (the
-/// same clamp [`crate::bench::cluster_collective_run_with`] applies).
+/// would idle, so `--partitions 8` on a 4-node world clamps to 4.
 pub fn effective_partitions(nodes: usize, partitions: usize) -> usize {
     partitions.min(nodes).max(1)
 }
@@ -204,11 +195,11 @@ impl ClusterJob {
     }
 }
 
-/// The rank program of a cluster collective, shared verbatim by the hub
-/// and every worker (and semantically identical to the closure inside
-/// [`crate::bench::cluster_collective_run_plan`]): intra-node phase,
-/// inter-node collective, intra-node phase.
-fn cluster_program(
+/// The rank program of a cluster collective, shared by the in-process
+/// channel backend ([`crate::bench::cluster_collective_run_plan`]), the
+/// hub and every worker: intra-node phase, inter-node collective,
+/// intra-node phase.
+pub(crate) fn cluster_program(
     bytes: u64,
     op: CollectiveOp,
 ) -> impl Fn(Rank) -> std::pin::Pin<Box<dyn std::future::Future<Output = Rank> + Send>>
@@ -249,7 +240,9 @@ pub fn cluster_collective_run_process(
     let eff = effective_partitions(nodes, partitions);
     let plan = PartitionPlan::by_node(eff);
     let spec = WorldSpec::node_leaders(nodes);
-    let probe = maia_sim::probe::probe_for_current_thread().is_some();
+    // Fetched once: each fetch runs the telemetry factory, which counts
+    // an engine.
+    let probe = maia_sim::probe::probe_for_current_thread();
     let jobs: Vec<Vec<u8>> = (1..eff)
         .map(|wheel| {
             ClusterJob {
@@ -258,7 +251,7 @@ pub fn cluster_collective_run_process(
                 op,
                 partitions: eff,
                 wheel,
-                probe,
+                probe: probe.is_some(),
             }
             .encode()
         })
@@ -269,6 +262,7 @@ pub fn cluster_collective_run_process(
         cluster_program(bytes, op),
         workers,
         jobs,
+        probe,
         cfg,
     )?;
     Ok((res.end_time.as_secs_f64(), stats, missed))

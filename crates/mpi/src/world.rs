@@ -226,10 +226,12 @@ impl MpiWorld {
     /// calling thread, route every window exchange of wheels `1..n`
     /// living in already-spawned worker processes (pipe pairs in
     /// `workers`, one opaque job payload each in `jobs`), and merge the
-    /// workers' reports. Produces the same `WorldResult`, partition
-    /// statistics and virtual-side telemetry as [`MpiWorld::run_partitioned`]
-    /// over the same plan, bit for bit — the window protocol is
-    /// identical, only the transport differs.
+    /// workers' reports. `probe` is the caller's telemetry probe, fetched
+    /// once (the one whose presence the job payloads announce). Produces
+    /// the same `WorldResult`, partition statistics and virtual-side
+    /// telemetry as [`MpiWorld::run_partitioned`] over the same plan, bit
+    /// for bit — the window protocol is identical, only the transport
+    /// differs.
     ///
     /// Worker crashes and heartbeat-deadline hangs come back as
     /// [`ProcessWorldError::Lost`]; deterministic simulation failures
@@ -242,6 +244,7 @@ impl MpiWorld {
         program: F,
         workers: Vec<(Box<dyn Read + Send>, Box<dyn Write + Send>)>,
         jobs: Vec<Vec<u8>>,
+        probe: Option<Arc<dyn Probe>>,
         cfg: ProcessConfig,
     ) -> Result<(WorldResult, PartitionRunStats, u64), ProcessWorldError>
     where
@@ -251,7 +254,6 @@ impl MpiWorld {
         let setup = PartitionSetup::new(spec, plan, program);
         let n = setup.partitions;
         assert_eq!(workers.len(), n - 1, "one worker process per non-hub wheel");
-        let probe = maia_sim::probe::probe_for_current_thread();
         if let Some(p) = &probe {
             setup.register_global_names(&**p);
         }

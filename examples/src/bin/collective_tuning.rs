@@ -7,7 +7,8 @@
 //! ```
 
 use maia_arch::Device;
-use maia_mpi::bench::{alltoall_time, collective_time, CollectiveOp};
+use maia_mpi::bench::CollectiveOp;
+use maia_mpi::fastpath::{alltoall_time, collective_time};
 
 fn main() {
     let mut args = std::env::args().skip(1);

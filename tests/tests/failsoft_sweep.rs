@@ -11,7 +11,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use maia_core::faults::{force_failure_for_tests, ForcedFailure};
 use maia_core::{
-    all_experiments, run_experiment, run_experiments_parallel, ExperimentId, FailureKind,
+    all_experiments, run_experiment, run_experiments_parallel, ExperimentId, FailureKind, RunConfig,
 };
 
 static SER: Mutex<()> = Mutex::new(());
@@ -32,7 +32,7 @@ fn sweep_isolates_panicking_and_deadlocking_experiments() {
     force_failure_for_tests(deadlocker, Some(ForcedFailure::Deadlock));
 
     let ids = all_experiments();
-    let report = run_experiments_parallel(&ids, 4);
+    let report = run_experiments_parallel(&RunConfig::default(), &ids, 4);
 
     force_failure_for_tests(panicker, None);
     force_failure_for_tests(deadlocker, None);
@@ -99,7 +99,8 @@ fn watchdog_times_out_hung_experiment() {
     force_failure_for_tests(hanger, Some(ForcedFailure::Hang));
     std::env::set_var("MAIA_EXPERIMENT_TIMEOUT_S", "1");
 
-    let report = run_experiments_parallel(&[hanger, ExperimentId::T1Table], 2);
+    let report =
+        run_experiments_parallel(&RunConfig::default(), &[hanger, ExperimentId::T1Table], 2);
 
     std::env::remove_var("MAIA_EXPERIMENT_TIMEOUT_S");
     force_failure_for_tests(hanger, None);
@@ -135,8 +136,10 @@ fn consecutive_hangs_are_reaped_and_do_not_interleave() {
     // Serial on purpose: the second hang starts only after the first
     // timeout was declared, which is exactly the "abandoned guard runs
     // into the next experiment" shape the old watchdog leaked under.
-    let report_a = run_experiments_parallel(&[first, ExperimentId::T1Table], 1);
-    let report_b = run_experiments_parallel(&[second, ExperimentId::F4Stream], 1);
+    let report_a =
+        run_experiments_parallel(&RunConfig::default(), &[first, ExperimentId::T1Table], 1);
+    let report_b =
+        run_experiments_parallel(&RunConfig::default(), &[second, ExperimentId::F4Stream], 1);
 
     std::env::remove_var("MAIA_EXPERIMENT_TIMEOUT_S");
     force_failure_for_tests(first, None);
@@ -178,7 +181,11 @@ fn consecutive_hangs_are_reaped_and_do_not_interleave() {
 #[test]
 fn clean_sweep_has_no_failures() {
     let _g = serialize();
-    let report = run_experiments_parallel(&[ExperimentId::T1Table, ExperimentId::F4Stream], 2);
+    let report = run_experiments_parallel(
+        &RunConfig::default(),
+        &[ExperimentId::T1Table, ExperimentId::F4Stream],
+        2,
+    );
     assert_eq!(report.runs.len(), 2);
     assert!(report.failures.is_empty());
     assert!(!report.timing_summary().contains("FAILED"));

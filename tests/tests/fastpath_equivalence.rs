@@ -9,16 +9,18 @@
 //! memo cache) serialize on one mutex; the pure grid comparisons don't
 //! need it.
 
+use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use maia_arch::Device;
 use maia_core::experiments::coll::{cached_alltoall_time, cached_collective_time};
 use maia_core::faults::{activate, run_resilience, FaultPlan};
-use maia_core::{cache, run_experiments_parallel, ExperimentId, ExperimentSelection};
+use maia_core::{cache, run_experiments_parallel, ExperimentId, ExperimentSelection, RunConfig};
 use maia_mpi::bench::{
     alltoall_time_des, collective_time_des, ring_sendrecv_des, CollectiveOp,
 };
-use maia_mpi::fastpath::{self, selected_engine, SelectedEngine};
+use maia_mpi::fastpath::{self, EngineMode, SelectedEngine};
+use maia_mpi::process_backend::Backend;
 
 static SER: Mutex<()> = Mutex::new(());
 
@@ -119,12 +121,45 @@ fn crosscheck_oracle_matches_under_partitioning() {
 #[test]
 fn armed_fault_plan_forces_the_des() {
     let _g = serialize();
-    assert_eq!(selected_engine(), SelectedEngine::Fast);
+    let resolved = || RunConfig::current().resolved_engine();
+    assert_eq!(resolved(), SelectedEngine::Fast);
     let plan = FaultPlan::named("degraded-stack").expect("canned plan");
     let guard = activate(&plan);
-    assert_eq!(selected_engine(), SelectedEngine::Des);
+    assert_eq!(resolved(), SelectedEngine::Des);
     drop(guard);
-    assert_eq!(selected_engine(), SelectedEngine::Fast);
+    assert_eq!(resolved(), SelectedEngine::Fast);
+}
+
+/// The run config's key rule: no two configs share a memo key, the
+/// default config keeps the raw key, and each activation of a plan gets
+/// keys of its own, grouped under the `faults` telemetry domain.
+#[test]
+fn run_configs_never_share_a_memo_key() {
+    let _g = serialize();
+    let key = "cluster/8/64/Allreduce";
+    let mut configs = Vec::new();
+    for engine in [EngineMode::Auto, EngineMode::Des, EngineMode::Fast] {
+        for partitions in [1, 2, 4] {
+            for backend in [Backend::Channel, Backend::Process] {
+                configs.push(RunConfig::new(engine, partitions, backend));
+            }
+        }
+    }
+    let plan = FaultPlan::named("straggler").expect("canned plan");
+    for _ in 0..2 {
+        let _armed = activate(&plan);
+        configs.push(RunConfig::current());
+    }
+    let keys: HashSet<String> = configs
+        .iter()
+        .map(|c| c.memo_key(key).into_owned())
+        .collect();
+    assert_eq!(keys.len(), configs.len(), "{keys:?}");
+    assert!(keys.contains(key), "the default config keeps the raw key");
+    for k in &keys {
+        let domain = k.split('/').next();
+        assert!(domain == Some("cluster") || domain == Some("faults"), "{k}");
+    }
 }
 
 /// The PR 5 resilience golden survives the fast path byte for byte:
@@ -163,7 +198,8 @@ fn collective_worlds_compute_once_per_sweep() {
         ExperimentId::F13Allgather,
         ExperimentId::F14Alltoall,
     ];
-    let report = run_experiments_parallel(&ids, 2);
+    let cfg = RunConfig::default();
+    let report = run_experiments_parallel(&cfg, &ids, 2);
     assert!(report.failures.is_empty(), "{:?}", report.failures);
     let after_sweep = cache::stats();
     // F10: 9 ring worlds. F11/F12: 9 collective worlds each.
@@ -172,7 +208,7 @@ fn collective_worlds_compute_once_per_sweep() {
     assert_eq!(after_sweep.misses, 60 + 5, "a world computed twice");
 
     // A second identical sweep is answered entirely from cache.
-    let again = run_experiments_parallel(&ids, 2);
+    let again = run_experiments_parallel(&cfg, &ids, 2);
     assert!(again.failures.is_empty());
     assert_eq!(cache::stats().misses, after_sweep.misses);
 }
@@ -184,8 +220,9 @@ fn collective_worlds_compute_once_per_sweep() {
 fn alltoall_entry_points_share_one_memo_entry() {
     let _g = serialize();
     cache::clear();
-    let t1 = cached_collective_time(Device::Phi0, 59, 1024, CollectiveOp::Alltoall);
-    let t2 = cached_alltoall_time(Device::Phi0, 59, 1024).expect("fits in memory");
+    let cfg = RunConfig::default();
+    let t1 = cached_collective_time(&cfg, Device::Phi0, 59, 1024, CollectiveOp::Alltoall);
+    let t2 = cached_alltoall_time(&cfg, Device::Phi0, 59, 1024).expect("fits in memory");
     assert_eq!(t1.to_bits(), t2.to_bits());
     let stats = cache::stats();
     assert_eq!(stats.misses, 1, "the two entry points split the cache");

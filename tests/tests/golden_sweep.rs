@@ -3,12 +3,12 @@
 //! byte for byte, in every emitter format. This is the property that
 //! lets `run --only <code>` stand in for a dedicated per-figure binary.
 
-use maia_core::{all_experiments, run_experiment, run_experiments_parallel};
+use maia_core::{all_experiments, run_experiment, run_experiments_parallel, RunConfig};
 
 #[test]
 fn full_parallel_sweep_is_byte_identical_to_serial() {
     let ids = all_experiments();
-    let report = run_experiments_parallel(&ids, 4);
+    let report = run_experiments_parallel(&RunConfig::default(), &ids, 4);
     assert_eq!(report.runs.len(), ids.len());
     for (requested, run) in ids.iter().zip(&report.runs) {
         assert_eq!(*requested, run.id, "runs must come back in request order");

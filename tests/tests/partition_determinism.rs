@@ -11,20 +11,21 @@
 //! 3. **Faults**: a seeded straggler plan shifts the timeline, but the
 //!    shifted timeline is itself partition-count-invariant.
 //!
-//! Every test flips process-global state (engine mode, the partition
-//! count, the memo cache, fault hooks), so they all serialize on one
-//! mutex, like the other cross-crate suites.
+//! Tests that arm fault hooks or enable telemetry touch process-global
+//! state, so they all serialize on one mutex, like the other cross-crate
+//! suites.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use maia_core::faults::{activate, FaultPlan};
 use maia_core::telemetry::{self, ProfileReport};
-use maia_core::{cache, run_experiments_parallel, ExperimentId};
+use maia_core::{run_experiments_parallel, ExperimentId, RunConfig};
 use maia_mpi::bench::{
     cluster_collective_run_plan, cluster_collective_run_with, CollectiveOp,
 };
-use maia_mpi::fastpath::{self, EngineMode};
-use maia_mpi::partition::{set_partitions, DomainMap, PartitionPlan};
+use maia_mpi::fastpath::EngineMode;
+use maia_mpi::partition::{DomainMap, PartitionPlan};
+use maia_mpi::process_backend::Backend;
 
 static SER: Mutex<()> = Mutex::new(());
 
@@ -58,23 +59,22 @@ fn virtual_side(profile: &ProfileReport) -> String {
 }
 
 /// Claim 1, end to end through the executor: same figures, same
-/// virtual-side telemetry, at every wheel count. The memo cache is
-/// cleared between counts so each sweep genuinely re-runs the DES
-/// (cluster keys carry the count, but `experiment/{code}` does not).
+/// virtual-side telemetry, at every wheel count. Each count runs under
+/// its own [`RunConfig`]; memo keys carry the config, so every sweep
+/// genuinely re-runs the DES (a cache hit would leave the count's
+/// experiment sink without window counters).
 #[test]
 fn cluster_figures_and_virtual_telemetry_are_partition_invariant() {
     let _g = serialize();
     telemetry::enable();
-    fastpath::set_engine_mode(EngineMode::Des);
     let ids = [
         ExperimentId::C1ClusterAllreduce,
         ExperimentId::C2ClusterAlltoall,
     ];
     let mut baseline: Option<(String, String)> = None;
     for n in COUNTS {
-        set_partitions(n);
-        cache::clear();
-        let sweep = run_experiments_parallel(&ids, 2);
+        let cfg = RunConfig::new(EngineMode::Des, n, Backend::Channel);
+        let sweep = run_experiments_parallel(&cfg, &ids, 2);
         assert!(sweep.failures.is_empty(), "{:?}", sweep.failures);
         let figures: String = sweep
             .runs
@@ -94,8 +94,6 @@ fn cluster_figures_and_virtual_telemetry_are_partition_invariant() {
             }
         }
     }
-    set_partitions(1);
-    fastpath::set_engine_mode(EngineMode::Auto);
 }
 
 /// Claim 1 at the stats level: end time, window count and cross-domain

@@ -12,17 +12,18 @@
 //!    failure entry naming the wheel (partition), exchange window and
 //!    virtual time — survivors complete with correct bytes.
 //!
-//! The backend selector, chaos env vars and launcher are process-global,
-//! so every test serializes on one mutex (this file is its own binary).
+//! The chaos env vars and launcher are process-global, so every test
+//! serializes on one mutex (this file is its own binary).
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use maia_core::supervise::{install_default_launcher, supervised_cluster_run};
 use maia_core::telemetry;
-use maia_core::{run_experiments_parallel, ExperimentId, FailureKind};
+use maia_core::{run_experiments_parallel, ExperimentId, FailureKind, RunConfig};
 use maia_mpi::bench::{cluster_collective_run_with, CollectiveOp};
-use maia_mpi::process_backend::{set_backend, Backend};
+use maia_mpi::fastpath::EngineMode;
+use maia_mpi::process_backend::Backend;
 
 static SER: Mutex<()> = Mutex::new(());
 
@@ -58,7 +59,7 @@ fn worker_bin() -> PathBuf {
 }
 
 /// Arm the launcher and a clean supervision environment; returns a guard
-/// that restores the env and backend on drop (even across panics).
+/// that restores the env on drop (even across panics).
 fn arm(vars: &[(&str, &str)]) -> EnvGuard {
     install_default_launcher(worker_bin());
     const KNOBS: [&str; 4] = [
@@ -88,7 +89,6 @@ impl Drop for EnvGuard {
         ] {
             std::env::remove_var(k);
         }
-        set_backend(Backend::Channel);
     }
 }
 
@@ -193,17 +193,10 @@ fn unrecoverable_loss_fails_one_experiment_and_spares_the_rest() {
         ("MAIA_SUPERVISE_RETRIES", "0"),
         ("MAIA_SUPERVISE_DEGRADE", "0"),
     ]);
-    set_backend(Backend::Process);
-    maia_mpi::fastpath::set_engine_mode(maia_mpi::fastpath::EngineMode::Des);
-    maia_mpi::partition::set_partitions(4);
-
+    let cfg = RunConfig::new(EngineMode::Des, 4, Backend::Process);
     let cluster = ExperimentId::C1ClusterAllreduce;
     let survivor = ExperimentId::T1Table;
-    let report = run_experiments_parallel(&[cluster, survivor], 2);
-
-    maia_mpi::fastpath::set_engine_mode(maia_mpi::fastpath::EngineMode::Auto);
-    maia_mpi::partition::set_partitions(1);
-    set_backend(Backend::Channel);
+    let report = run_experiments_parallel(&cfg, &[cluster, survivor], 2);
 
     assert_eq!(report.failures.len(), 1, "exactly the cluster experiment fails");
     let f = &report.failures[0];

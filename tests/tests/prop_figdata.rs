@@ -3,7 +3,11 @@
 //! `value(row_key, column)` agrees with what a consumer re-reading the
 //! markdown, CSV or JSON rendering would extract.
 
-use maia_core::FigureData;
+use std::time::Duration;
+
+use maia_core::{
+    ExperimentFailure, ExperimentId, FailureKind, FaultPlan, FigureData, ResilienceReport,
+};
 use maia_tests::minijson::{self, Json};
 use proptest::prelude::*;
 
@@ -144,6 +148,42 @@ fn gnarly_strings_survive_json() {
         doc.get("notes").unwrap().as_array().unwrap()[0].as_str(),
         Some("note with \"quotes\" and \\u escapes \u{000b}")
     );
+}
+
+/// A resilience failure's detail is an arbitrary panic payload, and
+/// `assert_eq!` payloads span lines: the report's JSON must still parse
+/// and hand the detail back verbatim.
+#[test]
+fn resilience_failure_detail_survives_json() {
+    let detail = "assertion `left == right` failed\n  left: \"a\\b\"\n right: 2\ttab \u{1}";
+    let report = ResilienceReport {
+        plan: FaultPlan::named("straggler").expect("canned plan"),
+        jobs: 1,
+        deltas: Vec::new(),
+        nominal_failures: Vec::new(),
+        degraded_failures: vec![ExperimentFailure {
+            id: ExperimentId::F17Io,
+            kind: FailureKind::Panic,
+            detail: detail.to_string(),
+            wall: Duration::ZERO,
+        }],
+        mode_switches: vec!["switch\nacross lines".to_string()],
+        injected_vt_ps: 0,
+    };
+    let doc = minijson::parse(&report.to_json()).expect("resilience JSON must parse");
+    let failures = doc
+        .get("failures")
+        .and_then(Json::as_array)
+        .expect("failures");
+    assert_eq!(
+        failures[0].get("detail").and_then(Json::as_str),
+        Some(detail)
+    );
+    let switches = doc
+        .get("mode_switches")
+        .and_then(Json::as_array)
+        .expect("switches");
+    assert_eq!(switches[0].as_str(), Some("switch\nacross lines"));
 }
 
 /// The conformance report's JSON emitter obeys the same grammar.
