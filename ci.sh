@@ -51,6 +51,15 @@ golden_gate "EXPERIMENTS.md (maia-bench report)" EXPERIMENTS.md \
 # into (or drifted from) the nominal models.
 golden_gate "faults smoke (degraded-stack plan)" tests/golden/resilience.md \
     ./target/release/maia-bench faults --plan degraded-stack --only F07,F08,F09,F18 --jobs 2
+# One fault plan reaches every wheel: the straggler report over the
+# cluster experiments must not change when wheels 1-3 (and with them
+# the straggling rank) run in worker processes.
+golden_gate "faults across wheels (straggler plan, 1 wheel)" tests/golden/resilience_cluster.md \
+    ./target/release/maia-bench faults --plan straggler --only C01,C02 --jobs 2
+golden_gate "faults across wheels (straggler plan, 4 process wheels)" \
+    tests/golden/resilience_cluster.md \
+    ./target/release/maia-bench faults --plan straggler --only C01,C02 --jobs 2 \
+    --partitions 4 --backend process
 
 echo "== profile smoke: maia-bench profile --only fig_04 --trace + trace_lint"
 ./target/release/maia-bench profile --only fig_04 --trace "$tmp" >/dev/null

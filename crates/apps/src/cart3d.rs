@@ -10,6 +10,7 @@
 //! identifies as the reason a Phi card reaches only half the host's
 //! performance with its optimum at 4 threads/core.
 
+use maia_arch::Faults;
 use maia_modes::{KernelProfile, PerfModel};
 use maia_omp::Team;
 
@@ -472,11 +473,12 @@ pub struct Fig21Point {
     pub relative_perf: f64,
 }
 
-/// The Figure 21 series: host at 16 threads, Phi at 59/118/177/236.
-pub fn fig21_series() -> Vec<Fig21Point> {
+/// The Figure 21 series: host at 16 threads, Phi at 59/118/177/236, on
+/// the machine `faults` describes.
+pub fn fig21_series(faults: &Faults) -> Vec<Fig21Point> {
     let k = cart3d_profile();
     let host = PerfModel::host();
-    let phi = PerfModel::phi();
+    let phi = PerfModel::phi(faults);
     let base = 1.0 / host.unit_time_s(&k, 16);
     let mut out = vec![Fig21Point {
         device_label: "host",
@@ -609,7 +611,7 @@ mod tests {
 
     #[test]
     fn figure21_host_twice_best_phi() {
-        let series = fig21_series();
+        let series = fig21_series(&Faults::default());
         let best_phi = series
             .iter()
             .filter(|p| p.device_label == "phi0")
@@ -624,7 +626,7 @@ mod tests {
 
     #[test]
     fn figure21_phi_peaks_at_4_threads_per_core() {
-        let series = fig21_series();
+        let series = fig21_series(&Faults::default());
         let phi: Vec<&Fig21Point> = series.iter().filter(|p| p.device_label == "phi0").collect();
         // Monotone increasing through 236 threads: 4/core is optimal,
         // "unlike the NPBs where 3 is generally the best value".

@@ -15,7 +15,7 @@
 //! and progress engines) — reproducing Figure 22's "best 16×1 on host,
 //! best 8×28 on Phi" and Figure 23's symmetric-mode outcomes.
 
-use maia_arch::Device;
+use maia_arch::{Device, Faults};
 use maia_interconnect::SoftwareStack;
 use maia_modes::{KernelProfile, PerfModel, SymmetricLayout};
 use maia_mpi::transport::intra_device_params;
@@ -340,14 +340,15 @@ pub struct LayoutPoint {
     pub seconds_per_step: f64,
 }
 
-/// Step time of the DLRF6-Medium case under an (I × J) layout.
-pub fn step_time_s(device: Device, ranks: u32, threads_per_rank: u32) -> f64 {
+/// Step time of the DLRF6-Medium case under an (I × J) layout, on the
+/// machine `faults` describes.
+pub fn step_time_s(device: Device, ranks: u32, threads_per_rank: u32, faults: &Faults) -> f64 {
     assert!(ranks >= 1 && threads_per_rank >= 1);
     let k = overflow_profile(10.8e6);
     let total = ranks * threads_per_rank;
     let model = match device {
         Device::Host => PerfModel::host(),
-        _ => PerfModel::phi(),
+        _ => PerfModel::phi(faults),
     };
     let mut compute = model.unit_time_s(&k, total);
 
@@ -380,15 +381,16 @@ pub fn step_time_s(device: Device, ranks: u32, threads_per_rank: u32) -> f64 {
     compute + halo
 }
 
-/// The Figure 22 sweep: host and Phi (I × J) layouts.
-pub fn fig22_series() -> Vec<LayoutPoint> {
+/// The Figure 22 sweep: host and Phi (I × J) layouts, on the machine
+/// `faults` describes.
+pub fn fig22_series(faults: &Faults) -> Vec<LayoutPoint> {
     let mut out = Vec::new();
     for (i, j) in [(16u32, 1u32), (8, 2), (4, 4), (2, 8), (1, 16)] {
         out.push(LayoutPoint {
             device: Device::Host,
             ranks: i,
             threads_per_rank: j,
-            seconds_per_step: step_time_s(Device::Host, i, j),
+            seconds_per_step: step_time_s(Device::Host, i, j, faults),
         });
     }
     for (i, j) in [(4u32, 14u32), (8, 14), (16, 14), (4, 28), (8, 28)] {
@@ -396,7 +398,7 @@ pub fn fig22_series() -> Vec<LayoutPoint> {
             device: Device::Phi0,
             ranks: i,
             threads_per_rank: j,
-            seconds_per_step: step_time_s(Device::Phi0, i, j),
+            seconds_per_step: step_time_s(Device::Phi0, i, j, faults),
         });
     }
     out
@@ -414,8 +416,9 @@ pub struct Fig23Point {
     pub gain_percent: f64,
 }
 
-/// The Figure 23 sweep over symmetric layouts.
-pub fn fig23_series() -> Vec<Fig23Point> {
+/// The Figure 23 sweep over symmetric layouts, on the machine `faults`
+/// describes.
+pub fn fig23_series(faults: &Faults) -> Vec<Fig23Point> {
     let k = overflow_profile(35.9e6);
     // DLRF6-Large solution field is ~2 GB over 23 zones; a face exchange
     // per step moves tens of MB across PCIe.
@@ -430,8 +433,8 @@ pub fn fig23_series() -> Vec<Fig23Point> {
             stack,
             imbalance: 0.25,
         };
-        let pre = mk(SoftwareStack::PreUpdate).step(&k, halo).step_s;
-        let post = mk(SoftwareStack::PostUpdate).step(&k, halo).step_s;
+        let pre = mk(SoftwareStack::PreUpdate).step(&k, halo, faults).step_s;
+        let post = mk(SoftwareStack::PostUpdate).step(&k, halo, faults).step_s;
         out.push(Fig23Point {
             host_ranks: 16,
             phi_ranks,
@@ -486,7 +489,7 @@ mod tests {
 
     #[test]
     fn figure22_host_best_is_pure_mpi() {
-        let pts = fig22_series();
+        let pts = fig22_series(&Faults::default());
         let host: Vec<&LayoutPoint> =
             pts.iter().filter(|p| p.device == Device::Host).collect();
         let best = host
@@ -503,7 +506,7 @@ mod tests {
 
     #[test]
     fn figure22_phi_best_is_8x28() {
-        let pts = fig22_series();
+        let pts = fig22_series(&Faults::default());
         let phi: Vec<&LayoutPoint> =
             pts.iter().filter(|p| p.device == Device::Phi0).collect();
         let best = phi
@@ -520,7 +523,7 @@ mod tests {
 
     #[test]
     fn figure22_host_best_beats_phi_best_by_about_1_8() {
-        let pts = fig22_series();
+        let pts = fig22_series(&Faults::default());
         let best = |d: Device| {
             pts.iter()
                 .filter(|p| p.device == d)
@@ -536,7 +539,7 @@ mod tests {
 
     #[test]
     fn figure23_gains_and_best_layout() {
-        let series = fig23_series();
+        let series = fig23_series(&Faults::default());
         for p in &series {
             assert!(
                 (1.0..32.0).contains(&p.gain_percent),
@@ -566,7 +569,7 @@ mod tests {
             stack: SoftwareStack::PostUpdate,
             imbalance: 0.25,
         };
-        let sym = layout.step(&k, 24 << 20).step_s;
+        let sym = layout.step(&k, 24 << 20, &Faults::default()).step_s;
         let native = layout.native_host_step(&k);
         let boost = native / sym;
         assert!(

@@ -12,6 +12,10 @@
 //! the reproduction is falsifiable: if a parameter is wrong, the derived
 //! table disagrees with the paper.
 //!
+//! [`Faults`] describes a degraded machine (the early system's DAPL
+//! regression, narrowed links, dead cards, retired GDDR5 banks,
+//! stragglers) as one plain value that every fault-aware model receives.
+//!
 //! ```
 //! use maia_arch::presets;
 //!
@@ -24,6 +28,7 @@
 pub mod cache;
 pub mod core_spec;
 pub mod device;
+pub mod faults;
 pub mod memory;
 pub mod node;
 pub mod presets;
@@ -34,6 +39,7 @@ pub mod table;
 pub use cache::{CacheLevel, CacheSpec};
 pub use core_spec::{CoreSpec, ExecutionStyle, ThreadingKind};
 pub use device::Device;
+pub use faults::Faults;
 pub use memory::{MemoryKind, MemorySpec};
 pub use node::{NodeSpec, PcieGen, PcieSpec, QpiSpec};
 pub use processor::{ProcessorKind, ProcessorSpec};

@@ -709,7 +709,12 @@ pub struct FaultsOutcome {
 pub fn execute_faults(opts: &FaultsOptions) -> Result<FaultsOutcome, String> {
     apply_process_globals(&opts.common);
     let plan = resolve_plan(&opts.plan)?;
-    let report = faults::run_resilience(&plan, &opts.common.selection, opts.common.jobs);
+    let report = faults::run_resilience(
+        &maia_core::RunConfig::current(),
+        &plan,
+        &opts.common.selection,
+        opts.common.jobs,
+    );
     let rendered = match opts.common.format {
         Format::Json => report.to_json(),
         _ => report.to_markdown(),

@@ -6,18 +6,20 @@
 //! `maia_mpi`; [`RunConfig::current`] reads them once per entry point
 //! (`run_selection`, `run_experiment`, `run_one`, `check`,
 //! `run_crosscheck`, `run_resilience`) and the executor passes the
-//! snapshot to every experiment. Every memo key carries the config, so
-//! one process can run several configs side by side without their cached
+//! snapshot to every experiment. A fault plan is armed onto a config by
+//! [`crate::faults::arm`], and the experiments hand the armed value to
+//! every model it perturbs. Every memo key carries the config, so one
+//! process can run several configs side by side without their cached
 //! cells colliding.
 
 use std::borrow::Cow;
-use std::sync::Arc;
 
+use maia_arch::Faults;
 use maia_mpi::fastpath::{EngineMode, SelectedEngine};
 use maia_mpi::process_backend::Backend;
 
 /// The configuration a run's cells are computed under.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct RunConfig {
     /// `--engine`: automatic, always the DES, or always the closed forms.
     pub(crate) engine: EngineMode,
@@ -25,9 +27,9 @@ pub struct RunConfig {
     pub(crate) partitions: usize,
     /// `--backend`: exchange transport of partitioned cluster runs.
     pub(crate) backend: Backend,
-    /// Identity of the fault plan armed when the config was taken,
-    /// `faults/{name}/{seed}/{activation}`.
-    pub(crate) armed: Option<Arc<str>>,
+    /// The machine the cells are computed on: the armed fault plan
+    /// (named `faults/{name}/{seed}/{activation}`), or the healthy one.
+    pub(crate) armed: Faults,
 }
 
 impl Default for RunConfig {
@@ -45,29 +47,36 @@ impl RunConfig {
             engine,
             partitions,
             backend,
-            armed: None,
+            armed: Faults::default(),
         }
     }
 
-    /// Snapshot the process defaults and the armed fault plan.
+    /// Snapshot the process defaults, with no fault plan armed.
     pub fn current() -> RunConfig {
-        RunConfig {
-            engine: maia_mpi::fastpath::engine_mode(),
-            partitions: maia_mpi::partition::partitions(),
-            backend: maia_mpi::process_backend::backend(),
-            armed: crate::faults::armed_identity(),
-        }
+        RunConfig::new(
+            maia_mpi::fastpath::engine_mode(),
+            maia_mpi::partition::partitions(),
+            maia_mpi::process_backend::backend(),
+        )
+    }
+
+    /// The machine this config's models run on: the armed plan's faults,
+    /// or the healthy default. Its tallies hold what the plan injected.
+    pub fn faults(&self) -> &Faults {
+        &self.armed
     }
 
     /// The engine the collective cells run on. [`EngineMode::Auto`] takes
-    /// the DES when a fault plan is armed (its hooks act only inside the
-    /// engine) or a probe factory is installed (telemetry observes
+    /// the DES when a fault plan is armed (stragglers act only inside
+    /// the engine) or a probe factory is installed (telemetry observes
     /// engines), and the closed forms otherwise.
     pub fn resolved_engine(&self) -> SelectedEngine {
         match self.engine {
             EngineMode::Des => SelectedEngine::Des,
             EngineMode::Fast => SelectedEngine::Fast,
-            EngineMode::Auto if self.armed.is_some() || maia_sim::factory_installed() => {
+            EngineMode::Auto
+                if self.armed.identity().is_some() || maia_sim::factory_installed() =>
+            {
                 SelectedEngine::Des
             }
             EngineMode::Auto => SelectedEngine::Fast,
@@ -81,7 +90,7 @@ impl RunConfig {
     pub fn memo_key<'k>(&self, key: &'k str) -> Cow<'k, str> {
         let tagged =
             (self.engine, self.partitions, self.backend) != (EngineMode::Auto, 1, Backend::Channel);
-        let plan = self.armed.as_deref().map(|p| format!("{p}::"));
+        let plan = self.armed.identity().map(|p| format!("{p}::"));
         if !tagged && plan.is_none() {
             return Cow::Borrowed(key);
         }

@@ -4,16 +4,17 @@
 use maia_apps::cart3d::fig21_series;
 use maia_apps::overflow::{fig22_series, fig23_series};
 
+use crate::config::RunConfig;
 use crate::figdata::FigureData;
 
 /// Figure 21.
-pub fn fig21_cart3d() -> FigureData {
+pub fn fig21_cart3d(cfg: &RunConfig) -> FigureData {
     let mut f = FigureData::new(
         "F21",
         "Cart3D (OneraM6-like) performance relative to host-16T",
         &["device", "threads", "relative perf"],
     );
-    for p in fig21_series() {
+    for p in fig21_series(cfg.faults()) {
         f.push_row(vec![
             p.device_label.into(),
             p.threads.to_string(),
@@ -25,13 +26,13 @@ pub fn fig21_cart3d() -> FigureData {
 }
 
 /// Figure 22.
-pub fn fig22_overflow_native() -> FigureData {
+pub fn fig22_overflow_native(cfg: &RunConfig) -> FigureData {
     let mut f = FigureData::new(
         "F22",
         "OVERFLOW DLRF6-Medium: seconds/step by (ranks x threads)",
         &["device", "layout", "s/step"],
     );
-    for p in fig22_series() {
+    for p in fig22_series(cfg.faults()) {
         f.push_row(vec![
             p.device.label().into(),
             format!("{}x{}", p.ranks, p.threads_per_rank),
@@ -43,13 +44,13 @@ pub fn fig22_overflow_native() -> FigureData {
 }
 
 /// Figure 23.
-pub fn fig23_overflow_symmetric() -> FigureData {
+pub fn fig23_overflow_symmetric(cfg: &RunConfig) -> FigureData {
     let mut f = FigureData::new(
         "F23",
         "OVERFLOW DLRF6-Large symmetric mode (host+Phi0+Phi1)",
         &["phi layout", "pre-update s/step", "post-update s/step", "gain %"],
     );
-    for p in fig23_series() {
+    for p in fig23_series(cfg.faults()) {
         f.push_row(vec![
             format!("{}x{}", p.phi_ranks, p.phi_threads),
             format!("{:.2}", p.pre_s),
@@ -64,7 +65,7 @@ pub fn fig23_overflow_symmetric() -> FigureData {
 /// A2 (beyond paper): the hybrid OVERFLOW proxy with its zones dealt to
 /// simulated MPI ranks — residuals match the shared-memory solver while
 /// the fabric prices the Chimera exchanges.
-pub fn a2_overflow_hybrid() -> FigureData {
+pub fn a2_overflow_hybrid(cfg: &RunConfig) -> FigureData {
     use maia_apps::overflow::OverflowCase;
     use maia_apps::overflow_mpi::run_mpi;
     use maia_arch::Device;
@@ -90,12 +91,16 @@ pub fn a2_overflow_hybrid() -> FigureData {
             format!("{:.4e}", r.final_residual),
         ]);
     };
-    row("host x4", &WorldSpec::all_on(Device::Host, 4));
-    row("phi0 x4", &WorldSpec::all_on(Device::Phi0, 4));
-    row(
-        "host x2 + phi x1 each (symmetric)",
-        &WorldSpec::symmetric(2, 1, SoftwareStack::PostUpdate),
-    );
+    for (label, spec) in [
+        ("host x4", WorldSpec::all_on(Device::Host, 4)),
+        ("phi0 x4", WorldSpec::all_on(Device::Phi0, 4)),
+        (
+            "host x2 + phi x1 each (symmetric)",
+            WorldSpec::symmetric(2, 1, SoftwareStack::PostUpdate),
+        ),
+    ] {
+        row(label, &spec.with_faults(cfg.faults()));
+    }
     f.note("The symmetric layout's Chimera planes cross PCIe: its communication fraction dwarfs the single-device layouts', the paper's core symmetric-mode observation.");
     f
 }
@@ -106,7 +111,7 @@ mod tests {
 
     #[test]
     fn fig21_ratio() {
-        let f = fig21_cart3d();
+        let f = fig21_cart3d(&RunConfig::default());
         let best_phi = f
             .rows
             .iter()
@@ -118,14 +123,14 @@ mod tests {
 
     #[test]
     fn fig22_has_both_devices() {
-        let f = fig22_overflow_native();
+        let f = fig22_overflow_native(&RunConfig::default());
         assert!(f.rows.iter().any(|r| r[0] == "host"));
         assert!(f.rows.iter().any(|r| r[0] == "phi0"));
     }
 
     #[test]
     fn fig23_gains_positive() {
-        let f = fig23_overflow_symmetric();
+        let f = fig23_overflow_symmetric(&RunConfig::default());
         for row in &f.rows {
             assert!(row[3].parse::<f64>().unwrap() > 0.0);
         }

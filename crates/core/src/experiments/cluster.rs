@@ -12,13 +12,14 @@
 //! domain per node — through `maia_sim::partition`, and is bit-identical
 //! at every `--partitions` count.
 
-use maia_mpi::bench::{cluster_collective_run_with, CollectiveOp};
+use maia_mpi::bench::{cluster_collective_run_under, CollectiveOp};
 use maia_mpi::fastpath::{self, SelectedEngine};
 use maia_mpi::process_backend::Backend;
 
 use crate::cache;
 use crate::config::RunConfig;
 use crate::figdata::{fmt_bytes, FigureData};
+use crate::supervise::supervised_cluster_run_under;
 use crate::telemetry;
 
 /// Simulated node counts (the machine tops out at 128 nodes).
@@ -44,13 +45,12 @@ pub fn cached_cluster_time(cfg: &RunConfig, nodes: usize, bytes: u64, op: Collec
     // time stays attributed to the shared `cluster/...` key as usual.
     let mut recorded = None;
     let time_s = cache::memo(&cfg.memo_key(&key), || match cfg.resolved_engine() {
-        SelectedEngine::Fast => fastpath::cluster_collective_time(nodes, bytes, op),
+        SelectedEngine::Fast => fastpath::cluster_collective_time(nodes, bytes, op, cfg.faults()),
         SelectedEngine::Des => {
+            let (faults, p) = (cfg.faults(), cfg.partitions);
             let (time_s, stats) = match cfg.backend {
-                Backend::Channel => cluster_collective_run_with(nodes, bytes, op, cfg.partitions),
-                Backend::Process => {
-                    crate::supervise::supervised_cluster_run(nodes, bytes, op, cfg.partitions)
-                }
+                Backend::Channel => cluster_collective_run_under(faults, nodes, bytes, op, p),
+                Backend::Process => supervised_cluster_run_under(faults, nodes, bytes, op, p),
             };
             recorded = Some(stats);
             time_s

@@ -455,7 +455,8 @@ pub(super) fn fig23() -> Vec<Check> {
                     stack: SoftwareStack::PostUpdate,
                     imbalance: 0.25,
                 };
-                let boost = layout.native_host_step(&k) / layout.step(&k, 24 << 20).step_s;
+                let step = layout.step(&k, 24 << 20, &maia_arch::Faults::default());
+                let boost = layout.native_host_step(&k) / step.step_s;
                 let obs = format!("boost {boost:.3}");
                 if (1.6..=2.2).contains(&boost) {
                     Ok(obs)

@@ -22,7 +22,7 @@ fn cached_stream_gbs(
     threads: u32,
 ) -> f64 {
     let key = format!("stream/{label}/{tpc}/{threads}");
-    cache::memo(&cfg.memo_key(&key), || stream_triad_gbs(proc, tpc, threads))
+    cache::memo(&cfg.memo_key(&key), || stream_triad_gbs(proc, tpc, threads, cfg.faults()))
 }
 
 /// Table 1.

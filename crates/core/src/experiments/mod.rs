@@ -282,7 +282,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F18",
             title: "Offload PCIe bandwidth",
             cost_estimate: 1,
-            run: |_| pcie::fig18_offload_bw(),
+            run: pcie::fig18_offload_bw,
             checklist: conformance::fig18,
             claims: &[
                 "~6.4 GB/s for large transfers; ceilings 6.1/6.9 GB/s from 20-byte TLP wrapping",
@@ -294,7 +294,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F19",
             title: "NPB OpenMP performance",
             cost_estimate: 400,
-            run: |_| npb_figs::fig19_npb_omp(),
+            run: npb_figs::fig19_npb_omp,
             checklist: conformance::fig19,
             claims: &[
                 "Host beats the best Phi result for every benchmark except MG",
@@ -307,7 +307,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F20",
             title: "NPB MPI performance",
             cost_estimate: 700,
-            run: |_| npb_figs::fig20_npb_mpi(),
+            run: npb_figs::fig20_npb_mpi,
             checklist: conformance::fig20,
             claims: &[
                 "FT needs ~10 GB and cannot run on the 8 GB Phi",
@@ -319,7 +319,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F21",
             title: "Cart3D native host vs Phi",
             cost_estimate: 100,
-            run: |_| app_figs::fig21_cart3d(),
+            run: app_figs::fig21_cart3d,
             checklist: conformance::fig21,
             claims: &[
                 "Host performance 2x the best Phi result",
@@ -331,7 +331,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F22",
             title: "OVERFLOW native sweep",
             cost_estimate: 100,
-            run: |_| app_figs::fig22_overflow_native(),
+            run: app_figs::fig22_overflow_native,
             checklist: conformance::fig22,
             claims: &[
                 "Host best 16x1, worst 1x16; Phi best 8x28 (224T), worst 4x14 (56T)",
@@ -343,7 +343,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F23",
             title: "OVERFLOW symmetric pre/post",
             cost_estimate: 200,
-            run: |_| app_figs::fig23_overflow_symmetric(),
+            run: app_figs::fig23_overflow_symmetric,
             checklist: conformance::fig23,
             claims: &[
                 "Post-update software gains 2-28%",
@@ -356,7 +356,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F24",
             title: "MG loop-collapse gain",
             cost_estimate: 100,
-            run: |_| npb_figs::fig24_mg_collapse(),
+            run: npb_figs::fig24_mg_collapse,
             checklist: conformance::fig24,
             claims: &[
                 "Loop collapse gains 25-28% on Phi0, loses ~1% on the host (16T)",
@@ -368,7 +368,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F25",
             title: "MG native and offload modes",
             cost_estimate: 100,
-            run: |_| npb_figs::fig25_mg_modes(),
+            run: npb_figs::fig25_mg_modes,
             checklist: conformance::fig25,
             claims: &[
                 "Native host 23.5 Gflop/s (16T); HT (32T) 6% lower; native Phi 29.9 (177T, 3t/c)",
@@ -380,7 +380,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F26",
             title: "Offload overhead breakdown",
             cost_estimate: 50,
-            run: |_| npb_figs::fig26_offload_overhead(),
+            run: npb_figs::fig26_offload_overhead,
             checklist: conformance::fig26,
             claims: &["Offloading one OpenMP loop worst; whole computation best"],
         },
@@ -389,7 +389,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "F27",
             title: "Offload invocations and volume",
             cost_estimate: 50,
-            run: |_| npb_figs::fig27_offload_cost(),
+            run: npb_figs::fig27_offload_cost,
             checklist: conformance::fig27,
             claims: &[
                 "Transfer volume and invocation count maximal for the loop variant, minimal for whole",
@@ -400,7 +400,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "A01",
             title: "Distributed NPB kernels (measured)",
             cost_estimate: 800,
-            run: |_| npb_figs::a1_npb_mpi_measured(),
+            run: npb_figs::a1_npb_mpi_measured,
             checklist: conformance::a1,
             claims: &[
                 "(beyond paper) validation: the distributed kernels compute results identical to the shared-memory kernels while the DES prices their communication",
@@ -411,7 +411,7 @@ static EXPERIMENTS: [ExperimentDef; 29] = {
             code: "A02",
             title: "Hybrid OVERFLOW zones (measured)",
             cost_estimate: 400,
-            run: |_| app_figs::a2_overflow_hybrid(),
+            run: app_figs::a2_overflow_hybrid,
             checklist: conformance::a2,
             claims: &[
                 "(beyond paper) validation: zone data crosses the simulated fabric; PCIe layouts show the communication dominance the paper describes for symmetric mode",

@@ -11,14 +11,15 @@ use maia_npb::descriptors::{
 };
 use maia_npb::{Benchmark, Class};
 
+use crate::config::RunConfig;
 use crate::figdata::FigureData;
 
 const PHI_THREADS: [u32; 4] = [59, 118, 177, 236];
 
 /// Figure 19: OpenMP NPB rates on host (16T) and Phi (59–236T).
-pub fn fig19_npb_omp() -> FigureData {
+pub fn fig19_npb_omp(cfg: &RunConfig) -> FigureData {
     let host = PerfModel::host();
-    let phi = PerfModel::phi();
+    let phi = PerfModel::phi(cfg.faults());
     let mut f = FigureData::new(
         "F19",
         "NPB OpenMP Class C performance (Gflop/s)",
@@ -37,7 +38,12 @@ pub fn fig19_npb_omp() -> FigureData {
 }
 
 /// Modeled run time of one MPI NPB configuration.
-fn mpi_run_time_s(bench: Benchmark, device: Device, ranks: usize) -> Result<f64, String> {
+fn mpi_run_time_s(
+    cfg: &RunConfig,
+    bench: Benchmark,
+    device: Device,
+    ranks: usize,
+) -> Result<f64, String> {
     // Memory gate: the whole problem must fit the device.
     let budget = MemoryBudget::for_device(device);
     let need = memory_required_bytes(bench, Class::C);
@@ -47,7 +53,7 @@ fn mpi_run_time_s(bench: Benchmark, device: Device, ranks: usize) -> Result<f64,
     let k = class_c_profile_mpi(bench);
     let model = match device {
         Device::Host => PerfModel::host(),
-        _ => PerfModel::phi(),
+        _ => PerfModel::phi(cfg.faults()),
     };
     let compute = model.unit_time_s(&k, ranks as u32);
     let tpc = match device {
@@ -64,7 +70,7 @@ fn mpi_run_time_s(bench: Benchmark, device: Device, ranks: usize) -> Result<f64,
 }
 
 /// Figure 20: MPI NPB rates.
-pub fn fig20_npb_mpi() -> FigureData {
+pub fn fig20_npb_mpi(cfg: &RunConfig) -> FigureData {
     let mut f = FigureData::new(
         "F20",
         "NPB MPI Class C performance (Gflop/s)",
@@ -73,7 +79,7 @@ pub fn fig20_npb_mpi() -> FigureData {
     for b in Benchmark::FIGURE19 {
         let flops = class_c_profile(b).flops;
         let mut cell = |label: String, device, ranks| {
-            let value = match mpi_run_time_s(b, device, ranks) {
+            let value = match mpi_run_time_s(cfg, b, device, ranks) {
                 Ok(t) => format!("{:.1}", flops / t / 1e9),
                 Err(e) => e,
             };
@@ -93,8 +99,8 @@ pub fn fig20_npb_mpi() -> FigureData {
 }
 
 /// Figure 24: the MG loop-collapse study.
-pub fn fig24_mg_collapse() -> FigureData {
-    let phi = PerfModel::phi();
+pub fn fig24_mg_collapse(cfg: &RunConfig) -> FigureData {
+    let phi = PerfModel::phi(cfg.faults());
     let host = PerfModel::host();
     let plain = mg_profile_uncollapsed();
     let coll = mg_profile_collapsed();
@@ -188,10 +194,10 @@ pub fn mg_offload_plans() -> Vec<OffloadPlan> {
 }
 
 /// Figure 25: MG in native host, native Phi, and the three offload modes.
-pub fn fig25_mg_modes() -> FigureData {
+pub fn fig25_mg_modes(cfg: &RunConfig) -> FigureData {
     let k = mg_profile_collapsed();
     let host = PerfModel::host();
-    let phi = PerfModel::phi();
+    let phi = PerfModel::phi(cfg.faults());
     let mut f = FigureData::new(
         "F25",
         "MG Class C in three modes (Gflop/s)",
@@ -215,7 +221,7 @@ pub fn fig25_mg_modes() -> FigureData {
         ]);
     }
     for plan in mg_offload_plans() {
-        let rep = plan.report(Device::Phi0, 177, 16);
+        let rep = plan.report(Device::Phi0, 177, 16, cfg.faults());
         f.push_row(vec![
             plan.name.clone(),
             "177".into(),
@@ -227,14 +233,14 @@ pub fn fig25_mg_modes() -> FigureData {
 }
 
 /// Figure 26: overhead breakdown of the three offload variants.
-pub fn fig26_offload_overhead() -> FigureData {
+pub fn fig26_offload_overhead(cfg: &RunConfig) -> FigureData {
     let mut f = FigureData::new(
         "F26",
         "Offload overhead breakdown (s)",
         &["variant", "host-side", "pcie", "phi-side", "total overhead"],
     );
     for plan in mg_offload_plans() {
-        let r = plan.report(Device::Phi0, 177, 16);
+        let r = plan.report(Device::Phi0, 177, 16, cfg.faults());
         f.push_row(vec![
             r.plan_name.clone(),
             format!("{:.2}", r.host_side_s),
@@ -248,14 +254,14 @@ pub fn fig26_offload_overhead() -> FigureData {
 }
 
 /// Figure 27: invocation counts and data volume of the three variants.
-pub fn fig27_offload_cost() -> FigureData {
+pub fn fig27_offload_cost(cfg: &RunConfig) -> FigureData {
     let mut f = FigureData::new(
         "F27",
         "Offload invocations and transferred data",
         &["variant", "invocations", "GB transferred"],
     );
     for plan in mg_offload_plans() {
-        let r = plan.report(Device::Phi0, 177, 16);
+        let r = plan.report(Device::Phi0, 177, 16, cfg.faults());
         f.push_row(vec![
             r.plan_name.clone(),
             r.invocations.to_string(),
@@ -268,7 +274,7 @@ pub fn fig27_offload_cost() -> FigureData {
 
 /// A1 (beyond paper): distributed NPB kernels executed for real over the
 /// simulated fabric — virtual wall times per device.
-pub fn a1_npb_mpi_measured() -> FigureData {
+pub fn a1_npb_mpi_measured(cfg: &RunConfig) -> FigureData {
     use maia_mpi::WorldSpec;
     use maia_npb::mpi_npb;
     let mut f = FigureData::new(
@@ -277,8 +283,8 @@ pub fn a1_npb_mpi_measured() -> FigureData {
         &["benchmark", "ranks", "host ms", "phi0 ms", "phi/host"],
     );
     let ranks = 8usize;
-    let host = WorldSpec::all_on(Device::Host, ranks);
-    let phi = WorldSpec::all_on(Device::Phi0, ranks);
+    let host = WorldSpec::all_on(Device::Host, ranks).with_faults(cfg.faults());
+    let phi = WorldSpec::all_on(Device::Phi0, ranks).with_faults(cfg.faults());
     let mut row = |name: &str, h: f64, p: f64| {
         f.push_row(vec![
             name.into(),
@@ -318,7 +324,7 @@ mod tests {
 
     #[test]
     fn fig20_ft_is_oom_on_phi_only() {
-        let f = fig20_npb_mpi();
+        let f = fig20_npb_mpi(&RunConfig::default());
         let ft_phi: Vec<_> = f
             .rows
             .iter()
@@ -338,7 +344,7 @@ mod tests {
 
     #[test]
     fn fig20_bt_best_at_225_ranks() {
-        let f = fig20_npb_mpi();
+        let f = fig20_npb_mpi(&RunConfig::default());
         let bt: Vec<(String, f64)> = f
             .rows
             .iter()
@@ -354,7 +360,7 @@ mod tests {
 
     #[test]
     fn fig20_host_beats_phi() {
-        let f = fig20_npb_mpi();
+        let f = fig20_npb_mpi(&RunConfig::default());
         for b in ["BT", "SP", "LU", "CG"] {
             let host: f64 = f
                 .rows
@@ -375,7 +381,7 @@ mod tests {
 
     #[test]
     fn fig24_collapse_gains() {
-        let f = fig24_mg_collapse();
+        let f = fig24_mg_collapse(&RunConfig::default());
         for t in ["phi-177", "phi-236"] {
             let row = f.rows.iter().find(|r| r[0] == t).unwrap();
             let gain: f64 = row[3].parse().unwrap();
@@ -388,7 +394,7 @@ mod tests {
 
     #[test]
     fn fig25_mode_ordering() {
-        let f = fig25_mg_modes();
+        let f = fig25_mg_modes(&RunConfig::default());
         let v = |mode: &str| -> f64 {
             f.rows
                 .iter()
@@ -411,7 +417,7 @@ mod tests {
 
     #[test]
     fn fig26_fig27_orderings() {
-        let f26 = fig26_offload_overhead();
+        let f26 = fig26_offload_overhead(&RunConfig::default());
         let ov = |name: &str| {
             f26.rows.iter().find(|r| r[0] == name).unwrap()[4]
                 .parse::<f64>()
@@ -420,7 +426,7 @@ mod tests {
         assert!(ov("offload-loop") > ov("offload-resid"));
         assert!(ov("offload-resid") > ov("offload-whole"));
 
-        let f27 = fig27_offload_cost();
+        let f27 = fig27_offload_cost(&RunConfig::default());
         let gb = |name: &str| {
             f27.rows.iter().find(|r| r[0] == name).unwrap()[2]
                 .parse::<f64>()

@@ -16,7 +16,7 @@ use crate::telemetry;
 fn cached_latency_us(cfg: &RunConfig, stack: SoftwareStack, path: NodePath) -> f64 {
     let key = format!("pcie_latency/{stack:?}/{path:?}");
     cache::memo(&cfg.memo_key(&key), || {
-        let us = pcie_latency_us(stack, path);
+        let us = pcie_latency_us(stack, path, cfg.faults());
         telemetry::add_model_vt("pcie", us * 1e3);
         us
     })
@@ -27,7 +27,7 @@ fn cached_latency_us(cfg: &RunConfig, stack: SoftwareStack, path: NodePath) -> f
 fn cached_bandwidth(cfg: &RunConfig, stack: SoftwareStack, path: NodePath, bytes: u64) -> P2pPoint {
     let key = format!("pcie_bw/{stack:?}/{path:?}/{bytes}");
     cache::memo(&cfg.memo_key(&key), || {
-        let p = pcie_bandwidth(stack, path, bytes);
+        let p = pcie_bandwidth(stack, path, bytes, cfg.faults());
         // Time to move the message once at the modeled rate.
         telemetry::add_model_vt("pcie", bytes as f64 / p.bandwidth_gbs);
         p
@@ -94,8 +94,8 @@ pub fn fig9_gain(cfg: &RunConfig) -> FigureData {
     );
     for path in NodePath::ALL {
         for &size in &SIZES {
-            // Same arithmetic as `maia_mpi::bench::update_gain`, but over
-            // the memoized Figure 8 table instead of fresh world runs.
+            // Post/pre ratio over the memoized Figure 8 table instead of
+            // fresh world runs.
             let bw = |stack| cached_bandwidth(cfg, stack, path, size).bandwidth_gbs;
             let gain = bw(SoftwareStack::PostUpdate) / bw(SoftwareStack::PreUpdate);
             f.push_row(vec![path.label().into(), fmt_bytes(size), format!("{gain:.2}")]);
@@ -106,7 +106,7 @@ pub fn fig9_gain(cfg: &RunConfig) -> FigureData {
 }
 
 /// Figure 18: offload DMA bandwidth over PCIe.
-pub fn fig18_offload_bw() -> FigureData {
+pub fn fig18_offload_bw(cfg: &RunConfig) -> FigureData {
     let model = PcieModel::default();
     let mut f = FigureData::new(
         "F18",
@@ -116,8 +116,8 @@ pub fn fig18_offload_bw() -> FigureData {
     let mut size = 4 * 1024u64;
     let mut model_ns = 0.0;
     while size <= 256 * 1024 * 1024 {
-        let p0 = model.dma_bandwidth_gbs(Device::Phi0, size);
-        let p1 = model.dma_bandwidth_gbs(Device::Phi1, size);
+        let p0 = model.dma_bandwidth_gbs(Device::Phi0, size, cfg.faults());
+        let p1 = model.dma_bandwidth_gbs(Device::Phi1, size, cfg.faults());
         model_ns += size as f64 * (1.0 / p0 + 1.0 / p1);
         f.push_row(vec![fmt_bytes(size), format!("{p0:.2}"), format!("{p1:.2}")]);
         if size == 32 * 1024 {
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn fig18_has_dip_row() {
-        let f = fig18_offload_bw();
+        let f = fig18_offload_bw(&RunConfig::default());
         assert!(f.rows.iter().any(|r| r[0] == "64KiB"));
         // Plateau near 6.4 with phi1 lower.
         let last = f.rows.last().unwrap();

@@ -9,13 +9,13 @@
 //! — deterministically.
 //!
 //! A [`FaultPlan`] is a seeded, fully deterministic set of [`Fault`]s.
-//! [`activate`] arms the injection hooks that the lower crates expose
-//! (`maia_interconnect::faults`, `maia_mem::faults`, `maia_mpi::faults`,
-//! `maia_modes::faults`), records the activation's identity for
-//! [`RunConfig::current`] (degraded sub-models get memo keys of their own),
-//! and wires the injected-time/mode-switch observers into the `faults`
-//! telemetry bucket. [`run_resilience`] then runs the selection twice —
-//! nominal, then degraded — and reports per-experiment deltas.
+//! [`arm`] turns it into a [`RunConfig`] whose [`maia_arch::Faults`]
+//! value the experiments hand to every model a fault perturbs, MPI worlds
+//! and their worker processes included. Each arming is one activation:
+//! its memo keys are its own, and the value tallies the model time its
+//! faults injected (also fed to the `faults` telemetry bucket) and the
+//! mode switches they forced. [`run_resilience`] runs the selection
+//! twice — nominal, then armed — and reports per-experiment deltas.
 //!
 //! Everything is reproducible: same plan + same seed + same jobs ⇒
 //! bit-identical resilience report (pinned by `tests/golden/resilience.md`
@@ -27,11 +27,13 @@
 //! controlled way (through a real `maia_sim` engine, so the failure
 //! carries a process name and virtual time).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{OnceLock, PoisonError, RwLock};
 
+use maia_arch::faults::Straggler;
+use maia_arch::{Device, Faults};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::config::RunConfig;
@@ -221,27 +223,37 @@ fn parse_fault(s: &str) -> Result<Fault, String> {
         kv.insert(k, v);
     }
     let get = |k: &str| kv.get(k).copied().ok_or_else(|| format!("missing {k}="));
-    let num_u32 = |k: &str| -> Result<u32, String> {
-        get(k)?.parse().map_err(|_| format!("bad {k}= value"))
+    // Values the modeled machine cannot have are named errors, never a
+    // silent default: `lo..=hi` for counts, finite and `>= min` for
+    // rates and times.
+    let num_u32 = |k: &str, lo: u32, hi: u32| -> Result<u32, String> {
+        let v: u32 = get(k)?.parse().map_err(|_| format!("bad {k}= value"))?;
+        let ok = (lo..=hi).contains(&v);
+        ok.then_some(v).ok_or_else(|| format!("{k}={v} is outside {lo}..={hi}"))
     };
-    let num_f64 = |k: &str| -> Result<f64, String> {
-        get(k)?.parse().map_err(|_| format!("bad {k}= value"))
+    let num_f64 = |k: &str, min: f64| -> Result<f64, String> {
+        let v: f64 = get(k)?.parse().map_err(|_| format!("bad {k}= value"))?;
+        let ok = v.is_finite() && v >= min;
+        ok.then_some(v).ok_or_else(|| format!("{k}={v} must be finite and at least {min}"))
     };
     match kind {
         "straggler" => Ok(Fault::StragglerRank {
-            rank: num_u32("rank")?,
-            slowdown: num_f64("slowdown")?,
-            from_us: num_f64("from_us")?,
+            rank: num_u32("rank", 0, u32::MAX)?,
+            slowdown: num_f64("slowdown", 1.0)?,
+            from_us: num_f64("from_us", 0.0)?,
         }),
-        "degraded-pcie" => Ok(Fault::DegradedPcie { lanes: num_u32("lanes")? }),
+        // The Phi's link has 16 lanes; a degraded one keeps 1 to 15.
+        "degraded-pcie" => Ok(Fault::DegradedPcie { lanes: num_u32("lanes", 1, 15)? }),
         "dapl-fallback" => Ok(Fault::DaplFallback),
-        "dead-card" => Ok(Fault::DeadCard {
-            card: get("card")?.parse().map_err(|_| "bad card= value".to_string())?,
+        "dead-card" => Ok(Fault::DeadCard { card: num_u32("card", 0, 1)? as u8 }),
+        // The 5110P has 128 GDDR5 banks; at least one survives.
+        "gddr-banks" => Ok(Fault::GddrBankDegradation {
+            disabled_banks: num_u32("disabled", 1, 127)?,
         }),
-        "gddr-banks" => Ok(Fault::GddrBankDegradation { disabled_banks: num_u32("disabled")? }),
+        // Each retry doubles the timeout, so the schedule stays short.
         "degraded-link" => Ok(Fault::DegradedLink {
-            extra_retries: num_u32("retries")?,
-            timeout_us: num_f64("timeout_us")?,
+            extra_retries: num_u32("retries", 0, 32)?,
+            timeout_us: num_f64("timeout_us", 0.0)?,
         }),
         other => Err(format!("unknown fault kind {other:?}")),
     }
@@ -251,150 +263,57 @@ fn parse_fault(s: &str) -> Result<Fault, String> {
 // Activation
 // ---------------------------------------------------------------------------
 
-/// Serializes fault activations process-wide: the injection hooks are
-/// global, so two overlapping activations would interleave their state.
-static GATE: Mutex<()> = Mutex::new(());
-
-/// Lock the process-wide activation gate for a non-fault caller. The
-/// engine cross-check holds it so no plan's global hooks reach its DES
-/// sweep.
-pub(crate) fn lock_gate() -> MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-/// Monotone activation counter: part of the armed plan's identity so
+/// Monotone activation counter: part of an armed config's identity, so
 /// repeated activations of the *same* plan recompute their degraded
 /// sub-models (keeping injected-time totals identical per activation).
 static ACTIVATIONS: AtomicU64 = AtomicU64::new(0);
-/// Identity of the armed plan, `faults/{name}/{seed}/{activation}`,
-/// while an [`ActiveFaults`] guard lives.
-static ARMED: RwLock<Option<Arc<str>>> = RwLock::new(None);
 
-/// The armed plan's identity, read by [`RunConfig::current`].
-pub(crate) fn armed_identity() -> Option<Arc<str>> {
-    ARMED.read().unwrap_or_else(PoisonError::into_inner).clone()
-}
-/// Net model time injected by the active plan, signed picoseconds.
-/// (Signed because a forced DAPL fallback can be *cheaper* on some
-/// paths: the pre-update phi0-phi1 eager latency undercuts post-update.)
-static INJECTED_PS: AtomicI64 = AtomicI64::new(0);
-
-static MODE_SWITCHES: OnceLock<Mutex<BTreeSet<String>>> = OnceLock::new();
-
-fn mode_switches_slot() -> &'static Mutex<BTreeSet<String>> {
-    MODE_SWITCHES.get_or_init(|| Mutex::new(BTreeSet::new()))
-}
-
-fn note_injected_s(extra_s: f64) {
-    INJECTED_PS.fetch_add((extra_s * 1e12) as i64, Ordering::Relaxed);
-    // The telemetry bucket clamps negatives itself; the signed total
-    // above is what the resilience report prints.
-    telemetry::add_fault_vt(extra_s * 1e9);
-}
-
-/// RAII guard for an armed fault plan. Dropping it disarms every hook,
-/// clears the armed identity, and releases the activation gate.
-pub struct ActiveFaults {
-    _gate: MutexGuard<'static, ()>,
-}
-
-impl Drop for ActiveFaults {
-    fn drop(&mut self) {
-        *ARMED.write().unwrap_or_else(PoisonError::into_inner) = None;
-        maia_interconnect::faults::clear();
-        maia_mem::faults::clear();
-        maia_mpi::faults::clear();
-        maia_modes::faults::clear();
-    }
-}
-
-/// Arm `plan`: install every hook in the lower crates, wire the
-/// injected-time and mode-switch observers, and record the activation's
-/// identity for [`RunConfig::current`]. Returns the guard that disarms
-/// everything on drop. Activations are serialized process-wide (the
-/// hooks are global).
-pub fn activate(plan: &FaultPlan) -> ActiveFaults {
-    let gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    INJECTED_PS.store(0, Ordering::Relaxed);
-    mode_switches_slot()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
-
-    let injected: Arc<dyn Fn(f64) + Send + Sync> = Arc::new(note_injected_s);
-    maia_interconnect::faults::set_injected_time_observer(Some(Arc::clone(&injected)));
-    maia_mpi::faults::set_injected_time_observer(Some(injected));
-    maia_modes::faults::set_mode_switch_observer(Some(Arc::new(|msg: &str| {
-        mode_switches_slot()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(msg.to_string());
-    })));
-
-    let mut stragglers = Vec::new();
+/// Arm `plan` onto a copy of `cfg`: one activation. The copy's
+/// [`RunConfig::faults`] is the degraded machine every model receives,
+/// named `faults/{name}/{seed}/{activation}` (its memo keys are its own),
+/// with fresh tallies whose injected time also reaches the `faults`
+/// telemetry bucket.
+pub fn arm(cfg: &RunConfig, plan: &FaultPlan) -> RunConfig {
+    let n = ACTIVATIONS.fetch_add(1, Ordering::Relaxed);
+    // The `faults/` prefix doubles as the telemetry domain: the memo keys
+    // recomputed under the plan group under a shared `faults` row instead
+    // of polluting the nominal domains. The telemetry bucket clamps
+    // negatives itself; the signed total on the tallies is what the
+    // resilience report prints.
+    let mut faults = Faults::armed(
+        &format!("faults/{}/{}/{n}", plan.name, plan.seed),
+        Some(|extra_s| telemetry::add_fault_vt(extra_s * 1e9)),
+    );
     for fault in &plan.faults {
         match *fault {
             Fault::StragglerRank { rank, slowdown, from_us } => {
-                stragglers.push(maia_mpi::faults::Straggler {
+                faults.stragglers.push(Straggler {
                     rank,
                     slowdown,
                     from_s: from_us * 1e-6,
                 });
             }
-            Fault::DegradedPcie { lanes } => {
-                maia_interconnect::faults::set_degraded_pcie_lanes(Some(lanes));
-            }
-            Fault::DaplFallback => maia_interconnect::faults::set_dapl_fallback(true),
+            Fault::DegradedPcie { lanes } => faults.pcie_lanes = Some(lanes),
+            Fault::DaplFallback => faults.dapl_fallback = true,
             Fault::DeadCard { card } => {
-                let device = if card == 0 {
-                    maia_arch::Device::Phi0
-                } else {
-                    maia_arch::Device::Phi1
-                };
-                maia_modes::faults::set_dead_card(Some(device));
+                faults.dead_card = Some(if card == 0 { Device::Phi0 } else { Device::Phi1 });
             }
-            Fault::GddrBankDegradation { disabled_banks } => {
-                maia_mem::faults::set_gddr_disabled_banks(disabled_banks);
-            }
+            Fault::GddrBankDegradation { disabled_banks } => faults.disabled_banks = disabled_banks,
             Fault::DegradedLink { extra_retries, timeout_us } => {
                 // Jitter-free doubling: the schedule is a pure function
                 // of the fault parameters (the golden resilience report
                 // pins every injected picosecond), so the plan seed is
                 // irrelevant here by construction.
-                let schedule = crate::backoff::BackoffPolicy::doubling(timeout_us * 1e-6, extra_retries)
-                    .schedule(plan.seed);
-                maia_mpi::faults::set_link_fault(Some(maia_mpi::faults::LinkFault {
-                    timeouts_s: schedule,
-                }));
+                faults.link_timeouts_s =
+                    crate::backoff::BackoffPolicy::doubling(timeout_us * 1e-6, extra_retries)
+                        .schedule(plan.seed);
             }
         }
     }
-    if !stragglers.is_empty() {
-        maia_mpi::faults::set_stragglers(stragglers);
+    RunConfig {
+        armed: faults,
+        ..cfg.clone()
     }
-
-    // The `faults/` prefix doubles as the telemetry domain: memo keys
-    // recomputed under the degraded stack group under a shared `faults`
-    // row instead of polluting the nominal domains.
-    let n = ACTIVATIONS.fetch_add(1, Ordering::Relaxed);
-    *ARMED.write().unwrap_or_else(PoisonError::into_inner) =
-        Some(format!("faults/{}/{}/{n}", plan.name, plan.seed).into());
-    ActiveFaults { _gate: gate }
-}
-
-/// Net injected model time of the activation in progress, picoseconds.
-pub fn injected_vt_ps() -> i64 {
-    INJECTED_PS.load(Ordering::Relaxed)
-}
-
-/// Deduplicated, sorted mode-switch notes from the activation in
-/// progress.
-pub fn mode_switches() -> Vec<String> {
-    mode_switches_slot()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .iter()
-        .cloned()
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -554,28 +473,20 @@ impl ResilienceReport {
     }
 }
 
-/// Run `selection` nominally, then under `plan`, and diff the tables.
-/// Both sweeps share the current [`RunConfig`]'s settings; the degraded
-/// one also carries the armed plan. Both are fail-soft: failures land in
-/// the report instead of aborting it.
+/// Run `selection` under `cfg`, then under `cfg` with `plan` armed, and
+/// diff the tables. Both sweeps are fail-soft: failures land in the
+/// report instead of aborting it. The injected time and mode switches
+/// are the armed config's tallies.
 pub fn run_resilience(
+    cfg: &RunConfig,
     plan: &FaultPlan,
     selection: &ExperimentSelection,
     jobs: usize,
 ) -> ResilienceReport {
     let ids = selection.resolve();
-    let cfg = RunConfig::current();
-    let nominal = run_experiments_parallel(&cfg, &ids, jobs);
-
-    let guard = activate(plan);
-    let armed = RunConfig {
-        armed: armed_identity(),
-        ..cfg
-    };
+    let nominal = run_experiments_parallel(cfg, &ids, jobs);
+    let armed = arm(cfg, plan);
     let degraded = run_experiments_parallel(&armed, &ids, jobs);
-    let injected_vt_ps = injected_vt_ps();
-    let switches = mode_switches();
-    drop(guard);
 
     let degraded_by_code: HashMap<&str, &crate::figdata::FigureData> = degraded
         .runs
@@ -597,8 +508,8 @@ pub fn run_resilience(
         deltas,
         nominal_failures: nominal.failures,
         degraded_failures: degraded.failures,
-        mode_switches: switches,
-        injected_vt_ps,
+        mode_switches: armed.faults().mode_switches(),
+        injected_vt_ps: armed.faults().injected_ps(),
     }
 }
 
@@ -751,10 +662,6 @@ pub(crate) fn forced_failure_trigger(id: ExperimentId) {
 mod tests {
     use super::*;
 
-    // Tests that *activate* plans live in the serialized cross-crate
-    // suite (tests/tests/faults_resilience.rs); arming the process-wide
-    // hooks here would race this binary's nominal-value tests.
-
     #[test]
     fn canned_plans_resolve_and_roundtrip() {
         for name in PLAN_NAMES {
@@ -785,6 +692,27 @@ mod tests {
         assert!(FaultPlan::parse("seed: 1\nfault: dapl-fallback\n").is_err());
         assert!(FaultPlan::parse("name: x\nseed: 1\n").is_err());
         assert!(FaultPlan::parse("name: x\nseed: one\nfault: dapl-fallback\n").is_err());
+        // Values the machine cannot have: each is a named error on its
+        // line, not an abort, a panic or a silently healthy machine.
+        for (fault, named) in [
+            ("degraded-link retries=4294967295 timeout_us=50.0", "retries=4294967295"),
+            ("degraded-link retries=2 timeout_us=-50.0", "timeout_us=-50"),
+            ("degraded-link retries=2 timeout_us=inf", "timeout_us=inf"),
+            ("straggler rank=3 slowdown=inf from_us=0.0", "slowdown=inf"),
+            ("straggler rank=3 slowdown=NaN from_us=0.0", "slowdown=NaN"),
+            ("straggler rank=3 slowdown=0.5 from_us=0.0", "slowdown=0.5"),
+            ("straggler rank=3 slowdown=4.0 from_us=-1.0", "from_us=-1"),
+            ("dead-card card=7", "card=7"),
+            ("degraded-pcie lanes=0", "lanes=0"),
+            ("degraded-pcie lanes=16", "lanes=16"),
+            ("gddr-banks disabled=0", "disabled=0"),
+            ("gddr-banks disabled=128", "disabled=128"),
+        ] {
+            let err = FaultPlan::parse(&format!("name: x\nseed: 1\nfault: {fault}\n"))
+                .expect_err(fault);
+            assert!(err.starts_with("fault plan line 3: "), "{err}");
+            assert!(err.contains(named), "{fault}: {err}");
+        }
     }
 
     #[test]

@@ -27,7 +27,8 @@ use std::process::Child;
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use maia_mpi::bench::{cluster_collective_run_with, CollectiveOp};
+use maia_arch::Faults;
+use maia_mpi::bench::{cluster_collective_run_under, CollectiveOp};
 use maia_mpi::process_backend::{cluster_collective_run_process, effective_partitions};
 use maia_mpi::world::ProcessWorldError;
 use maia_sim::partition::{PartitionRunStats, ProcessConfig};
@@ -135,8 +136,8 @@ fn kill_all(children: &mut Vec<Child>) {
     children.clear();
 }
 
-/// One supervised cluster collective under the process backend. Returns
-/// the same `(time, stats)` as
+/// One supervised cluster collective of the healthy machine under the
+/// process backend. Returns the same `(time, stats)` as
 /// [`maia_mpi::bench::cluster_collective_run_with`] — byte-identical —
 /// or panics the way the channel backend does on a deterministic
 /// simulation error, or (budget exhausted, degradation disabled) with
@@ -148,10 +149,24 @@ pub fn supervised_cluster_run(
     op: CollectiveOp,
     partitions: usize,
 ) -> (f64, PartitionRunStats) {
+    supervised_cluster_run_under(&Faults::default(), nodes, bytes, op, partitions)
+}
+
+/// [`supervised_cluster_run`] on the machine `faults` describes: every
+/// wheel, the hub's and the workers', runs its faults, and `faults`
+/// tallies the injected time of the attempt that completes (or of the
+/// in-process run it degrades to).
+pub(crate) fn supervised_cluster_run_under(
+    faults: &Faults,
+    nodes: usize,
+    bytes: u64,
+    op: CollectiveOp,
+    partitions: usize,
+) -> (f64, PartitionRunStats) {
     let eff = effective_partitions(nodes, partitions);
     if eff == 1 {
         // Single wheel: there are no workers to supervise.
-        return cluster_collective_run_with(nodes, bytes, op, partitions);
+        return cluster_collective_run_under(faults, nodes, bytes, op, partitions);
     }
     let cfg = process_config();
     let budget = retry_budget();
@@ -201,7 +216,9 @@ pub fn supervised_cluster_run(
         let loss_detail = if let Some(err) = spawn_err {
             err
         } else {
-            match cluster_collective_run_process(nodes, bytes, op, partitions, workers, cfg) {
+            let run =
+                cluster_collective_run_process(faults, nodes, bytes, op, partitions, workers, cfg);
+            match run {
                 Ok((time_s, stats, missed)) => {
                     telemetry::record_missed_heartbeats(missed);
                     for child in children.iter_mut() {
@@ -246,7 +263,7 @@ pub fn supervised_cluster_run(
             "supervise: retry budget exhausted ({loss}); \
              degrading to in-process channel backend"
         );
-        return cluster_collective_run_with(nodes, bytes, op, partitions);
+        return cluster_collective_run_under(faults, nodes, bytes, op, partitions);
     }
     panic!("{loss} (retry budget exhausted, degradation disabled)");
 }

@@ -15,6 +15,8 @@
 //! three states: eager ≤ 8 KB (CCL), rendezvous direct-copy ≤ 256 KB
 //! (CCL), rendezvous over SCIF above 256 KB.
 
+use maia_arch::Faults;
+
 use crate::paths::NodePath;
 
 /// The two DAPL providers.
@@ -60,19 +62,17 @@ pub const SCIF_THRESHOLD: u64 = 256 * 1024;
 const STAGING_COPY_GBS: f64 = 5.0;
 
 impl SoftwareStack {
-    /// The stack that actually serves traffic right now.
+    /// The stack that actually serves traffic on the machine `faults`
+    /// describes.
     ///
-    /// Under the forced-fallback fault
-    /// ([`crate::faults::set_dapl_fallback`]) the post-update stack
-    /// degrades to the pre-update CCL-direct configuration — exactly the
-    /// regression the paper's software update fixed — reusing the
-    /// pre-update constants already calibrated above (no new numbers).
-    /// Without the fault this is the identity.
-    pub fn effective(self) -> SoftwareStack {
+    /// Under the forced-fallback fault the post-update stack degrades to
+    /// the pre-update CCL-direct configuration — exactly the regression
+    /// the paper's software update fixed — reusing the pre-update
+    /// constants already calibrated above (no new numbers). Without the
+    /// fault this is the identity.
+    pub fn effective(self, faults: &Faults) -> SoftwareStack {
         match self {
-            SoftwareStack::PostUpdate if crate::faults::dapl_fallback_forced() => {
-                SoftwareStack::PreUpdate
-            }
+            SoftwareStack::PostUpdate if faults.dapl_fallback => SoftwareStack::PreUpdate,
             s => s,
         }
     }
@@ -148,15 +148,14 @@ impl SoftwareStack {
     ///
     /// Dispatches through [`SoftwareStack::effective`]: a forced DAPL
     /// fallback silently re-prices post-update traffic with the
-    /// pre-update stack and reports the (signed) delta to the
-    /// fault-injection observer.
-    pub fn message_time_s(self, path: NodePath, bytes: u64) -> f64 {
-        let eff = self.effective();
+    /// pre-update stack and tallies the (signed) delta on `faults`.
+    pub fn message_time_s(self, path: NodePath, bytes: u64, faults: &Faults) -> f64 {
+        let eff = self.effective(faults);
         let t = eff.raw_message_time_s(path, bytes);
         if eff != self {
             // The delta can be negative: the pre-update phi0-phi1 eager
             // latency (6.3 us) undercuts post-update (6.6 us).
-            crate::faults::note_injected_s(t - self.raw_message_time_s(path, bytes));
+            faults.note_injected_s(t - self.raw_message_time_s(path, bytes));
         }
         t
     }
@@ -180,10 +179,10 @@ impl SoftwareStack {
     }
 
     /// Achieved bandwidth in GB/s for `bytes` on `path` — the Figure 8
-    /// curves.
+    /// curves of the healthy machine.
     pub fn bandwidth_gbs(self, path: NodePath, bytes: u64) -> f64 {
         assert!(bytes > 0, "cannot measure zero-byte bandwidth");
-        bytes as f64 / self.message_time_s(path, bytes) / 1e9
+        bytes as f64 / self.raw_message_time_s(path, bytes) / 1e9
     }
 
     /// Figure 9: post/pre bandwidth gain ratio for `bytes` on `path`.
@@ -271,6 +270,17 @@ mod tests {
             SoftwareStack::PreUpdate.provider_for(16 * 1024 * 1024),
             Provider::CclDirect
         );
+    }
+
+    #[test]
+    fn faults_default_inactive() {
+        // The healthy value leaves both stacks alone; a forced fallback
+        // prices post-update traffic on the pre-update stack.
+        let fallback = Faults { dapl_fallback: true, ..Faults::default() };
+        for stack in [SoftwareStack::PreUpdate, SoftwareStack::PostUpdate] {
+            assert_eq!(stack.effective(&Faults::default()), stack);
+            assert_eq!(stack.effective(&fallback), SoftwareStack::PreUpdate);
+        }
     }
 
     #[test]

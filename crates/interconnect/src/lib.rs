@@ -12,9 +12,14 @@
 //!   Section 5, driving Figures 7–9.
 //! * **The Phi's bidirectional ring** ([`ring`]) and **FDR InfiniBand**
 //!   ([`ib`]) for inter-node comparisons.
+//!
+//! DAPL pricing and the PCIe DMA model take the machine's
+//! [`maia_arch::Faults`] as an argument: a forced DAPL fallback re-prices
+//! post-update traffic with the pre-update stack, and a narrowed link
+//! scales the framing-derived peak by its surviving lanes, each tallying
+//! the injected time on the value. The healthy value changes nothing.
 
 pub mod dapl;
-pub mod faults;
 pub mod ib;
 pub mod paths;
 pub mod pcie;

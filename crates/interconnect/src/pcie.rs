@@ -8,7 +8,7 @@
 //! per TLP. This module computes all of that from the framing arithmetic
 //! and adds a DMA ramp model for the small-transfer region of Figure 18.
 
-use maia_arch::{PcieSpec, Device};
+use maia_arch::{Device, Faults, PcieSpec};
 
 /// Per-TLP wrapping bytes: start/end framing (2), sequence number (2),
 /// header (12), ECRC digest (4) — the "20 bytes" of the paper.
@@ -58,52 +58,53 @@ impl PcieModel {
     /// Fraction of the link's lanes still alive under the lane-width
     /// fault, 1.0 nominally. PCIe bandwidth is linear in lane count, so
     /// this scales the framing-derived peak directly.
-    fn lane_fraction(&self) -> f64 {
-        match crate::faults::degraded_pcie_lanes() {
+    fn lane_fraction(&self, faults: &Faults) -> f64 {
+        match faults.pcie_lanes {
             Some(lanes) => f64::from(lanes.min(self.link.lanes)) / f64::from(self.link.lanes),
             None => 1.0,
         }
     }
 
     /// Peak payload bandwidth in GB/s after line coding and TLP framing
-    /// (scaled down by the surviving-lane fraction when the degraded
-    /// lane-width fault is armed).
-    pub fn peak_payload_gbs(&self) -> f64 {
+    /// (scaled down by the surviving-lane fraction when `faults` narrows
+    /// the link).
+    pub fn peak_payload_gbs(&self, faults: &Faults) -> f64 {
         self.link.link_bw_gbs() * tlp_efficiency(self.effective_payload_bytes)
-            * self.lane_fraction()
+            * self.lane_fraction(faults)
     }
 
-    /// Time in seconds to DMA `bytes` to/from the given Phi.
+    /// Time in seconds to DMA `bytes` to/from the given Phi over the link
+    /// `faults` describes; a narrowed link tallies its extra wire time.
     ///
     /// # Panics
     /// Panics if `device` is the host — offload DMA targets a coprocessor.
-    pub fn dma_time_s(&self, device: Device, bytes: u64) -> f64 {
+    pub fn dma_time_s(&self, device: Device, bytes: u64, faults: &Faults) -> f64 {
         assert!(device.is_phi(), "offload DMA targets a Phi card");
         let derate = if device == Device::Phi1 {
             self.phi1_derate
         } else {
             1.0
         };
-        let bw = self.peak_payload_gbs() * derate;
+        let bw = self.peak_payload_gbs(faults) * derate;
         let mut setup = self.dma_setup_us * 1e-6;
         if bytes == self.buffer_switch_bytes {
             setup += self.dma_setup_us * 1e-6;
         }
         let t = setup + bytes as f64 / (bw * 1e9);
-        let frac = self.lane_fraction();
+        let frac = self.lane_fraction(faults);
         if frac < 1.0 {
             // Extra wire time relative to the full-width link.
             let nominal_bw = bw / frac;
-            crate::faults::note_injected_s(t - (setup + bytes as f64 / (nominal_bw * 1e9)));
+            faults.note_injected_s(t - (setup + bytes as f64 / (nominal_bw * 1e9)));
         }
         t
     }
 
     /// Achieved bandwidth in GB/s for a transfer of `bytes` — the
     /// Figure 18 curve.
-    pub fn dma_bandwidth_gbs(&self, device: Device, bytes: u64) -> f64 {
+    pub fn dma_bandwidth_gbs(&self, device: Device, bytes: u64, faults: &Faults) -> f64 {
         assert!(bytes > 0, "cannot measure a zero-byte transfer");
-        bytes as f64 / self.dma_time_s(device, bytes) / 1e9
+        bytes as f64 / self.dma_time_s(device, bytes, faults) / 1e9
     }
 }
 
@@ -126,15 +127,15 @@ mod tests {
     #[test]
     fn large_transfer_plateau_is_6_4_gbs() {
         let m = PcieModel::default();
-        let bw = m.dma_bandwidth_gbs(Device::Phi0, 64 * 1024 * 1024);
+        let bw = m.dma_bandwidth_gbs(Device::Phi0, 64 * 1024 * 1024, &Faults::default());
         assert!((bw - 6.4).abs() < 0.15, "plateau {bw}");
     }
 
     #[test]
     fn phi1_is_about_3_percent_slower() {
         let m = PcieModel::default();
-        let b0 = m.dma_bandwidth_gbs(Device::Phi0, 64 * 1024 * 1024);
-        let b1 = m.dma_bandwidth_gbs(Device::Phi1, 64 * 1024 * 1024);
+        let b0 = m.dma_bandwidth_gbs(Device::Phi0, 64 * 1024 * 1024, &Faults::default());
+        let b1 = m.dma_bandwidth_gbs(Device::Phi1, 64 * 1024 * 1024, &Faults::default());
         let ratio = b0 / b1;
         assert!(ratio > 1.02 && ratio < 1.04, "ratio {ratio}");
     }
@@ -142,9 +143,9 @@ mod tests {
     #[test]
     fn dip_at_64_kib() {
         let m = PcieModel::default();
-        let before = m.dma_bandwidth_gbs(Device::Phi0, 60 * 1024);
-        let at = m.dma_bandwidth_gbs(Device::Phi0, 64 * 1024);
-        let after = m.dma_bandwidth_gbs(Device::Phi0, 72 * 1024);
+        let before = m.dma_bandwidth_gbs(Device::Phi0, 60 * 1024, &Faults::default());
+        let at = m.dma_bandwidth_gbs(Device::Phi0, 64 * 1024, &Faults::default());
+        let after = m.dma_bandwidth_gbs(Device::Phi0, 72 * 1024, &Faults::default());
         assert!(at < before && at < after, "no dip: {before} {at} {after}");
     }
 
@@ -153,16 +154,25 @@ mod tests {
         let m = PcieModel::default();
         let mut prev = 0.0;
         for kb in [1u64, 4, 16, 32, 128, 512, 2048, 16384] {
-            let bw = m.dma_bandwidth_gbs(Device::Phi0, kb * 1024);
+            let bw = m.dma_bandwidth_gbs(Device::Phi0, kb * 1024, &Faults::default());
             assert!(bw > prev, "ramp not monotone at {kb} KB");
             prev = bw;
         }
     }
 
     #[test]
+    fn faults_default_inactive() {
+        // The healthy value keeps the full-width link; half the lanes
+        // halve the peak.
+        let m = PcieModel::default();
+        let half = Faults { pcie_lanes: Some(m.link.lanes / 2), ..Faults::default() };
+        assert_eq!(m.peak_payload_gbs(&half), m.peak_payload_gbs(&Faults::default()) * 0.5);
+    }
+
+    #[test]
     #[should_panic(expected = "targets a Phi")]
     fn dma_to_host_rejected() {
         let m = PcieModel::default();
-        let _ = m.dma_time_s(Device::Host, 1024);
+        let _ = m.dma_time_s(Device::Host, 1024, &Faults::default());
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for the fabric models: regime-wise monotonicity of the
 //! DAPL stacks and the TLP framing bounds.
 
-use maia_arch::Device;
+use maia_arch::{Device, Faults};
 use maia_interconnect::pcie::tlp_efficiency;
 use maia_interconnect::{NodePath, PcieModel, SoftwareStack};
 use proptest::prelude::*;
@@ -29,8 +29,8 @@ proptest! {
             && stack.protocol_for(bytes) == stack.protocol_for(bytes + bytes / 2 + 1);
         if same {
             prop_assert!(
-                stack.message_time_s(path, bytes + bytes / 2 + 1)
-                    >= stack.message_time_s(path, bytes)
+                stack.message_time_s(path, bytes + bytes / 2 + 1, &Faults::default())
+                    >= stack.message_time_s(path, bytes, &Faults::default())
             );
         }
     }
@@ -39,8 +39,8 @@ proptest! {
     /// than rounding (the update only improved the providers).
     #[test]
     fn post_update_never_slower(path in path_strategy(), bytes in 1u64..8_388_608) {
-        let pre = SoftwareStack::PreUpdate.message_time_s(path, bytes);
-        let post = SoftwareStack::PostUpdate.message_time_s(path, bytes);
+        let pre = SoftwareStack::PreUpdate.message_time_s(path, bytes, &Faults::default());
+        let post = SoftwareStack::PostUpdate.message_time_s(path, bytes, &Faults::default());
         prop_assert!(post <= pre * 1.05, "post {post} vs pre {pre} at {bytes}B");
     }
 
@@ -58,8 +58,11 @@ proptest! {
     #[test]
     fn dma_bandwidth_below_ceiling(bytes in 1u64..1u64 << 30) {
         let m = PcieModel::default();
+        let healthy = Faults::default();
         for dev in [Device::Phi0, Device::Phi1] {
-            prop_assert!(m.dma_bandwidth_gbs(dev, bytes) <= m.peak_payload_gbs() + 1e-9);
+            prop_assert!(
+                m.dma_bandwidth_gbs(dev, bytes, &healthy) <= m.peak_payload_gbs(&healthy) + 1e-9
+            );
         }
     }
 }

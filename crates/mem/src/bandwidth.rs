@@ -2,7 +2,7 @@
 //! Figure 6) and aggregate STREAM triad bandwidth vs thread count (paper
 //! Figure 4), including the GDDR5 open-bank saturation cliff.
 
-use maia_arch::{MemoryKind, ProcessorKind, ProcessorSpec};
+use maia_arch::{Faults, MemoryKind, ProcessorKind, ProcessorSpec};
 
 use crate::hierarchy::ModelHierarchy;
 
@@ -74,7 +74,8 @@ pub fn package_sustained_gbs(p: &ProcessorSpec) -> f64 {
     p.memory.sustained_bw_gbs()
 }
 
-/// The open-bank derating factor for `threads` concurrent access streams.
+/// The open-bank derating factor for `threads` concurrent access streams
+/// on a card with `faults.disabled_banks` retired.
 ///
 /// GDDR5 devices expose `banks_per_device × devices` independently open
 /// rows (128 on the 5110P). When more threads than open banks stream
@@ -82,8 +83,8 @@ pub fn package_sustained_gbs(p: &ProcessorSpec) -> f64 {
 /// plateau dropping from 180 GB/s to 140 GB/s (Figure 4). The factor
 /// 140/180 is calibrated from that figure; the *trigger* (threads >
 /// banks) is the mechanism the paper identifies.
-pub fn bank_derating(p: &ProcessorSpec, threads: u32) -> f64 {
-    let banks = effective_banks(p);
+pub fn bank_derating(p: &ProcessorSpec, threads: u32, faults: &Faults) -> f64 {
+    let banks = effective_banks(p, faults);
     if p.memory.kind == MemoryKind::Gddr5 && threads > banks {
         140.0 / 180.0
     } else {
@@ -91,33 +92,33 @@ pub fn bank_derating(p: &ProcessorSpec, threads: u32) -> f64 {
     }
 }
 
-/// Open banks actually available: the device total minus any banks the
-/// GDDR5-degradation fault has retired
-/// ([`crate::faults::set_gddr_disabled_banks`]), floored at one.
-fn effective_banks(p: &ProcessorSpec) -> u32 {
+/// Open banks actually available: the device total minus the banks the
+/// GDDR5-degradation fault retired, floored at one.
+fn effective_banks(p: &ProcessorSpec, faults: &Faults) -> u32 {
     p.memory
         .total_banks()
-        .saturating_sub(crate::faults::gddr_disabled_banks())
+        .saturating_sub(faults.disabled_banks)
         .max(1)
 }
 
 /// Bandwidth capacity factor of the GDDR5-degradation fault: the fraction
 /// of banks still serving streams, 1.0 on a healthy (or non-GDDR5) card.
-fn bank_capacity_factor(p: &ProcessorSpec) -> f64 {
-    let disabled = crate::faults::gddr_disabled_banks();
-    if disabled == 0 || p.memory.kind != MemoryKind::Gddr5 {
+fn bank_capacity_factor(p: &ProcessorSpec, faults: &Faults) -> f64 {
+    if faults.disabled_banks == 0 || p.memory.kind != MemoryKind::Gddr5 {
         return 1.0;
     }
-    f64::from(effective_banks(p)) / f64::from(p.memory.total_banks())
+    f64::from(effective_banks(p, faults)) / f64::from(p.memory.total_banks())
 }
 
 /// STREAM triad aggregate bandwidth for `threads` threads on one device
-/// (the host value covers both sockets) — the Figure 4 model.
-pub fn stream_triad_gbs(p: &ProcessorSpec, sockets: u32, threads: u32) -> f64 {
+/// (the host value covers both sockets) — the Figure 4 model, on the
+/// card `faults` describes.
+pub fn stream_triad_gbs(p: &ProcessorSpec, sockets: u32, threads: u32, faults: &Faults) -> f64 {
     assert!(threads >= 1, "at least one thread required");
     let per_thread = stream_thread_gbs(p);
-    let sustained = package_sustained_gbs(p) * sockets as f64 * bank_capacity_factor(p);
-    (per_thread * threads as f64).min(sustained) * bank_derating(p, threads)
+    let sustained =
+        package_sustained_gbs(p) * sockets as f64 * bank_capacity_factor(p, faults);
+    (per_thread * threads as f64).min(sustained) * bank_derating(p, threads, faults)
 }
 
 /// One point of a Figure 4 sweep.
@@ -127,13 +128,14 @@ pub struct StreamPoint {
     pub bandwidth_gbs: f64,
 }
 
-/// Sweep thread counts for the Figure 4 series of one device.
+/// Sweep thread counts for the Figure 4 series of one healthy device.
 pub fn stream_sweep(p: &ProcessorSpec, sockets: u32, thread_counts: &[u32]) -> Vec<StreamPoint> {
+    let healthy = Faults::default();
     thread_counts
         .iter()
         .map(|&t| StreamPoint {
             threads: t,
-            bandwidth_gbs: stream_triad_gbs(p, sockets, t),
+            bandwidth_gbs: stream_triad_gbs(p, sockets, t, &healthy),
         })
         .collect()
 }
@@ -175,7 +177,7 @@ mod tests {
     #[test]
     fn figure4_phi_peak_and_cliff() {
         let phi = presets::xeon_phi_5110p();
-        let at = |t| stream_triad_gbs(&phi, 1, t);
+        let at = |t| stream_triad_gbs(&phi, 1, t, &Faults::default());
         assert!((at(59) - 180.0).abs() < 1.0, "59T: {}", at(59));
         assert!((at(118) - 180.0).abs() < 1.0, "118T: {}", at(118));
         assert!((at(177) - 140.0).abs() < 1.0, "177T: {}", at(177));
@@ -187,10 +189,10 @@ mod tests {
     #[test]
     fn figure4_host_saturates_around_77_gbs() {
         let host = presets::xeon_e5_2670();
-        let full = stream_triad_gbs(&host, 2, 16);
+        let full = stream_triad_gbs(&host, 2, 16, &Faults::default());
         assert!((full - 76.8).abs() < 0.5, "host 16T: {full}");
         // Host never triggers the bank cliff.
-        assert_eq!(bank_derating(&host, 32), 1.0);
+        assert_eq!(bank_derating(&host, 32, &Faults::default()), 1.0);
     }
 
     #[test]
@@ -198,7 +200,18 @@ mod tests {
         // The Phi's key selling point: higher aggregate stream bandwidth.
         let host = presets::xeon_e5_2670();
         let phi = presets::xeon_phi_5110p();
-        assert!(stream_triad_gbs(&phi, 1, 118) > stream_triad_gbs(&host, 2, 16) * 2.0);
+        let at = |p, sockets, t| stream_triad_gbs(p, sockets, t, &Faults::default());
+        assert!(at(&phi, 1, 118) > at(&host, 2, 16) * 2.0);
+    }
+
+    #[test]
+    fn faults_default_inactive() {
+        // The healthy card keeps its cliff past 128 threads; retired
+        // banks pull it below.
+        let phi = presets::xeon_phi_5110p();
+        let retired = Faults { disabled_banks: 64, ..Faults::default() };
+        assert_eq!(bank_derating(&phi, 118, &Faults::default()), 1.0);
+        assert!(bank_derating(&phi, 118, &retired) < 1.0);
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //!   [`bandwidth::per_core_bw_gbs`].
 //!
 //! All model parameters live in `maia-arch`'s presets; this crate supplies
-//! the mechanisms that turn parameters into curves.
+//! the mechanisms that turn parameters into curves. The STREAM model
+//! takes the machine's [`maia_arch::Faults`]: retired GDDR5 banks pull
+//! the open-bank cliff forward and scale the sustained plateau.
 
 pub mod bandwidth;
 pub mod cache_sim;
-pub mod faults;
 pub mod hierarchy;
 pub mod latency;
 pub mod stream;

@@ -10,8 +10,12 @@
 //! * **symmetric** ([`symmetric`]) — MPI ranks spread over
 //!   host + Phi0 + Phi1, with PCIe communication through the DAPL stacks
 //!   (Figure 23).
+//!
+//! Each mode is priced on the machine a [`maia_arch::Faults`] value
+//! describes. A dead card degrades gracefully instead of erroring:
+//! offload to it runs host-only, and symmetric mode drops it from the
+//! split; both tally the mode switch on the value.
 
-pub mod faults;
 pub mod offload;
 pub mod perf;
 pub mod symmetric;

@@ -10,7 +10,7 @@
 //! arithmetic question of invocation count × overhead vs. device speedup
 //! — the paper's conclusion that MG offload always loses falls out.
 
-use maia_arch::Device;
+use maia_arch::{Device, Faults};
 use maia_interconnect::PcieModel;
 
 use crate::perf::{KernelProfile, PerfModel};
@@ -92,15 +92,21 @@ impl OffloadReport {
 }
 
 impl OffloadPlan {
-    /// Price the plan: Phi compute at `phi_threads` on `device`, host
-    /// residue at `host_threads`.
-    pub fn report(&self, device: Device, phi_threads: u32, host_threads: u32) -> OffloadReport {
+    /// Price the plan on the machine `faults` describes: Phi compute at
+    /// `phi_threads` on `device`, host residue at `host_threads`.
+    pub fn report(
+        &self,
+        device: Device,
+        phi_threads: u32,
+        host_threads: u32,
+        faults: &Faults,
+    ) -> OffloadReport {
         assert!(device.is_phi(), "offload targets a Phi card");
-        if crate::faults::dead_card() == Some(device) {
-            return self.host_fallback_report(device, host_threads);
+        if faults.dead_card == Some(device) {
+            return self.host_fallback_report(device, host_threads, faults);
         }
         let pcie = PcieModel::default();
-        let phi = PerfModel::phi();
+        let phi = PerfModel::phi(faults);
         let host = PerfModel::host();
 
         let mut invocations = 0u64;
@@ -115,8 +121,8 @@ impl OffloadPlan {
             let io = r.input_bytes + r.output_bytes;
             bytes += io * r.invocations;
             host_side += n * (HOST_SETUP_S + io as f64 / (HOST_STAGE_GBS * 1e9));
-            wire += n * (pcie.dma_time_s(device, r.input_bytes.max(1))
-                + pcie.dma_time_s(device, r.output_bytes.max(1)));
+            wire += n * (pcie.dma_time_s(device, r.input_bytes.max(1), faults)
+                + pcie.dma_time_s(device, r.output_bytes.max(1), faults));
             phi_side += n * (PHI_SETUP_S + io as f64 / (PHI_STAGE_GBS * 1e9));
             compute += n * phi.unit_time_s(&r.kernel, phi_threads) * OFFLOAD_COMPUTE_DERATE;
         }
@@ -141,9 +147,14 @@ impl OffloadPlan {
     /// The graceful degradation taken when the offload target card is
     /// dead: every region runs on the host at host rates, no setup or
     /// staging or PCIe transfer is paid, and the mode switch is
-    /// reported to the fault observer.
-    fn host_fallback_report(&self, device: Device, host_threads: u32) -> OffloadReport {
-        crate::faults::note_mode_switch(&format!(
+    /// tallied on `faults`.
+    fn host_fallback_report(
+        &self,
+        device: Device,
+        host_threads: u32,
+        faults: &Faults,
+    ) -> OffloadReport {
+        faults.note_mode_switch(&format!(
             "offload plan '{}': target card {device:?} is dead; running host-only",
             self.name
         ));
@@ -235,9 +246,9 @@ mod tests {
         // "performance of offloading one main OpenMP loop is the worst and
         // the best ... is offloading the whole computation".
         let (whole, sub, lp) = plans();
-        let rw = whole.report(Device::Phi0, 177, 16);
-        let rs = sub.report(Device::Phi0, 177, 16);
-        let rl = lp.report(Device::Phi0, 177, 16);
+        let rw = whole.report(Device::Phi0, 177, 16, &Faults::default());
+        let rs = sub.report(Device::Phi0, 177, 16, &Faults::default());
+        let rl = lp.report(Device::Phi0, 177, 16, &Faults::default());
         assert!(rw.overhead_s() < rs.overhead_s());
         assert!(rs.overhead_s() < rl.overhead_s());
         assert!(rw.total_s() < rs.total_s() && rs.total_s() < rl.total_s());
@@ -246,9 +257,9 @@ mod tests {
     #[test]
     fn figure27_invocations_and_volume_ordering() {
         let (whole, sub, lp) = plans();
-        let rw = whole.report(Device::Phi0, 177, 16);
-        let rs = sub.report(Device::Phi0, 177, 16);
-        let rl = lp.report(Device::Phi0, 177, 16);
+        let rw = whole.report(Device::Phi0, 177, 16, &Faults::default());
+        let rs = sub.report(Device::Phi0, 177, 16, &Faults::default());
+        let rl = lp.report(Device::Phi0, 177, 16, &Faults::default());
         assert!(rw.invocations < rs.invocations && rs.invocations < rl.invocations);
         assert!(rw.bytes_transferred < rs.bytes_transferred);
         assert!(rs.bytes_transferred < rl.bytes_transferred);
@@ -258,8 +269,8 @@ mod tests {
     fn offload_is_slower_than_native_for_mg_like_work() {
         // Figure 25: every offload variant loses to both native modes.
         let (whole, _, _) = plans();
-        let r = whole.report(Device::Phi0, 177, 16);
-        let native_phi = PerfModel::phi().unit_time_s(&kernel(2e10, 4e10), 177);
+        let r = whole.report(Device::Phi0, 177, 16, &Faults::default());
+        let native_phi = PerfModel::phi(&Faults::default()).unit_time_s(&kernel(2e10, 4e10), 177);
         assert!(
             r.total_s() > native_phi,
             "offload {} !> native {}",
@@ -273,7 +284,7 @@ mod tests {
         let (whole, sub, lp) = plans();
         let c: Vec<f64> = [whole, sub, lp]
             .iter()
-            .map(|p| p.report(Device::Phi0, 177, 16).compute_s)
+            .map(|p| p.report(Device::Phi0, 177, 16, &Faults::default()).compute_s)
             .collect();
         // Same total work: compute times agree within Amdahl noise.
         assert!((c[0] - c[1]).abs() / c[0] < 0.1, "{c:?}");
@@ -281,9 +292,21 @@ mod tests {
     }
 
     #[test]
+    fn faults_default_inactive() {
+        // The healthy value prices the calibrated plan; a fault on the
+        // other card leaves it alone and switches no mode.
+        let (whole, _, _) = plans();
+        let healthy = whole.report(Device::Phi1, 177, 16, &Faults::default());
+        assert!(!healthy.degraded_to_host);
+        let other_card = Faults { dead_card: Some(Device::Phi0), ..Faults::armed("t", None) };
+        assert_eq!(whole.report(Device::Phi1, 177, 16, &other_card), healthy);
+        assert!(other_card.mode_switches().is_empty());
+    }
+
+    #[test]
     #[should_panic(expected = "targets a Phi")]
     fn offload_to_host_rejected() {
         let (whole, _, _) = plans();
-        let _ = whole.report(Device::Host, 16, 16);
+        let _ = whole.report(Device::Host, 16, 16, &Faults::default());
     }
 }

@@ -20,7 +20,7 @@
 //! on the Phi ("the gather-scatter instruction is not efficient on Phi" —
 //! vectorized sparse CG only 10% faster than scalar).
 
-use maia_arch::{ProcessorKind, ProcessorSpec};
+use maia_arch::{Faults, ProcessorKind, ProcessorSpec};
 use maia_mem::bandwidth::stream_triad_gbs;
 
 /// Resource signature of one application kernel, per work unit
@@ -165,22 +165,28 @@ fn uarch(p: &ProcessorSpec) -> UarchParams {
 #[derive(Debug, Clone)]
 pub struct PerfModel {
     pub target: DeviceTarget,
+    /// The machine the STREAM bound is priced on.
+    pub faults: Faults,
 }
 
 impl PerfModel {
-    /// Engine for a target device.
-    pub fn new(target: DeviceTarget) -> Self {
-        PerfModel { target }
+    /// Engine for a target device on the machine `faults` describes.
+    pub fn new(target: DeviceTarget, faults: &Faults) -> Self {
+        PerfModel {
+            target,
+            faults: faults.clone(),
+        }
     }
 
-    /// Convenience: the host engine.
+    /// Convenience: the host engine. No fault perturbs it: the host's
+    /// DDR3 has no GDDR5 banks to retire.
     pub fn host() -> Self {
-        Self::new(DeviceTarget::host())
+        Self::new(DeviceTarget::host(), &Faults::default())
     }
 
-    /// Convenience: the single-Phi engine.
-    pub fn phi() -> Self {
-        Self::new(DeviceTarget::phi())
+    /// Convenience: the single-Phi engine on the card `faults` describes.
+    pub fn phi(faults: &Faults) -> Self {
+        Self::new(DeviceTarget::phi(), faults)
     }
 
     /// Achievable compute rate in Gflop/s for a kernel at `threads`.
@@ -225,7 +231,7 @@ impl PerfModel {
         let line = 64.0;
         let lat_bw = cores as f64 * per_core_misses * line / p.memory.idle_latency_ns; // GB/s
         // STREAM (sustained DRAM) bound, including the GDDR5 bank cliff.
-        let stream_bw = stream_triad_gbs(p, self.target.sockets, threads);
+        let stream_bw = stream_triad_gbs(p, self.target.sockets, threads, &self.faults);
         let mut bw = lat_bw.min(stream_bw);
         // Gather/scatter wastes partial lines.
         bw /= 1.0 + k.gather_fraction * u.gather_traffic_waste;
@@ -352,7 +358,7 @@ mod tests {
     #[test]
     fn mg_phi_beats_host_and_peaks_at_3_threads_per_core() {
         // Native Phi: ~29.9 Gflop/s at 177 threads; 27% above host.
-        let phi = PerfModel::phi();
+        let phi = PerfModel::phi(&Faults::default());
         let r177 = phi.gflops(&mg_like(), 177);
         assert!((r177 - 29.9).abs() < 2.5, "phi MG rate {r177}");
         let r59 = phi.gflops(&mg_like(), 59);
@@ -366,7 +372,7 @@ mod tests {
     #[test]
     fn os_core_use_hurts_on_phi() {
         // Figure 24: 59/118/177/236 threads much better than 60/120/180/240.
-        let phi = PerfModel::phi();
+        let phi = PerfModel::phi(&Faults::default());
         let k = mg_like();
         for (good, bad) in [(59u32, 60u32), (118, 120), (177, 180), (236, 240)] {
             assert!(
@@ -392,7 +398,7 @@ mod tests {
         // CG on the Phi is crippled by gather/scatter; the host-to-Phi
         // ratio is much larger than for MG.
         let host = PerfModel::host();
-        let phi = PerfModel::phi();
+        let phi = PerfModel::phi(&Faults::default());
         let cg_ratio = host.gflops(&cg_like(), 16) / phi.gflops(&cg_like(), 177);
         let mg_ratio = host.gflops(&mg_like(), 16) / phi.gflops(&mg_like(), 177);
         assert!(
@@ -406,7 +412,7 @@ mod tests {
     fn single_phi_thread_is_very_slow() {
         // "Applications with significant serial regions will suffer
         // dramatically because of the relatively slow speed of a Phi core."
-        let phi = PerfModel::phi();
+        let phi = PerfModel::phi(&Faults::default());
         let host = PerfModel::host();
         let k = mg_like();
         assert!(host.gflops(&k, 1) > 5.0 * phi.gflops(&k, 1));
@@ -414,7 +420,7 @@ mod tests {
 
     #[test]
     fn best_threads_picks_the_peak() {
-        let phi = PerfModel::phi();
+        let phi = PerfModel::phi(&Faults::default());
         let (t, r) = phi.best_threads(&mg_like(), &[59, 118, 177, 236]);
         assert_eq!(t, 177);
         assert!(r > 0.0);

@@ -7,7 +7,7 @@
 //! symmetric mode beating native host by 1.9× — but losing to *two
 //! hosts*, because communication and imbalance eat the compute advantage.
 
-use maia_arch::Device;
+use maia_arch::{Device, Faults};
 use maia_interconnect::{IbLink, NodePath, SoftwareStack};
 
 use crate::perf::{KernelProfile, PerfModel};
@@ -57,16 +57,22 @@ impl SymmetricLayout {
 
     /// Execute one step of `kernel` (the whole problem's per-step work)
     /// split across host + Phi0 + Phi1 in proportion to device throughput,
-    /// exchanging `halo_bytes` per device pair per step.
-    pub fn step(&self, kernel: &KernelProfile, halo_bytes: u64) -> SymmetricOutcome {
+    /// exchanging `halo_bytes` per device pair per step, on the machine
+    /// `faults` describes.
+    pub fn step(
+        &self,
+        kernel: &KernelProfile,
+        halo_bytes: u64,
+        faults: &Faults,
+    ) -> SymmetricOutcome {
         let host = PerfModel::host();
-        let phi = PerfModel::phi();
+        let phi = PerfModel::phi(faults);
         // A dead card drops out of the proportional split and its halo
         // paths disappear; the job degrades to host + one Phi.
-        let dead = crate::faults::dead_card();
+        let dead = faults.dead_card;
         let phis_alive = if dead.is_some() { 1.0 } else { 2.0 };
         if let Some(card) = dead {
-            crate::faults::note_mode_switch(&format!(
+            faults.note_mode_switch(&format!(
                 "symmetric step: card {card:?} is dead; degrading to host + 1 Phi"
             ));
         }
@@ -82,7 +88,7 @@ impl SymmetricLayout {
         let comm_s = NodePath::ALL
             .iter()
             .filter(|&&p| !dead.is_some_and(|card| path_touches(p, card)))
-            .map(|&p| self.stack.message_time_s(p, halo_bytes))
+            .map(|&p| self.stack.message_time_s(p, halo_bytes, faults))
             .fold(0.0f64, f64::max)
             * 2.0; // both directions
         SymmetricOutcome {
@@ -164,7 +170,7 @@ mod tests {
         let l = layout(SoftwareStack::PostUpdate);
         let k = overflow_like();
         let halo = 24 << 20;
-        let sym = l.step(&k, halo).step_s;
+        let sym = l.step(&k, halo, &Faults::default()).step_s;
         let native = l.native_host_step(&k);
         let boost = native / sym;
         assert!((1.5..2.3).contains(&boost), "symmetric boost {boost}");
@@ -175,8 +181,8 @@ mod tests {
         // Figure 23: 2%–28% gain from the software update.
         let k = overflow_like();
         let halo = 24 << 20;
-        let pre = layout(SoftwareStack::PreUpdate).step(&k, halo).step_s;
-        let post = layout(SoftwareStack::PostUpdate).step(&k, halo).step_s;
+        let pre = layout(SoftwareStack::PreUpdate).step(&k, halo, &Faults::default()).step_s;
+        let post = layout(SoftwareStack::PostUpdate).step(&k, halo, &Faults::default()).step_s;
         let gain = pre / post - 1.0;
         assert!((0.02..0.35).contains(&gain), "update gain {gain}");
     }
@@ -188,7 +194,7 @@ mod tests {
         let l = layout(SoftwareStack::PostUpdate);
         let k = overflow_like();
         let halo = 24 << 20;
-        assert!(l.two_host_step(&k, halo) < l.step(&k, halo).step_s);
+        assert!(l.two_host_step(&k, halo) < l.step(&k, halo, &Faults::default()).step_s);
     }
 
     #[test]
@@ -200,7 +206,7 @@ mod tests {
         let k = overflow_like();
         let host_rate = k.flops / PerfModel::host().unit_time_s(&k, 16);
         let two_host_compute = k.flops / (2.0 * host_rate);
-        let sym = l.step(&k, 24 << 20);
+        let sym = l.step(&k, 24 << 20, &Faults::default());
         let adv = two_host_compute / sym.compute_s - 1.0;
         assert!(
             (0.05..0.40).contains(&adv),

@@ -2,7 +2,7 @@
 //! program on the simulated world and reports the virtual-time metric the
 //! paper plots.
 
-use maia_arch::Device;
+use maia_arch::{Device, Faults};
 use maia_interconnect::{NodePath, SoftwareStack};
 
 use crate::memory::{MemoryBudget, OomError};
@@ -17,7 +17,7 @@ pub struct P2pPoint {
     pub bandwidth_gbs: f64,
 }
 
-fn spec_for_path(path: NodePath, stack: SoftwareStack) -> WorldSpec {
+fn spec_for_path(path: NodePath, stack: SoftwareStack, faults: &Faults) -> WorldSpec {
     let (a, b) = match path {
         NodePath::HostPhi0 => (Device::Host, Device::Phi0),
         NodePath::HostPhi1 => (Device::Host, Device::Phi1),
@@ -26,13 +26,15 @@ fn spec_for_path(path: NodePath, stack: SoftwareStack) -> WorldSpec {
     WorldSpec {
         placements: vec![RankPlacement::on(a), RankPlacement::on(b)],
         stack,
+        faults: faults.clone(),
     }
 }
 
-/// Figure 7: one-way MPI latency over PCIe, microseconds, measured as half
-/// the ping-pong round trip of a zero-byte message.
-pub fn pcie_latency_us(stack: SoftwareStack, path: NodePath) -> f64 {
-    let spec = spec_for_path(path, stack);
+/// Figure 7: one-way MPI latency over PCIe on the machine `faults`
+/// describes, microseconds, measured as half the ping-pong round trip of
+/// a zero-byte message.
+pub fn pcie_latency_us(stack: SoftwareStack, path: NodePath, faults: &Faults) -> f64 {
+    let spec = spec_for_path(path, stack, faults);
     let iters = 10u32;
     let res = MpiWorld::run(&spec, move |mut rank| async move {
         for i in 0..iters as i32 {
@@ -50,10 +52,16 @@ pub fn pcie_latency_us(stack: SoftwareStack, path: NodePath) -> f64 {
     res.end_time.as_secs_f64() / (2.0 * iters as f64) * 1e6
 }
 
-/// Figure 8: uni-directional MPI bandwidth over PCIe for one message size.
-pub fn pcie_bandwidth(stack: SoftwareStack, path: NodePath, bytes: u64) -> P2pPoint {
+/// Figure 8: uni-directional MPI bandwidth over PCIe for one message
+/// size, on the machine `faults` describes.
+pub fn pcie_bandwidth(
+    stack: SoftwareStack,
+    path: NodePath,
+    bytes: u64,
+    faults: &Faults,
+) -> P2pPoint {
     assert!(bytes > 0);
-    let spec = spec_for_path(path, stack);
+    let spec = spec_for_path(path, stack, faults);
     let iters = 4u32;
     let res = MpiWorld::run(&spec, move |mut rank| async move {
         for i in 0..iters as i32 {
@@ -72,12 +80,6 @@ pub fn pcie_bandwidth(stack: SoftwareStack, path: NodePath, bytes: u64) -> P2pPo
         time_s,
         bandwidth_gbs: bytes as f64 / time_s / 1e9,
     }
-}
-
-/// Figure 9: post-update / pre-update bandwidth gain.
-pub fn update_gain(path: NodePath, bytes: u64) -> f64 {
-    pcie_bandwidth(SoftwareStack::PostUpdate, path, bytes).bandwidth_gbs
-        / pcie_bandwidth(SoftwareStack::PreUpdate, path, bytes).bandwidth_gbs
 }
 
 /// Figure 10: ring `MPI_Send/Recv` — per-pair bandwidth, on the
@@ -136,12 +138,23 @@ pub enum CollectiveOp {
 }
 
 /// Cluster collective (multi-node allreduce/alltoall over the
-/// hierarchical node-leader model) on the DES, partitioned across
-/// `partitions` event wheels: completion time in seconds plus the
-/// partition-run statistics (window count, cross-wheel messages,
-/// per-wheel stall time). The oracle `fastpath::cluster_collective_time`
-/// is cross-checked against.
+/// hierarchical node-leader model) on the DES of the healthy machine,
+/// partitioned across `partitions` event wheels: completion time in
+/// seconds plus the partition-run statistics (window count, cross-wheel
+/// messages, per-wheel stall time). The oracle
+/// `fastpath::cluster_collective_time` is cross-checked against.
 pub fn cluster_collective_run_with(
+    nodes: usize,
+    bytes: u64,
+    op: CollectiveOp,
+    partitions: usize,
+) -> (f64, maia_sim::partition::PartitionRunStats) {
+    cluster_collective_run_under(&Faults::default(), nodes, bytes, op, partitions)
+}
+
+/// [`cluster_collective_run_with`] on the machine `faults` describes.
+pub fn cluster_collective_run_under(
+    faults: &Faults,
     nodes: usize,
     bytes: u64,
     op: CollectiveOp,
@@ -149,21 +162,23 @@ pub fn cluster_collective_run_with(
 ) -> (f64, maia_sim::partition::PartitionRunStats) {
     let eff = crate::process_backend::effective_partitions(nodes, partitions);
     let plan = crate::partition::PartitionPlan::by_node(eff);
-    cluster_collective_run_plan(nodes, bytes, op, &plan)
+    cluster_collective_run_plan(faults, nodes, bytes, op, &plan)
 }
 
-/// [`cluster_collective_run_with`] under an explicit
+/// [`cluster_collective_run_under`] with an explicit
 /// [`PartitionPlan`](crate::partition::PartitionPlan) —
 /// the determinism battery uses this to pin shuffled domain→wheel folds
 /// against the default round-robin one.
 pub fn cluster_collective_run_plan(
+    faults: &Faults,
     nodes: usize,
     bytes: u64,
     op: CollectiveOp,
     plan: &crate::partition::PartitionPlan,
 ) -> (f64, maia_sim::partition::PartitionRunStats) {
-    let spec = WorldSpec::node_leaders(nodes);
-    let program = crate::process_backend::cluster_program(bytes, op);
+    let spec = WorldSpec::node_leaders(nodes).with_faults(faults);
+    let phases = crate::fastpath::cluster_intra_phases(bytes, op, faults);
+    let program = crate::process_backend::cluster_program(bytes, op, phases);
     let (res, stats) =
         MpiWorld::run_partitioned(&spec, plan, program).expect("cluster collective deadlocked");
     (res.end_time.as_secs_f64(), stats)
@@ -193,7 +208,7 @@ mod tests {
             (SoftwareStack::PostUpdate, NodePath::Phi0Phi1, 6.6),
         ];
         for (stack, path, expected) in cases {
-            let got = pcie_latency_us(stack, path);
+            let got = pcie_latency_us(stack, path, &Faults::default());
             assert!(
                 (got - expected).abs() < 0.05,
                 "{stack:?} {path}: {got} vs paper {expected}"
@@ -204,18 +219,23 @@ mod tests {
     #[test]
     fn figure8_4mb_bandwidths() {
         let m = 4 * 1024 * 1024;
-        let b = pcie_bandwidth(SoftwareStack::PreUpdate, NodePath::HostPhi0, m);
+        let healthy = Faults::default();
+        let b = pcie_bandwidth(SoftwareStack::PreUpdate, NodePath::HostPhi0, m, &healthy);
         assert!((b.bandwidth_gbs - 1.6).abs() < 0.2, "{}", b.bandwidth_gbs);
-        let b = pcie_bandwidth(SoftwareStack::PostUpdate, NodePath::HostPhi0, m);
+        let b = pcie_bandwidth(SoftwareStack::PostUpdate, NodePath::HostPhi0, m, &healthy);
         assert!((b.bandwidth_gbs - 6.0).abs() < 0.3, "{}", b.bandwidth_gbs);
-        let b = pcie_bandwidth(SoftwareStack::PostUpdate, NodePath::Phi0Phi1, m);
+        let b = pcie_bandwidth(SoftwareStack::PostUpdate, NodePath::Phi0Phi1, m, &healthy);
         assert!((b.bandwidth_gbs - 0.9).abs() < 0.1, "{}", b.bandwidth_gbs);
     }
 
     #[test]
     fn figure9_gain_is_large_only_past_scif_threshold() {
-        let g_small = update_gain(NodePath::HostPhi1, 4 * 1024);
-        let g_large = update_gain(NodePath::HostPhi1, 4 * 1024 * 1024);
+        let update_gain = |bytes| {
+            let bw = |stack| pcie_bandwidth(stack, NodePath::HostPhi1, bytes, &Faults::default());
+            bw(SoftwareStack::PostUpdate).bandwidth_gbs / bw(SoftwareStack::PreUpdate).bandwidth_gbs
+        };
+        let g_small = update_gain(4 * 1024);
+        let g_large = update_gain(4 * 1024 * 1024);
         assert!(g_small < 2.0, "small-message gain {g_small}");
         assert!(g_large > 7.0 && g_large < 14.0, "large-message gain {g_large}");
     }

@@ -20,7 +20,7 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use maia_arch::Device;
+use maia_arch::{Device, Faults};
 use maia_interconnect::SoftwareStack;
 use maia_sim::SimDuration;
 
@@ -79,14 +79,7 @@ pub enum SelectedEngine {
 fn model_for(device: Device, ranks: usize) -> TransportModel {
     let spec = WorldSpec::all_on(device, ranks);
     spec.validate();
-    TransportModel::new(
-        spec.stack,
-        [
-            spec.threads_per_core(Device::Host),
-            spec.threads_per_core(Device::Phi0),
-            spec.threads_per_core(Device::Phi1),
-        ],
-    )
+    TransportModel::for_world(&spec)
 }
 
 /// Intra-device message time in picoseconds (the engine's native unit).
@@ -288,7 +281,8 @@ pub const NODE_HOST_RANKS: usize = 16;
 pub const NODE_PHI_RANKS: usize = 60;
 
 /// Intra-node (pre, post) phase durations of one hierarchical cluster
-/// collective over a `16 host + 2×60 Phi` symmetric node.
+/// collective over a `16 host + 2×60 Phi` symmetric node, on the machine
+/// `faults` describes (its DAPL and link faults reach the card hops).
 ///
 /// These closed forms are shared *verbatim* between this module's
 /// [`cluster_collective_time`] and the DES driver
@@ -305,16 +299,14 @@ pub const NODE_PHI_RANKS: usize = 60;
 /// * Alltoall pre/post: the leader gathers (scatters) the node's blocks,
 ///   modeled as the slower of the host allgather and a Phi allgather
 ///   plus the DAPL hop.
-pub fn cluster_intra_phases(bytes: u64, op: CollectiveOp) -> (SimDuration, SimDuration) {
-    let node = WorldSpec::symmetric(NODE_HOST_RANKS, NODE_PHI_RANKS, SoftwareStack::PostUpdate);
-    let t = TransportModel::new(
-        node.stack,
-        [
-            node.threads_per_core(Device::Host),
-            node.threads_per_core(Device::Phi0),
-            node.threads_per_core(Device::Phi1),
-        ],
-    );
+pub fn cluster_intra_phases(
+    bytes: u64,
+    op: CollectiveOp,
+    faults: &Faults,
+) -> (SimDuration, SimDuration) {
+    let node = WorldSpec::symmetric(NODE_HOST_RANKS, NODE_PHI_RANKS, SoftwareStack::PostUpdate)
+        .with_faults(faults);
+    let t = TransportModel::for_world(&node);
     let dapl = t
         .message_time(RankPlacement::on(Device::Phi0), RankPlacement::on(Device::Host), bytes)
         .as_ps();
@@ -346,21 +338,16 @@ pub fn cluster_intra_phases(bytes: u64, op: CollectiveOp) -> (SimDuration, SimDu
 /// Cluster-collective closed form: intra-node pre phase, inter-node
 /// recurrence over InfiniBand among the node leaders, intra-node post
 /// phase. Bit-for-bit equal to the (partitioned) DES driver's end time.
-pub fn cluster_collective_time(nodes: usize, bytes: u64, op: CollectiveOp) -> f64 {
+/// `faults` reaches the intra-node phases only: stragglers act inside
+/// the DES, which this form replaces.
+pub fn cluster_collective_time(nodes: usize, bytes: u64, op: CollectiveOp, faults: &Faults) -> f64 {
     let spec = WorldSpec::node_leaders(nodes);
     spec.validate();
-    let (pre, post) = cluster_intra_phases(bytes, op);
+    let (pre, post) = cluster_intra_phases(bytes, op, faults);
     let inter = if nodes == 1 {
         0
     } else {
-        let t = TransportModel::new(
-            spec.stack,
-            [
-                spec.threads_per_core(Device::Host),
-                spec.threads_per_core(Device::Phi0),
-                spec.threads_per_core(Device::Phi1),
-            ],
-        );
+        let t = TransportModel::for_world(&spec);
         let leader = |n: u32| RankPlacement { node: n, device: Device::Host };
         let m = t.message_time(leader(0), leader(1), bytes).as_ps();
         match op {
@@ -423,7 +410,7 @@ mod tests {
         for nodes in [1usize, 2, 5, 8] {
             for bytes in [64u64, 64 * 1024] {
                 for op in [CollectiveOp::Allreduce, CollectiveOp::Alltoall] {
-                    let fast = cluster_collective_time(nodes, bytes, op);
+                    let fast = cluster_collective_time(nodes, bytes, op, &Faults::default());
                     for wheels in [1usize, 2, 4] {
                         let (des, _) = bench::cluster_collective_run_with(nodes, bytes, op, wheels);
                         assert_eq!(
@@ -440,8 +427,8 @@ mod tests {
     #[test]
     fn single_node_cluster_is_pure_intra_phases() {
         for op in [CollectiveOp::Allreduce, CollectiveOp::Alltoall] {
-            let (pre, post) = cluster_intra_phases(4096, op);
-            let t = cluster_collective_time(1, 4096, op);
+            let (pre, post) = cluster_intra_phases(4096, op, &Faults::default());
+            let t = cluster_collective_time(1, 4096, op, &Faults::default());
             assert_eq!(t, (pre + post).as_secs_f64());
         }
     }

@@ -28,6 +28,12 @@
 //! sub-communicator [`Group`]s (`MPI_Comm_split`), per-rank
 //! communication/compute accounting ([`RankStats`]), and scheduler
 //! tracing ([`MpiWorld::run_traced`]).
+//!
+//! A world runs on the machine its [`WorldSpec::faults`] describes
+//! (healthy in every constructor): straggling ranks stretch their
+//! [`Rank::compute`] phases and degraded links retry PCIe-crossing
+//! messages ([`faults`]), and the value's tallies count the injected
+//! time — across every event wheel, worker processes included.
 
 pub mod bench;
 pub mod coll;

@@ -1,6 +1,6 @@
 //! Rank placement: which device and node every MPI rank lives on.
 
-use maia_arch::Device;
+use maia_arch::{Device, Faults};
 use maia_interconnect::SoftwareStack;
 
 /// Where one rank runs.
@@ -26,6 +26,9 @@ pub struct WorldSpec {
     pub placements: Vec<RankPlacement>,
     /// Which DAPL software stack carries host↔Phi traffic.
     pub stack: SoftwareStack,
+    /// The machine the world runs on: its ranks' compute and messages
+    /// are priced under these faults (healthy in every constructor).
+    pub faults: Faults,
 }
 
 impl WorldSpec {
@@ -36,6 +39,7 @@ impl WorldSpec {
         WorldSpec {
             placements: vec![RankPlacement::on(device); ranks],
             stack: SoftwareStack::PostUpdate,
+            faults: Faults::default(),
         }
     }
 
@@ -46,7 +50,11 @@ impl WorldSpec {
         placements.extend(std::iter::repeat_n(RankPlacement::on(Device::Host), host));
         placements.extend(std::iter::repeat_n(RankPlacement::on(Device::Phi0), per_phi));
         placements.extend(std::iter::repeat_n(RankPlacement::on(Device::Phi1), per_phi));
-        WorldSpec { placements, stack }
+        WorldSpec {
+            placements,
+            stack,
+            faults: Faults::default(),
+        }
     }
 
     /// A cluster layout of node leaders: one Host rank per node, rank `i`
@@ -61,6 +69,15 @@ impl WorldSpec {
                 .map(|n| RankPlacement { node: n as u32, device: Device::Host })
                 .collect(),
             stack: SoftwareStack::PostUpdate,
+            faults: Faults::default(),
+        }
+    }
+
+    /// The same world on the machine `faults` describes.
+    pub fn with_faults(self, faults: &Faults) -> Self {
+        WorldSpec {
+            faults: faults.clone(),
+            ..self
         }
     }
 
@@ -177,7 +194,11 @@ mod tests {
         for node in 0..128u32 {
             placements.extend((0..16).map(|_| RankPlacement { node, device: Device::Host }));
         }
-        let w = WorldSpec { placements, stack: SoftwareStack::PostUpdate };
+        let w = WorldSpec {
+            placements,
+            stack: SoftwareStack::PostUpdate,
+            faults: Faults::default(),
+        };
         w.validate();
         assert_eq!(w.max_ranks_on_node(Device::Host), 16);
         assert_eq!(w.threads_per_core(Device::Host), 1);

@@ -4,8 +4,10 @@
 //!
 //! The hub and every worker rebuild the identical world from a tiny
 //! [`ClusterJob`] description — the simulation is a pure function of
-//! `(nodes, bytes, op, partitions)` — so the only state on the wire is
-//! the window-barrier exchange itself plus one final report per worker.
+//! `(nodes, bytes, op, partitions)` plus the fault plan's stragglers and
+//! the intra-node phases the hub priced — so the only state on the wire
+//! is the window-barrier exchange itself plus one final report per
+//! worker, which carries the model time the wheel's faults injected.
 //! That is what makes the backend byte-identical to the in-process
 //! channel backend at every partition count: same domains, same fold,
 //! same lookahead, same message ordering keys.
@@ -20,6 +22,8 @@
 use std::io::{self, Read, Write};
 use std::sync::{Mutex, PoisonError};
 
+use maia_arch::faults::Straggler;
+use maia_arch::Faults;
 use maia_sim::partition::process::{wire, WireItem};
 use maia_sim::partition::{PartitionRunStats, ProcessConfig, WorkerEndpoint};
 use maia_sim::{SimDuration, SimTime};
@@ -128,7 +132,7 @@ impl WireItem for Msg {
 
 /// Everything a worker needs to rebuild its share of a cluster
 /// collective run. Sent as the opaque job payload of the handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterJob {
     /// Cluster size (one leader rank per node).
     pub nodes: usize,
@@ -143,7 +147,17 @@ pub struct ClusterJob {
     /// Whether the hub carries a telemetry probe — when set, the worker
     /// records its wheel's probe stream and ships it home in the report.
     pub probe: bool,
+    /// The intra-node (pre, post) phases as the hub priced them under the
+    /// run's faults: the worker charges them as given, re-deriving
+    /// nothing that injects model time.
+    pub phases: (SimDuration, SimDuration),
+    /// The fault plan's straggling ranks.
+    pub stragglers: Vec<Straggler>,
 }
+
+/// Encoded size of one straggler (`u32` rank, two `f64`s): bounds how
+/// many a job payload can hold.
+const STRAGGLER_BYTES: usize = 20;
 
 fn op_code(op: CollectiveOp) -> u8 {
     match op {
@@ -174,39 +188,58 @@ impl ClusterJob {
         wire::put_u32(&mut out, self.partitions as u32);
         wire::put_u32(&mut out, self.wheel as u32);
         out.push(self.probe as u8);
+        wire::put_u64(&mut out, self.phases.0.as_ps());
+        wire::put_u64(&mut out, self.phases.1.as_ps());
+        wire::put_u32(&mut out, self.stragglers.len() as u32);
+        for s in &self.stragglers {
+            wire::put_u32(&mut out, s.rank);
+            wire::put_f64(&mut out, s.slowdown);
+            wire::put_f64(&mut out, s.from_s);
+        }
         out
     }
 
-    /// Inverse of [`ClusterJob::encode`]; `None` on malformed input.
+    /// Inverse of [`ClusterJob::encode`]; `None` on malformed input,
+    /// including a straggler with a non-finite slowdown or onset.
     pub fn decode(bytes: &[u8]) -> Option<ClusterJob> {
         let mut r = wire::Reader::new(bytes);
-        let job = ClusterJob {
+        let mut job = ClusterJob {
             nodes: r.take_u32()? as usize,
             bytes: r.take_u64()?,
             op: op_from(r.take_u8()?)?,
             partitions: r.take_u32()? as usize,
             wheel: r.take_u32()? as usize,
             probe: r.take_u8()? != 0,
+            phases: (SimDuration::from_ps(r.take_u64()?), SimDuration::from_ps(r.take_u64()?)),
+            stragglers: Vec::new(),
         };
-        if r.remaining() != 0 {
-            return None;
+        let count = r.take_u32()? as usize;
+        job.stragglers.reserve(count.min(r.remaining() / STRAGGLER_BYTES));
+        let finite = |x: f64| x.is_finite().then_some(x);
+        for _ in 0..count {
+            job.stragglers.push(Straggler {
+                rank: r.take_u32()?,
+                slowdown: finite(r.take_f64()?)?,
+                from_s: finite(r.take_f64()?)?,
+            });
         }
-        Some(job)
+        (r.remaining() == 0).then_some(job)
     }
 }
 
 /// The rank program of a cluster collective, shared by the in-process
 /// channel backend ([`crate::bench::cluster_collective_run_plan`]), the
 /// hub and every worker: intra-node phase, inter-node collective,
-/// intra-node phase.
+/// intra-node phase, with the `(pre, post)` phase durations of
+/// [`crate::fastpath::cluster_intra_phases`].
 pub(crate) fn cluster_program(
     bytes: u64,
     op: CollectiveOp,
+    (pre, post): (SimDuration, SimDuration),
 ) -> impl Fn(Rank) -> std::pin::Pin<Box<dyn std::future::Future<Output = Rank> + Send>>
        + Send
        + Sync
        + 'static {
-    let (pre, post) = crate::fastpath::cluster_intra_phases(bytes, op);
     move |mut rank| {
         Box::pin(async move {
             rank.compute(pre).await;
@@ -221,15 +254,16 @@ pub(crate) fn cluster_program(
     }
 }
 
-/// Hub entry point: run one cluster collective across already-spawned
-/// worker processes (`workers[i]` hosts wheel `i + 1`). Returns the
-/// completion time in seconds, the partition-run statistics, and the
-/// number of heartbeat intervals that passed without a worker frame
-/// (wall-side health telemetry — never part of the deterministic
-/// result). The time, statistics and virtual telemetry are bit-identical
-/// to [`crate::bench::cluster_collective_run_with`] over the same
-/// `(nodes, bytes, op, partitions)`.
+/// Hub entry point: run one cluster collective on the machine `faults`
+/// describes across already-spawned worker processes (`workers[i]`
+/// hosts wheel `i + 1`). Returns the completion time in seconds, the
+/// partition-run statistics, and the number of heartbeat intervals that
+/// passed without a worker frame (wall-side health telemetry — never
+/// part of the deterministic result). All but the last are bit-identical
+/// to [`crate::bench::cluster_collective_run_under`], and so is the time
+/// tallied on `faults`.
 pub fn cluster_collective_run_process(
+    faults: &Faults,
     nodes: usize,
     bytes: u64,
     op: CollectiveOp,
@@ -239,7 +273,14 @@ pub fn cluster_collective_run_process(
 ) -> Result<(f64, PartitionRunStats, u64), ProcessWorldError> {
     let eff = effective_partitions(nodes, partitions);
     let plan = PartitionPlan::by_node(eff);
-    let spec = WorldSpec::node_leaders(nodes);
+    // The attempt tallies on its own, added to `faults` only once every
+    // wheel has reported: a lost attempt injects nothing.
+    let attempt = Faults {
+        tally: Faults::armed("attempt", None).tally,
+        ..faults.clone()
+    };
+    let spec = WorldSpec::node_leaders(nodes).with_faults(&attempt);
+    let phases = crate::fastpath::cluster_intra_phases(bytes, op, &attempt);
     // Fetched once: each fetch runs the telemetry factory, which counts
     // an engine.
     let probe = maia_sim::probe::probe_for_current_thread();
@@ -252,6 +293,8 @@ pub fn cluster_collective_run_process(
                 partitions: eff,
                 wheel,
                 probe: probe.is_some(),
+                phases,
+                stragglers: faults.stragglers.clone(),
             }
             .encode()
         })
@@ -259,12 +302,13 @@ pub fn cluster_collective_run_process(
     let (res, stats, missed) = MpiWorld::run_partitioned_hub(
         &spec,
         &plan,
-        cluster_program(bytes, op),
+        cluster_program(bytes, op, phases),
         workers,
         jobs,
         probe,
         cfg,
     )?;
+    faults.add_injected_ps(attempt.injected_ps());
     Ok((res.end_time.as_secs_f64(), stats, missed))
 }
 
@@ -353,12 +397,17 @@ pub fn worker_main(
         Some(Chaos::KillAtWindow(w)) => Some(w),
         _ => None,
     };
-    let spec = WorldSpec::node_leaders(job.nodes);
+    // The report frame carries this wheel's tally home.
+    let faults = Faults {
+        stragglers: job.stragglers,
+        ..Faults::armed(&format!("wheel {wheel}"), None)
+    };
+    let spec = WorldSpec::node_leaders(job.nodes).with_faults(&faults);
     let plan = PartitionPlan::by_node(job.partitions);
     MpiWorld::run_partitioned_worker(
         &spec,
         &plan,
-        cluster_program(job.bytes, job.op),
+        cluster_program(job.bytes, job.op, job.phases),
         wheel,
         endpoint,
         job.probe,
@@ -388,9 +437,38 @@ mod tests {
             partitions: 4,
             wheel: 3,
             probe: true,
+            phases: (SimDuration::from_ps(7), SimDuration::from_ps(11)),
+            stragglers: Vec::new(),
         };
-        assert_eq!(ClusterJob::decode(&job.encode()), Some(job));
+        assert_eq!(ClusterJob::decode(&job.encode()), Some(job.clone()));
         assert_eq!(ClusterJob::decode(&[1, 2, 3]), None);
+
+        let slow = ClusterJob {
+            stragglers: vec![
+                Straggler { rank: 3, slowdown: 4.0, from_s: 0.0 },
+                Straggler { rank: 17, slowdown: 1.5, from_s: 2.5e-4 },
+            ],
+            ..job.clone()
+        };
+        let bytes = slow.encode();
+        assert_eq!(ClusterJob::decode(&bytes), Some(slow));
+        // Truncated anywhere: malformed, never a partial job.
+        for cut in [bytes.len() - 1, bytes.len() - STRAGGLER_BYTES, 30] {
+            assert_eq!(ClusterJob::decode(&bytes[..cut]), None, "cut at {cut}");
+        }
+
+        // A count claiming u32::MAX stragglers over an empty tail is
+        // malformed, and preallocates nothing for them.
+        let mut lying = job.encode();
+        let at = lying.len() - 4;
+        lying[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(ClusterJob::decode(&lying), None);
+
+        let nan = ClusterJob {
+            stragglers: vec![Straggler { rank: 0, slowdown: f64::NAN, from_s: 0.0 }],
+            ..job
+        };
+        assert_eq!(ClusterJob::decode(&nan.encode()), None);
     }
 
     #[test]
@@ -451,6 +529,7 @@ mod tests {
                 }));
             }
             let (got, got_stats, _missed) = cluster_collective_run_process(
+                &Faults::default(),
                 nodes,
                 4096,
                 CollectiveOp::Allreduce,

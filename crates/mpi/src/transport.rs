@@ -12,11 +12,11 @@
 //!    ([`SoftwareStack::message_time_s`]) — pre/post-update semantics.
 //! 3. **Inter-node FDR InfiniBand** ([`IbLink`]).
 
-use maia_arch::Device;
+use maia_arch::{Device, Faults};
 use maia_interconnect::{IbLink, NodePath, SoftwareStack};
 use maia_sim::SimDuration;
 
-use crate::placement::RankPlacement;
+use crate::placement::{RankPlacement, WorldSpec};
 
 /// Intra-device MPI parameters: (latency µs, per-rank bandwidth GB/s).
 ///
@@ -59,6 +59,8 @@ pub struct TransportModel {
     ib: IbLink,
     /// Per-device oversubscription level, indexed by [`device_index`].
     tpc: [u32; 3],
+    /// The machine the messages cross.
+    pub(crate) faults: Faults,
 }
 
 /// Dense index for [`Device`].
@@ -71,13 +73,26 @@ pub fn device_index(d: Device) -> usize {
 }
 
 impl TransportModel {
-    /// Build the model for a world with the given DAPL stack and
+    /// Build the model for a healthy world with the given DAPL stack and
     /// per-device threads-per-core levels `[host, phi0, phi1]`.
     pub fn new(stack: SoftwareStack, tpc: [u32; 3]) -> Self {
         TransportModel {
             stack,
             ib: IbLink::default(),
             tpc,
+            faults: Faults::default(),
+        }
+    }
+
+    /// The model `MpiWorld` builds for `spec`: its stack, its per-device
+    /// oversubscription levels and its faults.
+    pub(crate) fn for_world(spec: &WorldSpec) -> Self {
+        TransportModel {
+            faults: spec.faults.clone(),
+            ..TransportModel::new(
+                spec.stack,
+                Device::ALL.map(|d| spec.threads_per_core(d)),
+            )
         }
     }
 
@@ -90,11 +105,11 @@ impl TransportModel {
             lat_us * 1e-6 + bytes as f64 / (bw_gbs * 1e9)
         } else {
             let path = NodePath::between(from.device, to.device);
-            let base = self.stack.message_time_s(path, bytes);
+            let base = self.stack.message_time_s(path, bytes, &self.faults);
             // A degraded link pays modeled timeout/retry/backoff rounds
-            // on every PCIe-crossing message (exact zero when the
-            // link fault is not armed).
-            base + crate::faults::link_retry_extra_s(base)
+            // on every PCIe-crossing message (exact zero on a healthy
+            // link).
+            base + crate::faults::link_retry_extra_s(&self.faults, base)
         };
         SimDuration::from_secs_f64(secs)
     }

@@ -113,12 +113,7 @@ impl MpiWorld {
     {
         spec.validate();
         let size = spec.size();
-        let tpc = [
-            spec.threads_per_core(maia_arch::Device::Host),
-            spec.threads_per_core(maia_arch::Device::Phi0),
-            spec.threads_per_core(maia_arch::Device::Phi1),
-        ];
-        let transport = Arc::new(TransportModel::new(spec.stack, tpc));
+        let transport = Arc::new(TransportModel::for_world(spec));
         let placements = Arc::new(spec.placements.clone());
         let mailboxes: Arc<Vec<SimChannel<Msg>>> = Arc::new(
             (0..size)
@@ -431,12 +426,7 @@ where
         let fold = plan.resolve_fold(ndomains);
         let wheel_of_rank: Arc<Vec<usize>> =
             Arc::new(domain_of.iter().map(|&d| fold[d]).collect());
-        let tpc = [
-            spec.threads_per_core(maia_arch::Device::Host),
-            spec.threads_per_core(maia_arch::Device::Phi0),
-            spec.threads_per_core(maia_arch::Device::Phi1),
-        ];
-        let transport = Arc::new(TransportModel::new(spec.stack, tpc));
+        let transport = Arc::new(TransportModel::for_world(spec));
         let window = lookahead(spec, &transport, &domain_of);
         PartitionSetup {
             size,
@@ -529,7 +519,8 @@ where
     }
 
     /// Worker→hub result payload: `(rank, finish_s, comm_s, compute_s)`
-    /// for every local rank, then the recorded probe stream.
+    /// for every local rank, the model time the wheel's faults injected
+    /// (signed picoseconds), then the recorded probe stream.
     fn encode_worker_extra(&self, wheel: usize, probe_bytes: &[u8]) -> Vec<u8> {
         let locals = self.local_ranks(wheel);
         let finishes = self.finishes.lock();
@@ -542,13 +533,14 @@ where
             wire::put_f64(&mut out, stats[r].comm_s);
             wire::put_f64(&mut out, stats[r].compute_s);
         }
+        wire::put_u64(&mut out, self.transport.faults.injected_ps() as u64);
         wire::put_bytes(&mut out, probe_bytes);
         out
     }
 
     /// Merge one worker's result payload into the hub's tables and
-    /// replay its probe stream through the wheel's remapping wrapper.
-    /// `None` on a malformed payload.
+    /// faults tally, and replay its probe stream through the wheel's
+    /// remapping wrapper. `None` on a malformed payload.
     fn apply_worker_extra(&self, extra: &[u8], pp: Option<&PartitionProbe>) -> Option<()> {
         let mut r = wire::Reader::new(extra);
         let n = r.take_u32()? as usize;
@@ -567,6 +559,7 @@ where
                 };
             }
         }
+        self.transport.faults.add_injected_ps(r.take_u64()? as i64);
         let probe_bytes = r.take_bytes()?;
         if let Some(pp) = pp {
             if !replay_probe(&probe_bytes, pp) {
@@ -633,12 +626,12 @@ impl Rank {
         self.ctx.now().as_secs_f64()
     }
 
-    /// Consume `dur` of virtual compute time. An armed straggler fault
-    /// ([`crate::faults::set_stragglers`]) stretches this rank's phases
-    /// once virtual time passes the fault's onset.
+    /// Consume `dur` of virtual compute time. A straggler fault in the
+    /// world's [`WorldSpec::faults`] stretches this rank's phases once
+    /// virtual time passes the fault's onset.
     pub async fn compute(&mut self, dur: SimDuration) {
-        let dur =
-            crate::faults::stretched_compute(self.rank as u32, self.ctx.now().as_secs_f64(), dur);
+        let (faults, now_s) = (&self.transport.faults, self.ctx.now().as_secs_f64());
+        let dur = crate::faults::stretched_compute(faults, self.rank as u32, now_s, dur);
         self.stats.compute_s += dur.as_secs_f64();
         self.ctx.advance(dur).await;
     }

@@ -175,7 +175,7 @@ mod tests {
     }
 
     fn phi_best(b: Benchmark) -> (u32, f64) {
-        PerfModel::phi().best_threads(&class_c_profile(b), &PHI_SWEEP)
+        PerfModel::phi(&maia_arch::Faults::default()).best_threads(&class_c_profile(b), &PHI_SWEEP)
     }
 
     #[test]
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn figure24_collapse_gain_on_phi_not_host() {
-        let phi = PerfModel::phi();
+        let phi = PerfModel::phi(&maia_arch::Faults::default());
         let host = PerfModel::host();
         let plain = mg_profile_uncollapsed();
         let coll = mg_profile_collapsed();

@@ -60,7 +60,7 @@ use crate::probe::{Probe, SchedStats};
 use crate::time::SimTime;
 
 /// Protocol version carried in the Hello frame; both sides must match.
-pub const WIRE_VERSION: u32 = 2;
+pub const WIRE_VERSION: u32 = 3;
 
 /// Frames above this size indicate a desynchronized stream, not data.
 const MAX_FRAME: u32 = 1 << 30;

@@ -7,7 +7,7 @@
 //!     [gflops] [traffic_gb] [input_mb] [output_mb] [invocations]
 //! ```
 
-use maia_arch::Device;
+use maia_arch::{Device, Faults};
 use maia_modes::{KernelProfile, OffloadPlan, OffloadRegion, PerfModel};
 
 fn main() {
@@ -41,12 +41,12 @@ fn main() {
         host_kernel: None,
     };
 
-    let report = plan.report(Device::Phi0, 177, 16);
+    let report = plan.report(Device::Phi0, 177, 16, &Faults::default());
     let mut whole = kernel.clone();
     whole.flops *= invocations as f64;
     whole.dram_bytes *= invocations as f64;
     let native_host = PerfModel::host().unit_time_s(&whole, 16);
-    let native_phi = PerfModel::phi().unit_time_s(&whole, 177);
+    let native_phi = PerfModel::phi(&Faults::default()).unit_time_s(&whole, 177);
 
     println!("native host (16T):      {native_host:8.2} s");
     println!("native phi  (177T):     {native_phi:8.2} s");

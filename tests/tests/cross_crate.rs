@@ -64,6 +64,7 @@ fn internode_vs_phi_to_phi() {
         let spec = WorldSpec {
             placements,
             stack: SoftwareStack::PostUpdate,
+            faults: Default::default(),
         };
         MpiWorld::run(&spec, move |mut rank| async move {
             if rank.rank() == 0 {

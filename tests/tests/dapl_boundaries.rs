@@ -5,6 +5,7 @@
 //! the `bytes = 131073` proptest shrink landed, so every ±1 neighbour is
 //! pinned for both software stacks on all three node paths.
 
+use maia_arch::Faults;
 use maia_interconnect::{
     NodePath, Protocol, Provider, SoftwareStack, EAGER_THRESHOLD, SCIF_THRESHOLD,
 };
@@ -75,7 +76,7 @@ fn message_costs_at_both_thresholds_match_closed_form() {
                         Protocol::RendezvousDirectCopy => 2.0 * lat,
                         Protocol::RendezvousStagedCopy => 2.0 * lat + bytes as f64 / 5e9,
                     };
-                let got = stack.message_time_s(path, bytes);
+                let got = stack.message_time_s(path, bytes, &Faults::default());
                 assert!(
                     (got - expected).abs() < 1e-12,
                     "{stack:?} {path} {bytes}B: {got} vs {expected}"
@@ -92,15 +93,15 @@ fn message_costs_at_both_thresholds_match_closed_form() {
 fn cost_is_sane_across_both_switch_points() {
     for stack in STACKS {
         for path in NodePath::ALL {
-            let before_eager = stack.message_time_s(path, EAGER_THRESHOLD - 1);
-            let at_eager = stack.message_time_s(path, EAGER_THRESHOLD);
+            let before_eager = stack.message_time_s(path, EAGER_THRESHOLD - 1, &Faults::default());
+            let at_eager = stack.message_time_s(path, EAGER_THRESHOLD, &Faults::default());
             assert!(
                 at_eager > before_eager,
                 "{stack:?} {path}: rendezvous handshake should cost extra"
             );
 
-            let before_scif = stack.message_time_s(path, SCIF_THRESHOLD - 1);
-            let at_scif = stack.message_time_s(path, SCIF_THRESHOLD);
+            let before_scif = stack.message_time_s(path, SCIF_THRESHOLD - 1, &Faults::default());
+            let at_scif = stack.message_time_s(path, SCIF_THRESHOLD, &Faults::default());
             assert!(
                 at_scif <= before_scif * 1.001,
                 "{stack:?} {path}: provider switch must not slow a message down \
@@ -123,7 +124,7 @@ fn monotone_cost_in_the_ccl_direct_band() {
             let mut prev = 0.0;
             let mut bytes = EAGER_THRESHOLD;
             while bytes < SCIF_THRESHOLD {
-                let t = stack.message_time_s(path, bytes);
+                let t = stack.message_time_s(path, bytes, &Faults::default());
                 assert!(
                     t >= prev,
                     "{stack:?} {path}: cost fell from {prev} to {t} at {bytes}B"
@@ -132,7 +133,8 @@ fn monotone_cost_in_the_ccl_direct_band() {
                 bytes += 4096; // steps land exactly on 128 KiB and 131073-adjacent sizes
             }
             // And the exact shrink value from the proptest regression.
-            assert!(stack.message_time_s(path, 131_073) >= stack.message_time_s(path, 131_072));
+            let t = |bytes| stack.message_time_s(path, bytes, &Faults::default());
+            assert!(t(131_073) >= t(131_072));
         }
     }
 }

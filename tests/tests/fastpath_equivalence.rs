@@ -5,16 +5,15 @@
 //! the degraded-stack resilience golden must survive the fast path's
 //! introduction byte for byte.
 //!
-//! Tests that flip process-wide state (engine mode, fault hooks, the
-//! memo cache) serialize on one mutex; the pure grid comparisons don't
-//! need it.
+//! Tests that clear the memo cache or read its counters serialize on one
+//! mutex; the pure grid comparisons and `RunConfig` checks don't need it.
 
 use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use maia_arch::Device;
 use maia_core::experiments::coll::{cached_alltoall_time, cached_collective_time};
-use maia_core::faults::{activate, run_resilience, FaultPlan};
+use maia_core::faults::{arm, run_resilience, FaultPlan};
 use maia_core::{cache, run_experiments_parallel, ExperimentId, ExperimentSelection, RunConfig};
 use maia_mpi::bench::{
     alltoall_time_des, collective_time_des, ring_sendrecv_des, CollectiveOp,
@@ -22,6 +21,10 @@ use maia_mpi::bench::{
 use maia_mpi::fastpath::{self, EngineMode, SelectedEngine};
 use maia_mpi::process_backend::Backend;
 
+/// Guards the process-wide memo cache and the partition-count default:
+/// holders clear the cache, read its counters or set the default, and a
+/// clear in the middle of an armed sweep would recompute (and tally
+/// again) a degraded sub-model two figures share.
 static SER: Mutex<()> = Mutex::new(());
 
 fn serialize() -> MutexGuard<'static, ()> {
@@ -116,18 +119,15 @@ fn crosscheck_oracle_matches_under_partitioning() {
 }
 
 /// An armed fault plan forces the DES — even one (degraded-stack) whose
-/// hooks partly live in crates the MPI layer cannot see — and disarming
-/// restores the fast path.
+/// faults partly act in crates the MPI layer cannot see — while the
+/// config it was armed from keeps the fast path.
 #[test]
 fn armed_fault_plan_forces_the_des() {
-    let _g = serialize();
-    let resolved = || RunConfig::current().resolved_engine();
-    assert_eq!(resolved(), SelectedEngine::Fast);
+    let cfg = RunConfig::default();
+    assert_eq!(cfg.resolved_engine(), SelectedEngine::Fast);
     let plan = FaultPlan::named("degraded-stack").expect("canned plan");
-    let guard = activate(&plan);
-    assert_eq!(resolved(), SelectedEngine::Des);
-    drop(guard);
-    assert_eq!(resolved(), SelectedEngine::Fast);
+    assert_eq!(arm(&cfg, &plan).resolved_engine(), SelectedEngine::Des);
+    assert_eq!(cfg.resolved_engine(), SelectedEngine::Fast);
 }
 
 /// The run config's key rule: no two configs share a memo key, the
@@ -135,7 +135,6 @@ fn armed_fault_plan_forces_the_des() {
 /// keys of its own, grouped under the `faults` telemetry domain.
 #[test]
 fn run_configs_never_share_a_memo_key() {
-    let _g = serialize();
     let key = "cluster/8/64/Allreduce";
     let mut configs = Vec::new();
     for engine in [EngineMode::Auto, EngineMode::Des, EngineMode::Fast] {
@@ -147,8 +146,7 @@ fn run_configs_never_share_a_memo_key() {
     }
     let plan = FaultPlan::named("straggler").expect("canned plan");
     for _ in 0..2 {
-        let _armed = activate(&plan);
-        configs.push(RunConfig::current());
+        configs.push(arm(&RunConfig::default(), &plan));
     }
     let keys: HashSet<String> = configs
         .iter()
@@ -174,7 +172,7 @@ fn degraded_stack_resilience_golden_is_byte_identical() {
         ExperimentId::F9UpdateGain,
         ExperimentId::F18OffloadBw,
     ]);
-    let report = run_resilience(&plan, &selection, 2);
+    let report = run_resilience(&RunConfig::default(), &plan, &selection, 2);
     let golden = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/golden/resilience.md"

@@ -1,37 +1,25 @@
 //! Cross-crate tests for the deterministic fault-injection subsystem:
-//! plan generation and activation, the resilience report's bit-identity
+//! plan generation and arming, the resilience report's bit-identity
 //! at a fixed seed, the paper's own pre-update numbers falling out of a
 //! forced DAPL fallback, and the degraded-mode behavior of the MPI,
 //! modes and telemetry layers.
-//!
-//! Every test that *activates* a plan mutates process-wide hook state,
-//! so those tests serialize on one mutex. No unit test inside the
-//! library crates arms these hooks (by design) — this file and the
-//! fail-soft suite own all mutation.
-
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use maia_arch::Device;
-use maia_core::faults::{activate, mode_switches, run_resilience, Fault, FaultPlan};
-use maia_core::{run_experiment, ExperimentId, ExperimentSelection};
+use maia_core::faults::{arm, run_resilience, Fault, FaultPlan};
+use maia_core::{
+    run_experiments_parallel, ExperimentId, ExperimentSelection, FigureData, RunConfig,
+};
 use maia_modes::offload::{OffloadPlan, OffloadRegion};
 use maia_modes::perf::KernelProfile;
 use maia_modes::symmetric::SymmetricLayout;
 use maia_mpi::{MpiWorld, WorldSpec};
 use proptest::prelude::*;
 
-static SER: Mutex<()> = Mutex::new(());
-
-fn serialize() -> MutexGuard<'static, ()> {
-    SER.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Any generated plan is a pure function of its seed and survives a
-    /// text round trip. (Plan *generation* touches no global state, so
-    /// this needs no serialization.)
+    /// text round trip.
     #[test]
     fn generated_plans_are_seed_deterministic(seed in any::<u64>()) {
         let a = FaultPlan::generate(seed);
@@ -48,15 +36,15 @@ proptest! {
 /// markdown and JSON both (the `faults` CLI golden rests on this).
 #[test]
 fn resilience_report_is_bit_identical_across_runs() {
-    let _g = serialize();
     let plan = FaultPlan::named("degraded-stack").expect("canned plan");
     let selection = ExperimentSelection::Ids(vec![
         ExperimentId::F7PcieLatency,
         ExperimentId::F8PcieBandwidth,
         ExperimentId::F9UpdateGain,
     ]);
-    let a = run_resilience(&plan, &selection, 2);
-    let b = run_resilience(&plan, &selection, 2);
+    let cfg = RunConfig::default();
+    let a = run_resilience(&cfg, &plan, &selection, 2);
+    let b = run_resilience(&cfg, &plan, &selection, 2);
     assert_eq!(a.to_markdown(), b.to_markdown());
     assert_eq!(a.to_json(), b.to_json());
     assert!(!a.has_failures());
@@ -66,22 +54,25 @@ fn resilience_report_is_bit_identical_across_runs() {
     assert!(f8.max_rel_delta > 0.0);
 }
 
+/// Figure 8 under `cfg`, without the executor's memo entry.
+fn figure8(cfg: &RunConfig) -> FigureData {
+    (ExperimentId::F8PcieBandwidth.meta().run)(cfg)
+}
+
 /// Acceptance criterion: forcing the pre-update DAPL fallback reproduces
 /// the pre-update Figure 8 numbers that are already calibrated into
 /// `maia_interconnect::dapl` — cell-for-cell, no new constants.
 #[test]
 fn dapl_fallback_reproduces_preupdate_figure8() {
-    let _g = serialize();
-    let nominal = run_experiment(ExperimentId::F8PcieBandwidth);
+    let cfg = RunConfig::default();
+    let nominal = figure8(&cfg);
 
     let plan = FaultPlan {
         name: "fallback-only".into(),
         seed: 1,
         faults: vec![Fault::DaplFallback],
     };
-    let guard = activate(&plan);
-    let degraded = run_experiment(ExperimentId::F8PcieBandwidth);
-    drop(guard);
+    let degraded = figure8(&arm(&cfg, &plan));
 
     let pre = nominal
         .headers
@@ -104,8 +95,8 @@ fn dapl_fallback_reproduces_preupdate_figure8() {
         assert_eq!(d_row[pre], n_row[pre]);
     }
 
-    // Nominal behavior must be restored after the guard drops.
-    let after = run_experiment(ExperimentId::F8PcieBandwidth);
+    // The armed copy leaves the nominal config's machine healthy.
+    let after = figure8(&cfg);
     assert_eq!(after.rows, nominal.rows);
 }
 
@@ -113,7 +104,6 @@ fn dapl_fallback_reproduces_preupdate_figure8() {
 /// therefore the whole (barrier-synchronized) world.
 #[test]
 fn straggler_stretches_the_lagging_rank() {
-    let _g = serialize();
     let spec = WorldSpec::all_on(Device::Host, 4);
     let body = |mut rank: maia_mpi::Rank| async move {
         rank.compute(maia_sim::SimDuration::from_us(100.0)).await;
@@ -123,9 +113,10 @@ fn straggler_stretches_the_lagging_rank() {
     let nominal = MpiWorld::run(&spec, body).expect("nominal world");
 
     let plan = FaultPlan::named("straggler").expect("canned plan");
-    let guard = activate(&plan);
-    let degraded = MpiWorld::run(&spec, body).expect("degraded world");
-    drop(guard);
+    let armed = |plan| spec.clone().with_faults(arm(&RunConfig::default(), plan).faults());
+    let slow = armed(&plan);
+    let degraded = MpiWorld::run(&slow, body).expect("degraded world");
+    assert!(slow.faults.injected_ps() > 0, "the stretch was not tallied");
 
     // Canned plan: rank 3 runs 4x slower from t=0.
     assert!(
@@ -135,13 +126,11 @@ fn straggler_stretches_the_lagging_rank() {
         nominal.end_time
     );
 
-    // And determinism: a second degraded run is bit-identical.
-    let guard = activate(&plan);
-    let again = MpiWorld::run(&spec, body).expect("second degraded world");
-    drop(guard);
+    // And determinism: a second activation is bit-identical.
+    let again = MpiWorld::run(&armed(&plan), body).expect("second degraded world");
     assert_eq!(again.end_time, degraded.end_time);
 
-    // Hooks fully disarm: nominal numbers return after deactivation.
+    // The healthy world is untouched by the armed one.
     let restored = MpiWorld::run(&spec, body).expect("restored world");
     assert_eq!(restored.end_time, nominal.end_time);
 }
@@ -163,7 +152,6 @@ fn mg_like_kernel() -> KernelProfile {
 /// host + one Phi, and both report the mode switch.
 #[test]
 fn dead_card_degrades_offload_and_symmetric_modes() {
-    let _g = serialize();
     let offload_plan = OffloadPlan {
         name: "probe".into(),
         regions: vec![OffloadRegion {
@@ -183,18 +171,19 @@ fn dead_card_degrades_offload_and_symmetric_modes() {
         stack: maia_interconnect::SoftwareStack::PostUpdate,
         imbalance: 0.05,
     };
-    let nominal_offload = offload_plan.report(Device::Phi1, 60, 16);
-    let nominal_sym = layout.step(&mg_like_kernel(), 8 << 20);
+    let healthy = maia_arch::Faults::default();
+    let nominal_offload = offload_plan.report(Device::Phi1, 60, 16, &healthy);
+    let nominal_sym = layout.step(&mg_like_kernel(), 8 << 20, &healthy);
     assert!(!nominal_offload.degraded_to_host);
     assert_eq!(nominal_sym.dead_cards, 0);
 
     let plan = FaultPlan::named("dead-card").expect("canned plan");
-    let guard = activate(&plan);
-    let dead_offload = offload_plan.report(Device::Phi1, 60, 16);
-    let alive_offload = offload_plan.report(Device::Phi0, 60, 16);
-    let dead_sym = layout.step(&mg_like_kernel(), 8 << 20);
-    let switches = mode_switches();
-    drop(guard);
+    let armed = arm(&RunConfig::default(), &plan);
+    let faults = armed.faults();
+    let dead_offload = offload_plan.report(Device::Phi1, 60, 16, faults);
+    let alive_offload = offload_plan.report(Device::Phi0, 60, 16, faults);
+    let dead_sym = layout.step(&mg_like_kernel(), 8 << 20, faults);
+    let switches = faults.mode_switches();
 
     assert!(dead_offload.degraded_to_host, "offload should fall back to host");
     assert_eq!(dead_offload.pcie_s, 0.0);
@@ -219,21 +208,16 @@ fn dead_card_degrades_offload_and_symmetric_modes() {
 /// Injected model time lands in the `faults` telemetry bucket.
 #[test]
 fn injected_time_reaches_the_faults_telemetry_bucket() {
-    let _g = serialize();
     maia_core::telemetry::enable();
     let plan = FaultPlan {
         name: "link-only".into(),
         seed: 2,
         faults: vec![Fault::DegradedLink { extra_retries: 2, timeout_us: 50.0 }],
     };
-    let guard = activate(&plan);
-    let sweep = maia_core::run_selection(
-        &ExperimentSelection::Ids(vec![ExperimentId::F8PcieBandwidth]),
-        1,
-    );
+    let armed = arm(&RunConfig::default(), &plan);
+    let sweep = run_experiments_parallel(&armed, &[ExperimentId::F8PcieBandwidth], 1);
     let profile = maia_core::telemetry::collect(&sweep);
-    let injected = maia_core::faults::injected_vt_ps();
-    drop(guard);
+    let injected = armed.faults().injected_ps();
 
     assert!(injected > 0, "link retries should inject positive model time");
     let bucketed: u64 = profile

@@ -11,27 +11,21 @@
 //! 3. **Faults**: a seeded straggler plan shifts the timeline, but the
 //!    shifted timeline is itself partition-count-invariant.
 //!
-//! Tests that arm fault hooks or enable telemetry touch process-global
-//! state, so they all serialize on one mutex, like the other cross-crate
-//! suites.
+//! Nothing here serializes: fault plans travel as values, and the one
+//! test that enables telemetry reads back only its own experiment
+//! scopes.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-use maia_core::faults::{activate, FaultPlan};
+use maia_arch::Faults;
+use maia_core::faults::{arm, FaultPlan};
 use maia_core::telemetry::{self, ProfileReport};
 use maia_core::{run_experiments_parallel, ExperimentId, RunConfig};
 use maia_mpi::bench::{
-    cluster_collective_run_plan, cluster_collective_run_with, CollectiveOp,
+    cluster_collective_run_plan, cluster_collective_run_under, cluster_collective_run_with,
+    CollectiveOp,
 };
 use maia_mpi::fastpath::EngineMode;
 use maia_mpi::partition::{DomainMap, PartitionPlan};
 use maia_mpi::process_backend::Backend;
-
-static SER: Mutex<()> = Mutex::new(());
-
-fn serialize() -> MutexGuard<'static, ()> {
-    SER.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 const COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -65,7 +59,6 @@ fn virtual_side(profile: &ProfileReport) -> String {
 /// experiment sink without window counters).
 #[test]
 fn cluster_figures_and_virtual_telemetry_are_partition_invariant() {
-    let _g = serialize();
     telemetry::enable();
     let ids = [
         ExperimentId::C1ClusterAllreduce,
@@ -100,7 +93,6 @@ fn cluster_figures_and_virtual_telemetry_are_partition_invariant() {
 /// message count straight out of the partition driver, per wheel count.
 #[test]
 fn partition_stats_are_count_invariant() {
-    let _g = serialize();
     for (nodes, bytes, op) in [
         (8usize, 4 * 1024u64, CollectiveOp::Allreduce),
         (5, 64 * 1024, CollectiveOp::Alltoall),
@@ -125,7 +117,6 @@ fn partition_stats_are_count_invariant() {
 /// changes nothing observable on the virtual side.
 #[test]
 fn shuffled_domain_placement_is_observationally_equivalent() {
-    let _g = serialize();
     let (nodes, bytes, op) = (8usize, 4 * 1024u64, CollectiveOp::Allreduce);
     let (t0, s0) = cluster_collective_run_with(nodes, bytes, op, 4);
     // 8 domains on 4 wheels: reversed, interleaved, and unbalanced folds.
@@ -140,7 +131,7 @@ fn shuffled_domain_placement_is_observationally_equivalent() {
             partitions: 4,
             fold: Some(fold.clone()),
         };
-        let (t, s) = cluster_collective_run_plan(nodes, bytes, op, &plan);
+        let (t, s) = cluster_collective_run_plan(&Faults::default(), nodes, bytes, op, &plan);
         assert_eq!(t.to_bits(), t0.to_bits(), "end time moved under fold {fold:?}");
         assert_eq!(s.windows, s0.windows, "window count moved under fold {fold:?}");
         assert_eq!(s.messages, s0.messages, "message count moved under fold {fold:?}");
@@ -152,25 +143,21 @@ fn shuffled_domain_placement_is_observationally_equivalent() {
 /// and really is degraded relative to nominal.
 #[test]
 fn seeded_faults_stay_partition_invariant() {
-    let _g = serialize();
     let (nodes, bytes, op) = (8usize, 4 * 1024u64, CollectiveOp::Allreduce);
     let (nominal, _) = cluster_collective_run_with(nodes, bytes, op, 1);
     let plan = FaultPlan::named("straggler").expect("canned plan");
-    let guard = activate(&plan);
     let mut baseline = None;
     for n in COUNTS {
-        let (t, stats) = cluster_collective_run_with(nodes, bytes, op, n);
-        let probe = (t.to_bits(), stats.windows, stats.messages);
+        // Each count is its own activation, with its own injected total.
+        let armed = arm(&RunConfig::default(), &plan);
+        let (t, stats) = cluster_collective_run_under(armed.faults(), nodes, bytes, op, n);
+        let probe = (t.to_bits(), stats.windows, stats.messages, armed.faults().injected_ps());
         match baseline {
             None => baseline = Some(probe),
             Some(b) => assert_eq!(probe, b, "faulted run diverged at --partitions {n}"),
         }
     }
-    drop(guard);
-    let (faulted, _, _) = {
-        let (bits, w, m) = baseline.expect("ran at least one count");
-        (f64::from_bits(bits), w, m)
-    };
+    let faulted = f64::from_bits(baseline.expect("ran at least one count").0);
     assert!(
         faulted > nominal,
         "straggler should slow the collective: {faulted} vs {nominal}"
@@ -179,6 +166,6 @@ fn seeded_faults_stay_partition_invariant() {
     assert_eq!(
         restored.to_bits(),
         nominal.to_bits(),
-        "deactivation must restore the nominal timeline"
+        "the healthy machine keeps the nominal timeline"
     );
 }

@@ -10,21 +10,25 @@
 //!    execution) still yields the identical result,
 //! 3. an unrecoverable loss fails only its own experiment, with a
 //!    failure entry naming the wheel (partition), exchange window and
-//!    virtual time — survivors complete with correct bytes.
+//!    virtual time — survivors complete with correct bytes,
 //!
-//! The chaos env vars and launcher are process-global, so every test
-//! serializes on one mutex (this file is its own binary).
+//! and that an armed fault plan reaches the worker processes' wheels.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use maia_core::faults::{run_resilience, FaultPlan};
 use maia_core::supervise::{install_default_launcher, supervised_cluster_run};
 use maia_core::telemetry;
-use maia_core::{run_experiments_parallel, ExperimentId, FailureKind, RunConfig};
+use maia_core::{
+    run_experiments_parallel, ExperimentId, ExperimentSelection, FailureKind, RunConfig,
+};
 use maia_mpi::bench::{cluster_collective_run_with, CollectiveOp};
 use maia_mpi::fastpath::EngineMode;
 use maia_mpi::process_backend::Backend;
 
+/// Guards the environment variables (the chaos and supervision knobs)
+/// and the worker launcher, both process-wide.
 static SER: Mutex<()> = Mutex::new(());
 
 fn serialize() -> MutexGuard<'static, ()> {
@@ -217,4 +221,31 @@ fn unrecoverable_loss_fails_one_experiment_and_spares_the_rest() {
     assert_eq!(report.runs[0].id, survivor);
     let direct = maia_core::run_experiment(survivor);
     assert_eq!(report.runs[0].data.rows, direct.rows, "survivor data corrupted");
+}
+
+/// One fault plan reaches every wheel: under the straggler plan, the
+/// resilience report over C01+C02 is byte-identical whether wheel 1 runs
+/// on a thread of this process or in a worker process — where straggler
+/// rank 3 lives at two wheels.
+#[test]
+fn armed_plan_reaches_worker_wheels() {
+    let _g = serialize();
+    let _env = arm(&[]);
+    let plan = FaultPlan::named("straggler").expect("canned plan");
+    let selection = ExperimentSelection::Ids(vec![
+        ExperimentId::C1ClusterAllreduce,
+        ExperimentId::C2ClusterAlltoall,
+    ]);
+    let report = |backend| {
+        let cfg = RunConfig::new(EngineMode::Des, 2, backend);
+        run_resilience(&cfg, &plan, &selection, 2).to_markdown()
+    };
+    let channel = report(Backend::Channel);
+    assert!(
+        channel.contains("injected model time: 207763879224 ps")
+            && channel.contains("| C01 | 48 | 9 |")
+            && channel.contains("| C02 | 48 | 9 |"),
+        "{channel}"
+    );
+    assert_eq!(report(Backend::Process), channel);
 }

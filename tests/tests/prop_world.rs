@@ -29,6 +29,7 @@ proptest! {
         let spec = WorldSpec {
             placements: devices.iter().map(|&d| RankPlacement::on(d)).collect(),
             stack: if pre_update { SoftwareStack::PreUpdate } else { SoftwareStack::PostUpdate },
+            faults: Default::default(),
         };
         let res = MpiWorld::run(&spec, move |mut rank| async move {
             rank.barrier().await;
