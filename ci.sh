@@ -4,6 +4,15 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The MAIA_* knobs are parsed once, by the CLI, into the RunConfig a run
+# executes under (maia_core::RunConfig::with_knobs); a library read of
+# the environment would be a second, unchecked parser.
+echo "== environment reads stay at the CLI entry point"
+if grep -rnE 'env::var|env::vars' crates/*/src | grep -v '^crates/bench/src/cli.rs:'; then
+    echo "FAIL: only crates/bench/src/cli.rs may read the environment" >&2
+    exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release
 

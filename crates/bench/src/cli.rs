@@ -7,13 +7,16 @@
 //! experiment-selection type ([`maia_core::ExperimentSelection`]), so
 //! `run`, `check` and `profile` cannot drift apart; [`USAGE`] is the
 //! single source of truth for all of them, and every unknown flag exits
-//! with code 2 everywhere.
+//! with code 2 everywhere. The `MAIA_*` knobs are read here, once per
+//! invocation, into the [`RunConfig`] a subcommand runs under; nothing
+//! below the CLI reads the environment.
 
+use std::ffi::OsString;
 use std::path::PathBuf;
 
 use maia_core::{
-    check_sweep, faults, run_selection, telemetry, ConformanceReport, ExperimentSelection,
-    SweepReport,
+    check_sweep, faults, run_experiments_parallel, telemetry, ConformanceReport,
+    ExperimentSelection, RunConfig, SweepReport,
 };
 use maia_mpi::fastpath::EngineMode;
 use maia_mpi::process_backend::Backend;
@@ -113,37 +116,16 @@ impl CommonParser {
         arg: &str,
         it: &mut std::slice::Iter<'_, String>,
     ) -> Result<bool, String> {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
         match arg {
             "--all" => self.all = true,
-            "--only" => self.only = Some(ExperimentSelection::from_spec(&value("--only")?)?),
-            "--format" => self.format = Some(Format::parse(&value("--format")?)?),
-            "--out" => self.out = Some(PathBuf::from(value("--out")?)),
-            "--jobs" => {
-                self.jobs = Some(
-                    value("--jobs")?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or("--jobs requires a positive integer")?,
-                );
-            }
-            "--engine" => self.engine = Some(EngineMode::parse(&value("--engine")?)?),
-            "--partitions" => {
-                self.partitions = Some(
-                    value("--partitions")?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or("--partitions requires a positive integer")?,
-                );
-            }
+            "--only" => self.only = Some(ExperimentSelection::from_spec(&value(it, "--only")?)?),
+            "--format" => self.format = Some(Format::parse(&value(it, "--format")?)?),
+            "--out" => self.out = Some(PathBuf::from(value(it, "--out")?)),
+            "--jobs" => self.jobs = Some(positive(it, "--jobs")?),
+            "--engine" => self.engine = Some(EngineMode::parse(&value(it, "--engine")?)?),
+            "--partitions" => self.partitions = Some(positive(it, "--partitions")?),
             "--backend" => {
-                let spec = value("--backend")?;
+                let spec = value(it, "--backend")?;
                 self.backend = Some(
                     Backend::parse(&spec)
                         .ok_or_else(|| format!("unknown backend '{spec}' (channel or process)"))?,
@@ -294,10 +276,19 @@ COMMON OPTIONS (shared by run, check, profile and faults):
                        heartbeats, seeded retry/backoff respawn, and
                        graceful degradation to in-process execution).
                        Figure data and virtual-side telemetry are
-                       bit-identical across backends. Supervision knobs:
-                       MAIA_SUPERVISE_RETRIES (default 2),
-                       MAIA_SUPERVISE_DEGRADE=0 to fail instead of
-                       degrading, MAIA_SUPERVISE_HEARTBEAT_MS (default 100)
+                       bit-identical across backends
+
+ENVIRONMENT (read once at entry by every subcommand that runs experiments;
+a malformed value exits 2 naming the variable):
+    MAIA_EXPERIMENT_TIMEOUT_S    watchdog, finite seconds in (0, 86400] (300)
+    MAIA_FAULT_PANIC|_DEADLOCK|_HANG  experiment codes to kill that way
+    MAIA_SUPERVISE_RETRIES       worker respawns after a loss, 0..=32 (2)
+    MAIA_SUPERVISE_DEGRADE       1 (default) degrades to in-process when
+                                 retries run out; 0 fails the experiment
+    MAIA_SUPERVISE_HEARTBEAT_MS  worker heartbeat, 1..=60000 ms (100)
+    MAIA_WORKER_CHAOS            panic-on-connect, stall or kill:<window>,
+                                 optionally followed by :once
+    MAIA_WORKER_BIN              worker binary (default: this executable)
 
 run:
     --bench-json PATH  Write the sweep timing record (BENCH_*.json) to PATH
@@ -338,12 +329,26 @@ EXIT CODES (shared by every subcommand):
     1  conformance violations (check), experiment failures isolated by the
        fail-soft executor (panic/deadlock/timeout; partial report is still
        printed), or any other runtime failure
-    2  usage error (unknown subcommand, flag, experiment code or format)
+    2  usage error (unknown subcommand, flag, experiment code or format, or
+       a malformed MAIA_* value)
 
 Tables go to stdout (or --out); the per-experiment timing summary always
 goes to stderr. A sweep with failures still prints every completed
 experiment before exiting 1.
 ";
+
+/// The value following flag `name`.
+fn value(it: &mut std::slice::Iter<'_, String>, name: &str) -> Result<String, String> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| format!("{name} requires a value"))
+}
+
+/// The positive integer following flag `name`.
+fn positive(it: &mut std::slice::Iter<'_, String>, name: &str) -> Result<usize, String> {
+    let n = value(it, name)?.parse::<usize>().ok().filter(|&n| n >= 1);
+    n.ok_or_else(|| format!("{name} requires a positive integer"))
+}
 
 fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -351,7 +356,7 @@ fn default_jobs() -> usize {
 
 /// Parse the argument list (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
+    let it = &mut args.iter();
     match it.next().map(String::as_str) {
         None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
         Some(sub @ ("list" | "report")) => {
@@ -364,22 +369,17 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut wheel = None;
             let mut partitions = None;
             while let Some(arg) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} requires a value"))
-                };
                 match arg.as_str() {
                     "--wheel" => {
                         wheel = Some(
-                            value("--wheel")?
+                            value(it, "--wheel")?
                                 .parse::<usize>()
                                 .map_err(|_| "--wheel requires an integer".to_string())?,
                         );
                     }
                     "--partitions" => {
                         partitions = Some(
-                            value("--partitions")?
+                            value(it, "--partitions")?
                                 .parse::<usize>()
                                 .ok()
                                 .filter(|&n| n >= 2)
@@ -401,18 +401,13 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut bench_json = None;
             let mut metrics = None;
             while let Some(arg) = it.next() {
-                if common.accept(arg, &mut it)? {
+                if common.accept(arg, it)? {
                     continue;
                 }
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} requires a value"))
-                };
                 match arg.as_str() {
-                    "--bench-json" => bench_json = Some(PathBuf::from(value("--bench-json")?)),
+                    "--bench-json" => bench_json = Some(PathBuf::from(value(it, "--bench-json")?)),
                     "--metrics" => {
-                        metrics = Some(Format::parse_report(&value("--metrics")?, "--metrics")?)
+                        metrics = Some(Format::parse_report(&value(it, "--metrics")?, "--metrics")?)
                     }
                     other => return Err(format!("unknown argument '{other}'")),
                 }
@@ -427,17 +422,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut common = CommonParser::default();
             let mut metrics = None;
             while let Some(arg) = it.next() {
-                if common.accept(arg, &mut it)? {
+                if common.accept(arg, it)? {
                     continue;
                 }
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} requires a value"))
-                };
                 match arg.as_str() {
                     "--metrics" => {
-                        metrics = Some(Format::parse_report(&value("--metrics")?, "--metrics")?)
+                        metrics = Some(Format::parse_report(&value(it, "--metrics")?, "--metrics")?)
                     }
                     other => return Err(format!("unknown argument '{other}'")),
                 }
@@ -453,18 +443,13 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut trace = None;
             let mut metrics = None;
             while let Some(arg) = it.next() {
-                if common.accept(arg, &mut it)? {
+                if common.accept(arg, it)? {
                     continue;
                 }
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} requires a value"))
-                };
                 match arg.as_str() {
-                    "--trace" => trace = Some(PathBuf::from(value("--trace")?)),
+                    "--trace" => trace = Some(PathBuf::from(value(it, "--trace")?)),
                     "--metrics" => {
-                        metrics = Some(Format::parse_report(&value("--metrics")?, "--metrics")?)
+                        metrics = Some(Format::parse_report(&value(it, "--metrics")?, "--metrics")?)
                     }
                     other => return Err(format!("unknown argument '{other}'")),
                 }
@@ -484,16 +469,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut common = CommonParser::default();
             let mut plan = None;
             while let Some(arg) = it.next() {
-                if common.accept(arg, &mut it)? {
+                if common.accept(arg, it)? {
                     continue;
                 }
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} requires a value"))
-                };
                 match arg.as_str() {
-                    "--plan" => plan = Some(value("--plan")?),
+                    "--plan" => plan = Some(value(it, "--plan")?),
                     other => return Err(format!("unknown argument '{other}'")),
                 }
             }
@@ -509,31 +489,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut partitions = None;
             let mut out = None;
             while let Some(arg) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} requires a value"))
-                };
                 match arg.as_str() {
-                    "--jobs" => {
-                        jobs = Some(
-                            value("--jobs")?
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&n| n >= 1)
-                                .ok_or("--jobs requires a positive integer")?,
-                        );
-                    }
-                    "--partitions" => {
-                        partitions = Some(
-                            value("--partitions")?
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&n| n >= 1)
-                                .ok_or("--partitions requires a positive integer")?,
-                        );
-                    }
-                    "--out" => out = Some(PathBuf::from(value("--out")?)),
+                    "--jobs" => jobs = Some(positive(it, "--jobs")?),
+                    "--partitions" => partitions = Some(positive(it, "--partitions")?),
+                    "--out" => out = Some(PathBuf::from(value(it, "--out")?)),
                     other => return Err(format!("unknown argument '{other}'")),
                 }
             }
@@ -585,13 +544,12 @@ pub struct RunOutcome {
     pub metrics: Option<String>,
 }
 
-/// Run the sweep and render the tables in request order.
-pub fn execute_run(opts: &RunOptions) -> Result<RunOutcome, String> {
-    apply_process_globals(&opts.common);
+/// Run the sweep under `cfg` and render the tables in request order.
+pub fn execute_run(opts: &RunOptions, cfg: &RunConfig) -> Result<RunOutcome, String> {
     if opts.metrics.is_some() {
         telemetry::enable();
     }
-    let report = run_selection(&opts.common.selection, opts.common.jobs);
+    let report = run_experiments_parallel(cfg, &opts.common.selection.resolve(), opts.common.jobs);
     let mut payload = String::new();
     if let Some(dir) = &opts.common.out {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
@@ -625,6 +583,14 @@ pub fn execute_run(opts: &RunOptions) -> Result<RunOutcome, String> {
     })
 }
 
+/// A rendered report as the payload to print: the report itself, or the
+/// path it was written to with `--out`.
+fn deliver(rendered: String, out: Option<&std::path::Path>) -> Result<String, String> {
+    let Some(path) = out else { return Ok(rendered) };
+    std::fs::write(path, rendered).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    Ok(format!("{}\n", path.display()))
+}
+
 /// Result of `check`.
 pub struct CheckOutcome {
     /// Rendered report, or the written file path with `--out`.
@@ -639,24 +605,18 @@ pub struct CheckOutcome {
     pub metrics: Option<String>,
 }
 
-/// Run the conformance oracle over the selected experiments.
-pub fn execute_check(opts: &CheckOptions) -> Result<CheckOutcome, String> {
-    apply_process_globals(&opts.common);
+/// Run the conformance oracle over the selected experiments under `cfg`.
+pub fn execute_check(opts: &CheckOptions, cfg: &RunConfig) -> Result<CheckOutcome, String> {
     if opts.metrics.is_some() {
         telemetry::enable();
     }
-    let sweep = run_selection(&opts.common.selection, opts.common.jobs);
+    let sweep = run_experiments_parallel(cfg, &opts.common.selection.resolve(), opts.common.jobs);
     let report = check_sweep(&sweep);
     let rendered = match opts.common.format {
         Format::Json => report.to_json(),
         _ => report.to_markdown(),
     };
-    let payload = if let Some(path) = &opts.common.out {
-        std::fs::write(path, &rendered).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        format!("{}\n", path.display())
-    } else {
-        rendered
-    };
+    let payload = deliver(rendered, opts.common.out.as_deref())?;
     let metrics = opts
         .metrics
         .map(|fmt| render_metrics(&telemetry::collect(&sweep), fmt));
@@ -676,23 +636,18 @@ pub struct ProfileOutcome {
     pub report: SweepReport,
 }
 
-/// Run the selection with instrumentation enabled and build the profile.
-pub fn execute_profile(opts: &ProfileOptions) -> Result<ProfileOutcome, String> {
-    apply_process_globals(&opts.common);
+/// Run the selection under `cfg` with instrumentation enabled and build
+/// the profile.
+pub fn execute_profile(opts: &ProfileOptions, cfg: &RunConfig) -> Result<ProfileOutcome, String> {
     telemetry::enable();
-    let report = run_selection(&opts.common.selection, opts.common.jobs);
+    let report = run_experiments_parallel(cfg, &opts.common.selection.resolve(), opts.common.jobs);
     let profile = telemetry::collect(&report);
     if let Some(path) = &opts.trace {
         std::fs::write(path, profile.to_chrome_trace())
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
     }
     let rendered = render_metrics(&profile, opts.common.format);
-    let payload = if let Some(path) = &opts.common.out {
-        std::fs::write(path, &rendered).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        format!("{}\n", path.display())
-    } else {
-        rendered
-    };
+    let payload = deliver(rendered, opts.common.out.as_deref())?;
     Ok(ProfileOutcome { payload, report })
 }
 
@@ -705,26 +660,15 @@ pub struct FaultsOutcome {
     pub report: faults::ResilienceReport,
 }
 
-/// Run the nominal-vs-degraded resilience comparison.
-pub fn execute_faults(opts: &FaultsOptions) -> Result<FaultsOutcome, String> {
-    apply_process_globals(&opts.common);
+/// Run the nominal-vs-degraded resilience comparison under `cfg`.
+pub fn execute_faults(opts: &FaultsOptions, cfg: &RunConfig) -> Result<FaultsOutcome, String> {
     let plan = resolve_plan(&opts.plan)?;
-    let report = faults::run_resilience(
-        &maia_core::RunConfig::current(),
-        &plan,
-        &opts.common.selection,
-        opts.common.jobs,
-    );
+    let report = faults::run_resilience(cfg, &plan, &opts.common.selection, opts.common.jobs);
     let rendered = match opts.common.format {
         Format::Json => report.to_json(),
         _ => report.to_markdown(),
     };
-    let payload = if let Some(path) = &opts.common.out {
-        std::fs::write(path, &rendered).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        format!("{}\n", path.display())
-    } else {
-        rendered
-    };
+    let payload = deliver(rendered, opts.common.out.as_deref())?;
     Ok(FaultsOutcome { payload, report })
 }
 
@@ -736,60 +680,41 @@ pub struct CrosscheckOutcome {
     pub report: maia_core::CrosscheckReport,
 }
 
-/// Compute F10–F14, C01 and C02 on both engines and diff the formatted
-/// tables.
-pub fn execute_crosscheck(opts: &CrosscheckOptions) -> Result<CrosscheckOutcome, String> {
-    maia_mpi::partition::set_partitions(opts.partitions);
-    let report = maia_core::run_crosscheck(opts.jobs);
+/// Compute F10–F14, C01 and C02 on both engines under `cfg` and diff the
+/// formatted tables.
+pub fn execute_crosscheck(
+    opts: &CrosscheckOptions,
+    cfg: &RunConfig,
+) -> Result<CrosscheckOutcome, String> {
+    let report = maia_core::run_crosscheck_under(cfg, opts.jobs);
     let rendered = report.to_markdown();
-    let payload = if let Some(path) = &opts.out {
-        std::fs::write(path, &rendered).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        format!("{}\n", path.display())
-    } else {
-        rendered
-    };
+    let payload = deliver(rendered, opts.out.as_deref())?;
     Ok(CrosscheckOutcome { payload, report })
 }
 
-/// Install the process defaults a subcommand's common flags carry; each
-/// library entry point snapshots them once into a `maia_core::RunConfig`.
-fn apply_process_globals(common: &CommonArgs) {
-    maia_mpi::fastpath::set_engine_mode(common.engine);
-    maia_mpi::partition::set_partitions(common.partitions);
-    maia_mpi::process_backend::set_backend(common.backend);
-    if common.backend == Backend::Process {
-        // Workers are this very binary, re-exec'd with the hidden
-        // subcommand; MAIA_WORKER_BIN overrides for harnesses that drive
-        // the library from a different executable.
-        let program = std::env::var_os("MAIA_WORKER_BIN")
-            .map(PathBuf::from)
-            .or_else(|| std::env::current_exe().ok())
-            .expect("cannot resolve the worker binary (set MAIA_WORKER_BIN)");
-        maia_core::supervise::install_default_launcher(program);
-    }
-}
-
-/// Body of the hidden `partition-worker` subcommand: speak the wire
-/// protocol on stdin/stdout until the hub says done. Exit 0 on a clean
-/// finish, 1 on a protocol/IO error (the hub sees EOF and handles it as
-/// a worker loss). Nothing may print to stdout here — it *is* the
-/// protocol channel.
-fn run_partition_worker(wheel: usize, partitions: usize) -> i32 {
-    let reader: Box<dyn std::io::Read + Send> = Box::new(std::io::stdin());
-    let writer: Box<dyn std::io::Write + Send> = Box::new(std::io::stdout());
-    match maia_mpi::process_backend::worker_main(
-        wheel,
-        partitions,
-        reader,
-        writer,
-        maia_core::supervise::process_config(),
-    ) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("maia-bench partition-worker (wheel {wheel}): {e}");
-            1
+/// The run configuration `command` runs under: the engine, wheel count
+/// and backend its flags select, this process's `MAIA_*` knobs (the one
+/// place the binary reads its environment), and this executable as the
+/// default worker binary.
+fn knob_config(command: &Command) -> Result<RunConfig, String> {
+    let (engine, partitions, backend) = match command {
+        Command::Run(RunOptions { common, .. })
+        | Command::Check(CheckOptions { common, .. })
+        | Command::Profile(ProfileOptions { common, .. })
+        | Command::Faults(FaultsOptions { common, .. }) => {
+            (common.engine, common.partitions, common.backend)
         }
-    }
+        Command::Crosscheck(opts) => (EngineMode::Auto, opts.partitions, Backend::Channel),
+        Command::Report | Command::PartitionWorker { .. } => {
+            (EngineMode::Auto, 1, Backend::Channel)
+        }
+        Command::List | Command::Help => return Ok(RunConfig::default()),
+    };
+    let own = std::env::current_exe()
+        .ok()
+        .map(|exe| (OsString::from("MAIA_WORKER_BIN"), exe.into_os_string()));
+    RunConfig::new(engine, partitions, backend)
+        .with_knobs(own.into_iter().chain(std::env::vars_os()))
 }
 
 fn render_metrics(profile: &maia_core::ProfileReport, fmt: Format) -> String {
@@ -812,27 +737,45 @@ pub fn check_exit_code(report: &ConformanceReport) -> i32 {
     }
 }
 
-/// The whole binary, minus `std::process::exit`: parse, dispatch, print.
-/// Every subcommand goes through here, so all of them get the same usage
-/// text and exit-code contract.
+/// The whole binary, minus `std::process::exit`: parse the arguments and
+/// the knobs, dispatch, print. Every subcommand goes through here, so all
+/// of them get the same usage text and exit-code contract.
 pub fn main_with_args(args: &[String]) -> i32 {
-    match parse(args) {
-        Ok(Command::Help) => {
+    let parsed = parse(args).and_then(|command| Ok((knob_config(&command)?, command)));
+    let (cfg, command) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("maia-bench: {e}\n\n{USAGE}");
+            return 2;
+        }
+    };
+    match command {
+        Command::Help => {
             print!("{USAGE}");
             0
         }
-        Ok(Command::List) => {
+        Command::List => {
             print!("{}", render_list());
             0
         }
-        Ok(Command::Report) => {
-            print!("{}", crate::render_experiments_md());
+        Command::Report => {
+            print!("{}", crate::render_experiments_md(&cfg));
             0
         }
-        Ok(Command::PartitionWorker { wheel, partitions }) => {
-            run_partition_worker(wheel, partitions)
+        // Speak the wire protocol on stdin/stdout until the hub says done;
+        // exit 1 on a protocol/IO error (the hub sees EOF: a worker loss).
+        // Nothing may print to stdout here — it *is* the protocol channel.
+        Command::PartitionWorker { wheel, partitions } => {
+            let (stdin, stdout) = (Box::new(std::io::stdin()), Box::new(std::io::stdout()));
+            match maia_core::supervise::serve_worker(&cfg, wheel, partitions, stdin, stdout) {
+                Ok(()) => 0,
+                Err(e) => {
+                    eprintln!("maia-bench partition-worker (wheel {wheel}): {e}");
+                    1
+                }
+            }
         }
-        Ok(Command::Run(opts)) => match execute_run(&opts) {
+        Command::Run(opts) => match execute_run(&opts, &cfg) {
             Ok(out) => {
                 print!("{}", out.payload);
                 eprint!("{}", out.report.timing_summary());
@@ -848,7 +791,7 @@ pub fn main_with_args(args: &[String]) -> i32 {
                 1
             }
         },
-        Ok(Command::Check(opts)) => match execute_check(&opts) {
+        Command::Check(opts) => match execute_check(&opts, &cfg) {
             Ok(out) => {
                 print!("{}", out.payload);
                 if let Some(metrics) = out.metrics {
@@ -869,7 +812,7 @@ pub fn main_with_args(args: &[String]) -> i32 {
                 1
             }
         },
-        Ok(Command::Profile(opts)) => match execute_profile(&opts) {
+        Command::Profile(opts) => match execute_profile(&opts, &cfg) {
             Ok(out) => {
                 print!("{}", out.payload);
                 eprint!("{}", out.report.timing_summary());
@@ -880,7 +823,7 @@ pub fn main_with_args(args: &[String]) -> i32 {
                 1
             }
         },
-        Ok(Command::Faults(opts)) => match execute_faults(&opts) {
+        Command::Faults(opts) => match execute_faults(&opts, &cfg) {
             Ok(out) => {
                 print!("{}", out.payload);
                 i32::from(out.report.has_failures())
@@ -890,7 +833,7 @@ pub fn main_with_args(args: &[String]) -> i32 {
                 1
             }
         },
-        Ok(Command::Crosscheck(opts)) => match execute_crosscheck(&opts) {
+        Command::Crosscheck(opts) => match execute_crosscheck(&opts, &cfg) {
             Ok(out) => {
                 print!("{}", out.payload);
                 i32::from(!out.report.is_match())
@@ -900,10 +843,6 @@ pub fn main_with_args(args: &[String]) -> i32 {
                 1
             }
         },
-        Err(e) => {
-            eprintln!("maia-bench: {e}\n\n{USAGE}");
-            2
-        }
     }
 }
 
@@ -1164,7 +1103,7 @@ mod tests {
             bench_json: Some(dir.join("BENCH.json")),
             metrics: None,
         };
-        let out = execute_run(&opts).expect("run failed");
+        let out = execute_run(&opts, &RunConfig::default()).expect("run failed");
         assert!(out.payload.contains("T01.csv") && out.payload.contains("F17.csv"));
         assert_eq!(out.report.runs.len(), 2);
         assert!(out.metrics.is_none());

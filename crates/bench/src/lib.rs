@@ -14,14 +14,14 @@ pub mod cli;
 
 /// Render EXPERIMENTS.md: every experiment plus the paper's claims and
 /// the oracle predicates that gate it (`maia-bench check`). Runs the
-/// registry once through the profiled executor so the index can also
-/// name each artifact's dominant simulated subsystem.
-pub fn render_experiments_md() -> String {
+/// registry once under `cfg` through the profiled executor so the index
+/// can also name each artifact's dominant simulated subsystem.
+pub fn render_experiments_md(cfg: &maia_core::RunConfig) -> String {
     use std::collections::BTreeMap;
 
     maia_core::telemetry::enable();
     let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let sweep = maia_core::run_selection(&maia_core::ExperimentSelection::All, jobs);
+    let sweep = maia_core::run_experiments_parallel(cfg, &maia_core::all_experiments(), jobs);
     let profile = maia_core::telemetry::collect(&sweep);
     let dominant: BTreeMap<String, String> = profile
         .experiments
@@ -103,7 +103,7 @@ fn render_conformance_index(dominant: &std::collections::BTreeMap<String, String
 mod tests {
     #[test]
     fn report_renders_every_figure() {
-        let md = super::render_experiments_md();
+        let md = super::render_experiments_md(&maia_core::RunConfig::default());
         for id in ["T1", "F4", "F10", "F14", "F19", "F23", "F27"] {
             assert!(md.contains(&format!("## {id} ")), "missing {id}");
         }
@@ -111,7 +111,7 @@ mod tests {
 
     #[test]
     fn report_maps_every_artifact_to_its_predicates() {
-        let md = super::render_experiments_md();
+        let md = super::render_experiments_md(&maia_core::RunConfig::default());
         assert!(md.contains("| artifact | dominant subsystem | oracle predicates |"));
         for id in maia_core::all_experiments() {
             assert!(

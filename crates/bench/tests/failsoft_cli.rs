@@ -138,3 +138,40 @@ fn hostile_plan_value_is_a_named_error() {
     assert!(se.contains("fault plan line 3: retries=4294967295 is outside 0..=32"), "{se}");
     assert!(stdout(&out).is_empty());
 }
+
+/// Every `MAIA_*` knob is parsed once, at entry: a value outside its
+/// bounds is a usage error (exit 2) naming the variable and the value,
+/// never a silent default, a panic or an abort.
+#[test]
+fn hostile_knobs_are_named_usage_errors() {
+    for (name, value) in [
+        ("MAIA_EXPERIMENT_TIMEOUT_S", "banana"),
+        ("MAIA_EXPERIMENT_TIMEOUT_S", "inf"),
+        ("MAIA_SUPERVISE_RETRIES", "-1"),
+        ("MAIA_SUPERVISE_RETRIES", "4294967295"),
+        ("MAIA_SUPERVISE_HEARTBEAT_MS", "0x10"),
+        ("MAIA_SUPERVISE_DEGRADE", "no"),
+        ("MAIA_WORKER_CHAOS", "bogus"),
+        ("MAIA_FAULT_PANIC", "ZZZ"),
+    ] {
+        let out = bench(&["run", "--only", "T01", "--jobs", "1"], &[(name, value)]);
+        let se = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{name}={value}: {se}");
+        assert!(se.contains(name) && se.contains(value), "{name}={value}: {se}");
+        assert!(stdout(&out).is_empty(), "{name}={value} ran anyway");
+    }
+    // Every subcommand that runs experiments parses them, and so does a
+    // worker.
+    for args in [
+        &["check", "--only", "T01"][..],
+        &["profile", "--only", "T01"],
+        &["faults", "--plan", "straggler", "--only", "T01"],
+        &["crosscheck", "--jobs", "1"],
+        &["report"],
+        &["partition-worker", "--wheel", "1", "--partitions", "2"],
+    ] {
+        let out = bench(args, &[("MAIA_SUPERVISE_HEARTBEAT_MS", "0")]);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains("MAIA_SUPERVISE_HEARTBEAT_MS"), "{args:?}");
+    }
+}

@@ -129,11 +129,14 @@ impl CrosscheckReport {
     }
 }
 
-/// Compute every F10–F14, C01 and C02 cell on both engines, at the
-/// current [`RunConfig`]'s wheel count and backend, and diff the rendered
-/// tables.
+/// [`run_crosscheck_under`] the current [`RunConfig`].
 pub fn run_crosscheck(jobs: usize) -> CrosscheckReport {
-    let cfg = RunConfig::current();
+    run_crosscheck_under(&RunConfig::current(), jobs)
+}
+
+/// Compute every F10–F14, C01 and C02 cell on both engines, at `cfg`'s
+/// wheel count and backend, and diff the rendered tables.
+pub fn run_crosscheck_under(cfg: &RunConfig, jobs: usize) -> CrosscheckReport {
     let sweep = |engine| {
         let cfg = RunConfig {
             engine,

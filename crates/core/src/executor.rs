@@ -14,8 +14,8 @@
 //! it first.
 //!
 //! The sweep is **fail-soft**: each experiment executes on a dedicated
-//! guard thread under `catch_unwind` with a wall-clock watchdog
-//! (`MAIA_EXPERIMENT_TIMEOUT_S`, default 300 s). A panicking,
+//! guard thread under `catch_unwind` with the run config's wall-clock
+//! watchdog (`MAIA_EXPERIMENT_TIMEOUT_S`, default 300 s). A panicking,
 //! deadlocking, or hung experiment becomes an [`ExperimentFailure`] in
 //! [`SweepReport::failures`] while every other experiment still
 //! completes — one sick model no longer tears down the whole sweep.
@@ -416,16 +416,6 @@ pub fn zombie_guard_codes() -> Vec<&'static str> {
 /// for the guard thread to reach a cancellation point and exit.
 const CANCEL_GRACE: Duration = Duration::from_millis(500);
 
-/// Watchdog budget per experiment (`MAIA_EXPERIMENT_TIMEOUT_S`,
-/// default 300 s — far above any healthy experiment's wall time).
-fn watchdog_timeout() -> Duration {
-    std::env::var("MAIA_EXPERIMENT_TIMEOUT_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|s| *s > 0.0)
-        .map_or(Duration::from_secs(300), Duration::from_secs_f64)
-}
-
 /// Suppress the default panic hook's output for experiment guard
 /// threads: their panics are caught, classified, and reported through
 /// [`SweepReport::failures`], so the raw hook output would be noise.
@@ -455,7 +445,7 @@ fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Run one experiment on a dedicated guard thread under `catch_unwind`,
-/// with the wall-clock watchdog. Panics become [`FailureKind::Panic`]
+/// with `cfg`'s wall-clock watchdog. Panics become [`FailureKind::Panic`]
 /// (or [`FailureKind::Deadlock`] when the payload is a rendered
 /// `SimError::Deadlock`); a blown watchdog cancels the guard thread,
 /// joins it if it reaches a cancellation point within the grace period,
@@ -472,7 +462,7 @@ fn run_experiment_guarded(
     let code = id.meta().code;
     let cfg = cfg.clone();
     let t0 = Instant::now();
-    let timeout = watchdog_timeout();
+    let timeout = cfg.watchdog;
     let cancel = Arc::new(AtomicBool::new(false));
     let cancel_in = Arc::clone(&cancel);
     let (tx, rx) = mpsc::channel();
@@ -481,7 +471,7 @@ fn run_experiment_guarded(
         .spawn(move || {
             GUARD_CANCEL.with(|c| *c.borrow_mut() = Some(cancel_in));
             let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                crate::faults::forced_failure_trigger(id);
+                crate::faults::forced_failure_trigger(&cfg, id);
                 run_experiment_cached(&cfg, id)
             }));
             // After a timeout the receiver is gone; the send failing is
@@ -570,27 +560,10 @@ fn run_experiment_cached(cfg: &RunConfig, id: ExperimentId) -> FigureData {
     })
 }
 
-/// Run a [`ExperimentSelection`] under the current [`RunConfig`] — the one
-/// entry point `run`, `check`, `profile` and `faults` all funnel through.
+/// Run a [`ExperimentSelection`] under the current [`RunConfig`] — the
+/// entry point of library callers that set the process defaults.
 pub fn run_selection(selection: &ExperimentSelection, jobs: usize) -> SweepReport {
     run_experiments_parallel(&RunConfig::current(), &selection.resolve(), jobs)
-}
-
-/// Serial convenience wrapper: run one experiment under the current
-/// [`RunConfig`] through the same machinery the sweep uses (shared cache,
-/// timed, fail-soft) and return its table, or the failure that stopped it.
-pub fn run_one(id: ExperimentId) -> Result<FigureData, ExperimentFailure> {
-    let mut report = run_experiments_parallel(&RunConfig::current(), &[id], 1);
-    match (report.runs.pop(), report.failures.pop()) {
-        (Some(run), _) => Ok(run.data),
-        (None, Some(failure)) => Err(failure),
-        (None, None) => Err(ExperimentFailure {
-            id,
-            kind: FailureKind::Panic,
-            detail: "sweep returned neither a run nor a failure".to_string(),
-            wall: Duration::ZERO,
-        }),
-    }
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub fn cached_cluster_time(cfg: &RunConfig, nodes: usize, bytes: u64, op: Collec
             let (faults, p) = (cfg.faults(), cfg.partitions);
             let (time_s, stats) = match cfg.backend {
                 Backend::Channel => cluster_collective_run_under(faults, nodes, bytes, op, p),
-                Backend::Process => supervised_cluster_run_under(faults, nodes, bytes, op, p),
+                Backend::Process => supervised_cluster_run_under(cfg, nodes, bytes, op),
             };
             recorded = Some(stats);
             time_s

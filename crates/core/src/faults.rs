@@ -21,16 +21,15 @@
 //! bit-identical resilience report (pinned by `tests/golden/resilience.md`
 //! and the proptests in `tests/tests/faults_resilience.rs`).
 //!
-//! The module also hosts the *forced-failure* switchboard used by the
-//! fail-soft executor tests: `MAIA_FAULT_PANIC` / `MAIA_FAULT_DEADLOCK` /
-//! `MAIA_FAULT_HANG` name experiment codes that should be killed in a
-//! controlled way (through a real `maia_sim` engine, so the failure
-//! carries a process name and virtual time).
+//! The module also hosts the *forced failures* the fail-soft executor
+//! tests drive: the `MAIA_FAULT_PANIC` / `MAIA_FAULT_DEADLOCK` /
+//! `MAIA_FAULT_HANG` knobs of a [`RunConfig`] name experiment codes that
+//! should be killed in a controlled way (through a real `maia_sim`
+//! engine, so the failure carries a process name and virtual time).
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, PoisonError, RwLock};
 
 use maia_arch::faults::Straggler;
 use maia_arch::{Device, Faults};
@@ -556,11 +555,13 @@ fn diff_tables(
 }
 
 // ---------------------------------------------------------------------------
-// Forced failures (fail-soft harness test switchboard)
+// Forced failures (the fail-soft harness's test hook)
 // ---------------------------------------------------------------------------
 
-/// How a forced failure should kill its experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How a forced failure should kill its experiment, named by the
+/// `MAIA_FAULT_PANIC`, `MAIA_FAULT_DEADLOCK` and `MAIA_FAULT_HANG` knobs
+/// ([`RunConfig::with_knobs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ForcedFailure {
     /// A simulated process panics (through a real engine, so the error
     /// names the process and its virtual time).
@@ -571,58 +572,15 @@ pub enum ForcedFailure {
     Hang,
 }
 
-static FORCED: OnceLock<RwLock<HashMap<&'static str, ForcedFailure>>> = OnceLock::new();
-
-fn forced_slot() -> &'static RwLock<HashMap<&'static str, ForcedFailure>> {
-    FORCED.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-/// Programmatically force (or clear, with `None`) a failure for one
-/// experiment — the in-process counterpart of the `MAIA_FAULT_*`
-/// environment variables.
-pub fn force_failure_for_tests(id: ExperimentId, failure: Option<ForcedFailure>) {
-    let mut map = forced_slot()
-        .write()
-        .unwrap_or_else(PoisonError::into_inner);
-    match failure {
-        Some(f) => {
-            map.insert(id.meta().code, f);
-        }
-        None => {
-            map.remove(id.meta().code);
-        }
-    }
-}
-
-fn forced_for(id: ExperimentId) -> Option<ForcedFailure> {
-    if let Some(f) = forced_slot()
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(id.meta().code)
-    {
-        return Some(*f);
-    }
-    for (var, kind) in [
-        ("MAIA_FAULT_PANIC", ForcedFailure::Panic),
-        ("MAIA_FAULT_DEADLOCK", ForcedFailure::Deadlock),
-        ("MAIA_FAULT_HANG", ForcedFailure::Hang),
-    ] {
-        if let Ok(v) = std::env::var(var) {
-            if v.split(',').any(|tok| ExperimentId::parse(tok) == Some(id)) {
-                return Some(kind);
-            }
-        }
-    }
-    None
-}
-
-/// Executor hook: kill the current experiment the forced way, if one is
-/// forced. Panic and deadlock go through a real `maia_sim` engine so
-/// the resulting error message carries the simulated process name and
-/// virtual time (`SimError` Display), then re-panic with that rendering
-/// for the guard thread's `catch_unwind` to classify.
-pub(crate) fn forced_failure_trigger(id: ExperimentId) {
-    let Some(kind) = forced_for(id) else { return };
+/// Executor hook: kill the current experiment the way `cfg` forces it
+/// to, if it does (panic before deadlock before hang). Panic and deadlock
+/// go through a real `maia_sim` engine so the resulting error message
+/// carries the simulated process name and virtual time (`SimError`
+/// Display), then re-panic with that rendering for the guard thread's
+/// `catch_unwind` to classify.
+pub(crate) fn forced_failure_trigger(cfg: &RunConfig, id: ExperimentId) {
+    let kinds = cfg.forced.iter().filter(|&&(f, _)| f == id).map(|f| f.1);
+    let Some(kind) = kinds.min() else { return };
     let code = id.meta().code;
     match kind {
         ForcedFailure::Panic => {
@@ -717,7 +675,19 @@ mod tests {
 
     #[test]
     fn forced_failure_defaults_to_none() {
-        // No env vars, no programmatic forcing: the trigger is a no-op.
-        forced_failure_trigger(ExperimentId::T1Table);
+        // No knobs: the trigger is a no-op.
+        forced_failure_trigger(&RunConfig::default(), ExperimentId::T1Table);
+    }
+
+    #[test]
+    fn a_panic_knob_wins_over_a_deadlock_knob() {
+        let cfg = RunConfig::default()
+            .with_knobs([("MAIA_FAULT_DEADLOCK", "T01"), ("MAIA_FAULT_PANIC", "T01")])
+            .expect("valid knobs");
+        let trigger = || forced_failure_trigger(&cfg, ExperimentId::T1Table);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(trigger))
+            .expect_err("a forced panic");
+        let detail = payload.downcast_ref::<String>().expect("rendered SimError");
+        assert!(detail.contains("rank-0-T01") && detail.contains("panicked at"), "{detail}");
     }
 }

@@ -33,7 +33,7 @@ pub use executor::{
     run_experiments_parallel, run_selection, ExperimentFailure, ExperimentRun, FailureKind,
     SweepReport,
 };
-pub use crosscheck::{run_crosscheck, CrosscheckReport};
+pub use crosscheck::{run_crosscheck, run_crosscheck_under, CrosscheckReport};
 pub use faults::{run_resilience, Fault, FaultPlan, ForcedFailure, ResilienceReport};
 pub use experiments::{
     all_experiments, run_experiment, ExperimentDef, ExperimentId, ExperimentSelection,

@@ -23,95 +23,90 @@
 //! virtual-side counters so backend identity stays bit-exact.
 
 use std::io::{Read, Write};
-use std::process::Child;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use maia_arch::Faults;
 use maia_mpi::bench::{cluster_collective_run_under, CollectiveOp};
-use maia_mpi::process_backend::{cluster_collective_run_process, effective_partitions};
+use maia_mpi::process_backend::{
+    cluster_collective_run_process, effective_partitions, worker_main,
+};
 use maia_mpi::world::ProcessWorldError;
 use maia_sim::partition::{PartitionRunStats, ProcessConfig};
 
 use crate::backoff::BackoffPolicy;
+use crate::config::{RunConfig, Supervision};
 use crate::telemetry;
 
-/// Everything a launcher needs to spawn one worker process.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkerSpawnCtx {
-    /// The event wheel the worker will host (`1..partitions`).
-    pub wheel: usize,
-    /// Respawn attempt number, 0 on the first try. Exported to the
-    /// child as `MAIA_WORKER_ATTEMPT` so `:once` chaos heals on respawn.
-    pub attempt: u32,
-    /// Effective wheel count of the run.
-    pub partitions: usize,
+/// The process-default worker binary, read only by
+/// [`RunConfig::current`].
+pub(crate) static DEFAULT_WORKER_BIN: Mutex<Option<PathBuf>> = Mutex::new(None);
+
+/// Make `program` the worker binary of [`RunConfig::current`]: library
+/// callers that run the process backend through the process defaults
+/// pass a binary whose `partition-worker` subcommand is `maia-bench`'s.
+pub fn install_default_launcher(program: PathBuf) {
+    *DEFAULT_WORKER_BIN
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner) = Some(program);
 }
 
-type Launcher = dyn Fn(&WorkerSpawnCtx) -> std::io::Result<Child> + Send + Sync;
-
-static LAUNCHER: Mutex<Option<Box<Launcher>>> = Mutex::new(None);
-
-/// Install the closure that spawns worker processes. The CLI installs a
-/// self-exec (`maia-bench partition-worker ...`); tests install one
-/// pointing at a built `maia-bench` binary.
-pub fn install_worker_launcher(f: Box<Launcher>) {
-    *LAUNCHER.lock().unwrap_or_else(PoisonError::into_inner) = Some(f);
-}
-
-/// Build the canonical worker command for `ctx` over `program`: the
-/// `partition-worker` subcommand with stdin/stdout piped (they carry the
-/// wire protocol), stderr inherited, and the attempt number exported.
-pub fn worker_command(program: &std::path::Path, ctx: &WorkerSpawnCtx) -> std::process::Command {
-    let mut cmd = std::process::Command::new(program);
+/// The command that hosts wheel `wheel` of `partitions` in `program`'s
+/// `partition-worker` on spawn attempt `attempt`: stdin/stdout piped (the
+/// wire protocol), stderr inherited, and the hub's heartbeat, the attempt
+/// and `sup`'s chaos, if any (else the worker's inherited one applies),
+/// set for the worker to parse back.
+fn worker_command(
+    sup: &Supervision,
+    program: &Path,
+    wheel: usize,
+    partitions: usize,
+    attempt: u32,
+) -> Command {
+    let mut cmd = Command::new(program);
     cmd.arg("partition-worker")
         .arg("--wheel")
-        .arg(ctx.wheel.to_string())
+        .arg(wheel.to_string())
         .arg("--partitions")
-        .arg(ctx.partitions.to_string())
-        .env("MAIA_WORKER_ATTEMPT", ctx.attempt.to_string())
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::inherit());
+        .arg(partitions.to_string())
+        .env("MAIA_SUPERVISE_HEARTBEAT_MS", sup.heartbeat_ms.to_string())
+        .env("MAIA_WORKER_ATTEMPT", attempt.to_string())
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit());
+    if let Some(chaos) = sup.chaos {
+        cmd.env("MAIA_WORKER_CHAOS", chaos.to_string());
+    }
     cmd
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Retry budget: respawn attempts after the first loss.
-fn retry_budget() -> u32 {
-    env_u64("MAIA_SUPERVISE_RETRIES", 2) as u32
-}
-
-/// Whether budget exhaustion degrades to in-process execution (default)
-/// or fails the experiment (`MAIA_SUPERVISE_DEGRADE=0`).
-fn degrade_enabled() -> bool {
-    std::env::var("MAIA_SUPERVISE_DEGRADE").map_or(true, |v| v != "0")
-}
-
-/// Install the standard launcher over a worker binary path: spawns
-/// `program partition-worker ...` via [`worker_command`]. The CLI passes
-/// its own executable; tests pass a built `maia-bench`.
-pub fn install_default_launcher(program: std::path::PathBuf) {
-    install_worker_launcher(Box::new(move |ctx| worker_command(&program, ctx).spawn()));
 }
 
 /// Heartbeat config: `MAIA_SUPERVISE_HEARTBEAT_MS` sets the interval
 /// (default 100 ms); the silence deadline is 20 intervals. Shared by the
-/// hub (deadline enforcement) and the worker entry point (send cadence)
-/// so one knob tunes both sides.
-pub fn process_config() -> ProcessConfig {
-    let interval_ms = env_u64("MAIA_SUPERVISE_HEARTBEAT_MS", 100).max(1);
+/// hub (deadline enforcement) and the worker entry point (send cadence),
+/// which reads the hub's interval back off its command.
+fn process_config(sup: &Supervision) -> ProcessConfig {
     ProcessConfig {
-        heartbeat_interval: Duration::from_millis(interval_ms),
-        heartbeat_deadline: Duration::from_millis(interval_ms * 20),
+        heartbeat_interval: Duration::from_millis(sup.heartbeat_ms),
+        heartbeat_deadline: Duration::from_millis(sup.heartbeat_ms * 20),
         handshake_deadline: Duration::from_secs(20),
     }
+}
+
+/// Worker side of a supervised run (`maia-bench partition-worker`): host
+/// wheel `wheel` of `partitions` over `reader`/`writer` at `cfg`'s
+/// heartbeat interval, injecting the chaos `cfg` arms for its attempt.
+pub fn serve_worker(
+    cfg: &RunConfig,
+    wheel: usize,
+    partitions: usize,
+    reader: Box<dyn Read + Send>,
+    writer: Box<dyn Write + Send>,
+) -> std::io::Result<()> {
+    let sup = &cfg.supervise;
+    let beat = process_config(sup);
+    let chaos = sup.chaos.and_then(|c| c.armed(sup.attempt));
+    worker_main(wheel, partitions, reader, writer, beat, chaos)
 }
 
 /// Deterministic backoff seed for one cell: the supervision schedule is
@@ -137,7 +132,8 @@ fn kill_all(children: &mut Vec<Child>) {
 }
 
 /// One supervised cluster collective of the healthy machine under the
-/// process backend. Returns the same `(time, stats)` as
+/// process backend, at `partitions` wheels of [`RunConfig::current`].
+/// Returns the same `(time, stats)` as
 /// [`maia_mpi::bench::cluster_collective_run_with`] — byte-identical —
 /// or panics the way the channel backend does on a deterministic
 /// simulation error, or (budget exhausted, degradation disabled) with
@@ -149,27 +145,33 @@ pub fn supervised_cluster_run(
     op: CollectiveOp,
     partitions: usize,
 ) -> (f64, PartitionRunStats) {
-    supervised_cluster_run_under(&Faults::default(), nodes, bytes, op, partitions)
+    let mut cfg = RunConfig::current();
+    cfg.partitions = partitions;
+    supervised_cluster_run_under(&cfg, nodes, bytes, op)
 }
 
-/// [`supervised_cluster_run`] on the machine `faults` describes: every
-/// wheel, the hub's and the workers', runs its faults, and `faults`
-/// tallies the injected time of the attempt that completes (or of the
+/// [`supervised_cluster_run`] under `cfg`: its wheel count, its
+/// supervision settings, and the machine its faults describe. Every
+/// wheel, the hub's and the workers', runs those faults, and they tally
+/// the injected time of the attempt that completes (or of the
 /// in-process run it degrades to).
-pub(crate) fn supervised_cluster_run_under(
-    faults: &Faults,
+pub fn supervised_cluster_run_under(
+    cfg: &RunConfig,
     nodes: usize,
     bytes: u64,
     op: CollectiveOp,
-    partitions: usize,
 ) -> (f64, PartitionRunStats) {
+    let (faults, partitions, sup) = (cfg.faults(), cfg.partitions, &cfg.supervise);
     let eff = effective_partitions(nodes, partitions);
     if eff == 1 {
         // Single wheel: there are no workers to supervise.
         return cluster_collective_run_under(faults, nodes, bytes, op, partitions);
     }
-    let cfg = process_config();
-    let budget = retry_budget();
+    let program = sup.worker_bin.as_deref().expect(
+        "process backend selected but no worker binary configured \
+         (MAIA_WORKER_BIN, or maia_core::supervise::install_default_launcher)",
+    );
+    let budget = sup.retries;
     let policy = BackoffPolicy {
         base_s: 0.05,
         factor: 2.0,
@@ -184,40 +186,34 @@ pub(crate) fn supervised_cluster_run_under(
         let mut children = Vec::with_capacity(eff - 1);
         let mut workers: Vec<(Box<dyn Read + Send>, Box<dyn Write + Send>)> =
             Vec::with_capacity(eff - 1);
-        let spawn_err = {
-            let launcher = LAUNCHER.lock().unwrap_or_else(PoisonError::into_inner);
-            let launcher = launcher.as_ref().expect(
-                "process backend selected but no worker launcher installed \
-                 (maia_core::supervise::install_worker_launcher)",
-            );
-            let mut err = None;
-            for wheel in 1..eff {
-                let ctx = WorkerSpawnCtx {
-                    wheel,
-                    attempt,
-                    partitions: eff,
-                };
-                match launcher(&ctx) {
-                    Ok(mut child) => {
-                        let stdin = child.stdin.take().expect("worker stdin must be piped");
-                        let stdout = child.stdout.take().expect("worker stdout must be piped");
-                        workers.push((Box::new(stdout), Box::new(stdin)));
-                        children.push(child);
-                    }
-                    Err(e) => {
-                        err = Some(format!("worker for wheel {wheel} failed to spawn: {e}"));
-                        break;
-                    }
+        let mut spawn_err = None;
+        for wheel in 1..eff {
+            match worker_command(sup, program, wheel, eff, attempt).spawn() {
+                Ok(mut child) => {
+                    let stdin = child.stdin.take().expect("worker stdin must be piped");
+                    let stdout = child.stdout.take().expect("worker stdout must be piped");
+                    workers.push((Box::new(stdout), Box::new(stdin)));
+                    children.push(child);
+                }
+                Err(e) => {
+                    spawn_err = Some(format!("worker for wheel {wheel} failed to spawn: {e}"));
+                    break;
                 }
             }
-            err
-        };
+        }
 
         let loss_detail = if let Some(err) = spawn_err {
             err
         } else {
-            let run =
-                cluster_collective_run_process(faults, nodes, bytes, op, partitions, workers, cfg);
+            let run = cluster_collective_run_process(
+                faults,
+                nodes,
+                bytes,
+                op,
+                partitions,
+                workers,
+                process_config(sup),
+            );
             match run {
                 Ok((time_s, stats, missed)) => {
                     telemetry::record_missed_heartbeats(missed);
@@ -254,7 +250,7 @@ pub(crate) fn supervised_cluster_run_under(
     }
 
     let loss = last_loss.expect("loop exits via return or records a loss");
-    if degrade_enabled() {
+    if sup.degrade {
         // Graceful degradation: the channel backend computes the
         // identical result in-process. Honest about it: counted in the
         // supervise bucket and narrated on stderr.
@@ -266,4 +262,66 @@ pub(crate) fn supervised_cluster_run_under(
         return cluster_collective_run_under(faults, nodes, bytes, op, partitions);
     }
     panic!("{loss} (retry budget exhausted, degradation disabled)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::ffi::OsStr;
+
+    fn env_of<'c>(cmd: &'c Command, name: &str) -> Option<&'c OsStr> {
+        cmd.get_envs()
+            .find(|&(k, _)| k == OsStr::new(name))
+            .and_then(|(_, v)| v)
+    }
+
+    #[test]
+    fn worker_commands_carry_the_hubs_settings() {
+        let knobs = [
+            ("MAIA_SUPERVISE_HEARTBEAT_MS", "20"),
+            ("MAIA_WORKER_CHAOS", "kill:1:once"),
+        ];
+        let cfg = RunConfig::default().with_knobs(knobs).expect("valid knobs");
+        let cmd = worker_command(&cfg.supervise, Path::new("/opt/maia-bench"), 2, 4, 1);
+        assert_eq!(cmd.get_program(), OsStr::new("/opt/maia-bench"));
+        let args: Vec<&OsStr> = cmd.get_args().collect();
+        assert_eq!(
+            args,
+            ["partition-worker", "--wheel", "2", "--partitions", "4"].map(OsStr::new)
+        );
+        assert_eq!(
+            env_of(&cmd, "MAIA_SUPERVISE_HEARTBEAT_MS"),
+            Some(OsStr::new("20"))
+        );
+        assert_eq!(env_of(&cmd, "MAIA_WORKER_ATTEMPT"), Some(OsStr::new("1")));
+        assert_eq!(
+            env_of(&cmd, "MAIA_WORKER_CHAOS"),
+            Some(OsStr::new("kill:1:once"))
+        );
+
+        // The worker reads them back through the same parser: the hub's
+        // interval, and a `:once` fault that stays unarmed on attempt 1.
+        let knobs = cmd.get_envs().filter_map(|(k, v)| Some((k, v?)));
+        let worker = RunConfig::default()
+            .with_knobs(knobs)
+            .expect("the worker's knobs");
+        let beat = process_config(&worker.supervise);
+        assert_eq!(beat.heartbeat_interval, Duration::from_millis(20));
+        assert_eq!(beat.heartbeat_deadline, Duration::from_millis(400));
+        assert_eq!(worker.supervise.attempt, 1);
+        assert_eq!(worker.supervise.chaos.and_then(|c| c.armed(1)), None);
+
+        // No chaos named: the command sets none, so the worker falls back
+        // to what it inherits.
+        let defaults = RunConfig::default().supervise;
+        let plain = worker_command(&defaults, Path::new("maia-bench"), 1, 2, 0);
+        assert!(plain
+            .get_envs()
+            .all(|(k, _)| k != OsStr::new("MAIA_WORKER_CHAOS")));
+        assert_eq!(
+            env_of(&plain, "MAIA_SUPERVISE_HEARTBEAT_MS"),
+            Some(OsStr::new("100"))
+        );
+        assert_eq!(env_of(&plain, "MAIA_WORKER_ATTEMPT"), Some(OsStr::new("0")));
+    }
 }

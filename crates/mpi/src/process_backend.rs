@@ -17,7 +17,7 @@
 //! ([`cluster_collective_run_process`]), the worker entry point
 //! ([`worker_main`], called by the `maia-bench partition-worker`
 //! subcommand), the process-default backend selector, and the
-//! `MAIA_WORKER_CHAOS` fault-injection hooks the chaos battery drives.
+//! [`ChaosSpec`] fault injection the chaos battery drives.
 
 use std::io::{self, Read, Write};
 use std::sync::{Mutex, PoisonError};
@@ -312,62 +312,77 @@ pub fn cluster_collective_run_process(
     Ok((res.end_time.as_secs_f64(), stats, missed))
 }
 
-/// Fault injection for the chaos battery, selected by the
-/// `MAIA_WORKER_CHAOS` environment variable in the *worker* process:
+/// Fault injection for the chaos battery, selected by a worker's
+/// `MAIA_WORKER_CHAOS` spec:
 ///
 /// * `panic-on-connect` — die before the handshake (startup crash),
 /// * `stall` — handshake, then go silent forever (hang; the hub's
 ///   heartbeat deadline converts it into a loss),
 /// * `kill:<window>` — abort without ceremony right before exchange
 ///   `<window>` (SIGKILL mid-run).
-///
-/// Appending `:once` arms the fault only on the first spawn attempt
-/// (`MAIA_WORKER_ATTEMPT=0`), so a supervised respawn heals it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Chaos {
+pub enum Chaos {
     PanicOnConnect,
     Stall,
     KillAtWindow(u64),
 }
 
-fn chaos_mode() -> Option<Chaos> {
-    let raw = std::env::var("MAIA_WORKER_CHAOS").ok()?;
-    let (spec, once) = match raw.strip_suffix(":once") {
-        Some(s) => (s.to_string(), true),
-        None => (raw, false),
-    };
-    if once {
-        let attempt: u64 = std::env::var("MAIA_WORKER_ATTEMPT")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        if attempt > 0 {
-            return None;
-        }
+/// A parsed `MAIA_WORKER_CHAOS` spec. A trailing `:once` arms the fault
+/// only on the first spawn attempt, so a supervised respawn heals it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChaosSpec {
+    pub chaos: Chaos,
+    /// Whether only spawn attempt 0 injects the fault.
+    pub once: bool,
+}
+
+impl ChaosSpec {
+    /// Parse one of the spellings above, optionally followed by `:once`.
+    pub fn parse(spec: &str) -> Option<ChaosSpec> {
+        let (base, once) = match spec.strip_suffix(":once") {
+            Some(base) => (base, true),
+            None => (spec, false),
+        };
+        let chaos = match base {
+            "panic-on-connect" => Chaos::PanicOnConnect,
+            "stall" => Chaos::Stall,
+            _ => Chaos::KillAtWindow(base.strip_prefix("kill:")?.parse().ok()?),
+        };
+        Some(ChaosSpec { chaos, once })
     }
-    match spec.as_str() {
-        "panic-on-connect" => Some(Chaos::PanicOnConnect),
-        "stall" => Some(Chaos::Stall),
-        _ => spec
-            .strip_prefix("kill:")
-            .and_then(|w| w.parse().ok())
-            .map(Chaos::KillAtWindow),
+
+    /// The fault a worker on spawn attempt `attempt` injects.
+    pub fn armed(self, attempt: u32) -> Option<Chaos> {
+        (!self.once || attempt == 0).then_some(self.chaos)
+    }
+}
+
+impl std::fmt::Display for ChaosSpec {
+    /// The spelling [`ChaosSpec::parse`] reads back.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.chaos {
+            Chaos::PanicOnConnect => f.write_str("panic-on-connect")?,
+            Chaos::Stall => f.write_str("stall")?,
+            Chaos::KillAtWindow(w) => write!(f, "kill:{w}")?,
+        }
+        f.write_str(if self.once { ":once" } else { "" })
     }
 }
 
 /// Worker entry point, called by the `maia-bench partition-worker`
 /// subcommand with the process's stdin/stdout as the pipe pair. Performs
 /// the handshake, rebuilds the world described by the job payload,
-/// drives its wheel to completion and ships the report. Nothing in the
-/// worker may print to the stdout side — it *is* the protocol channel.
+/// drives its wheel to completion and ships the report, injecting
+/// `chaos` on the way. Nothing in the worker may print to the stdout
+/// side — it *is* the protocol channel.
 pub fn worker_main(
     wheel: usize,
     partitions: usize,
     reader: Box<dyn Read + Send>,
     writer: Box<dyn Write + Send>,
     cfg: ProcessConfig,
+    chaos: Option<Chaos>,
 ) -> io::Result<()> {
-    let chaos = chaos_mode();
     if chaos == Some(Chaos::PanicOnConnect) {
         // Crash during startup, before the hub ever hears from us.
         std::process::exit(101);
@@ -472,6 +487,22 @@ mod tests {
     }
 
     #[test]
+    fn chaos_specs_roundtrip_and_heal_on_respawn() {
+        for spec in ["panic-on-connect", "stall", "stall:once", "kill:1", "kill:1:once"] {
+            let parsed = ChaosSpec::parse(spec).expect(spec);
+            assert_eq!(parsed.to_string(), spec);
+        }
+        for bad in ["", "bogus", "kill:", "kill:x", "kill:-1", "kill:once", "stall:twice", "once"] {
+            assert_eq!(ChaosSpec::parse(bad), None, "{bad:?}");
+        }
+        let once = ChaosSpec::parse("kill:1:once").expect("spec");
+        assert_eq!(once.armed(0), Some(Chaos::KillAtWindow(1)));
+        assert_eq!(once.armed(1), None);
+        let always = ChaosSpec::parse("stall").expect("spec");
+        assert_eq!(always.armed(2), Some(Chaos::Stall));
+    }
+
+    #[test]
     fn msg_roundtrips_through_the_wire() {
         let msgs = [
             Msg {
@@ -525,7 +556,7 @@ mod tests {
                     let r: Box<dyn Read + Send> =
                         Box::new(worker_side.try_clone().expect("clone"));
                     let w: Box<dyn Write + Send> = Box::new(worker_side);
-                    worker_main(wheel, eff, r, w, fast_cfg())
+                    worker_main(wheel, eff, r, w, fast_cfg(), None)
                 }));
             }
             let (got, got_stats, _missed) = cluster_collective_run_process(
@@ -544,6 +575,87 @@ mod tests {
             assert_eq!(got.to_bits(), want.to_bits(), "p={partitions}");
             assert_eq!(got_stats.windows, want_stats.windows, "p={partitions}");
             assert_eq!(got_stats.messages, want_stats.messages, "p={partitions}");
+        }
+    }
+
+    /// A live worker that breaks the protocol is a lost worker, which the
+    /// supervisor may retry, not a simulation failure: here it sends a
+    /// Batch claiming `u32::MAX` messages, or a Report mid-window, then a
+    /// well-formed `PeerAborted` Report once the hub has aborted the run.
+    #[test]
+    fn protocol_violation_by_a_live_worker_is_a_loss() {
+        use maia_sim::partition::process::{encode_report, WIRE_VERSION};
+        use maia_sim::partition::{DriveStatus, WheelReport, WheelStats};
+
+        fn frame(tag: u8, payload: &[u8]) -> Vec<u8> {
+            let mut out = (payload.len() as u32 + 1).to_le_bytes().to_vec();
+            out.push(tag);
+            out.extend_from_slice(payload);
+            out
+        }
+        fn read_tag(r: &mut UnixStream) -> u8 {
+            let mut len = [0u8; 4];
+            r.read_exact(&mut len).expect("frame length");
+            let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+            r.read_exact(&mut body).expect("frame body");
+            body[0]
+        }
+        let report = WheelReport {
+            status: DriveStatus::PeerAborted,
+            blocked: Vec::new(),
+            end: SimTime::ZERO,
+            windows: 0,
+            stats: WheelStats::default(),
+        };
+        // A well-formed result: no ranks, nothing injected, no probe.
+        let mut extra = Vec::new();
+        wire::put_u32(&mut extra, 0);
+        wire::put_u64(&mut extra, 0);
+        wire::put_bytes(&mut extra, &[]);
+        let report = frame(8, &encode_report(&report, &extra));
+        let mut batch = vec![1u8];
+        wire::put_u64(&mut batch, 100);
+        wire::put_u32(&mut batch, 0);
+        wire::put_u32(&mut batch, u32::MAX);
+
+        for (violation, detail) in [
+            (frame(3, &batch), "malformed batch frame"),
+            (report.clone(), "report frame arrived mid-window"),
+        ] {
+            let (hub_side, mut worker) = UnixStream::pair().expect("socketpair");
+            let report = report.clone();
+            let fake = std::thread::spawn(move || {
+                let mut hello = Vec::new();
+                for v in [WIRE_VERSION, 1, 2] {
+                    wire::put_u32(&mut hello, v);
+                }
+                worker.write_all(&frame(1, &hello)).expect("hello");
+                assert_eq!(read_tag(&mut worker), 2, "the hub sends the job");
+                worker.write_all(&violation).expect("violation");
+                assert_eq!(read_tag(&mut worker), 6, "the hub aborts the run");
+                worker.write_all(&report).expect("report");
+            });
+            let phases = (SimDuration::ZERO, SimDuration::ZERO);
+            let result = MpiWorld::run_partitioned_hub(
+                &WorldSpec::node_leaders(2),
+                &PartitionPlan::by_node(2),
+                cluster_program(64, CollectiveOp::Allreduce, phases),
+                vec![(
+                    Box::new(hub_side.try_clone().expect("clone")),
+                    Box::new(hub_side),
+                )],
+                vec![Vec::new()],
+                None,
+                fast_cfg(),
+            );
+            fake.join().expect("fake worker");
+            match result {
+                Err(ProcessWorldError::Lost { loss, .. }) => {
+                    assert_eq!((loss.wheel, loss.detail.as_str()), (1, detail));
+                }
+                Err(other) => panic!("{detail}: expected a lost worker, got {other}"),
+                Ok(_) => panic!("{detail}: expected a lost worker, the run completed"),
+            }
         }
     }
 }

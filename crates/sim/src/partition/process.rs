@@ -477,8 +477,6 @@ pub struct ProcessCommunicator<T> {
     missed_heartbeats: u64,
     window: u64,
     last_floor_ps: u64,
-    /// Report frames that arrived before `collect_reports` asked.
-    early_reports: Vec<Option<Vec<u8>>>,
     _t: PhantomData<fn() -> T>,
 }
 
@@ -501,7 +499,6 @@ impl<T: WireItem> ProcessCommunicator<T> {
             .map(|(i, (r, w))| Link::spawn(i + 1, r, w))
             .collect();
         let mut hub = ProcessCommunicator {
-            early_reports: (0..links.len()).map(|_| None).collect(),
             links: Vec::new(),
             partitions,
             cfg,
@@ -592,23 +589,16 @@ impl<T: WireItem> ProcessCommunicator<T> {
     }
 
     /// After the wheel-0 drive returns, pull every worker's Report
-    /// frame: `(report, extra)` in wheel order `1..partitions`.
+    /// frame: `(report, extra)` in wheel order `1..partitions`. After a
+    /// declared loss, that loss instead: reports cannot redeem a run the
+    /// hub aborted on a worker's account.
     pub fn collect_reports(&mut self) -> Result<Vec<(WheelReport, Vec<u8>)>, WorkerLoss> {
+        if let Some(loss) = &self.loss {
+            return Err(loss.clone());
+        }
         let mut out = Vec::with_capacity(self.links.len());
         for i in 0..self.links.len() {
             let wheel = self.links[i].wheel;
-            if let Some(bytes) = self.early_reports[i].take() {
-                match decode_report(&bytes) {
-                    Some(pair) => {
-                        out.push(pair);
-                        continue;
-                    }
-                    None => {
-                        self.declare_loss(wheel, "malformed report frame".to_string());
-                        return Err(self.loss.clone().unwrap());
-                    }
-                }
-            }
             loop {
                 let deadline = self.cfg.heartbeat_deadline;
                 let recv = {
@@ -725,11 +715,8 @@ impl<T: WireItem> SimCommunicator<T> for ProcessCommunicator<T> {
                         self.send_abort_all();
                         return ExchangeOutcome::Aborted;
                     }
-                    LinkRecv::Frame(TAG_REPORT, payload) => {
-                        // A worker finishing early would be a protocol
-                        // violation mid-window, but stash it: the abort
-                        // path may still want its contents.
-                        self.early_reports[i] = Some(payload);
+                    LinkRecv::Frame(TAG_REPORT, _) => {
+                        // A worker finishing early is a protocol violation.
                         self.declare_loss(wheel, "report frame arrived mid-window".to_string());
                         return ExchangeOutcome::Aborted;
                     }
@@ -1332,9 +1319,18 @@ mod tests {
             wire::put_u32(&mut batch, 0); // bucket for the hub's wheel...
             wire::put_u32(&mut batch, u32::MAX); // ...claiming 2^32-1 messages, carrying none
             write_frame(&mut *worker_io.1, TAG_BATCH, &batch).unwrap();
-            // Hold the pipe open until the hub answers with its abort.
+            // Answer the hub's abort with a well-formed report, as a
+            // live worker would.
             let (tag, _) = read_frame(&mut *worker_io.0).unwrap();
             assert_eq!(tag, TAG_ABORT);
+            let report = WheelReport {
+                status: DriveStatus::PeerAborted,
+                blocked: Vec::new(),
+                end: SimTime(0),
+                windows: 0,
+                stats: WheelStats::default(),
+            };
+            write_frame(&mut *worker_io.1, TAG_REPORT, &encode_report(&report, &[])).unwrap();
         });
         let mut hub =
             ProcessCommunicator::<u32>::connect(2, vec![hub_io], vec![Vec::new()], fast_cfg())
@@ -1347,6 +1343,9 @@ mod tests {
         assert_eq!(loss.wheel, 1);
         assert_eq!(loss.detail, "malformed batch frame");
         worker.join().unwrap();
+        // The report that follows does not turn the loss into a result.
+        let err = hub.collect_reports().err().expect("the declared loss");
+        assert_eq!(err.detail, "malformed batch frame");
     }
 
     /// A header claiming a 1 GiB frame followed by EOF is a lost worker.

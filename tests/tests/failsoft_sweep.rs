@@ -3,21 +3,18 @@
 //! experiment, reports each failure with its kind and detail, and still
 //! produces correct data for the survivors.
 //!
-//! Forced failures and the watchdog env var are process-global, so the
-//! tests serialize on one mutex (this file is its own test binary, so
-//! nothing else in the workspace shares the state).
+//! Forced failures and the watchdog budget are `MAIA_*` knobs parsed
+//! onto each test's own [`RunConfig`], so the tests run concurrently.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-use maia_core::faults::{force_failure_for_tests, ForcedFailure};
 use maia_core::{
     all_experiments, run_experiment, run_experiments_parallel, ExperimentId, FailureKind, RunConfig,
 };
 
-static SER: Mutex<()> = Mutex::new(());
-
-fn serialize() -> MutexGuard<'static, ()> {
-    SER.lock().unwrap_or_else(PoisonError::into_inner)
+/// The default config under the knob `pairs`.
+fn knobs(pairs: &[(&str, &str)]) -> RunConfig {
+    RunConfig::default()
+        .with_knobs(pairs.iter().copied())
+        .expect("valid knobs")
 }
 
 /// Acceptance criterion: with one panicking and one deadlocking
@@ -25,17 +22,12 @@ fn serialize() -> MutexGuard<'static, ()> {
 /// complete with correct data and both failures are reported.
 #[test]
 fn sweep_isolates_panicking_and_deadlocking_experiments() {
-    let _g = serialize();
     let panicker = ExperimentId::F17Io;
     let deadlocker = ExperimentId::F21Cart3d;
-    force_failure_for_tests(panicker, Some(ForcedFailure::Panic));
-    force_failure_for_tests(deadlocker, Some(ForcedFailure::Deadlock));
+    let cfg = knobs(&[("MAIA_FAULT_PANIC", "F17"), ("MAIA_FAULT_DEADLOCK", "F21")]);
 
     let ids = all_experiments();
-    let report = run_experiments_parallel(&RunConfig::default(), &ids, 4);
-
-    force_failure_for_tests(panicker, None);
-    force_failure_for_tests(deadlocker, None);
+    let report = run_experiments_parallel(&cfg, &ids, 4);
 
     assert_eq!(report.runs.len(), ids.len() - 2, "all survivors must complete");
     assert_eq!(report.failures.len(), 2);
@@ -94,16 +86,10 @@ fn sweep_isolates_panicking_and_deadlocking_experiments() {
 /// timeout; the rest of the selection still completes.
 #[test]
 fn watchdog_times_out_hung_experiment() {
-    let _g = serialize();
     let hanger = ExperimentId::F5Latency;
-    force_failure_for_tests(hanger, Some(ForcedFailure::Hang));
-    std::env::set_var("MAIA_EXPERIMENT_TIMEOUT_S", "1");
+    let cfg = knobs(&[("MAIA_FAULT_HANG", "F05"), ("MAIA_EXPERIMENT_TIMEOUT_S", "1")]);
 
-    let report =
-        run_experiments_parallel(&RunConfig::default(), &[hanger, ExperimentId::T1Table], 2);
-
-    std::env::remove_var("MAIA_EXPERIMENT_TIMEOUT_S");
-    force_failure_for_tests(hanger, None);
+    let report = run_experiments_parallel(&cfg, &[hanger, ExperimentId::T1Table], 2);
 
     assert_eq!(report.runs.len(), 1);
     assert_eq!(report.runs[0].id, ExperimentId::T1Table);
@@ -126,24 +112,15 @@ fn watchdog_times_out_hung_experiment() {
 /// survives the sweep to bleed state into later experiments.
 #[test]
 fn consecutive_hangs_are_reaped_and_do_not_interleave() {
-    let _g = serialize();
     let first = ExperimentId::F5Latency;
     let second = ExperimentId::F17Io;
-    force_failure_for_tests(first, Some(ForcedFailure::Hang));
-    force_failure_for_tests(second, Some(ForcedFailure::Hang));
-    std::env::set_var("MAIA_EXPERIMENT_TIMEOUT_S", "1");
+    let cfg = knobs(&[("MAIA_FAULT_HANG", "F05,F17"), ("MAIA_EXPERIMENT_TIMEOUT_S", "1")]);
 
     // Serial on purpose: the second hang starts only after the first
     // timeout was declared, which is exactly the "abandoned guard runs
     // into the next experiment" shape the old watchdog leaked under.
-    let report_a =
-        run_experiments_parallel(&RunConfig::default(), &[first, ExperimentId::T1Table], 1);
-    let report_b =
-        run_experiments_parallel(&RunConfig::default(), &[second, ExperimentId::F4Stream], 1);
-
-    std::env::remove_var("MAIA_EXPERIMENT_TIMEOUT_S");
-    force_failure_for_tests(first, None);
-    force_failure_for_tests(second, None);
+    let report_a = run_experiments_parallel(&cfg, &[first, ExperimentId::T1Table], 1);
+    let report_b = run_experiments_parallel(&cfg, &[second, ExperimentId::F4Stream], 1);
 
     for (report, hanger, survivor) in [
         (&report_a, first, ExperimentId::T1Table),
@@ -177,10 +154,9 @@ fn consecutive_hangs_are_reaped_and_do_not_interleave() {
     assert!(stats.reaped >= 2, "expected both hung guards reaped, got {stats:?}");
 }
 
-/// A clean sweep reports no failures and `run_one` still works.
+/// A clean sweep reports no failures.
 #[test]
 fn clean_sweep_has_no_failures() {
-    let _g = serialize();
     let report = run_experiments_parallel(
         &RunConfig::default(),
         &[ExperimentId::T1Table, ExperimentId::F4Stream],

@@ -21,10 +21,9 @@ use maia_mpi::bench::{
 use maia_mpi::fastpath::{self, EngineMode, SelectedEngine};
 use maia_mpi::process_backend::Backend;
 
-/// Guards the process-wide memo cache and the partition-count default:
-/// holders clear the cache, read its counters or set the default, and a
-/// clear in the middle of an armed sweep would recompute (and tally
-/// again) a degraded sub-model two figures share.
+/// Guards the process-wide memo cache: holders clear it or read its
+/// counters, and a clear in the middle of an armed sweep would recompute
+/// (and tally again) a degraded sub-model two figures share.
 static SER: Mutex<()> = Mutex::new(());
 
 fn serialize() -> MutexGuard<'static, ()> {
@@ -112,9 +111,8 @@ fn crosscheck_oracle_reports_a_match() {
 fn crosscheck_oracle_matches_under_partitioning() {
     let _g = serialize();
     cache::clear();
-    maia_mpi::partition::set_partitions(4);
-    let report = maia_core::run_crosscheck(2);
-    maia_mpi::partition::set_partitions(1);
+    let four_wheels = RunConfig::new(EngineMode::Auto, 4, Backend::Channel);
+    let report = maia_core::run_crosscheck_under(&four_wheels, 2);
     assert!(report.is_match(), "{}", report.to_markdown());
 }
 

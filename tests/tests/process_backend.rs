@@ -13,12 +13,18 @@
 //!    virtual time — survivors complete with correct bytes,
 //!
 //! and that an armed fault plan reaches the worker processes' wheels.
+//!
+//! The chaos and supervision knobs are parsed onto each test's own
+//! [`RunConfig`]; the worker binary rides on it too, except in the one
+//! test that covers the process-default route library callers take.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use maia_core::faults::{run_resilience, FaultPlan};
-use maia_core::supervise::{install_default_launcher, supervised_cluster_run};
+use maia_core::supervise::{
+    install_default_launcher, supervised_cluster_run, supervised_cluster_run_under,
+};
 use maia_core::telemetry;
 use maia_core::{
     run_experiments_parallel, ExperimentId, ExperimentSelection, FailureKind, RunConfig,
@@ -27,8 +33,9 @@ use maia_mpi::bench::{cluster_collective_run_with, CollectiveOp};
 use maia_mpi::fastpath::EngineMode;
 use maia_mpi::process_backend::Backend;
 
-/// Guards the environment variables (the chaos and supervision knobs)
-/// and the worker launcher, both process-wide.
+/// Guards the process-wide `telemetry::supervise_counters()`: the chaos
+/// tests lose, respawn and degrade workers, and assert on the counters'
+/// deltas across their own run.
 static SER: Mutex<()> = Mutex::new(());
 
 fn serialize() -> MutexGuard<'static, ()> {
@@ -62,47 +69,28 @@ fn worker_bin() -> PathBuf {
     bin
 }
 
-/// Arm the launcher and a clean supervision environment; returns a guard
-/// that restores the env on drop (even across panics).
-fn arm(vars: &[(&str, &str)]) -> EnvGuard {
-    install_default_launcher(worker_bin());
-    const KNOBS: [&str; 4] = [
-        "MAIA_WORKER_CHAOS",
-        "MAIA_SUPERVISE_RETRIES",
-        "MAIA_SUPERVISE_DEGRADE",
-        "MAIA_SUPERVISE_HEARTBEAT_MS",
-    ];
-    for k in KNOBS {
-        std::env::remove_var(k);
-    }
-    for (k, v) in vars {
-        std::env::set_var(k, v);
-    }
-    EnvGuard
-}
-
-struct EnvGuard;
-
-impl Drop for EnvGuard {
-    fn drop(&mut self) {
-        for k in [
-            "MAIA_WORKER_CHAOS",
-            "MAIA_SUPERVISE_RETRIES",
-            "MAIA_SUPERVISE_DEGRADE",
-            "MAIA_SUPERVISE_HEARTBEAT_MS",
-        ] {
-            std::env::remove_var(k);
-        }
-    }
+/// A process-backend config at `partitions` wheels of `engine` that
+/// spawns [`worker_bin`], under the supervision `knobs`.
+fn process_backend_config(
+    engine: EngineMode,
+    partitions: usize,
+    knobs: &[(&str, &str)],
+) -> RunConfig {
+    let bin = worker_bin();
+    let bin = bin.to_str().expect("UTF-8 worker path");
+    RunConfig::new(engine, partitions, Backend::Process)
+        .with_knobs([("MAIA_WORKER_BIN", bin)].into_iter().chain(knobs.iter().copied()))
+        .expect("valid knobs")
 }
 
 /// Acceptance criterion: fault-free process-backend runs land on the
 /// bit-exact completion time and partition statistics of the channel
-/// backend at partition counts 1, 2, 4 and 8.
+/// backend at partition counts 1, 2, 4 and 8. Runs the route library
+/// callers take: the process-default worker binary, and
+/// [`supervised_cluster_run`] on [`RunConfig::current`].
 #[test]
 fn process_backend_is_bit_identical_to_channel_at_every_partition_count() {
-    let _g = serialize();
-    let _env = arm(&[]);
+    install_default_launcher(worker_bin());
     for partitions in [1usize, 2, 4, 8] {
         let (want, want_stats) =
             cluster_collective_run_with(8, 4096, CollectiveOp::Allreduce, partitions);
@@ -126,13 +114,14 @@ fn process_backend_is_bit_identical_to_channel_at_every_partition_count() {
 #[test]
 fn killed_worker_heals_on_respawn_with_identical_bytes() {
     let _g = serialize();
-    let _env = arm(&[
-        ("MAIA_WORKER_CHAOS", "kill:1:once"),
-        ("MAIA_SUPERVISE_RETRIES", "2"),
-    ]);
+    let cfg = process_backend_config(
+        EngineMode::Auto,
+        2,
+        &[("MAIA_WORKER_CHAOS", "kill:1:once"), ("MAIA_SUPERVISE_RETRIES", "2")],
+    );
     let before = telemetry::supervise_counters();
     let (want, _) = cluster_collective_run_with(4, 64, CollectiveOp::Alltoall, 2);
-    let (got, _) = supervised_cluster_run(4, 64, CollectiveOp::Alltoall, 2);
+    let (got, _) = supervised_cluster_run_under(&cfg, 4, 64, CollectiveOp::Alltoall);
     assert_eq!(got.to_bits(), want.to_bits());
     let after = telemetry::supervise_counters();
     assert!(after.workers_lost > before.workers_lost, "loss not counted");
@@ -149,14 +138,18 @@ fn killed_worker_heals_on_respawn_with_identical_bytes() {
 #[test]
 fn stalled_worker_trips_the_heartbeat_deadline_and_heals() {
     let _g = serialize();
-    let _env = arm(&[
-        ("MAIA_WORKER_CHAOS", "stall:once"),
-        ("MAIA_SUPERVISE_RETRIES", "1"),
-        ("MAIA_SUPERVISE_HEARTBEAT_MS", "20"),
-    ]);
+    let cfg = process_backend_config(
+        EngineMode::Auto,
+        2,
+        &[
+            ("MAIA_WORKER_CHAOS", "stall:once"),
+            ("MAIA_SUPERVISE_RETRIES", "1"),
+            ("MAIA_SUPERVISE_HEARTBEAT_MS", "20"),
+        ],
+    );
     let before = telemetry::supervise_counters();
     let (want, _) = cluster_collective_run_with(4, 64, CollectiveOp::Allreduce, 2);
-    let (got, _) = supervised_cluster_run(4, 64, CollectiveOp::Allreduce, 2);
+    let (got, _) = supervised_cluster_run_under(&cfg, 4, 64, CollectiveOp::Allreduce);
     assert_eq!(got.to_bits(), want.to_bits());
     let after = telemetry::supervise_counters();
     assert!(after.workers_lost > before.workers_lost);
@@ -172,13 +165,14 @@ fn stalled_worker_trips_the_heartbeat_deadline_and_heals() {
 #[test]
 fn persistent_crash_degrades_to_in_process_execution() {
     let _g = serialize();
-    let _env = arm(&[
-        ("MAIA_WORKER_CHAOS", "panic-on-connect"),
-        ("MAIA_SUPERVISE_RETRIES", "1"),
-    ]);
+    let cfg = process_backend_config(
+        EngineMode::Auto,
+        2,
+        &[("MAIA_WORKER_CHAOS", "panic-on-connect"), ("MAIA_SUPERVISE_RETRIES", "1")],
+    );
     let before = telemetry::supervise_counters();
     let (want, _) = cluster_collective_run_with(4, 64, CollectiveOp::Allreduce, 2);
-    let (got, _) = supervised_cluster_run(4, 64, CollectiveOp::Allreduce, 2);
+    let (got, _) = supervised_cluster_run_under(&cfg, 4, 64, CollectiveOp::Allreduce);
     assert_eq!(got.to_bits(), want.to_bits());
     let after = telemetry::supervise_counters();
     assert!(after.degraded > before.degraded, "degradation not counted");
@@ -192,12 +186,15 @@ fn persistent_crash_degrades_to_in_process_execution() {
 #[test]
 fn unrecoverable_loss_fails_one_experiment_and_spares_the_rest() {
     let _g = serialize();
-    let _env = arm(&[
-        ("MAIA_WORKER_CHAOS", "kill:1"),
-        ("MAIA_SUPERVISE_RETRIES", "0"),
-        ("MAIA_SUPERVISE_DEGRADE", "0"),
-    ]);
-    let cfg = RunConfig::new(EngineMode::Des, 4, Backend::Process);
+    let cfg = process_backend_config(
+        EngineMode::Des,
+        4,
+        &[
+            ("MAIA_WORKER_CHAOS", "kill:1"),
+            ("MAIA_SUPERVISE_RETRIES", "0"),
+            ("MAIA_SUPERVISE_DEGRADE", "0"),
+        ],
+    );
     let cluster = ExperimentId::C1ClusterAllreduce;
     let survivor = ExperimentId::T1Table;
     let report = run_experiments_parallel(&cfg, &[cluster, survivor], 2);
@@ -229,23 +226,18 @@ fn unrecoverable_loss_fails_one_experiment_and_spares_the_rest() {
 /// rank 3 lives at two wheels.
 #[test]
 fn armed_plan_reaches_worker_wheels() {
-    let _g = serialize();
-    let _env = arm(&[]);
     let plan = FaultPlan::named("straggler").expect("canned plan");
     let selection = ExperimentSelection::Ids(vec![
         ExperimentId::C1ClusterAllreduce,
         ExperimentId::C2ClusterAlltoall,
     ]);
-    let report = |backend| {
-        let cfg = RunConfig::new(EngineMode::Des, 2, backend);
-        run_resilience(&cfg, &plan, &selection, 2).to_markdown()
-    };
-    let channel = report(Backend::Channel);
+    let report = |cfg: &RunConfig| run_resilience(cfg, &plan, &selection, 2).to_markdown();
+    let channel = report(&RunConfig::new(EngineMode::Des, 2, Backend::Channel));
     assert!(
         channel.contains("injected model time: 207763879224 ps")
             && channel.contains("| C01 | 48 | 9 |")
             && channel.contains("| C02 | 48 | 9 |"),
         "{channel}"
     );
-    assert_eq!(report(Backend::Process), channel);
+    assert_eq!(report(&process_backend_config(EngineMode::Des, 2, &[])), channel);
 }
