@@ -118,6 +118,21 @@ golden_gate "process-backend cluster DES (4 wheels, real worker processes)" \
     ./target/release/maia-bench run --only C01,C02 --jobs 2 --engine des \
     --partitions 4 --backend process
 
+# Each experiment keeps its worker processes for all of its cells, and a
+# finishing worker wakes its heartbeat thread instead of sleeping out the
+# interval, so the process backend costs its pipes, not its sleeps: the
+# 24 cells take ~0.05-0.1 s where a spawn and a 100 ms heartbeat join
+# per cell took 2.5 s. Asserted at any core count.
+echo "== process-backend wall: C01+C02 at 2 process wheels under 0.5 s"
+./target/release/maia-bench run --only C01,C02 --jobs 1 --engine des --partitions 2 \
+    --backend process --bench-json "$tmp" >/dev/null 2>&1
+process_wall_s=$(grep -o '"wall_s": [0-9.]*' "$tmp" | head -n 1 | awk '{print $2}')
+echo "   run --only C01,C02 --backend process: ${process_wall_s} s (budget 0.5 s)"
+if ! awk -v w="$process_wall_s" 'BEGIN { exit !(w < 0.5) }'; then
+    echo "FAIL: process-backend wall ${process_wall_s} s exceeds the 0.5 s budget" >&2
+    exit 1
+fi
+
 echo "== supervision drill: kill a worker, no retries, no degradation -> exit 1, partial report"
 set +e
 MAIA_WORKER_CHAOS=kill:1 MAIA_SUPERVISE_RETRIES=0 MAIA_SUPERVISE_DEGRADE=0 \

@@ -762,8 +762,9 @@ pub fn main_with_args(args: &[String]) -> i32 {
             print!("{}", crate::render_experiments_md(&cfg));
             0
         }
-        // Speak the wire protocol on stdin/stdout until the hub says done;
-        // exit 1 on a protocol/IO error (the hub sees EOF: a worker loss).
+        // Speak the wire protocol on stdin/stdout, one job after another,
+        // until the hub closes stdin; exit 1 on a protocol/IO error (the
+        // hub sees EOF: a worker loss).
         // Nothing may print to stdout here — it *is* the protocol channel.
         Command::PartitionWorker { wheel, partitions } => {
             let (stdin, stdout) = (Box::new(std::io::stdin()), Box::new(std::io::stdout()));

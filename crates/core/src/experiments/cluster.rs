@@ -19,7 +19,7 @@ use maia_mpi::process_backend::Backend;
 use crate::cache;
 use crate::config::RunConfig;
 use crate::figdata::{fmt_bytes, FigureData};
-use crate::supervise::supervised_cluster_run_under;
+use crate::supervise::WorkerSets;
 use crate::telemetry;
 
 /// Simulated node counts (the machine tops out at 128 nodes).
@@ -36,8 +36,15 @@ fn total_ranks(nodes: usize) -> usize {
 /// Memoized cluster collective. The memo key carries the run config, so
 /// the partition battery and the byte-identity harness see every wheel
 /// count and backend actually run: the *values* are invariant, but a
-/// cache hit across configs would defeat the invariance tests.
-pub fn cached_cluster_time(cfg: &RunConfig, nodes: usize, bytes: u64, op: CollectiveOp) -> f64 {
+/// cache hit across configs would defeat the invariance tests. On the
+/// process backend a miss runs on `sets`, the caller's worker processes.
+pub fn cached_cluster_time(
+    cfg: &RunConfig,
+    sets: &mut WorkerSets,
+    nodes: usize,
+    bytes: u64,
+    op: CollectiveOp,
+) -> f64 {
     let key = format!("cluster/{nodes}/{bytes}/{op:?}");
     // The partition stats are recorded *outside* the memo compute so the
     // window/message counters land on the experiment's own sink (the
@@ -50,7 +57,7 @@ pub fn cached_cluster_time(cfg: &RunConfig, nodes: usize, bytes: u64, op: Collec
             let (faults, p) = (cfg.faults(), cfg.partitions);
             let (time_s, stats) = match cfg.backend {
                 Backend::Channel => cluster_collective_run_under(faults, nodes, bytes, op, p),
-                Backend::Process => supervised_cluster_run_under(cfg, nodes, bytes, op),
+                Backend::Process => sets.run(cfg, nodes, bytes, op),
             };
             recorded = Some(stats);
             time_s
@@ -70,9 +77,11 @@ fn cluster_fig(
     note: &str,
 ) -> FigureData {
     let mut f = FigureData::new(id, title, &["nodes", "ranks", "size", "time us"]);
+    // On the process backend, the cells share worker processes.
+    let mut sets = WorkerSets::default();
     for nodes in NODES {
         for &size in &SIZES {
-            let t = cached_cluster_time(cfg, nodes, size, op);
+            let t = cached_cluster_time(cfg, &mut sets, nodes, size, op);
             f.push_row(vec![
                 nodes.to_string(),
                 total_ranks(nodes).to_string(),
@@ -126,7 +135,8 @@ mod tests {
     #[test]
     fn alltoall_scales_worse_than_allreduce() {
         let cfg = RunConfig::default();
-        let t = |op, nodes| cached_cluster_time(&cfg, nodes, 4 * 1024, op);
+        let mut sets = WorkerSets::default();
+        let mut t = |op, nodes| cached_cluster_time(&cfg, &mut sets, nodes, 4 * 1024, op);
         let ar_growth = t(CollectiveOp::Allreduce, 128) / t(CollectiveOp::Allreduce, 2);
         let a2a_growth = t(CollectiveOp::Alltoall, 128) / t(CollectiveOp::Alltoall, 2);
         assert!(

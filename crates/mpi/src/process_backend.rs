@@ -25,7 +25,9 @@ use std::sync::{Mutex, PoisonError};
 use maia_arch::faults::Straggler;
 use maia_arch::Faults;
 use maia_sim::partition::process::{wire, WireItem};
-use maia_sim::partition::{PartitionRunStats, ProcessConfig, WorkerEndpoint};
+use maia_sim::partition::{
+    PartitionRunStats, ProcessCommunicator, ProcessConfig, SimCommunicator, WorkerEndpoint,
+};
 use maia_sim::{SimDuration, SimTime};
 
 use crate::bench::CollectiveOp;
@@ -255,8 +257,9 @@ pub(crate) fn cluster_program(
 }
 
 /// Hub entry point: run one cluster collective on the machine `faults`
-/// describes across already-spawned worker processes (`workers[i]`
-/// hosts wheel `i + 1`). Returns the completion time in seconds, the
+/// describes across the worker processes of `hub`, an idle session whose
+/// partition count is the run's effective wheel count (worker `i` hosts
+/// wheel `i + 1`). Returns the completion time in seconds, the
 /// partition-run statistics, and the number of heartbeat intervals that
 /// passed without a worker frame (wall-side health telemetry — never
 /// part of the deterministic result). All but the last are bit-identical
@@ -267,11 +270,14 @@ pub fn cluster_collective_run_process(
     nodes: usize,
     bytes: u64,
     op: CollectiveOp,
-    partitions: usize,
-    workers: Vec<(Box<dyn Read + Send>, Box<dyn Write + Send>)>,
-    cfg: ProcessConfig,
+    hub: &mut ProcessCommunicator<Msg>,
 ) -> Result<(f64, PartitionRunStats, u64), ProcessWorldError> {
-    let eff = effective_partitions(nodes, partitions);
+    let eff = hub.partitions();
+    assert_eq!(
+        effective_partitions(nodes, eff),
+        eff,
+        "{eff} wheels for {nodes} nodes"
+    );
     let plan = PartitionPlan::by_node(eff);
     // The attempt tallies on its own, added to `faults` only once every
     // wheel has reported: a lost attempt injects nothing.
@@ -299,14 +305,14 @@ pub fn cluster_collective_run_process(
             .encode()
         })
         .collect();
+    hub.start_job(&jobs)
+        .map_err(|loss| ProcessWorldError::Lost { loss, missed: 0 })?;
     let (res, stats, missed) = MpiWorld::run_partitioned_hub(
         &spec,
         &plan,
         cluster_program(bytes, op, phases),
-        workers,
-        jobs,
+        hub,
         probe,
-        cfg,
     )?;
     faults.add_injected_ps(attempt.injected_ps());
     Ok((res.end_time.as_secs_f64(), stats, missed))
@@ -319,7 +325,7 @@ pub fn cluster_collective_run_process(
 /// * `stall` — handshake, then go silent forever (hang; the hub's
 ///   heartbeat deadline converts it into a loss),
 /// * `kill:<window>` — abort without ceremony right before exchange
-///   `<window>` (SIGKILL mid-run).
+///   `<window>`, counted over the worker's life (SIGKILL mid-run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Chaos {
     PanicOnConnect,
@@ -371,9 +377,10 @@ impl std::fmt::Display for ChaosSpec {
 
 /// Worker entry point, called by the `maia-bench partition-worker`
 /// subcommand with the process's stdin/stdout as the pipe pair. Performs
-/// the handshake, rebuilds the world described by the job payload,
-/// drives its wheel to completion and ships the report, injecting
-/// `chaos` on the way. Nothing in the worker may print to the stdout
+/// the handshake, then for each job the hub sends rebuilds the world the
+/// payload describes, drives its wheel to completion and ships the
+/// report, injecting `chaos` on the way; returns `Ok` once the hub closes
+/// the pipe between jobs. Nothing in the worker may print to the stdout
 /// side — it *is* the protocol channel.
 pub fn worker_main(
     wheel: usize,
@@ -387,19 +394,8 @@ pub fn worker_main(
         // Crash during startup, before the hub ever hears from us.
         std::process::exit(101);
     }
-    let (endpoint, job) = WorkerEndpoint::<Msg>::connect(wheel, partitions, reader, writer, cfg)?;
-    let job = ClusterJob::decode(&job).ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidData, "malformed cluster job payload")
-    })?;
-    if job.wheel != wheel || job.partitions != partitions {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "job is for wheel {}/{} but this worker is {wheel}/{partitions}",
-                job.wheel, job.partitions
-            ),
-        ));
-    }
+    let (mut endpoint, mut payload) =
+        WorkerEndpoint::<Msg>::connect(wheel, partitions, reader, writer, cfg)?;
     if chaos == Some(Chaos::Stall) {
         // Handshake succeeded; now go silent. The hub's heartbeat
         // deadline turns this into a WorkerLoss; the supervisor kills us.
@@ -408,26 +404,47 @@ pub fn worker_main(
             std::thread::sleep(std::time::Duration::from_secs(3600));
         }
     }
-    let kill_at = match chaos {
-        Some(Chaos::KillAtWindow(w)) => Some(w),
-        _ => None,
-    };
-    // The report frame carries this wheel's tally home.
-    let faults = Faults {
-        stragglers: job.stragglers,
-        ..Faults::armed(&format!("wheel {wheel}"), None)
-    };
-    let spec = WorldSpec::node_leaders(job.nodes).with_faults(&faults);
-    let plan = PartitionPlan::by_node(job.partitions);
-    MpiWorld::run_partitioned_worker(
-        &spec,
-        &plan,
-        cluster_program(job.bytes, job.op, job.phases),
-        wheel,
-        endpoint,
-        job.probe,
-        kill_at,
-    )
+    // Exchange windows driven by earlier jobs: `kill:<window>` counts
+    // over the worker's life.
+    let mut driven = 0u64;
+    loop {
+        let job = ClusterJob::decode(&payload).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidData, "malformed cluster job payload")
+        })?;
+        if job.wheel != wheel || job.partitions != partitions {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "job is for wheel {}/{} but this worker is {wheel}/{partitions}",
+                    job.wheel, job.partitions
+                ),
+            ));
+        }
+        let kill_at = match chaos {
+            Some(Chaos::KillAtWindow(w)) => Some(w.saturating_sub(driven)),
+            _ => None,
+        };
+        // The report frame carries this wheel's tally home.
+        let faults = Faults {
+            stragglers: job.stragglers,
+            ..Faults::armed(&format!("wheel {wheel}"), None)
+        };
+        let spec = WorldSpec::node_leaders(job.nodes).with_faults(&faults);
+        let plan = PartitionPlan::by_node(job.partitions);
+        driven += MpiWorld::run_partitioned_worker(
+            &spec,
+            &plan,
+            cluster_program(job.bytes, job.op, job.phases),
+            wheel,
+            &mut endpoint,
+            job.probe,
+            kill_at,
+        )?;
+        match endpoint.next_job()? {
+            Some(next) => payload = next,
+            None => return Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -534,47 +551,107 @@ mod tests {
         }
     }
 
+    type PipeEnd = (Box<dyn Read + Send>, Box<dyn Write + Send>);
+
+    /// A hub end and a worker end joined by one socket pair per
+    /// direction, so the hub dropping its writer is an EOF for the
+    /// worker, as closing a child's stdin is.
+    fn duplex() -> (PipeEnd, PipeEnd, UnixStream) {
+        let (hub_rx, worker_tx) = UnixStream::pair().expect("socketpair");
+        let (worker_rx, hub_tx) = UnixStream::pair().expect("socketpair");
+        let raw = hub_tx.try_clone().expect("clone");
+        (
+            (Box::new(hub_rx), Box::new(hub_tx)),
+            (Box::new(worker_rx), Box::new(worker_tx)),
+            raw,
+        )
+    }
+
     /// The full hub/worker protocol, with `worker_main` running on
     /// threads over socket pairs instead of child processes, lands on
     /// the exact end time of the in-process channel backend.
     #[test]
     fn process_protocol_matches_channel_backend() {
         for &(nodes, partitions) in &[(8usize, 2usize), (8, 4)] {
-            let (want, want_stats) =
-                crate::bench::cluster_collective_run_with(nodes, 4096, CollectiveOp::Allreduce, partitions);
+            let (want, want_stats) = crate::bench::cluster_collective_run_with(
+                nodes,
+                4096,
+                CollectiveOp::Allreduce,
+                partitions,
+            );
 
             let eff = effective_partitions(nodes, partitions);
-            let mut workers: Vec<(Box<dyn Read + Send>, Box<dyn Write + Send>)> = Vec::new();
+            let mut workers = Vec::new();
             let mut threads = Vec::new();
             for wheel in 1..eff {
-                let (hub_side, worker_side) = UnixStream::pair().expect("socketpair");
-                workers.push((
-                    Box::new(hub_side.try_clone().expect("clone")),
-                    Box::new(hub_side),
-                ));
+                let (hub_side, (r, w), _) = duplex();
+                workers.push(hub_side);
                 threads.push(std::thread::spawn(move || {
-                    let r: Box<dyn Read + Send> =
-                        Box::new(worker_side.try_clone().expect("clone"));
-                    let w: Box<dyn Write + Send> = Box::new(worker_side);
                     worker_main(wheel, eff, r, w, fast_cfg(), None)
                 }));
             }
+            let mut hub = ProcessCommunicator::handshake(eff, workers, fast_cfg()).expect("hellos");
             let (got, got_stats, _missed) = cluster_collective_run_process(
                 &Faults::default(),
                 nodes,
                 4096,
                 CollectiveOp::Allreduce,
-                partitions,
-                workers,
-                fast_cfg(),
+                &mut hub,
             )
             .expect("process run completes");
+            drop(hub);
             for t in threads {
                 t.join().expect("worker thread").expect("worker io");
             }
             assert_eq!(got.to_bits(), want.to_bits(), "p={partitions}");
             assert_eq!(got_stats.windows, want_stats.windows, "p={partitions}");
             assert_eq!(got_stats.messages, want_stats.messages, "p={partitions}");
+        }
+    }
+
+    /// One worker serves jobs back to back over one pipe pair: each job
+    /// lands on the channel backend's result, the hub closing its end
+    /// between jobs ends the worker with `Ok`, and a frame other than a
+    /// job between jobs is a protocol error.
+    #[test]
+    fn a_worker_serves_jobs_until_the_hub_hangs_up() {
+        let cells = [
+            (8, 4096, CollectiveOp::Allreduce),
+            (32, 64, CollectiveOp::Alltoall),
+        ];
+        for stray in [false, true] {
+            let (hub_side, (r, w), mut raw) = duplex();
+            let worker = std::thread::spawn(move || worker_main(1, 2, r, w, fast_cfg(), None));
+            let mut hub =
+                ProcessCommunicator::handshake(2, vec![hub_side], fast_cfg()).expect("hello");
+            for (nodes, bytes, op) in cells {
+                let (want, want_stats) =
+                    crate::bench::cluster_collective_run_with(nodes, bytes, op, 2);
+                let (got, got_stats, _) =
+                    cluster_collective_run_process(&Faults::default(), nodes, bytes, op, &mut hub)
+                        .expect("job completes");
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{nodes} nodes, {bytes} B {op:?}"
+                );
+                assert_eq!(got_stats.windows, want_stats.windows);
+                assert_eq!(got_stats.messages, want_stats.messages);
+                if stray {
+                    // A Done frame (tag 5) where the next Job belongs.
+                    raw.write_all(&[1, 0, 0, 0, 5]).expect("stray frame");
+                    break;
+                }
+            }
+            drop((hub, raw));
+            let served = worker.join().expect("worker thread");
+            if stray {
+                let err = served.expect_err("a stray frame between jobs");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert_eq!(err.to_string(), "expected job frame, got tag 5");
+            } else {
+                served.expect("a hang-up between jobs ends the worker cleanly");
+            }
         }
     }
 
@@ -623,6 +700,10 @@ mod tests {
             (report.clone(), "report frame arrived mid-window"),
         ] {
             let (hub_side, mut worker) = UnixStream::pair().expect("socketpair");
+            let hub_io: PipeEnd = (
+                Box::new(hub_side.try_clone().expect("clone")),
+                Box::new(hub_side),
+            );
             let report = report.clone();
             let fake = std::thread::spawn(move || {
                 let mut hello = Vec::new();
@@ -636,17 +717,15 @@ mod tests {
                 worker.write_all(&report).expect("report");
             });
             let phases = (SimDuration::ZERO, SimDuration::ZERO);
+            let mut hub =
+                ProcessCommunicator::connect(2, vec![hub_io], vec![Vec::new()], fast_cfg())
+                    .expect("handshake");
             let result = MpiWorld::run_partitioned_hub(
                 &WorldSpec::node_leaders(2),
                 &PartitionPlan::by_node(2),
                 cluster_program(64, CollectiveOp::Allreduce, phases),
-                vec![(
-                    Box::new(hub_side.try_clone().expect("clone")),
-                    Box::new(hub_side),
-                )],
-                vec![Vec::new()],
+                &mut hub,
                 None,
-                fast_cfg(),
             );
             fake.join().expect("fake worker");
             match result {

@@ -2,7 +2,6 @@
 //! with `(source, tag)` matching.
 
 use std::future::Future;
-use std::io::{Read, Write};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -11,8 +10,8 @@ use maia_sim::channel::SimChannel;
 use maia_sim::partition::process::{replay_probe, wire, RecordingProbe};
 use maia_sim::partition::{
     drive_wheel, finalize_partitioned, local_bus, register_global_process, ExchangeOutcome, Outbox,
-    PartitionProbe, PartitionRunStats, ProbeBundle, ProcessCommunicator, ProcessConfig,
-    RemoteMsg, SimCommunicator, Wheel, WorkerEndpoint, WorkerLoss,
+    PartitionProbe, PartitionRunStats, ProbeBundle, ProcessCommunicator, RemoteMsg,
+    SimCommunicator, Wheel, WorkerEndpoint, WorkerLoss,
 };
 use maia_sim::{Engine, InjectCtx, Probe, SimCtx, SimDuration, SimError, SimTime};
 
@@ -219,14 +218,13 @@ impl MpiWorld {
 
     /// Hub side of the multi-process backend: host wheel 0 on the
     /// calling thread, route every window exchange of wheels `1..n`
-    /// living in already-spawned worker processes (pipe pairs in
-    /// `workers`, one opaque job payload each in `jobs`), and merge the
-    /// workers' reports. `probe` is the caller's telemetry probe, fetched
-    /// once (the one whose presence the job payloads announce). Produces
-    /// the same `WorldResult`, partition statistics and virtual-side
-    /// telemetry as [`MpiWorld::run_partitioned`] over the same plan, bit
-    /// for bit — the window protocol is identical, only the transport
-    /// differs.
+    /// through `hub`, a session whose workers already hold this run's
+    /// job, and merge the workers' reports. `probe` is the caller's
+    /// telemetry probe, fetched once (the one whose presence the job
+    /// payloads announce). Produces the same `WorldResult`, partition
+    /// statistics and virtual-side telemetry as
+    /// [`MpiWorld::run_partitioned`] over the same plan, bit for bit —
+    /// the window protocol is identical, only the transport differs.
     ///
     /// Worker crashes and heartbeat-deadline hangs come back as
     /// [`ProcessWorldError::Lost`]; deterministic simulation failures
@@ -237,10 +235,8 @@ impl MpiWorld {
         spec: &WorldSpec,
         plan: &PartitionPlan,
         program: F,
-        workers: Vec<(Box<dyn Read + Send>, Box<dyn Write + Send>)>,
-        jobs: Vec<Vec<u8>>,
+        hub: &mut ProcessCommunicator<Msg>,
         probe: Option<Arc<dyn Probe>>,
-        cfg: ProcessConfig,
     ) -> Result<(WorldResult, PartitionRunStats, u64), ProcessWorldError>
     where
         F: Fn(Rank) -> Fut + Send + Sync + 'static,
@@ -248,7 +244,7 @@ impl MpiWorld {
     {
         let setup = PartitionSetup::new(spec, plan, program);
         let n = setup.partitions;
-        assert_eq!(workers.len(), n - 1, "one worker process per non-hub wheel");
+        assert_eq!(hub.partitions(), n, "the hub's session spans the plan's wheels");
         if let Some(p) = &probe {
             setup.register_global_names(&**p);
         }
@@ -261,10 +257,8 @@ impl MpiWorld {
                 })
             })
             .collect();
-        let mut hub = ProcessCommunicator::<Msg>::connect(n, workers, jobs, cfg)
-            .map_err(|loss| ProcessWorldError::Lost { loss, missed: 0 })?;
         let wheel0 = setup.build_wheel(0, pps[0].clone().map(|p| p as Arc<dyn Probe>));
-        let report0 = drive_wheel(wheel0, &mut hub, setup.window);
+        let report0 = drive_wheel(wheel0, &mut *hub, setup.window);
         let collected = hub.collect_reports();
         let missed = hub.missed_heartbeats();
         let worker_reports =
@@ -298,17 +292,18 @@ impl MpiWorld {
     /// the world, drive it against the hub through `endpoint`, then ship
     /// the wheel report plus this process's rank results (and, when
     /// `record_probe` is set, the wheel's recorded probe stream) back in
-    /// the report frame. `kill_at_window` is the chaos-drill hook: the
-    /// process aborts (as if SIGKILLed) right before that exchange.
+    /// the report frame. Returns the exchange windows it drove.
+    /// `kill_at_window` is the chaos-drill hook: the process aborts (as
+    /// if SIGKILLed) right before that exchange of this run.
     pub fn run_partitioned_worker<F, Fut>(
         spec: &WorldSpec,
         plan: &PartitionPlan,
         program: F,
         wheel: usize,
-        mut endpoint: WorkerEndpoint<Msg>,
+        endpoint: &mut WorkerEndpoint<Msg>,
         record_probe: bool,
         kill_at_window: Option<u64>,
-    ) -> std::io::Result<()>
+    ) -> std::io::Result<u64>
     where
         F: Fn(Rank) -> Fut + Send + Sync + 'static,
         Fut: Future<Output = Rank> + Send + 'static,
@@ -324,17 +319,18 @@ impl MpiWorld {
         let report = match kill_at_window {
             Some(at) => {
                 let mut chaos = KillAtWindow {
-                    inner: &mut endpoint,
+                    inner: &mut *endpoint,
                     at,
                     window: 0,
                 };
                 drive_wheel(wheel_obj, &mut chaos, setup.window)
             }
-            None => drive_wheel(wheel_obj, &mut endpoint, setup.window),
+            None => drive_wheel(wheel_obj, &mut *endpoint, setup.window),
         };
         let probe_bytes = rec.map(|r| r.take()).unwrap_or_default();
         let extra = setup.encode_worker_extra(wheel, &probe_bytes);
-        endpoint.finish(&report, &extra)
+        endpoint.report(&report, &extra)?;
+        Ok(report.windows)
     }
 }
 

@@ -31,6 +31,12 @@
 //! A message is `u64 arrival_ps`, `u32 dest_slot`, `u64 order.0`,
 //! `u64 order.1`, then the payload via [`WireItem`].
 //!
+//! A session is one Hello, then any number of jobs, each a Job frame
+//! answered by Batch/Window exchanges until Done (or Abort) and one
+//! Report; the hub closing its pipe between jobs ends the worker. So a
+//! worker process serves every job of its hub, and only a job that
+//! completed without an abort leaves the session ready for the next.
+//!
 //! # Failure semantics
 //!
 //! The hub watches each worker two ways: a broken/EOF pipe is a
@@ -60,7 +66,7 @@ use crate::probe::{Probe, SchedStats};
 use crate::time::SimTime;
 
 /// Protocol version carried in the Hello frame; both sides must match.
-pub const WIRE_VERSION: u32 = 3;
+pub const WIRE_VERSION: u32 = 4;
 
 /// Frames above this size indicate a desynchronized stream, not data.
 const MAX_FRAME: u32 = 1 << 30;
@@ -234,6 +240,26 @@ fn write_frame(w: &mut dyn Write, tag: u8, payload: &[u8]) -> io::Result<()> {
 fn read_frame(r: &mut dyn Read) -> io::Result<(u8, Vec<u8>)> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
+    read_frame_body(r, len_buf)
+}
+
+/// [`read_frame`], or `None` when the stream ends before the frame's
+/// first byte: the peer closed its end between frames.
+fn read_frame_or_eof(r: &mut dyn Read) -> io::Result<Option<(u8, Vec<u8>)>> {
+    let mut len_buf = [0u8; 4];
+    loop {
+        match r.read(&mut len_buf[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    r.read_exact(&mut len_buf[1..])?;
+    read_frame_body(r, len_buf).map(Some)
+}
+
+fn read_frame_body(r: &mut dyn Read, len_buf: [u8; 4]) -> io::Result<(u8, Vec<u8>)> {
     let len = u32::from_le_bytes(len_buf);
     if len == 0 || len > MAX_FRAME {
         return Err(io::Error::new(
@@ -405,7 +431,8 @@ struct Link {
 
 enum LinkRecv {
     Frame(u8, Vec<u8>),
-    /// `true` when at least one heartbeat interval passed with no frame.
+    /// The worker is gone: its pipe closed, or it stayed silent past the
+    /// deadline. Carries the loss detail.
     Lost(String),
 }
 
@@ -465,13 +492,18 @@ impl Link {
 
 /// Hub-side [`SimCommunicator`]: wheel 0's communicator *and* the
 /// router every worker exchange flows through. Construct with
-/// [`ProcessCommunicator::connect`], drive wheel 0 against it (by
+/// [`ProcessCommunicator::connect`] (or [`ProcessCommunicator::handshake`]
+/// then [`ProcessCommunicator::start_job`]), drive wheel 0 against it (by
 /// `&mut`, so it survives the drive), then call
-/// [`ProcessCommunicator::collect_reports`].
+/// [`ProcessCommunicator::collect_reports`]; a job that completed without
+/// an abort leaves the session ready for the next `start_job`.
 pub struct ProcessCommunicator<T> {
     links: Vec<Link>,
     partitions: usize,
     cfg: ProcessConfig,
+    /// Whether the workers wait for a job: after the handshake, and after
+    /// a job whose reports came home with no abort on either side.
+    idle: bool,
     aborted: bool,
     loss: Option<WorkerLoss>,
     missed_heartbeats: u64,
@@ -490,28 +522,29 @@ impl<T: WireItem> ProcessCommunicator<T> {
         jobs: Vec<Vec<u8>>,
         cfg: ProcessConfig,
     ) -> Result<Self, WorkerLoss> {
+        let mut hub = Self::handshake(partitions, workers, cfg)?;
+        hub.start_job(&jobs)?;
+        Ok(hub)
+    }
+
+    /// Take each worker's Hello — `workers[i]` must claim wheel `i + 1`
+    /// of `partitions` at [`WIRE_VERSION`] — and return the session idle,
+    /// its workers waiting for their first job.
+    pub fn handshake(
+        partitions: usize,
+        workers: Vec<(Box<dyn Read + Send>, Box<dyn Write + Send>)>,
+        cfg: ProcessConfig,
+    ) -> Result<Self, WorkerLoss> {
         assert!(partitions >= 1);
         assert_eq!(workers.len(), partitions - 1, "one worker per non-hub wheel");
-        assert_eq!(jobs.len(), workers.len(), "one job per worker");
-        let mut links: Vec<Link> = workers
+        let links: Vec<Link> = workers
             .into_iter()
             .enumerate()
             .map(|(i, (r, w))| Link::spawn(i + 1, r, w))
             .collect();
-        let mut hub = ProcessCommunicator {
-            links: Vec::new(),
-            partitions,
-            cfg,
-            aborted: false,
-            loss: None,
-            missed_heartbeats: 0,
-            window: 0,
-            last_floor_ps: 0,
-            _t: PhantomData,
-        };
         let mut missed = 0u64;
-        for (i, link) in links.iter_mut().enumerate() {
-            let wheel = i + 1;
+        for link in &links {
+            let wheel = link.wheel;
             let fail = |detail: String| WorkerLoss {
                 wheel,
                 window: 0,
@@ -544,13 +577,40 @@ impl<T: WireItem> ProcessCommunicator<T> {
                     return Err(fail(format!("no hello: {detail}")));
                 }
             }
-            if let Err(e) = write_frame(&mut *link.writer, TAG_JOB, &jobs[i]) {
-                return Err(fail(format!("sending job failed: {e}")));
-            }
         }
-        hub.missed_heartbeats = missed;
-        hub.links = links;
-        Ok(hub)
+        Ok(ProcessCommunicator {
+            links,
+            partitions,
+            cfg,
+            idle: true,
+            aborted: false,
+            loss: None,
+            missed_heartbeats: missed,
+            window: 0,
+            last_floor_ps: 0,
+            _t: PhantomData,
+        })
+    }
+
+    /// Ship the next job, `jobs[i]` to wheel `i + 1`, and count windows,
+    /// the floor and missed heartbeats from zero again. Valid only while
+    /// the session is idle: after the handshake, or after
+    /// [`ProcessCommunicator::collect_reports`] returned `Ok` for a job
+    /// neither side aborted.
+    pub fn start_job(&mut self, jobs: &[Vec<u8>]) -> Result<(), WorkerLoss> {
+        assert!(
+            self.idle,
+            "start_job on a session whose last job is unfinished or aborted"
+        );
+        assert_eq!(jobs.len(), self.links.len(), "one job per worker");
+        self.idle = false;
+        self.window = 0;
+        self.last_floor_ps = 0;
+        self.missed_heartbeats = 0;
+        let sent = self.links.iter_mut().zip(jobs).try_for_each(|(link, job)| {
+            write_frame(&mut *link.writer, TAG_JOB, job).map_err(|e| (link.wheel, e))
+        });
+        sent.map_err(|(wheel, e)| self.lose(wheel, format!("sending job failed: {e}")))
     }
 
     /// The loss that aborted the run, if one did.
@@ -588,6 +648,12 @@ impl<T: WireItem> ProcessCommunicator<T> {
         self.send_abort_all();
     }
 
+    /// [`Self::declare_loss`], returning the loss the session now holds.
+    fn lose(&mut self, wheel: usize, detail: String) -> WorkerLoss {
+        self.declare_loss(wheel, detail);
+        self.loss.clone().expect("a loss was just declared")
+    }
+
     /// After the wheel-0 drive returns, pull every worker's Report
     /// frame: `(report, extra)` in wheel order `1..partitions`. After a
     /// declared loss, that loss instead: reports cannot redeem a run the
@@ -613,25 +679,25 @@ impl<T: WireItem> ProcessCommunicator<T> {
                             out.push(pair);
                             break;
                         }
-                        None => {
-                            self.declare_loss(wheel, "malformed report frame".to_string());
-                            return Err(self.loss.clone().unwrap());
-                        }
+                        None => return Err(self.lose(wheel, "malformed report frame".to_string())),
                     },
                     // Stale window traffic and heartbeats racing the
                     // shutdown are expected; skip to the report.
                     LinkRecv::Frame(TAG_HEARTBEAT | TAG_BATCH | TAG_ABORT, _) => {}
                     LinkRecv::Frame(tag, _) => {
-                        self.declare_loss(wheel, format!("unexpected frame tag {tag} before report"));
-                        return Err(self.loss.clone().unwrap());
+                        return Err(
+                            self.lose(wheel, format!("unexpected frame tag {tag} before report"))
+                        );
                     }
                     LinkRecv::Lost(detail) => {
-                        self.declare_loss(wheel, format!("no report: {detail}"));
-                        return Err(self.loss.clone().unwrap());
+                        return Err(self.lose(wheel, format!("no report: {detail}")));
                     }
                 }
             }
         }
+        // An abort leaves frames in flight both ways, so only a clean job
+        // hands the workers back idle.
+        self.idle = !self.aborted;
         Ok(out)
     }
 }
@@ -781,8 +847,9 @@ impl<T: WireItem> SimCommunicator<T> for ProcessCommunicator<T> {
 
 /// Worker-side [`SimCommunicator`]: one wheel in a child process,
 /// talking to the hub over a pipe pair (conventionally its own
-/// stdin/stdout). A dedicated thread heartbeats while the wheel
-/// computes, so the hub can tell "slow window" from "dead process".
+/// stdin/stdout) for as many jobs as the hub sends. A dedicated thread
+/// heartbeats for the endpoint's whole life, while the wheel computes and
+/// between jobs, so the hub can tell "slow window" from "dead process".
 pub struct WorkerEndpoint<T> {
     wheel: usize,
     partitions: usize,
@@ -795,67 +862,64 @@ pub struct WorkerEndpoint<T> {
 }
 
 impl<T: WireItem> WorkerEndpoint<T> {
-    /// Send the Hello, wait for the Job frame, start the heartbeat
+    /// Send the Hello, wait for the first Job frame, start the heartbeat
     /// thread, and return the endpoint plus the opaque job payload.
     pub fn connect(
         wheel: usize,
         partitions: usize,
-        mut reader: Box<dyn Read + Send>,
+        reader: Box<dyn Read + Send>,
         writer: Box<dyn Write + Send>,
         cfg: ProcessConfig,
     ) -> io::Result<(Self, Vec<u8>)> {
         assert!(wheel >= 1 && wheel < partitions, "hub owns wheel 0");
-        let writer: Arc<Mutex<Box<dyn Write + Send>>> = Arc::new(Mutex::new(writer));
+        let mut endpoint = WorkerEndpoint {
+            wheel,
+            partitions,
+            reader,
+            writer: Arc::new(Mutex::new(writer)),
+            hb_stop: Arc::new(AtomicBool::new(false)),
+            hb_thread: None,
+            aborted: false,
+            _t: PhantomData,
+        };
         let mut hello = Vec::new();
         wire::put_u32(&mut hello, WIRE_VERSION);
         wire::put_u32(&mut hello, wheel as u32);
         wire::put_u32(&mut hello, partitions as u32);
-        write_frame(&mut **writer.lock(), TAG_HELLO, &hello)?;
-        let job = match read_frame(&mut *reader)? {
-            (TAG_JOB, payload) => payload,
-            (TAG_ABORT, _) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionAborted,
-                    "hub aborted during handshake",
-                ))
-            }
-            (tag, _) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("expected job frame, got tag {tag}"),
-                ))
-            }
-        };
-        let hb_stop = Arc::new(AtomicBool::new(false));
-        let hb_thread = {
-            let writer = Arc::clone(&writer);
-            let stop = Arc::clone(&hb_stop);
+        write_frame(&mut **endpoint.writer.lock(), TAG_HELLO, &hello)?;
+        let job = endpoint.next_job()?.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "hub closed the pipe before the first job",
+            )
+        })?;
+        let writer = Arc::clone(&endpoint.writer);
+        let stop = Arc::clone(&endpoint.hb_stop);
+        let beat = cfg.heartbeat_interval;
+        endpoint.hb_thread = Some(
             std::thread::Builder::new()
                 .name(format!("maia-worker-hb-{wheel}"))
                 .spawn(move || loop {
-                    std::thread::sleep(cfg.heartbeat_interval);
-                    if stop.load(Ordering::Acquire) {
-                        break;
+                    // Parked, not asleep: the owner unparks on stop, so a
+                    // finishing worker never waits out an interval.
+                    let due = Instant::now() + beat;
+                    loop {
+                        if stop.load(Ordering::Acquire) {
+                            return;
+                        }
+                        let now = Instant::now();
+                        if now >= due {
+                            break;
+                        }
+                        std::thread::park_timeout(due - now);
                     }
                     if write_frame(&mut **writer.lock(), TAG_HEARTBEAT, &[]).is_err() {
-                        break;
+                        return;
                     }
                 })
-                .expect("failed to spawn heartbeat thread")
-        };
-        Ok((
-            WorkerEndpoint {
-                wheel,
-                partitions,
-                reader,
-                writer,
-                hb_stop,
-                hb_thread: Some(hb_thread),
-                aborted: false,
-                _t: PhantomData,
-            },
-            job,
-        ))
+                .expect("failed to spawn heartbeat thread"),
+        );
+        Ok((endpoint, job))
     }
 
     /// Stop emitting heartbeats without stopping the wheel — the
@@ -864,19 +928,33 @@ impl<T: WireItem> WorkerEndpoint<T> {
         self.hb_stop.store(true, Ordering::Release);
     }
 
-    /// Finish the session: stop heartbeats and ship the wheel's report
-    /// (plus caller-defined extra bytes) to the hub.
-    pub fn finish(mut self, report: &WheelReport, extra: &[u8]) -> io::Result<()> {
-        self.join_heartbeat();
+    /// Wait for the hub's next job: its payload, or `None` when the hub
+    /// closed the pipe between frames. Any other frame is `InvalidData`.
+    pub fn next_job(&mut self) -> io::Result<Option<Vec<u8>>> {
+        match read_frame_or_eof(&mut *self.reader)? {
+            None => Ok(None),
+            Some((TAG_JOB, payload)) => {
+                self.aborted = false;
+                Ok(Some(payload))
+            }
+            Some((tag, _)) => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("expected job frame, got tag {tag}"),
+            )),
+        }
+    }
+
+    /// Ship the current job's wheel report (plus caller-defined extra
+    /// bytes) to the hub; the session stays open for the next job.
+    pub fn report(&mut self, report: &WheelReport, extra: &[u8]) -> io::Result<()> {
         let payload = encode_report(report, extra);
         write_frame(&mut **self.writer.lock(), TAG_REPORT, &payload)
     }
 
-    fn join_heartbeat(&mut self) {
-        self.hb_stop.store(true, Ordering::Release);
-        if let Some(h) = self.hb_thread.take() {
-            let _ = h.join();
-        }
+    /// Ship the last report and end the session: heartbeats stop when
+    /// the endpoint drops.
+    pub fn finish(mut self, report: &WheelReport, extra: &[u8]) -> io::Result<()> {
+        self.report(report, extra)
     }
 }
 
@@ -884,6 +962,7 @@ impl<T> Drop for WorkerEndpoint<T> {
     fn drop(&mut self) {
         self.hb_stop.store(true, Ordering::Release);
         if let Some(h) = self.hb_thread.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -1449,6 +1528,91 @@ mod tests {
         assert!(hub.missed_heartbeats() > 0);
         let _ = release_tx.send(());
         worker.join().unwrap();
+    }
+
+    /// A finishing or dropped endpoint wakes its heartbeat thread instead
+    /// of waiting out the interval: with a 5 s heartbeat, both return
+    /// well inside one.
+    #[test]
+    fn ending_an_endpoint_does_not_wait_out_a_heartbeat() {
+        let cfg = ProcessConfig {
+            heartbeat_interval: Duration::from_secs(5),
+            ..fast_cfg()
+        };
+        let report = WheelReport {
+            status: DriveStatus::Completed,
+            blocked: Vec::new(),
+            end: SimTime(0),
+            windows: 0,
+            stats: WheelStats::default(),
+        };
+        for finish in [true, false] {
+            let (mut hub_io, worker_io) = pipe_pair();
+            // The job is waiting in the pipe before the worker asks.
+            write_frame(&mut *hub_io.1, TAG_JOB, b"job").unwrap();
+            let (ep, job) = WorkerEndpoint::<u32>::connect(1, 2, worker_io.0, worker_io.1, cfg)
+                .expect("connect");
+            assert_eq!(job, b"job");
+            let started = Instant::now();
+            if finish {
+                ep.finish(&report, &[]).expect("finish");
+            } else {
+                drop(ep);
+            }
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_secs(1),
+                "finish={finish}: took {took:?}"
+            );
+        }
+    }
+
+    /// Every Hello the hub cannot accept is a loss of wheel 1 at window 0
+    /// whose detail says why, never a panic.
+    #[test]
+    fn a_bad_hello_is_a_named_loss() {
+        let hello = |version: u32, wheel: u32, partitions: u32| {
+            let mut out = Vec::new();
+            for v in [version, wheel, partitions] {
+                wire::put_u32(&mut out, v);
+            }
+            out
+        };
+        let cases = [
+            (
+                TAG_HELLO,
+                hello(3, 1, 2),
+                "wire version mismatch: hub 4, worker 3",
+            ),
+            (
+                TAG_HELLO,
+                hello(WIRE_VERSION, 2, 2),
+                "layout mismatch: worker claims wheel 2 of 2, expected wheel 1 of 2",
+            ),
+            (
+                TAG_HELLO,
+                hello(WIRE_VERSION, 1, 3),
+                "layout mismatch: worker claims wheel 1 of 3, expected wheel 1 of 2",
+            ),
+            (
+                TAG_HELLO,
+                hello(WIRE_VERSION, 1, 2)[..8].to_vec(),
+                "malformed hello",
+            ),
+            (TAG_BATCH, vec![0; 9], "expected hello, got frame tag 3"),
+        ];
+        for (tag, payload, detail) in cases {
+            let (hub_io, mut worker_io) = pipe_pair();
+            write_frame(&mut *worker_io.1, tag, &payload).unwrap();
+            let loss =
+                ProcessCommunicator::<u32>::connect(2, vec![hub_io], vec![Vec::new()], fast_cfg())
+                    .err()
+                    .expect("the hub refuses the worker");
+            assert_eq!(
+                (loss.wheel, loss.window, loss.at_ps, loss.detail.as_str()),
+                (1, 0, 0, detail)
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! 1. fault-free process runs are **byte-identical** to the in-process
 //!    channel backend at every partition count,
 //! 2. a lost worker that heals on respawn (or degrades to in-process
-//!    execution) still yields the identical result,
+//!    execution) still yields the identical result, and the respawned
+//!    worker set serves the experiment's later cells unchanged,
 //! 3. an unrecoverable loss fails only its own experiment, with a
 //!    failure entry naming the wheel (partition), exchange window and
 //!    virtual time — survivors complete with correct bytes,
@@ -21,9 +22,9 @@
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use maia_core::faults::{run_resilience, FaultPlan};
+use maia_core::faults::{arm, run_resilience, FaultPlan};
 use maia_core::supervise::{
-    install_default_launcher, supervised_cluster_run, supervised_cluster_run_under,
+    install_default_launcher, supervised_cluster_run, supervised_cluster_run_under, WorkerSets,
 };
 use maia_core::telemetry;
 use maia_core::{
@@ -218,6 +219,71 @@ fn unrecoverable_loss_fails_one_experiment_and_spares_the_rest() {
     assert_eq!(report.runs[0].id, survivor);
     let direct = maia_core::run_experiment(survivor);
     assert_eq!(report.runs[0].data.rows, direct.rows, "survivor data corrupted");
+}
+
+/// An experiment's cells share one worker set per wheel count, so a
+/// `kill:1:once` worker costs C01 one loss, not one per cell: the
+/// respawned set serves the rest. Every row matches the channel
+/// backend's. The straggler plan is armed on both sides only to give the
+/// cells memo keys no other test computes.
+#[test]
+fn a_loss_costs_an_experiment_one_respawn() {
+    let _g = serialize();
+    let plan = FaultPlan::named("straggler").expect("canned plan");
+    let c01 = [ExperimentId::C1ClusterAllreduce];
+    let channel = arm(&RunConfig::new(EngineMode::Des, 2, Backend::Channel), &plan);
+    let want = run_experiments_parallel(&channel, &c01, 1);
+    let process =
+        process_backend_config(EngineMode::Des, 2, &[("MAIA_WORKER_CHAOS", "kill:1:once")]);
+    let before = telemetry::supervise_counters();
+    let got = run_experiments_parallel(&arm(&process, &plan), &c01, 1);
+    let after = telemetry::supervise_counters();
+    assert!(got.failures.is_empty(), "{:?}", got.failures);
+    assert_eq!(got.runs[0].data.rows, want.runs[0].data.rows);
+    assert_eq!(after.workers_lost - before.workers_lost, 1);
+    assert_eq!(after.respawns - before.respawns, 1);
+}
+
+/// A worker's `kill:<W>` counts exchange windows over its life, so with
+/// W past the first cell it dies in a later one, cell k; the set
+/// respawned for cell k serves cell k + 1 and on, and every cell lands on
+/// the channel backend's bits, with one loss in all.
+#[test]
+fn a_worker_killed_in_one_cell_leaves_the_next_unchanged() {
+    let _g = serialize();
+    let op = CollectiveOp::Allreduce;
+    let cells: Vec<(usize, u64)> = [2, 8, 32, 128]
+        .into_iter()
+        .flat_map(|nodes| [64, 4096, 65536].map(|bytes| (nodes, bytes)))
+        .collect();
+    let channel: Vec<_> = cells
+        .iter()
+        .map(|&(nodes, bytes)| cluster_collective_run_with(nodes, bytes, op, 2))
+        .collect();
+    for kill_at in [5u64, 20, 60] {
+        let chaos = format!("kill:{kill_at}:once");
+        let cfg = process_backend_config(EngineMode::Des, 2, &[("MAIA_WORKER_CHAOS", &chaos)]);
+        // The cell whose windows hold the worker's `kill_at`-th exchange.
+        let mut driven = 0;
+        let doomed = channel
+            .iter()
+            .position(|(_, stats)| {
+                driven += stats.windows;
+                driven > kill_at
+            })
+            .expect("the kill lands inside C01");
+        assert!(doomed > 0, "{chaos} lands in the first cell");
+        let mut sets = WorkerSets::default();
+        for (k, (&(nodes, bytes), (want, want_stats))) in cells.iter().zip(&channel).enumerate() {
+            let before = telemetry::supervise_counters().workers_lost;
+            let (got, stats) = sets.run(&cfg, nodes, bytes, op);
+            let lost = telemetry::supervise_counters().workers_lost - before;
+            assert_eq!(lost, u64::from(k == doomed), "{chaos}: losses in cell {k}");
+            assert_eq!(got.to_bits(), want.to_bits(), "{chaos}: cell {k}");
+            assert_eq!(stats.windows, want_stats.windows, "{chaos}: cell {k}");
+            assert_eq!(stats.messages, want_stats.messages, "{chaos}: cell {k}");
+        }
+    }
 }
 
 /// One fault plan reaches every wheel: under the straggler plan, the
