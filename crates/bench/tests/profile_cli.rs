@@ -163,6 +163,37 @@ fn virtual_metrics_are_identical_across_backends() {
     );
 }
 
+/// The DES's exact work counts, gated at any core count: events pushed
+/// and popped per shared domain, blocked processes, partition windows
+/// and messages, and cache lookups of every DES-driven cell. Any change
+/// to how the engine schedules, wakes or delivers shows up here as a
+/// count, long before it would show up as a timing.
+#[test]
+fn des_work_counters_match_the_golden() {
+    let doc = metrics_json(&[
+        "profile",
+        "--only",
+        "F10,F11,F12,F13,F14,C01,C02",
+        "--engine",
+        "des",
+        "--jobs",
+        "2",
+        "--metrics",
+        "json",
+    ]);
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/des_counters.json"
+    ))
+    .expect("golden file");
+    let golden = parse(&golden).expect("des_counters.json is not valid JSON");
+    assert_eq!(
+        doc.get("virtual"),
+        Some(&golden),
+        "DES work counters differ from tests/golden/des_counters.json"
+    );
+}
+
 #[test]
 fn profile_unknown_experiment_is_a_usage_error() {
     let out = maia_bench(&["profile", "--only", "F99"]);

@@ -151,8 +151,9 @@ impl MpiWorld {
                 finishes.lock()[rank_id] = ctx.now().as_secs_f64();
                 stats.lock()[rank_id] = rank.stats;
                 // Rank-level telemetry span: the whole program, in virtual
-                // time. A no-op unless a probe factory is installed.
-                ctx.emit_span(&format!("rank-{rank_id}"), started);
+                // time. A no-op (name unformatted) unless a probe factory
+                // is installed.
+                ctx.emit_span(format_args!("rank-{rank_id}"), started);
             });
         }
         let (end_time, trace) = engine.run_traced()?;
@@ -493,14 +494,14 @@ where
                 let rank = program(rank).await;
                 finishes.lock()[rank_id] = ctx.now().as_secs_f64();
                 stats.lock()[rank_id] = rank.stats;
-                ctx.emit_span(&format!("rank-{rank_id}"), started);
+                ctx.emit_span(format_args!("rank-{rank_id}"), started);
             });
         }
         let mailboxes = Arc::clone(&self.mailboxes);
         Wheel {
             engine,
             outbox,
-            deliver: Arc::new(move |ictx: &InjectCtx<'_>, slot: usize, msg: Msg| {
+            deliver: Box::new(move |ictx: &InjectCtx, slot: usize, msg: Msg| {
                 mailboxes[slot].send_injected(ictx, msg);
             }),
         }
@@ -824,8 +825,7 @@ impl Rank {
             self.unexpected.remove(pos)
         } else {
             loop {
-                let mbox = self.mailboxes[self.rank].clone();
-                let m = mbox.recv_inline(&self.ctx).await;
+                let m = self.mailboxes[self.rank].recv_inline(&self.ctx).await;
                 if matches(&m) {
                     break m;
                 }

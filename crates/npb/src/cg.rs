@@ -48,21 +48,6 @@ impl SparseMatrix {
     }
 }
 
-/// [`make_matrix`] behind a process-wide cache. The build is a pure
-/// function of its arguments, and the distributed runner re-derives the
-/// *same* replicated matrix on every rank of every device placement —
-/// sharing one immutable copy changes no numerics, only the build count.
-pub fn make_matrix_cached(n: usize, nz_per_row: usize, seed: u64) -> std::sync::Arc<SparseMatrix> {
-    static MEMO: std::sync::Mutex<
-        std::collections::BTreeMap<(usize, usize, u64), std::sync::Arc<SparseMatrix>>,
-    > = std::sync::Mutex::new(std::collections::BTreeMap::new());
-    let mut memo = MEMO.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    std::sync::Arc::clone(
-        memo.entry((n, nz_per_row, seed))
-            .or_insert_with(|| std::sync::Arc::new(make_matrix(n, nz_per_row, seed))),
-    )
-}
-
 /// Build a random symmetric strictly-diagonally-dominant matrix of order
 /// `n` with about `nz_per_row` off-diagonal entries per row.
 pub fn make_matrix(n: usize, nz_per_row: usize, seed: u64) -> SparseMatrix {

@@ -125,14 +125,15 @@ pub fn cg_mpi(
 ) -> MpiRun<f64> {
     let out: Arc<Mutex<Option<f64>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
+    // Deterministic replicated matrix; each rank uses only its rows. One
+    // shared build stands in for every rank's identical local copy.
+    let a = Arc::new(crate::cg::make_matrix(n, nz_per_row, crate::ep::SEED));
     let res = MpiWorld::run(spec, move |mut rank| {
         let out2 = Arc::clone(&out2);
+        let a = Arc::clone(&a);
         async move {
         let p = rank.size();
         let me = rank.rank();
-        // Deterministic replicated build; each rank uses only its rows.
-        // The cached Arc stands in for every rank's identical local copy.
-        let a = crate::cg::make_matrix_cached(n, nz_per_row, crate::ep::SEED);
         let lo = n * me / p;
         let hi = n * (me + 1) / p;
 
@@ -225,15 +226,16 @@ pub fn ft_mpi(nx: usize, ny: usize, nz: usize, spec: &WorldSpec) -> MpiRun<Compl
     assert!(nz.is_multiple_of(p) && nx.is_multiple_of(p), "slab decomposition needs p | nz and p | nx");
     let out: Arc<Mutex<Option<Complex>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
+    // Every rank cuts its slab from the same deterministic field.
+    let full = Arc::new(Field::random(nx, ny, nz, crate::ep::SEED));
 
     let res = MpiWorld::run(spec, move |mut rank| {
         let out2 = Arc::clone(&out2);
+        let full = Arc::clone(&full);
         async move {
         let me = rank.rank();
         let zloc = nz / p;
         let z0 = me * zloc;
-        // Build this rank's slab from the same deterministic field.
-        let full = Field::random(nx, ny, nz, crate::ep::SEED);
         let mut slab: Vec<Complex> =
             full.data[z0 * nx * ny..(z0 + zloc) * nx * ny].to_vec();
 
@@ -342,12 +344,14 @@ pub fn ft_mpi(nx: usize, ny: usize, nz: usize, spec: &WorldSpec) -> MpiRun<Compl
 pub fn is_mpi(log2_n: u32, log2_max: u32, spec: &WorldSpec) -> MpiRun<Vec<u32>> {
     let out: Arc<Mutex<Option<Vec<u32>>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
+    // The replicated key sequence every rank slices its range from.
+    let keys = Arc::new(crate::is::generate_keys(log2_n, log2_max, crate::ep::SEED));
     let res = MpiWorld::run(spec, move |mut rank| {
         let out2 = Arc::clone(&out2);
+        let keys = Arc::clone(&keys);
         async move {
         let p = rank.size();
         let me = rank.rank();
-        let keys = crate::is::generate_keys(log2_n, log2_max, crate::ep::SEED);
         let lo = keys.len() * me / p;
         let hi = keys.len() * (me + 1) / p;
         let buckets = 1usize << log2_max;

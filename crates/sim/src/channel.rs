@@ -60,7 +60,7 @@ impl<T: Send> SimChannel<T> {
     /// delivery) and wake the longest-waiting receiver, if any. Identical
     /// to [`SimChannel::send_inline`] except the waker is the injection,
     /// not a running process.
-    pub fn send_injected(&self, ictx: &InjectCtx<'_>, value: T) {
+    pub fn send_injected(&self, ictx: &InjectCtx, value: T) {
         let mut inner = self.inner.lock();
         inner.queue.push_back(value);
         if let Some(pid) = inner.waiters.pop_front() {

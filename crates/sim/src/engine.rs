@@ -14,6 +14,7 @@
 //! its own thread — no channel handoff, no park/unpark, no thread pool —
 //! and catches a panicking poll as [`SimError::ProcessPanicked`].
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
@@ -21,8 +22,6 @@ use std::pin::Pin;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
-
-use parking_lot::Mutex;
 
 use crate::probe::{Probe, SchedStats};
 use crate::time::{SimDuration, SimTime};
@@ -117,29 +116,13 @@ enum Outcome {
     Panicked(String),
 }
 
-/// Target of a queued event: a process resume, or a scheduled injection
-/// (e.g. a cross-partition message delivery).
+/// Target of a queued event: a process resume, or a scheduled delivery
+/// token (e.g. a cross-partition message, see
+/// [`Engine::schedule_injection`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EvTarget {
     Proc(usize),
     Inject(usize),
-}
-
-/// A scheduled injection body; runs on the scheduler thread at its
-/// virtual time.
-type Injection = Box<dyn FnOnce(&InjectCtx<'_>) + Send>;
-
-/// State shared between the scheduler and the (single) running process.
-#[derive(Default)]
-pub(crate) struct Shared {
-    /// Wake requests raised by the running process (e.g. a channel send to a
-    /// blocked receiver). Drained by the scheduler every time the running
-    /// process yields; because virtual time does not pass while a process
-    /// runs, deferring the wake to yield time is exact.
-    wakes: Mutex<Vec<ProcessId>>,
-    /// Telemetry probe captured at engine construction, reachable from
-    /// process bodies for explicit span annotations.
-    probe: Option<Arc<dyn Probe>>,
 }
 
 /// What the currently polled inline process asked the scheduler to do.
@@ -154,17 +137,33 @@ enum Pending {
 
 /// Per-scheduler-thread scratch cell connecting an inline process being
 /// polled to its engine. Written by the scheduler immediately before each
-/// poll and read back immediately after, so nesting engines on one thread
-/// (or many engines on many threads) cannot interleave.
+/// poll and read back immediately after, so many engines on many threads
+/// cannot interleave.
 #[derive(Clone, Copy)]
 struct InlineScratch {
     now_ps: u64,
     pending: Pending,
 }
 
+// Both cells belong to the engine being stepped on this thread. Stepping
+// one engine from inside a process (or injection) of another engine on the
+// same thread is unsupported: the inner engine would overwrite the outer
+// poll's scratch and drain — and, by the epoch guard, drop — wakes the
+// outer process raised. Engines on different threads, or stepped one
+// after another on one thread, never share either cell.
 thread_local! {
-    static SCRATCH: std::cell::Cell<InlineScratch> =
-        const { std::cell::Cell::new(InlineScratch { now_ps: 0, pending: Pending::None }) };
+    static SCRATCH: Cell<InlineScratch> =
+        const { Cell::new(InlineScratch { now_ps: 0, pending: Pending::None }) };
+    /// Wake requests raised during the current step (e.g. a channel send to
+    /// a blocked receiver). Drained by the scheduler after every step;
+    /// because virtual time does not pass while a process runs, deferring
+    /// the wake to yield time is exact.
+    static WAKES: RefCell<Vec<ProcessId>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Request that `pid` be made runnable once the current step ends.
+fn raise_wake(pid: ProcessId) {
+    WAKES.with(|w| w.borrow_mut().push(pid));
 }
 
 /// Leaf future of [`SimCtx::advance`]: first poll files the advance with
@@ -227,7 +226,9 @@ impl Future for BlockFut {
 #[derive(Clone)]
 pub struct SimCtx {
     pid: ProcessId,
-    shared: Arc<Shared>,
+    /// Telemetry probe captured at engine construction, reachable from
+    /// process bodies for explicit span annotations.
+    probe: Option<Arc<dyn Probe>>,
 }
 
 impl SimCtx {
@@ -257,38 +258,39 @@ impl SimCtx {
     /// Request that `pid` be made runnable at the current virtual time.
     /// The request takes effect when the running process next yields.
     pub(crate) fn wake(&self, pid: ProcessId) {
-        self.shared.wakes.lock().push(pid);
+        raise_wake(pid);
     }
 
     /// Report a named virtual-time span `[since, now]` to the engine's
-    /// telemetry probe, if one is attached.
-    pub fn emit_span(&self, name: &str, since: SimTime) {
-        if let Some(p) = &self.shared.probe {
-            p.span(name, since.as_ps(), self.now().as_ps(), self.pid);
+    /// telemetry probe, if one is attached. The name is rendered only
+    /// then, so `format_args!` costs nothing on an unprobed engine.
+    pub fn emit_span(&self, name: impl fmt::Display, since: SimTime) {
+        if let Some(p) = &self.probe {
+            let (start_ps, end_ps) = (since.as_ps(), self.now().as_ps());
+            p.span(&name.to_string(), start_ps, end_ps, self.pid);
         }
     }
 }
 
-/// Context handed to a scheduled injection (see
-/// [`Engine::schedule_injection`]). Unlike [`SimCtx`] it cannot consume
-/// virtual time: an injection only deposits state (e.g. a message into a
+/// Context handed to the delivery hook of a scheduled injection (see
+/// [`Engine::run_window_delivering`]). Unlike [`SimCtx`] it cannot consume
+/// virtual time: a delivery only deposits state (e.g. a message into a
 /// [`SimChannel`](crate::channel::SimChannel)) and wakes blocked processes
 /// at the injection instant.
-pub struct InjectCtx<'a> {
+pub struct InjectCtx {
     now: SimTime,
-    shared: &'a Shared,
 }
 
-impl InjectCtx<'_> {
+impl InjectCtx {
     /// Virtual time at which the injection runs.
     pub fn now(&self) -> SimTime {
         self.now
     }
 
     /// Request that `pid` be made runnable at the injection's virtual
-    /// time. Drained by the scheduler right after the injection body.
+    /// time. Drained by the scheduler right after the delivery.
     pub(crate) fn wake(&self, pid: ProcessId) {
-        self.shared.wakes.lock().push(pid);
+        raise_wake(pid);
     }
 }
 
@@ -343,15 +345,15 @@ pub struct Engine {
     /// every [`ProcessId`] it mints.
     epoch: u32,
     procs: Vec<ProcEntry>,
-    shared: Arc<Shared>,
     /// Arena-backed timer wheel over (time, seq, target).
     queue: EventWheel<EvTarget>,
     /// Virtual time of the last processed event; persists across
     /// [`Engine::run_window`] calls.
     now: SimTime,
     ran: bool,
-    /// Slab of pending injections, indexed by [`EvTarget::Inject`].
-    injections: Vec<Option<Injection>>,
+    /// Spare wake buffer, swapped with the thread's `WAKES` list at every
+    /// drain so neither side allocates in steady state.
+    wake_buf: Vec<ProcessId>,
     trace: Option<Vec<TraceRecord>>,
     probe: Option<Arc<dyn Probe>>,
 }
@@ -378,14 +380,10 @@ impl Engine {
         Engine {
             epoch: ENGINE_EPOCH.fetch_add(1, Ordering::Relaxed),
             procs: Vec::new(),
-            shared: Arc::new(Shared {
-                wakes: Mutex::new(Vec::new()),
-                probe: probe.clone(),
-            }),
             queue: EventWheel::new(),
             now: SimTime::ZERO,
             ran: false,
-            injections: Vec::new(),
+            wake_buf: Vec::new(),
             trace: None,
             probe,
         }
@@ -428,7 +426,7 @@ impl Engine {
         let pid = self.pid_of(self.procs.len());
         let ctx = SimCtx {
             pid,
-            shared: Arc::clone(&self.shared),
+            probe: self.probe.clone(),
         };
         // `f` runs now (it only builds the future); the body itself runs
         // at the first poll, i.e. at virtual time zero.
@@ -477,28 +475,26 @@ impl Engine {
         self.queue.push(at.as_ps(), target);
     }
 
-    /// Schedule `deliver` to run on the event wheel at virtual time `at`.
+    /// Queue delivery `token` on the event wheel at virtual time `at`.
     /// The partition layer uses this to deliver cross-partition messages:
-    /// the closure runs on the scheduler thread, in deterministic
-    /// `(time, seq)` order with every other event, and may wake blocked
-    /// processes through [`InjectCtx`] (e.g. via
+    /// [`Engine::run_window_delivering`] hands the token back to its hook
+    /// on the scheduler thread, in deterministic `(time, seq)` order with
+    /// every other event, and the hook may wake blocked processes through
+    /// [`InjectCtx`] (e.g. via
     /// [`SimChannel::send_injected`](crate::channel::SimChannel::send_injected)).
+    /// The token means nothing to the engine; the caller owns whatever it
+    /// indexes.
     ///
     /// # Panics
     /// Panics if `at` lies before the engine's current virtual time:
     /// conservative synchronization must never deliver into the past.
-    pub fn schedule_injection<F>(&mut self, at: SimTime, deliver: F)
-    where
-        F: FnOnce(&InjectCtx<'_>) + Send + 'static,
-    {
+    pub fn schedule_injection(&mut self, at: SimTime, token: usize) {
         assert!(
             at >= self.now,
             "injection scheduled at {at}, before the engine clock {}",
             self.now
         );
-        let slot = self.injections.len();
-        self.injections.push(Some(Box::new(deliver)));
-        self.push_event(at, EvTarget::Inject(slot));
+        self.push_event(at, EvTarget::Inject(token));
     }
 
     /// Virtual time of the last processed event ([`SimTime::ZERO`] before
@@ -545,7 +541,7 @@ impl Engine {
     /// Like [`Engine::run`], also returning the recorded trace (empty
     /// unless [`Engine::enable_tracing`] was called).
     pub fn run_traced(mut self) -> Result<(SimTime, Vec<TraceRecord>), SimError> {
-        self.step_until(None)?;
+        self.step_until(None, &mut no_deliveries)?;
         let blocked = self.blocked_processes();
         if blocked.is_empty() {
             if let Some(p) = &self.probe {
@@ -563,41 +559,52 @@ impl Engine {
 
     /// Process every event with virtual time strictly below `limit`, then
     /// return. Pending events at or past `limit` — and blocked processes —
-    /// are left in place for subsequent windows; the partition layer calls
-    /// this once per conservative lookahead window, ingesting
-    /// cross-partition messages between calls via
-    /// [`Engine::schedule_injection`]. Unlike [`Engine::run`] this emits
-    /// no `run_complete` and reports no deadlock: end-of-run accounting
-    /// belongs to the orchestrator that owns all the wheels.
+    /// are left in place for subsequent windows. Unlike [`Engine::run`]
+    /// this emits no `run_complete` and reports no deadlock: end-of-run
+    /// accounting belongs to the orchestrator that owns all the wheels.
+    ///
+    /// # Panics
+    /// Panics if an injection falls due: an engine that schedules
+    /// injections must be stepped with [`Engine::run_window_delivering`].
     pub fn run_window(&mut self, limit: SimTime) -> Result<(), SimError> {
-        self.step_until(Some(limit))
+        self.step_until(Some(limit), &mut no_deliveries)
     }
 
-    fn step_until(&mut self, limit: Option<SimTime>) -> Result<(), SimError> {
+    /// Like [`Engine::run_window`], handing every due injection token (see
+    /// [`Engine::schedule_injection`]) to `deliver` at its virtual time.
+    /// The partition layer calls this once per conservative lookahead
+    /// window, scheduling the cross-partition messages of the last
+    /// exchange between calls.
+    pub fn run_window_delivering(
+        &mut self,
+        limit: SimTime,
+        deliver: &mut dyn FnMut(&InjectCtx, usize),
+    ) -> Result<(), SimError> {
+        self.step_until(Some(limit), deliver)
+    }
+
+    fn step_until(
+        &mut self,
+        limit: Option<SimTime>,
+        deliver: &mut dyn FnMut(&InjectCtx, usize),
+    ) -> Result<(), SimError> {
         self.ran = true;
         loop {
-            match self.queue.peek_time() {
-                None => return Ok(()),
-                Some(t) => {
-                    if limit.is_some_and(|lim| t >= lim.as_ps()) {
-                        return Ok(());
-                    }
+            // An unbounded run pops straight away; a window first checks
+            // that the next event lies inside it.
+            if let Some(lim) = limit {
+                if self.queue.peek_time().is_none_or(|t| t >= lim.as_ps()) {
+                    return Ok(());
                 }
             }
-            let (t_ps, target) = self.queue.pop().expect("peeked event vanished");
+            let Some((t_ps, target)) = self.queue.pop() else {
+                return Ok(());
+            };
             let t = SimTime(t_ps);
             debug_assert!(t >= self.now, "event queue went backwards in time");
             self.now = t;
             match target {
-                EvTarget::Inject(slot) => {
-                    let deliver = self.injections[slot]
-                        .take()
-                        .expect("injection event fired twice");
-                    deliver(&InjectCtx {
-                        now: self.now,
-                        shared: &self.shared,
-                    });
-                }
+                EvTarget::Inject(token) => deliver(&InjectCtx { now: t }, token),
                 EvTarget::Proc(pidx) => self.step_proc(pidx)?,
             }
             self.drain_wakes();
@@ -703,10 +710,12 @@ impl Engine {
     }
 
     /// Apply wake requests raised while a process ran (or an injection
-    /// delivered).
+    /// delivered): swap the thread's wake list with the spare buffer,
+    /// apply it, and keep its capacity for the next swap.
     fn drain_wakes(&mut self) {
-        let wakes: Vec<ProcessId> = std::mem::take(&mut *self.shared.wakes.lock());
-        for w in wakes {
+        let mut wakes = std::mem::take(&mut self.wake_buf);
+        WAKES.with(|list| std::mem::swap(&mut *list.borrow_mut(), &mut wakes));
+        for &w in &wakes {
             if w.epoch != self.epoch {
                 // ABA guard: a stale pid from a different (typically dead)
                 // engine, e.g. parked in a channel waiter list that
@@ -723,7 +732,14 @@ impl Engine {
             // (e.g. two senders raced in the same instant); ignore it —
             // the target will re-check its wait condition anyway.
         }
+        wakes.clear();
+        self.wake_buf = wakes;
     }
+}
+
+/// Delivery hook of engines that schedule no injections.
+fn no_deliveries(_: &InjectCtx, token: usize) {
+    panic!("injection {token} fell due on an engine stepped without a delivery hook");
 }
 
 fn render_panic(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -1142,6 +1158,53 @@ mod tests {
         let end = eng2.run().unwrap();
         assert_eq!(end.as_us(), 5.0);
         assert_eq!(*woke.lock(), 2);
+    }
+
+    #[test]
+    fn wakes_left_by_a_panicked_step_do_not_reach_the_next_engine() {
+        // A process that wakes a blocked peer and then panics in the same
+        // poll leaves that wake in this thread's list. An engine stepped
+        // afterwards on the thread must behave as on a fresh thread: same
+        // end time, same wheel traffic (a misapplied wake would requeue
+        // its slot-0 receiver and push an extra event).
+        fn second_engine() -> (SimTime, SchedStats) {
+            let mut eng = Engine::new();
+            let ch = SimChannel::<u8>::new("b");
+            {
+                let ch = ch.clone();
+                eng.spawn_inline("rx", move |ctx| async move {
+                    let _ = ch.recv_inline(&ctx).await;
+                });
+            }
+            eng.spawn_inline("tx", move |ctx| async move {
+                ctx.advance(SimDuration::from_us(2.0)).await;
+                ch.send_inline(&ctx, 1);
+            });
+            let horizon = SimTime::ZERO + SimDuration::from_us(10.0);
+            eng.run_window(horizon).unwrap();
+            assert!(eng.blocked_processes().is_empty());
+            (eng.now(), eng.sched_stats())
+        }
+        let fresh = std::thread::spawn(second_engine).join().unwrap();
+
+        let mut eng = Engine::new();
+        let ch = SimChannel::<u8>::new("a");
+        {
+            let ch = ch.clone();
+            eng.spawn_inline("sleeper", move |ctx| async move {
+                let _ = ch.recv_inline(&ctx).await;
+            });
+        }
+        eng.spawn_inline("waker", move |ctx| async move {
+            ctx.advance(SimDuration::from_us(1.0)).await;
+            ch.send_inline(&ctx, 1);
+            panic!("dies after waking");
+        });
+        match eng.run() {
+            Err(SimError::ProcessPanicked { name, .. }) => assert_eq!(name, "waker"),
+            other => panic!("expected the waker's panic, got {other:?}"),
+        }
+        assert_eq!(second_engine(), fresh);
     }
 
     #[test]

@@ -409,7 +409,7 @@ pub fn register_global_process(probe: &dyn Probe, index: usize, name: &str) {
 
 /// Delivery hook of a [`Wheel`]: place a payload into an inbox slot
 /// (waking a blocked receiver through the [`InjectCtx`]).
-pub type DeliverFn<T> = Arc<dyn Fn(&InjectCtx<'_>, usize, T) + Send + Sync>;
+pub type DeliverFn<T> = Box<dyn Fn(&InjectCtx, usize, T) + Send>;
 
 /// One partition of a sharded world, ready to drive.
 pub struct Wheel<T> {
@@ -483,11 +483,43 @@ pub struct WheelReport {
     pub stats: WheelStats,
 }
 
+/// Inbound cross-domain deliveries of one wheel that have not fired yet,
+/// indexed by the token their injection event carries. A token returns to
+/// the free list once its event has fired, so the slab never holds more
+/// entries than deliveries were in flight at once.
+struct Deliveries<T> {
+    /// `(dest_slot, payload)` per token; `None` once delivered.
+    slots: Vec<Option<(usize, T)>>,
+    free: Vec<usize>,
+}
+
+impl<T> Deliveries<T> {
+    fn insert(&mut self, dest_slot: usize, payload: T) -> usize {
+        let entry = Some((dest_slot, payload));
+        match self.free.pop() {
+            Some(token) => {
+                self.slots[token] = entry;
+                token
+            }
+            None => {
+                self.slots.push(entry);
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    fn take(&mut self, token: usize) -> (usize, T) {
+        let entry = self.slots[token].take().expect("delivery fired twice");
+        self.free.push(token);
+        entry
+    }
+}
+
 /// Drive one wheel of a sharded world to completion through `comm` —
 /// the per-wheel loop [`run_partitioned`] runs on each wheel thread,
 /// public so a *worker process* can drive its single wheel against a
 /// [`WorkerEndpoint`].
-pub fn drive_wheel<T, C>(mut wheel: Wheel<T>, mut comm: C, lookahead: SimDuration) -> WheelReport
+pub fn drive_wheel<T, C>(wheel: Wheel<T>, mut comm: C, lookahead: SimDuration) -> WheelReport
 where
     T: Send + 'static,
     C: SimCommunicator<T>,
@@ -497,19 +529,32 @@ where
         "partition lookahead must be positive: a zero-latency cross-domain link \
          admits no conservative window"
     );
+    let Wheel {
+        mut engine,
+        outbox,
+        deliver,
+    } = wheel;
+    let mut pending = Deliveries {
+        slots: Vec::new(),
+        free: Vec::new(),
+    };
     let mut windows = 0u64;
     let mut messages_out = 0u64;
     let mut stall_wall_ns = 0u64;
     let mut limit = SimTime::ZERO + lookahead;
     let status = loop {
-        if let Err(e) = wheel.engine.run_window(limit) {
+        let ran = engine.run_window_delivering(limit, &mut |ictx, token| {
+            let (slot, payload) = pending.take(token);
+            deliver(ictx, slot, payload);
+        });
+        if let Err(e) = ran {
             comm.abort();
             break DriveStatus::Error(e);
         }
         windows += 1;
-        let (outbound, out_floor) = wheel.outbox.drain();
+        let (outbound, out_floor) = outbox.drain();
         messages_out += outbound.iter().map(Vec::len).sum::<usize>() as u64;
-        let local_next = wheel.engine.next_event_time().map(SimTime::as_ps);
+        let local_next = engine.next_event_time().map(SimTime::as_ps);
         let floor = match (local_next, out_floor) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -525,12 +570,8 @@ where
                     (a.arrival, a.order, a.dest_slot).cmp(&(b.arrival, b.order, b.dest_slot))
                 });
                 for m in inbound {
-                    let deliver = Arc::clone(&wheel.deliver);
-                    let slot = m.dest_slot;
-                    let payload = m.payload;
-                    wheel
-                        .engine
-                        .schedule_injection(m.arrival, move |ictx| deliver(ictx, slot, payload));
+                    let token = pending.insert(m.dest_slot, m.payload);
+                    engine.schedule_injection(m.arrival, token);
                 }
                 limit = next + lookahead;
             }
@@ -541,8 +582,8 @@ where
             ExchangeOutcome::Aborted => break DriveStatus::PeerAborted,
         }
     };
-    let blocked = wheel.engine.blocked_processes();
-    let end = wheel.engine.now();
+    let blocked = engine.blocked_processes();
+    let end = engine.now();
     WheelReport {
         status,
         blocked,
@@ -740,7 +781,7 @@ mod tests {
             wheels.push(Wheel {
                 engine,
                 outbox,
-                deliver: Arc::new(move |ictx: &InjectCtx<'_>, _slot, v| {
+                deliver: Box::new(move |ictx: &InjectCtx, _slot, v| {
                     deliver_inbox.send_injected(ictx, v);
                 }),
             });
@@ -790,7 +831,7 @@ mod tests {
         let wheels = vec![Wheel {
             engine,
             outbox,
-            deliver: Arc::new(move |ictx: &InjectCtx<'_>, _slot, v| {
+            deliver: Box::new(move |ictx: &InjectCtx, _slot, v| {
                 deliver_inbox.send_injected(ictx, v);
             }),
         }];
@@ -806,7 +847,7 @@ mod tests {
         let wheels = vec![Wheel {
             engine,
             outbox: Outbox::<u8>::new(1),
-            deliver: Arc::new(|_ictx: &InjectCtx<'_>, _slot, _v: u8| {}),
+            deliver: Box::new(|_ictx: &InjectCtx, _slot, _v: u8| {}),
         }];
         let _ = run_partitioned(wheels, local_bus::<u8>(1), SimDuration::ZERO, None);
     }
@@ -837,7 +878,7 @@ mod tests {
             wheels.push(Wheel {
                 engine,
                 outbox,
-                deliver: Arc::new(move |ictx: &InjectCtx<'_>, _slot, v| {
+                deliver: Box::new(move |ictx: &InjectCtx, _slot, v| {
                     deliver_inbox.send_injected(ictx, v);
                 }),
             });
@@ -869,7 +910,7 @@ mod tests {
             wheels.push(Wheel {
                 engine,
                 outbox: Outbox::<u8>::new(2),
-                deliver: Arc::new(move |ictx: &InjectCtx<'_>, _slot, v| {
+                deliver: Box::new(move |ictx: &InjectCtx, _slot, v| {
                     deliver_inbox.send_injected(ictx, v);
                 }),
             });

@@ -42,6 +42,16 @@
 //! into the `ready` queue. Draining a level-`>0` slot redistributes its
 //! events to strictly lower levels (their XOR distance to the new cursor
 //! shrank below the slot width), preserving `seq`.
+//!
+//! **Same-instant lane.** A push due exactly at the cursor while the
+//! cursor's level-0 bucket is empty goes straight to the back of `ready`
+//! instead of through that bucket. It is exact: every level-`>0` event
+//! lies strictly after the cursor, so any other pending event at the
+//! cursor's instant is already in `ready`, with a smaller `seq`. The
+//! empty-bucket condition guards the one other place such an event could
+//! sit; between pops it always holds, since a pop drains the cursor's
+//! bucket before it returns. The lane counts as a level-0 push, so
+//! [`WheelStats`] are unchanged.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -140,11 +150,17 @@ impl<T: Copy + Ord> EventWheel<T> {
         self.seq += 1;
         self.stats.pushed += 1;
         self.len += 1;
+        if t == self.cursor && self.heads[0][(t & SLOT_MASK) as usize] == NIL {
+            // Same-instant lane (module docs).
+            self.stats.level_pushes[0] += 1;
+            self.ready.push_back((t, seq, item));
+            return;
+        }
         self.insert(t, seq, item);
     }
 
-    /// Place an event into overflow, a wheel bucket, or (when already due
-    /// at the cursor) directly into `ready`, keeping its original `seq`.
+    /// Place an event into overflow or a wheel bucket, keeping its
+    /// original `seq`.
     fn insert(&mut self, t: u64, seq: u64, item: T) {
         if (self.cursor ^ t) >= HORIZON {
             self.stats.level_pushes[LEVELS] += 1;
@@ -421,14 +437,97 @@ mod tests {
         assert!(w.arena.len() <= 16, "arena grew to {} slots", w.arena.len());
     }
 
+    #[test]
+    fn pushes_at_the_cursor_pop_after_pending_same_instant_events() {
+        let mut w = EventWheel::new();
+        let mut h = HeapQueue::new();
+        let mut push = |w: &mut EventWheel<u32>, t: u64, item: u32| {
+            w.push(t, item);
+            h.push(t, item);
+        };
+        for i in 0..5 {
+            push(&mut w, 10, i);
+        }
+        push(&mut w, 11, 5);
+        assert_eq!(w.pop(), Some((10, 0)));
+        // `ready` still holds items 1..=4 at t = 10; the cursor is 10.
+        push(&mut w, 10, 6);
+        push(&mut w, 11, 7);
+        push(&mut w, 10, 8);
+        let order: Vec<(u64, u32)> = std::iter::from_fn(|| w.pop()).collect();
+        assert_eq!(
+            order,
+            vec![(10, 1), (10, 2), (10, 3), (10, 4), (10, 6), (10, 8), (11, 5), (11, 7)]
+        );
+        assert_eq!(h.pop(), Some((10, 0)));
+        let want: Vec<(u64, u32)> = std::iter::from_fn(|| h.pop()).collect();
+        assert_eq!(order, want);
+    }
+
+    #[test]
+    fn same_instant_lane_keeps_cascade_path_counts() {
+        // A fixed script touching the lane, every cascade level, and an
+        // overflow promotion. The pop order and the counters are those the
+        // wheel produced when every push went through a bucket.
+        let far = 3 * HORIZON;
+        let mut w = EventWheel::new();
+        let mut got = Vec::new();
+        for (t, item) in [(0, 0u32), (0, 1), (100, 2), (100, 3), (5000, 4), (far, 5)] {
+            w.push(t, item);
+        }
+        got.push(w.pop());
+        w.push(0, 6);
+        got.extend((0..3).map(|_| w.pop()));
+        w.push(100, 7);
+        w.push(101, 8);
+        w.push(100, 9);
+        got.extend((0..5).map(|_| w.pop()));
+        w.push(5000, 10);
+        got.extend((0..2).map(|_| w.pop()));
+        w.push(far, 11);
+        got.extend((0..2).map(|_| w.pop()));
+        let order: Vec<(u64, u32)> = got.into_iter().flatten().collect();
+        assert_eq!(
+            order,
+            vec![
+                (0, 0),
+                (0, 1),
+                (0, 6),
+                (100, 2),
+                (100, 3),
+                (100, 7),
+                (100, 9),
+                (101, 8),
+                (5000, 4),
+                (5000, 10),
+                (far, 5),
+                (far, 11),
+            ]
+        );
+        assert!(w.is_empty());
+        assert_eq!(
+            w.stats(),
+            WheelStats {
+                pushed: 12,
+                popped: 12,
+                level_pushes: [12, 3, 1, 0, 0, 0, 0, 1],
+            }
+        );
+    }
+
     proptest! {
-        /// Satellite: wheel pop order is identical to the old BinaryHeap
+        /// Wheel pop order is identical to the old BinaryHeap
         /// for random (time, seq) batches, including same-timestamp ties
-        /// (duplicate `t` draws are likely under these small ranges).
+        /// (duplicate `t` draws are likely under these small ranges). Half
+        /// the draws are `dt == 0`, so pushes at the cursor right after a
+        /// pop — the same-instant lane — are common.
         #[test]
         fn pop_order_matches_binary_heap(
             batches in prop::collection::vec(
-                prop::collection::vec((0u64..200, 0u32..1000), 1..40),
+                prop::collection::vec(
+                    (prop_oneof![Just(0u64), 0u64..200], 0u32..1000),
+                    1..40,
+                ),
                 1..8,
             ),
         ) {

@@ -113,7 +113,7 @@ fn run_folded(programs: &[Vec<Op>], wheels: usize) -> (u64, Vec<Vec<Delivery>>) 
         wheel_worlds.push(Wheel {
             engine,
             outbox,
-            deliver: Arc::new(move |ictx: &InjectCtx<'_>, slot: usize, payload: (usize, u64, u64)| {
+            deliver: Box::new(move |ictx: &InjectCtx, slot: usize, payload: (usize, u64, u64)| {
                 // Causality at the wheel boundary: the injection runs
                 // exactly at the stamped arrival, never in the past.
                 assert_eq!(ictx.now().as_ps(), payload.2);
