@@ -70,6 +70,12 @@ golden_gate "faults across wheels (straggler plan, 4 process wheels)" \
     ./target/release/maia-bench faults --plan straggler --only C01,C02 --jobs 2 \
     --partitions 4 --backend process
 
+# trace_timeline counts every rank's scheduler transitions through a
+# Probe; a diff means the engine's schedule of the allreduce changed, or
+# the probe stopped seeing part of it.
+golden_gate "trace timeline (8-rank Phi allreduce)" tests/golden/trace_timeline.txt \
+    ./target/release/trace_timeline
+
 echo "== profile smoke: maia-bench profile --only fig_04 --trace + trace_lint"
 ./target/release/maia-bench profile --only fig_04 --trace "$tmp" >/dev/null
 ./target/release/trace_lint "$tmp"

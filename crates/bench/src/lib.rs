@@ -1,12 +1,12 @@
-//! # maia-bench — the experiment CLI, ablation binaries and Criterion benches
+//! # maia-bench — the experiment CLI, ablation binaries and a Criterion STREAM bench
 //!
 //! The `maia-bench` binary is the front door: `maia-bench run --all
 //! --jobs 4` regenerates every table/figure of the paper in parallel
 //! through `maia_core::run_experiments_parallel`, and `maia-bench run
 //! --only F04` regenerates one, with `--format md|csv|json`, `--out DIR`
 //! and a timing summary on stderr. `maia-bench report` prints the
-//! complete EXPERIMENTS.md. Criterion benches measure the *real* kernels
-//! (STREAM, EPCC constructs, NPB classes) on the build machine, and the
+//! complete EXPERIMENTS.md. A Criterion bench measures the *real*
+//! STREAM kernels on the build machine, and the
 //! `ablation_coll_algo` binary quantifies the collective-algorithm design
 //! choice called out in DESIGN.md.
 

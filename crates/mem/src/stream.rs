@@ -2,7 +2,7 @@
 //!
 //! These run for real on the build machine — they are the functional
 //! counterpart of the Figure 4 *model* in [`crate::bandwidth`] and are used
-//! by the examples, the Criterion benches, and the tests (which verify the
+//! by the examples, the Criterion STREAM bench, and the tests (which verify the
 //! arithmetic the way the original STREAM does).
 //!
 //! Threading uses `std::thread::scope` with a contiguous block partition so

@@ -25,9 +25,8 @@
 //! messages and collectives (real `f64` payloads priced in virtual time —
 //! the basis of the verifiable distributed NPB and OVERFLOW runs),
 //! nonblocking `isend`/`wait` with genuine overlap semantics,
-//! sub-communicator [`Group`]s (`MPI_Comm_split`), per-rank
-//! communication/compute accounting ([`RankStats`]), and scheduler
-//! tracing ([`MpiWorld::run_traced`]).
+//! sub-communicator [`Group`]s (`MPI_Comm_split`), and per-rank
+//! communication/compute accounting ([`RankStats`]).
 //!
 //! A world runs on the machine its [`WorldSpec::faults`] describes
 //! (healthy in every constructor): straggling ranks stretch their
@@ -47,7 +46,7 @@ pub mod transport;
 pub mod world;
 
 pub use memory::{MemoryBudget, OomError};
-pub use partition::{DomainMap, PartitionPlan};
+pub use partition::PartitionPlan;
 pub use placement::{RankPlacement, WorldSpec};
 pub use transport::TransportModel;
 pub use coll::Group;

@@ -15,7 +15,7 @@ use maia_sim::partition::{
 };
 use maia_sim::{Engine, InjectCtx, Probe, SimCtx, SimDuration, SimError, SimTime};
 
-use crate::partition::{lookahead, PartitionPlan};
+use crate::partition::{lookahead, node_domains, PartitionPlan};
 use crate::placement::{RankPlacement, WorldSpec};
 use crate::transport::TransportModel;
 
@@ -84,89 +84,13 @@ impl MpiWorld {
         F: Fn(Rank) -> Fut + Send + Sync + 'static,
         Fut: Future<Output = Rank> + Send + 'static,
     {
-        Self::run_inner(spec, program, false).map(|(r, _)| r)
-    }
-
-    /// Like [`MpiWorld::run`], additionally returning the engine's
-    /// scheduler trace (every resume/advance/block/finish of every rank,
-    /// in virtual-time order) — the raw material for timeline analysis.
-    pub fn run_traced<F, Fut>(
-        spec: &WorldSpec,
-        program: F,
-    ) -> Result<(WorldResult, Vec<maia_sim::TraceRecord>), SimError>
-    where
-        F: Fn(Rank) -> Fut + Send + Sync + 'static,
-        Fut: Future<Output = Rank> + Send + 'static,
-    {
-        Self::run_inner(spec, program, true)
-    }
-
-    fn run_inner<F, Fut>(
-        spec: &WorldSpec,
-        program: F,
-        traced: bool,
-    ) -> Result<(WorldResult, Vec<maia_sim::TraceRecord>), SimError>
-    where
-        F: Fn(Rank) -> Fut + Send + Sync + 'static,
-        Fut: Future<Output = Rank> + Send + 'static,
-    {
-        spec.validate();
-        let size = spec.size();
-        let transport = Arc::new(TransportModel::for_world(spec));
-        let placements = Arc::new(spec.placements.clone());
-        let mailboxes: Arc<Vec<SimChannel<Msg>>> = Arc::new(
-            (0..size)
-                .map(|r| SimChannel::new(format!("mbox-{r}")))
-                .collect(),
-        );
-        let finishes = Arc::new(Mutex::new(vec![0.0f64; size]));
-        let stats = Arc::new(Mutex::new(vec![RankStats::default(); size]));
-        let program = Arc::new(program);
-
+        let ranks = RankPlumbing::new(spec, program);
         let mut engine = Engine::new();
-        if traced {
-            engine.enable_tracing();
+        for rank_id in 0..ranks.size {
+            ranks.spawn(&mut engine, rank_id, None);
         }
-        for rank_id in 0..size {
-            let transport = Arc::clone(&transport);
-            let placements = Arc::clone(&placements);
-            let mailboxes = Arc::clone(&mailboxes);
-            let finishes = Arc::clone(&finishes);
-            let stats = Arc::clone(&stats);
-            let program = Arc::clone(&program);
-            engine.spawn_inline(format!("rank-{rank_id}"), move |ctx| async move {
-                let started = ctx.now();
-                let rank = Rank {
-                    ctx: ctx.clone(),
-                    rank: rank_id,
-                    size,
-                    placements,
-                    transport,
-                    mailboxes,
-                    unexpected: Vec::new(),
-                    stats: RankStats::default(),
-                    partition: None,
-                };
-                let rank = program(rank).await;
-                finishes.lock()[rank_id] = ctx.now().as_secs_f64();
-                stats.lock()[rank_id] = rank.stats;
-                // Rank-level telemetry span: the whole program, in virtual
-                // time. A no-op (name unformatted) unless a probe factory
-                // is installed.
-                ctx.emit_span(format_args!("rank-{rank_id}"), started);
-            });
-        }
-        let (end_time, trace) = engine.run_traced()?;
-        let rank_finish_s = finishes.lock().clone();
-        let rank_stats = stats.lock().clone();
-        Ok((
-            WorldResult {
-                end_time,
-                rank_finish_s,
-                rank_stats,
-            },
-            trace,
-        ))
+        let end_time = engine.run()?;
+        Ok(ranks.world_result(end_time))
     }
 
     /// Run `program` on every rank of `spec`'s world, sharded across
@@ -214,7 +138,7 @@ impl MpiWorld {
             setup.window,
             bundle,
         )?;
-        Ok((setup.world_result(end_time), run_stats))
+        Ok((setup.ranks.world_result(end_time), run_stats))
     }
 
     /// Hub side of the multi-process backend: host wheel 0 on the
@@ -286,7 +210,7 @@ impl MpiWorld {
         });
         let (end_time, stats) =
             finalize_partitioned(reports, bundle).map_err(ProcessWorldError::Sim)?;
-        Ok((setup.world_result(end_time), stats, missed))
+        Ok((setup.ranks.world_result(end_time), stats, missed))
     }
 
     /// Worker side of the multi-process backend: build wheel `wheel` of
@@ -391,17 +315,12 @@ impl SimCommunicator<Msg> for KillAtWindow<'_> {
     }
 }
 
-/// The layout and per-rank plumbing of one partitioned world, shared by
-/// the in-process backend (which builds every wheel) and the process
-/// backend (hub builds wheel 0, each worker builds its own). All of it
-/// is a pure function of `(spec, plan, program)`, so every participant
-/// reconstructs the identical world from the job description.
-struct PartitionSetup<F> {
+/// The per-rank plumbing every world shares: the transport and
+/// placements its ranks price messages with, their mailboxes, the
+/// tables their results land in, and the program they run. All of it is
+/// a pure function of `(spec, program)`.
+struct RankPlumbing<F> {
     size: usize,
-    partitions: usize,
-    window: SimDuration,
-    domain_of: Arc<Vec<usize>>,
-    wheel_of_rank: Arc<Vec<usize>>,
     transport: Arc<TransportModel>,
     placements: Arc<Vec<RankPlacement>>,
     mailboxes: Arc<Vec<SimChannel<Msg>>>,
@@ -410,28 +329,17 @@ struct PartitionSetup<F> {
     program: Arc<F>,
 }
 
-impl<F, Fut> PartitionSetup<F>
+impl<F, Fut> RankPlumbing<F>
 where
     F: Fn(Rank) -> Fut + Send + Sync + 'static,
     Fut: Future<Output = Rank> + Send + 'static,
 {
-    fn new(spec: &WorldSpec, plan: &PartitionPlan, program: F) -> Self {
+    fn new(spec: &WorldSpec, program: F) -> Self {
         spec.validate();
         let size = spec.size();
-        let domain_of = Arc::new(plan.map.assign(spec));
-        let ndomains = domain_of.iter().copied().max().unwrap_or(0) + 1;
-        let fold = plan.resolve_fold(ndomains);
-        let wheel_of_rank: Arc<Vec<usize>> =
-            Arc::new(domain_of.iter().map(|&d| fold[d]).collect());
-        let transport = Arc::new(TransportModel::for_world(spec));
-        let window = lookahead(spec, &transport, &domain_of);
-        PartitionSetup {
+        RankPlumbing {
             size,
-            partitions: plan.partitions,
-            window,
-            domain_of,
-            wheel_of_rank,
-            transport,
+            transport: Arc::new(TransportModel::for_world(spec)),
             placements: Arc::new(spec.placements.clone()),
             mailboxes: Arc::new(
                 (0..size)
@@ -444,67 +352,38 @@ where
         }
     }
 
-    /// Global ranks living on wheel `w`, ascending.
-    fn local_ranks(&self, w: usize) -> Vec<usize> {
-        (0..self.size).filter(|&r| self.wheel_of_rank[r] == w).collect()
-    }
-
-    fn register_global_names(&self, probe: &dyn Probe) {
-        for r in 0..self.size {
-            register_global_process(probe, r, &format!("rank-{r}"));
-        }
-    }
-
-    /// Build one wheel: an engine carrying this wheel's ranks as inline
-    /// processes, the shared outbox, and the mailbox delivery hook.
-    fn build_wheel(&self, w: usize, engine_probe: Option<Arc<dyn Probe>>) -> Wheel<Msg> {
-        let mut engine = Engine::with_probe(engine_probe);
-        let outbox = Outbox::<Msg>::new(self.partitions);
+    /// Spawn rank `rank_id` on `engine` as the inline process
+    /// `rank-{rank_id}`: it runs the program (staging cross-domain sends
+    /// through `partition`, if any), then records its finish time and
+    /// stats.
+    fn spawn(&self, engine: &mut Engine, rank_id: usize, partition: Option<PartitionIo>) {
         let size = self.size;
-        for rank_id in self.local_ranks(w) {
-            let transport = Arc::clone(&self.transport);
-            let placements = Arc::clone(&self.placements);
-            let mailboxes = Arc::clone(&self.mailboxes);
-            let finishes = Arc::clone(&self.finishes);
-            let stats = Arc::clone(&self.stats);
-            let program = Arc::clone(&self.program);
-            let domain_of = Arc::clone(&self.domain_of);
-            let wheel_of_rank = Arc::clone(&self.wheel_of_rank);
-            let outbox = outbox.clone();
-            engine.spawn_inline(format!("rank-{rank_id}"), move |ctx| async move {
-                let started = ctx.now();
-                let my_domain = domain_of[rank_id];
-                let rank = Rank {
-                    ctx: ctx.clone(),
-                    rank: rank_id,
-                    size,
-                    placements,
-                    transport,
-                    mailboxes,
-                    unexpected: Vec::new(),
-                    stats: RankStats::default(),
-                    partition: Some(PartitionIo {
-                        domain_of,
-                        wheel_of_rank,
-                        my_domain,
-                        outbox,
-                        seq: 0,
-                    }),
-                };
-                let rank = program(rank).await;
-                finishes.lock()[rank_id] = ctx.now().as_secs_f64();
-                stats.lock()[rank_id] = rank.stats;
-                ctx.emit_span(format_args!("rank-{rank_id}"), started);
-            });
-        }
+        let transport = Arc::clone(&self.transport);
+        let placements = Arc::clone(&self.placements);
         let mailboxes = Arc::clone(&self.mailboxes);
-        Wheel {
-            engine,
-            outbox,
-            deliver: Box::new(move |ictx: &InjectCtx, slot: usize, msg: Msg| {
-                mailboxes[slot].send_injected(ictx, msg);
-            }),
-        }
+        let finishes = Arc::clone(&self.finishes);
+        let stats = Arc::clone(&self.stats);
+        let program = Arc::clone(&self.program);
+        engine.spawn_inline(format!("rank-{rank_id}"), move |ctx| async move {
+            let started = ctx.now();
+            let rank = Rank {
+                ctx: ctx.clone(),
+                rank: rank_id,
+                size,
+                placements,
+                transport,
+                mailboxes,
+                unexpected: Vec::new(),
+                stats: RankStats::default(),
+                partition,
+            };
+            let rank = program(rank).await;
+            finishes.lock()[rank_id] = ctx.now().as_secs_f64();
+            stats.lock()[rank_id] = rank.stats;
+            // Rank-level telemetry span: the whole program, in virtual
+            // time. A no-op (name unformatted) unless a probe is attached.
+            ctx.emit_span(format_args!("rank-{rank_id}"), started);
+        });
     }
 
     fn world_result(&self, end_time: SimTime) -> WorldResult {
@@ -514,14 +393,86 @@ where
             rank_stats: self.stats.lock().clone(),
         }
     }
+}
+
+/// The layout of one partitioned world over its rank plumbing, shared by
+/// the in-process backend (which builds every wheel) and the process
+/// backend (hub builds wheel 0, each worker builds its own). All of it
+/// is a pure function of `(spec, plan, program)`, so every participant
+/// reconstructs the identical world from the job description.
+struct PartitionSetup<F> {
+    ranks: RankPlumbing<F>,
+    partitions: usize,
+    window: SimDuration,
+    domain_of: Arc<Vec<usize>>,
+    wheel_of_rank: Arc<Vec<usize>>,
+}
+
+impl<F, Fut> PartitionSetup<F>
+where
+    F: Fn(Rank) -> Fut + Send + Sync + 'static,
+    Fut: Future<Output = Rank> + Send + 'static,
+{
+    fn new(spec: &WorldSpec, plan: &PartitionPlan, program: F) -> Self {
+        let ranks = RankPlumbing::new(spec, program);
+        let domain_of = Arc::new(node_domains(spec));
+        let ndomains = domain_of.iter().copied().max().unwrap_or(0) + 1;
+        let fold = plan.resolve_fold(ndomains);
+        let wheel_of_rank: Arc<Vec<usize>> =
+            Arc::new(domain_of.iter().map(|&d| fold[d]).collect());
+        let window = lookahead(spec, &ranks.transport, &domain_of);
+        PartitionSetup {
+            ranks,
+            partitions: plan.partitions,
+            window,
+            domain_of,
+            wheel_of_rank,
+        }
+    }
+
+    /// Global ranks living on wheel `w`, ascending.
+    fn local_ranks(&self, w: usize) -> Vec<usize> {
+        (0..self.ranks.size).filter(|&r| self.wheel_of_rank[r] == w).collect()
+    }
+
+    fn register_global_names(&self, probe: &dyn Probe) {
+        for r in 0..self.ranks.size {
+            register_global_process(probe, r, &format!("rank-{r}"));
+        }
+    }
+
+    /// Build one wheel: an engine carrying this wheel's ranks as inline
+    /// processes, the shared outbox, and the mailbox delivery hook.
+    fn build_wheel(&self, w: usize, engine_probe: Option<Arc<dyn Probe>>) -> Wheel<Msg> {
+        let mut engine = Engine::with_probe(engine_probe);
+        let outbox = Outbox::<Msg>::new(self.partitions);
+        for rank_id in self.local_ranks(w) {
+            let io = PartitionIo {
+                domain_of: Arc::clone(&self.domain_of),
+                wheel_of_rank: Arc::clone(&self.wheel_of_rank),
+                my_domain: self.domain_of[rank_id],
+                outbox: outbox.clone(),
+                seq: 0,
+            };
+            self.ranks.spawn(&mut engine, rank_id, Some(io));
+        }
+        let mailboxes = Arc::clone(&self.ranks.mailboxes);
+        Wheel {
+            engine,
+            outbox,
+            deliver: Box::new(move |ictx: &InjectCtx, slot: usize, msg: Msg| {
+                mailboxes[slot].send_injected(ictx, msg);
+            }),
+        }
+    }
 
     /// Worker→hub result payload: `(rank, finish_s, comm_s, compute_s)`
     /// for every local rank, the model time the wheel's faults injected
     /// (signed picoseconds), then the recorded probe stream.
     fn encode_worker_extra(&self, wheel: usize, probe_bytes: &[u8]) -> Vec<u8> {
         let locals = self.local_ranks(wheel);
-        let finishes = self.finishes.lock();
-        let stats = self.stats.lock();
+        let finishes = self.ranks.finishes.lock();
+        let stats = self.ranks.stats.lock();
         let mut out = Vec::new();
         wire::put_u32(&mut out, locals.len() as u32);
         for &r in &locals {
@@ -530,7 +481,7 @@ where
             wire::put_f64(&mut out, stats[r].comm_s);
             wire::put_f64(&mut out, stats[r].compute_s);
         }
-        wire::put_u64(&mut out, self.transport.faults.injected_ps() as u64);
+        wire::put_u64(&mut out, self.ranks.transport.faults.injected_ps() as u64);
         wire::put_bytes(&mut out, probe_bytes);
         out
     }
@@ -542,11 +493,11 @@ where
         let mut r = wire::Reader::new(extra);
         let n = r.take_u32()? as usize;
         {
-            let mut finishes = self.finishes.lock();
-            let mut stats = self.stats.lock();
+            let mut finishes = self.ranks.finishes.lock();
+            let mut stats = self.ranks.stats.lock();
             for _ in 0..n {
                 let rank = r.take_u32()? as usize;
-                if rank >= self.size {
+                if rank >= self.ranks.size {
                     return None;
                 }
                 finishes[rank] = r.take_f64()?;
@@ -556,7 +507,7 @@ where
                 };
             }
         }
-        self.transport.faults.add_injected_ps(r.take_u64()? as i64);
+        self.ranks.transport.faults.add_injected_ps(r.take_u64()? as i64);
         let probe_bytes = r.take_bytes()?;
         if let Some(pp) = pp {
             if !replay_probe(&probe_bytes, pp) {
@@ -611,11 +562,6 @@ impl Rank {
     /// Where this rank runs.
     pub fn placement(&self) -> RankPlacement {
         self.placements[self.rank]
-    }
-
-    /// Where `rank` runs.
-    pub fn placement_of(&self, rank: usize) -> RankPlacement {
-        self.placements[rank]
     }
 
     /// Current virtual time, seconds.
@@ -674,6 +620,46 @@ impl Rank {
         );
     }
 
+    /// The synchronous prologue of every blocking send: check `dest`,
+    /// price the message (scaled by a contention `factor`, if any), and
+    /// build it. A cross-domain message is staged for the window exchange
+    /// here, at send start; the receiver still sees it only at `ready`,
+    /// exactly as on the direct path. Returns the cost the sender pays
+    /// and the same-domain message to deliver once it has.
+    ///
+    /// Inlined into each send: called instead, it cost ~3% CPU on
+    /// `crosscheck --jobs 1` (2-vCPU host, 100 alternating pairs).
+    #[inline(always)]
+    fn post(
+        &mut self,
+        dest: usize,
+        tag: i32,
+        bytes: u64,
+        data: Option<&[f64]>,
+        factor: Option<f64>,
+    ) -> (SimDuration, Option<Msg>) {
+        assert!(dest < self.size, "send to rank {dest} out of 0..{}", self.size);
+        assert_ne!(dest, self.rank, "blocking self-send would deadlock");
+        let mut cost = self.message_cost(dest, bytes);
+        if let Some(factor) = factor {
+            assert!(factor >= 1.0, "contention factor must not speed messages up");
+            cost = SimDuration::from_secs_f64(cost.as_secs_f64() * factor);
+        }
+        let msg = Msg {
+            src: self.rank,
+            tag,
+            bytes,
+            data: data.map(<[f64]>::to_vec),
+            ready: self.ctx.now() + cost,
+        };
+        if self.is_cross_domain(dest) {
+            self.route_remote(dest, msg);
+            (cost, None)
+        } else {
+            (cost, Some(msg))
+        }
+    }
+
     /// Blocking send (`MPI_Send`): pays the full transport cost, then the
     /// message becomes available to the receiver.
     ///
@@ -682,23 +668,9 @@ impl Rank {
     /// self-sends deadlock a blocking implementation and indicate a bug in
     /// the caller's algorithm.
     pub async fn send(&mut self, dest: usize, tag: i32, bytes: u64) {
-        assert!(dest < self.size, "send to rank {dest} out of 0..{}", self.size);
-        assert_ne!(dest, self.rank, "blocking self-send would deadlock");
-        let cost = self.message_cost(dest, bytes);
-        let msg = Msg {
-            src: self.rank,
-            tag,
-            bytes,
-            data: None,
-            ready: self.ctx.now() + cost,
-        };
-        if self.is_cross_domain(dest) {
-            // Record at send start; the receiver still sees the message
-            // only at `ready`, exactly as on the direct path below.
-            self.route_remote(dest, msg);
-            self.comm_advance(cost).await;
-        } else {
-            self.comm_advance(cost).await;
+        let (cost, local) = self.post(dest, tag, bytes, None, None);
+        self.comm_advance(cost).await;
+        if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
         }
     }
@@ -758,22 +730,10 @@ impl Rank {
     /// Blocking send carrying a real payload: transport timing uses the
     /// payload's byte size; the receiver gets the actual values.
     pub async fn send_data(&mut self, dest: usize, tag: i32, data: &[f64]) {
-        assert!(dest < self.size, "send to rank {dest} out of 0..{}", self.size);
-        assert_ne!(dest, self.rank, "blocking self-send would deadlock");
         let bytes = (data.len() * 8) as u64;
-        let cost = self.message_cost(dest, bytes);
-        let msg = Msg {
-            src: self.rank,
-            tag,
-            bytes,
-            data: Some(data.to_vec()),
-            ready: self.ctx.now() + cost,
-        };
-        if self.is_cross_domain(dest) {
-            self.route_remote(dest, msg);
-            self.comm_advance(cost).await;
-        } else {
-            self.comm_advance(cost).await;
+        let (cost, local) = self.post(dest, tag, bytes, Some(data), None);
+        self.comm_advance(cost).await;
+        if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
         }
     }
@@ -796,23 +756,9 @@ impl Rank {
     /// — used by collectives to model fabric contention (e.g. alltoall
     /// incast).
     pub(crate) async fn send_with_factor(&mut self, dest: usize, tag: i32, bytes: u64, factor: f64) {
-        assert!(dest < self.size, "send to rank {dest} out of 0..{}", self.size);
-        assert_ne!(dest, self.rank, "blocking self-send would deadlock");
-        assert!(factor >= 1.0, "contention factor must not speed messages up");
-        let cost =
-            SimDuration::from_secs_f64(self.message_cost(dest, bytes).as_secs_f64() * factor);
-        let msg = Msg {
-            src: self.rank,
-            tag,
-            bytes,
-            data: None,
-            ready: self.ctx.now() + cost,
-        };
-        if self.is_cross_domain(dest) {
-            self.route_remote(dest, msg);
-            self.comm_advance(cost).await;
-        } else {
-            self.comm_advance(cost).await;
+        let (cost, local) = self.post(dest, tag, bytes, None, Some(factor));
+        self.comm_advance(cost).await;
+        if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
         }
     }
@@ -1143,7 +1089,7 @@ mod stats_tests {
 #[cfg(test)]
 mod partitioned_tests {
     use super::*;
-    use crate::partition::{DomainMap, PartitionPlan};
+    use crate::partition::PartitionPlan;
 
     fn run_cluster(
         nodes: usize,
@@ -1151,7 +1097,7 @@ mod partitioned_tests {
         fold: Option<Vec<usize>>,
     ) -> (WorldResult, maia_sim::partition::PartitionRunStats) {
         let spec = WorldSpec::node_leaders(nodes);
-        let plan = PartitionPlan { map: DomainMap::ByNode, partitions, fold };
+        let plan = PartitionPlan { partitions, fold };
         MpiWorld::run_partitioned(&spec, &plan, |mut rank| async move {
             rank.compute(SimDuration::from_us(3.0 + rank.rank() as f64)).await;
             rank.allreduce(64 * 1024).await;
@@ -1238,29 +1184,5 @@ mod partitioned_tests {
             }
             other => panic!("expected deadlock, got {other}"),
         }
-    }
-}
-
-#[cfg(test)]
-mod traced_tests {
-    use super::*;
-    use maia_arch::Device;
-
-    #[test]
-    fn traced_run_exposes_the_schedule() {
-        let spec = WorldSpec::all_on(Device::Host, 3);
-        let (res, trace) = MpiWorld::run_traced(&spec, |mut rank| async move {
-            rank.barrier().await;
-            rank.bcast(0, 4096).await;
-            rank
-        })
-        .unwrap();
-        assert!(res.end_time.as_ps() > 0);
-        assert!(!trace.is_empty());
-        // Every rank appears; timestamps never decrease.
-        for pid in 0..3 {
-            assert!(trace.iter().any(|r| r.pid.index() == pid));
-        }
-        assert!(trace.windows(2).all(|w| w[0].at_ps <= w[1].at_ps));
     }
 }

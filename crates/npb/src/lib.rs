@@ -10,7 +10,7 @@
 //!   over the `maia-omp` runtime, class-parameterized, and self-verifying
 //!   (residual/convergence/permutation checks, plus serial-vs-parallel
 //!   agreement). Small classes run in the test suite; larger classes are
-//!   for the examples and benches.
+//!   for the examples.
 //! * **Workload descriptors** ([`descriptors`]) — per-benchmark Class C
 //!   resource signatures (`KernelProfile`s plus memory footprints and
 //!   MPI communication shapes) that drive the `maia-modes` performance

@@ -313,26 +313,6 @@ struct ProcEntry {
     fut: Option<Pin<Box<dyn Future<Output = ()> + Send>>>,
 }
 
-/// One recorded scheduler action (see [`Engine::enable_tracing`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Virtual time of the action, picoseconds.
-    pub at_ps: u64,
-    /// Which process.
-    pub pid: ProcessId,
-    /// What happened.
-    pub kind: TraceKind,
-}
-
-/// The kinds of scheduler actions a trace records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    Resumed,
-    Advanced,
-    Blocked,
-    Finished,
-}
-
 /// The simulation engine: owns the event wheel and all process slots.
 ///
 /// Typical lifecycle: construct, [`spawn_inline`](Engine::spawn_inline)
@@ -354,7 +334,6 @@ pub struct Engine {
     /// Spare wake buffer, swapped with the thread's `WAKES` list at every
     /// drain so neither side allocates in steady state.
     wake_buf: Vec<ProcessId>,
-    trace: Option<Vec<TraceRecord>>,
     probe: Option<Arc<dyn Probe>>,
 }
 
@@ -384,20 +363,8 @@ impl Engine {
             now: SimTime::ZERO,
             ran: false,
             wake_buf: Vec::new(),
-            trace: None,
             probe,
         }
-    }
-
-    /// Record every scheduler action; retrieve the trace from
-    /// [`Engine::run_traced`].
-    pub fn enable_tracing(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Number of spawned processes.
-    pub fn process_count(&self) -> usize {
-        self.procs.len()
     }
 
     fn pid_of(&self, pidx: usize) -> ProcessId {
@@ -442,24 +409,6 @@ impl Engine {
             fut: Some(fut),
         });
         pid
-    }
-
-    /// Schedule `action` to run on the event wheel at virtual time `at`
-    /// (offset from time zero) — the injection point for *timed* faults:
-    /// the action fires in deterministic `(time, seq)` order with every
-    /// other event, so a fault plan replays identically across runs.
-    ///
-    /// Implemented as a plain inline process that advances to `at` and
-    /// runs the action, so it needs no new scheduler machinery and shows
-    /// up in traces/probes like any other process.
-    pub fn schedule_fault<F>(&mut self, name: impl Into<String>, at: SimDuration, action: F) -> ProcessId
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        self.spawn_inline(name, move |ctx| async move {
-            ctx.advance(at).await;
-            action();
-        })
     }
 
     fn push_event(&mut self, at: SimTime, target: EvTarget) {
@@ -534,13 +483,7 @@ impl Engine {
     /// Returns the virtual time of the last event on success. Fails with
     /// [`SimError::Deadlock`] if processes remain blocked with no runnable
     /// work, or [`SimError::ProcessPanicked`] if any process panics.
-    pub fn run(self) -> Result<SimTime, SimError> {
-        self.run_traced().map(|(t, _)| t)
-    }
-
-    /// Like [`Engine::run`], also returning the recorded trace (empty
-    /// unless [`Engine::enable_tracing`] was called).
-    pub fn run_traced(mut self) -> Result<(SimTime, Vec<TraceRecord>), SimError> {
+    pub fn run(mut self) -> Result<SimTime, SimError> {
         self.step_until(None, &mut no_deliveries)?;
         let blocked = self.blocked_processes();
         if blocked.is_empty() {
@@ -548,7 +491,7 @@ impl Engine {
                 p.sched_stats(&self.sched_stats());
                 p.run_complete(self.now.as_ps());
             }
-            Ok((self.now, self.trace.take().unwrap_or_default()))
+            Ok(self.now)
         } else {
             Err(SimError::Deadlock {
                 blocked,
@@ -621,9 +564,6 @@ impl Engine {
             self.procs[pidx].state
         );
         self.procs[pidx].state = ProcState::Running;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceRecord { at_ps: now.as_ps(), pid: ProcessId { slot: pidx as u32, epoch: self.epoch }, kind: TraceKind::Resumed });
-        }
         if let Some(p) = &self.probe {
             p.event_fired(now.as_ps(), self.pid_of(pidx), self.queue.len());
         }
@@ -663,18 +603,15 @@ impl Engine {
         }
     }
 
-    /// The epilogue of every process step: record the trace, notify the
-    /// probe, and requeue/park/retire the process — in exactly the order
-    /// the pre-wheel engine used, so goldens are byte-identical.
+    /// The epilogue of every process step: notify the probe and
+    /// requeue/park/retire the process — in exactly the order the
+    /// pre-wheel engine used, so goldens are byte-identical.
     fn apply_outcome(&mut self, pidx: usize, now: SimTime, outcome: Outcome) -> Result<(), SimError> {
         let pid = self.pid_of(pidx);
         match outcome {
             Outcome::Advanced(dur) => {
                 self.procs[pidx].state = ProcState::Queued;
                 let at = now + dur;
-                if let Some(t) = self.trace.as_mut() {
-                    t.push(TraceRecord { at_ps: now.as_ps(), pid, kind: TraceKind::Advanced });
-                }
                 if let Some(p) = &self.probe {
                     p.advanced(now.as_ps(), pid, dur.as_ps());
                 }
@@ -682,18 +619,12 @@ impl Engine {
             }
             Outcome::Blocked => {
                 self.procs[pidx].state = ProcState::Blocked;
-                if let Some(t) = self.trace.as_mut() {
-                    t.push(TraceRecord { at_ps: now.as_ps(), pid, kind: TraceKind::Blocked });
-                }
                 if let Some(p) = &self.probe {
                     p.blocked(now.as_ps(), pid);
                 }
             }
             Outcome::Finished => {
                 self.procs[pidx].state = ProcState::Finished;
-                if let Some(t) = self.trace.as_mut() {
-                    t.push(TraceRecord { at_ps: now.as_ps(), pid, kind: TraceKind::Finished });
-                }
                 if let Some(p) = &self.probe {
                     p.finished(now.as_ps(), pid);
                 }
@@ -1005,29 +936,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_fault_fires_at_its_virtual_time() {
-        let fired = Arc::new(PlMutex::new(None::<f64>));
-        let mut eng = Engine::new();
-        {
-            let fired = Arc::clone(&fired);
-            let probe = Arc::new(PlMutex::new(0.0f64));
-            let probe_w = Arc::clone(&probe);
-            eng.spawn_inline("worker", move |ctx| async move {
-                for _ in 0..10 {
-                    ctx.advance(SimDuration::from_us(1.0)).await;
-                    *probe_w.lock() = ctx.now().as_us();
-                }
-            });
-            eng.schedule_fault("fault", SimDuration::from_us(4.5), move || {
-                // Runs strictly between the worker's 4 us and 5 us ticks.
-                *fired.lock() = Some(*probe.lock());
-            });
-        }
-        eng.run().unwrap();
-        assert_eq!(*fired.lock(), Some(4.0));
-    }
-
-    #[test]
     fn many_processes_round_robin() {
         // Every tick runs all 64 processes, in spawn order, before any of
         // them runs its next tick.
@@ -1226,71 +1134,91 @@ mod tests {
 #[cfg(test)]
 mod trace_tests {
     use super::*;
+    use crate::channel::SimChannel;
+    use std::sync::Mutex;
+
+    /// One scheduler transition as a probe sees it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Step {
+        Resumed,
+        Advanced,
+        Blocked,
+        Finished,
+    }
+
+    /// Records every transition as `(virtual time, pid, step)`.
+    #[derive(Default)]
+    struct TraceProbe(Mutex<Vec<(u64, usize, Step)>>);
+
+    impl TraceProbe {
+        fn record(&self, at_ps: u64, pid: ProcessId, step: Step) {
+            self.0.lock().unwrap().push((at_ps, pid.index(), step));
+        }
+    }
+
+    impl Probe for TraceProbe {
+        fn event_fired(&self, now_ps: u64, pid: ProcessId, _depth: usize) {
+            self.record(now_ps, pid, Step::Resumed);
+        }
+        fn advanced(&self, now_ps: u64, pid: ProcessId, _dur_ps: u64) {
+            self.record(now_ps, pid, Step::Advanced);
+        }
+        fn blocked(&self, now_ps: u64, pid: ProcessId) {
+            self.record(now_ps, pid, Step::Blocked);
+        }
+        fn finished(&self, now_ps: u64, pid: ProcessId) {
+            self.record(now_ps, pid, Step::Finished);
+        }
+    }
+
+    /// An engine reporting to a fresh [`TraceProbe`].
+    fn traced_engine() -> (Engine, Arc<TraceProbe>) {
+        let probe = Arc::new(TraceProbe::default());
+        let eng = Engine::with_probe(Some(Arc::clone(&probe) as Arc<dyn Probe>));
+        (eng, probe)
+    }
 
     #[test]
     fn trace_records_schedule_in_order() {
-        let mut eng = Engine::new();
-        eng.enable_tracing();
+        let (mut eng, probe) = traced_engine();
         eng.spawn_inline("a", |ctx| async move {
             ctx.advance(SimDuration::from_ns(5.0)).await;
         });
-        let (end, trace) = eng.run_traced().unwrap();
-        assert_eq!(end.as_ns(), 5.0);
-        let kinds: Vec<TraceKind> = trace.iter().map(|r| r.kind).collect();
+        assert_eq!(eng.run().unwrap().as_ns(), 5.0);
+        let trace = probe.0.lock().unwrap();
+        let steps: Vec<Step> = trace.iter().map(|r| r.2).collect();
         assert_eq!(
-            kinds,
-            vec![
-                TraceKind::Resumed,
-                TraceKind::Advanced,
-                TraceKind::Resumed,
-                TraceKind::Finished
-            ]
+            steps,
+            vec![Step::Resumed, Step::Advanced, Step::Resumed, Step::Finished]
         );
         // Times never decrease, and every record names the one process.
-        assert!(trace.windows(2).all(|w| w[0].at_ps <= w[1].at_ps));
-        assert!(trace.iter().all(|r| r.pid.index() == 0));
+        assert!(trace.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert!(trace.iter().all(|r| r.1 == 0));
     }
 
     #[test]
     fn inline_trace_is_identical_to_threaded() {
-        // The exact `(time, pid, kind)` records a thread-backed process
+        // The exact `(time, pid, step)` records a thread-backed process
         // traced for this body before every process ran inline.
-        let mut eng = Engine::new();
-        eng.enable_tracing();
+        let (mut eng, probe) = traced_engine();
         eng.spawn_inline("a", |ctx| async move {
             ctx.advance(SimDuration::from_ns(5.0)).await;
         });
-        let (_, trace) = eng.run_traced().unwrap();
-        let got: Vec<_> = trace
-            .iter()
-            .map(|r| (r.at_ps, r.pid.index(), r.kind))
-            .collect();
+        eng.run().unwrap();
         assert_eq!(
-            got,
+            *probe.0.lock().unwrap(),
             vec![
-                (0, 0, TraceKind::Resumed),
-                (0, 0, TraceKind::Advanced),
-                (5000, 0, TraceKind::Resumed),
-                (5000, 0, TraceKind::Finished),
+                (0, 0, Step::Resumed),
+                (0, 0, Step::Advanced),
+                (5000, 0, Step::Resumed),
+                (5000, 0, Step::Finished),
             ]
         );
     }
 
     #[test]
-    fn tracing_off_returns_empty() {
-        let mut eng = Engine::new();
-        eng.spawn_inline("a", |ctx| async move {
-            ctx.advance(SimDuration::from_ns(1.0)).await;
-        });
-        let (_, trace) = eng.run_traced().unwrap();
-        assert!(trace.is_empty());
-    }
-
-    #[test]
     fn trace_shows_blocking_on_channel() {
-        use crate::channel::SimChannel;
-        let mut eng = Engine::new();
-        eng.enable_tracing();
+        let (mut eng, probe) = traced_engine();
         let ch = SimChannel::<u8>::new("c");
         {
             let ch = ch.clone();
@@ -1302,9 +1230,7 @@ mod trace_tests {
             ctx.advance(SimDuration::from_ns(3.0)).await;
             ch.send_inline(&ctx, 1);
         });
-        let (_, trace) = eng.run_traced().unwrap();
-        assert!(trace
-            .iter()
-            .any(|r| r.kind == TraceKind::Blocked && r.pid.index() == 0));
+        eng.run().unwrap();
+        assert!(probe.0.lock().unwrap().contains(&(0, 0, Step::Blocked)));
     }
 }

@@ -8,7 +8,8 @@
 //!   arena-backed hierarchical timer wheel, in which processes execute
 //!   strictly one at a time, in a total order defined by `(time, sequence)`,
 //!   so every run is bit-for-bit deterministic,
-//! * message channels in virtual time ([`channel::SimChannel`]).
+//! * message channels in virtual time ([`channel::SimChannel`]),
+//! * the [`Probe`] hook, the one way to observe the scheduler.
 //!
 //! Every simulated process is an `async` body spawned with
 //! [`Engine::spawn_inline`]: it receives a [`SimCtx`], awaits
@@ -49,6 +50,6 @@ pub mod probe;
 pub mod time;
 mod wheel;
 
-pub use engine::{Engine, InjectCtx, ProcessId, SimCtx, SimError, TraceKind, TraceRecord};
+pub use engine::{Engine, InjectCtx, ProcessId, SimCtx, SimError};
 pub use probe::{factory_installed, set_probe_factory, Probe, SchedStats};
 pub use time::{SimDuration, SimTime};

@@ -56,17 +56,17 @@ use std::time::{Duration, Instant};
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use super::{
     DriveStatus, ExchangeOutcome, RemoteMsg, SimCommunicator, WheelReport, WheelStats,
 };
 use crate::engine::{ProcessId, SimError};
-use crate::probe::{Probe, SchedStats};
+use crate::probe::Probe;
 use crate::time::SimTime;
 
 /// Protocol version carried in the Hello frame; both sides must match.
-pub const WIRE_VERSION: u32 = 4;
+pub const WIRE_VERSION: u32 = 5;
 
 /// Frames above this size indicate a desynchronized stream, not data.
 const MAX_FRAME: u32 = 1 << 30;
@@ -1048,22 +1048,22 @@ impl<T: WireItem> SimCommunicator<T> for WorkerEndpoint<T> {
 // Probe recording / replay
 // ---------------------------------------------------------------------------
 
-const OP_SPAWNED: u8 = 1;
-const OP_SCHEDULED: u8 = 2;
-const OP_FIRED: u8 = 3;
-const OP_ADVANCED: u8 = 4;
-const OP_BLOCKED: u8 = 5;
-const OP_FINISHED: u8 = 6;
-const OP_RUN_COMPLETE: u8 = 7;
-const OP_SPAN: u8 = 8;
-const OP_SCHED_STATS: u8 = 9;
+const OP_SCHEDULED: u8 = 1;
+const OP_FIRED: u8 = 2;
+const OP_ADVANCED: u8 = 3;
+const OP_BLOCKED: u8 = 4;
+const OP_FINISHED: u8 = 5;
+const OP_SPAN: u8 = 6;
 
-/// A [`Probe`] that records every callback as a compact byte stream, so
-/// a worker process can ship its wheel's probe activity to the hub in
-/// the Report frame; [`replay_probe`] re-issues the calls against the
-/// hub's real probe (typically the wheel's [`super::PartitionProbe`],
-/// which remaps pids and buffers spans). All consumers of probe data
-/// aggregate order-insensitively across wheels, so replay-after-run is
+/// A [`Probe`] that records a worker wheel's probe activity as a compact
+/// byte stream, so the worker can ship it to the hub in the Report
+/// frame; [`replay_probe`] re-issues the calls against the hub's
+/// [`super::PartitionProbe`] for that wheel, which remaps pids and
+/// buffers spans. It records only what that wrapper passes on: no spawns
+/// (the hub registers every name globally), no end-of-run stats or
+/// completion (a window-stepped engine emits neither), and no queue
+/// depth (the wrapper reports 0). All consumers of probe data aggregate
+/// order-insensitively across wheels, so replay-after-run is
 /// observationally identical to the channel backend's live forwarding.
 #[derive(Default)]
 pub struct RecordingProbe {
@@ -1080,61 +1080,33 @@ impl RecordingProbe {
     pub fn take(&self) -> Vec<u8> {
         std::mem::take(&mut self.buf.lock())
     }
+
+    /// Append one `op` record: its virtual time, then its pid.
+    fn record(&self, op: u8, at_ps: u64, pid: ProcessId) -> MutexGuard<'_, Vec<u8>> {
+        let mut b = self.buf.lock();
+        b.push(op);
+        wire::put_u64(&mut b, at_ps);
+        wire::put_u32(&mut b, pid.index() as u32);
+        b
+    }
 }
 
 impl Probe for RecordingProbe {
-    fn process_spawned(&self, pid: ProcessId, name: &str) {
-        let mut b = self.buf.lock();
-        b.push(OP_SPAWNED);
-        wire::put_u32(&mut b, pid.index() as u32);
-        wire::put_str(&mut b, name);
-    }
     fn event_scheduled(&self, at_ps: u64, pid: ProcessId) {
-        let mut b = self.buf.lock();
-        b.push(OP_SCHEDULED);
-        wire::put_u64(&mut b, at_ps);
-        wire::put_u32(&mut b, pid.index() as u32);
+        self.record(OP_SCHEDULED, at_ps, pid);
     }
-    fn event_fired(&self, now_ps: u64, pid: ProcessId, queue_depth: usize) {
-        let mut b = self.buf.lock();
-        b.push(OP_FIRED);
-        wire::put_u64(&mut b, now_ps);
-        wire::put_u32(&mut b, pid.index() as u32);
-        wire::put_u64(&mut b, queue_depth as u64);
+    fn event_fired(&self, now_ps: u64, pid: ProcessId, _queue_depth: usize) {
+        self.record(OP_FIRED, now_ps, pid);
     }
     fn advanced(&self, now_ps: u64, pid: ProcessId, dur_ps: u64) {
-        let mut b = self.buf.lock();
-        b.push(OP_ADVANCED);
-        wire::put_u64(&mut b, now_ps);
-        wire::put_u32(&mut b, pid.index() as u32);
+        let mut b = self.record(OP_ADVANCED, now_ps, pid);
         wire::put_u64(&mut b, dur_ps);
     }
     fn blocked(&self, now_ps: u64, pid: ProcessId) {
-        let mut b = self.buf.lock();
-        b.push(OP_BLOCKED);
-        wire::put_u64(&mut b, now_ps);
-        wire::put_u32(&mut b, pid.index() as u32);
+        self.record(OP_BLOCKED, now_ps, pid);
     }
     fn finished(&self, now_ps: u64, pid: ProcessId) {
-        let mut b = self.buf.lock();
-        b.push(OP_FINISHED);
-        wire::put_u64(&mut b, now_ps);
-        wire::put_u32(&mut b, pid.index() as u32);
-    }
-    fn sched_stats(&self, stats: &SchedStats) {
-        let mut b = self.buf.lock();
-        b.push(OP_SCHED_STATS);
-        wire::put_u64(&mut b, stats.events_pushed);
-        wire::put_u64(&mut b, stats.events_popped);
-        for lvl in stats.wheel_level_pushes {
-            wire::put_u64(&mut b, lvl);
-        }
-        wire::put_u64(&mut b, stats.procs_inline);
-    }
-    fn run_complete(&self, end_ps: u64) {
-        let mut b = self.buf.lock();
-        b.push(OP_RUN_COMPLETE);
-        wire::put_u64(&mut b, end_ps);
+        self.record(OP_FINISHED, now_ps, pid);
     }
     fn span(&self, name: &str, start_ps: u64, end_ps: u64, pid: ProcessId) {
         let mut b = self.buf.lock();
@@ -1153,55 +1125,22 @@ pub fn replay_probe(bytes: &[u8], probe: &dyn Probe) -> bool {
     let pid = |r: &mut wire::Reader<'_>| r.take_u32().map(|v| ProcessId::from_index(v as usize));
     while r.remaining() > 0 {
         let ok = (|| {
-            match r.take_u8()? {
-                OP_SPAWNED => {
-                    let p = pid(&mut r)?;
-                    let name = r.take_str()?;
-                    probe.process_spawned(p, &name);
-                }
-                OP_SCHEDULED => {
-                    let at = r.take_u64()?;
-                    probe.event_scheduled(at, pid(&mut r)?);
-                }
-                OP_FIRED => {
-                    let now = r.take_u64()?;
-                    let p = pid(&mut r)?;
-                    let depth = r.take_u64()? as usize;
-                    probe.event_fired(now, p, depth);
-                }
-                OP_ADVANCED => {
-                    let now = r.take_u64()?;
-                    let p = pid(&mut r)?;
-                    let dur = r.take_u64()?;
-                    probe.advanced(now, p, dur);
-                }
-                OP_BLOCKED => {
-                    let now = r.take_u64()?;
-                    probe.blocked(now, pid(&mut r)?);
-                }
-                OP_FINISHED => {
-                    let now = r.take_u64()?;
-                    probe.finished(now, pid(&mut r)?);
-                }
-                OP_SCHED_STATS => {
-                    let mut stats = SchedStats {
-                        events_pushed: r.take_u64()?,
-                        events_popped: r.take_u64()?,
-                        ..SchedStats::default()
-                    };
-                    for lvl in &mut stats.wheel_level_pushes {
-                        *lvl = r.take_u64()?;
-                    }
-                    stats.procs_inline = r.take_u64()?;
-                    probe.sched_stats(&stats);
-                }
-                OP_RUN_COMPLETE => probe.run_complete(r.take_u64()?),
-                OP_SPAN => {
-                    let name = r.take_str()?;
-                    let start = r.take_u64()?;
-                    let end = r.take_u64()?;
-                    probe.span(&name, start, end, pid(&mut r)?);
-                }
+            let op = r.take_u8()?;
+            if op == OP_SPAN {
+                let name = r.take_str()?;
+                let start = r.take_u64()?;
+                let end = r.take_u64()?;
+                probe.span(&name, start, end, pid(&mut r)?);
+                return Some(());
+            }
+            let at = r.take_u64()?;
+            let p = pid(&mut r)?;
+            match op {
+                OP_SCHEDULED => probe.event_scheduled(at, p),
+                OP_FIRED => probe.event_fired(at, p, 0),
+                OP_ADVANCED => probe.advanced(at, p, r.take_u64()?),
+                OP_BLOCKED => probe.blocked(at, p),
+                OP_FINISHED => probe.finished(at, p),
                 _ => return None,
             }
             Some(())
@@ -1582,7 +1521,7 @@ mod tests {
             (
                 TAG_HELLO,
                 hello(3, 1, 2),
-                "wire version mismatch: hub 4, worker 3",
+                "wire version mismatch: hub 5, worker 3",
             ),
             (
                 TAG_HELLO,
@@ -1659,6 +1598,12 @@ mod tests {
             fn process_spawned(&self, pid: ProcessId, name: &str) {
                 self.0.lock().unwrap().push(format!("spawn {} {}", pid.index(), name));
             }
+            fn event_fired(&self, now_ps: u64, pid: ProcessId, queue_depth: usize) {
+                self.0
+                    .lock()
+                    .unwrap()
+                    .push(format!("fired {} {} {}", now_ps, pid.index(), queue_depth));
+            }
             fn advanced(&self, now_ps: u64, pid: ProcessId, dur_ps: u64) {
                 self.0
                     .lock()
@@ -1673,8 +1618,11 @@ mod tests {
             }
         }
 
+        // Spawns and queue depths stay on the worker: the hub's wrapper
+        // drops both.
         let rec = RecordingProbe::new();
         rec.process_spawned(ProcessId::from_index(2), "rank-2");
+        rec.event_fired(10, ProcessId::from_index(2), 7);
         rec.advanced(10, ProcessId::from_index(2), SimDuration::from_ns(1.0).as_ps());
         rec.span("rank-2", 0, 1000, ProcessId::from_index(2));
         let bytes = rec.take();
@@ -1684,7 +1632,7 @@ mod tests {
         assert_eq!(
             *log.0.lock().unwrap(),
             vec![
-                "spawn 2 rank-2".to_string(),
+                "fired 10 2 0".to_string(),
                 "adv 10 2 1000".to_string(),
                 "span rank-2 0 1000 2".to_string(),
             ]

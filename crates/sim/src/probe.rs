@@ -1,17 +1,19 @@
 //! Instrumentation hook points for the simulation engine.
 //!
-//! A [`Probe`] observes the scheduler from outside: every event push/pop,
-//! every virtual-time advance, and every process block/finish is reported
-//! through it. The engine never depends
+//! A [`Probe`] is the one way to observe the scheduler: every event
+//! push/pop, every virtual-time advance, and every process block/finish
+//! is reported through it. The engine never depends
 //! on what a probe does with the callbacks — probes must not affect
 //! virtual time — so simulations are bit-identical with and without one
 //! attached.
 //!
-//! Probes are attached through a process-wide *factory* rather than a
-//! single global probe: [`Engine::new`](crate::Engine::new) calls the
-//! factory on the constructing thread, which lets an instrumentation
-//! layer hand out a different sink per logical task (e.g. per experiment
-//! of a parallel sweep) via thread-local state. With no factory installed the cost is
+//! A probe is attached to one engine with
+//! [`Engine::with_probe`](crate::Engine::with_probe), or through a
+//! process-wide *factory* rather than a single global probe:
+//! [`Engine::new`](crate::Engine::new) calls the factory on the
+//! constructing thread, which lets an instrumentation layer hand out a
+//! different sink per logical task (e.g. per experiment of a parallel
+//! sweep) via thread-local state. With no factory installed the cost is
 //! one relaxed atomic load per construction and zero per event.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -108,6 +110,7 @@ mod tests {
     use crate::Engine;
     use std::sync::atomic::AtomicU64;
     use std::sync::Mutex;
+    use std::thread;
 
     #[derive(Default)]
     struct CountingProbe {
@@ -141,16 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_reports_through_installed_factory() {
+    fn engine_reports_through_an_attached_probe() {
         let probe = Arc::new(CountingProbe::default());
-        {
-            let probe = Arc::clone(&probe);
-            set_probe_factory(Some(Arc::new(move || {
-                Some(Arc::clone(&probe) as Arc<dyn Probe>)
-            })));
-        }
-        let mut eng = Engine::new();
-        set_probe_factory(None); // engine already captured its probe
+        let mut eng = Engine::with_probe(Some(Arc::clone(&probe) as Arc<dyn Probe>));
         eng.spawn_inline("a", |ctx| async move {
             ctx.advance(SimDuration::from_ns(5.0)).await;
             ctx.advance(SimDuration::from_ns(3.0)).await;
@@ -167,8 +163,39 @@ mod tests {
     }
 
     #[test]
+    fn engine_reports_through_installed_factory() {
+        // The factory is process-wide and other tests of this binary
+        // build engines meanwhile, so it hands the probe only to engines
+        // built on this thread.
+        let probe = Arc::new(CountingProbe::default());
+        let home = thread::current().id();
+        {
+            let probe = Arc::clone(&probe);
+            set_probe_factory(Some(Arc::new(move || {
+                (thread::current().id() == home).then(|| Arc::clone(&probe) as Arc<dyn Probe>)
+            })));
+        }
+        let mut eng = Engine::new();
+        let elsewhere = thread::spawn(probe_for_current_thread).join().unwrap();
+        set_probe_factory(None); // engine already captured its probe
+        assert!(
+            elsewhere.is_none(),
+            "another thread resolved this thread's probe"
+        );
+        eng.spawn_inline("a", |ctx| async move {
+            ctx.advance(SimDuration::from_ns(5.0)).await;
+        });
+        eng.run().unwrap();
+        assert_eq!(probe.spawned.lock().unwrap().as_slice(), &["a".to_string()]);
+        assert_eq!(probe.finished.load(Ordering::Relaxed), 1);
+        assert_eq!(probe.end_ps.load(Ordering::Relaxed), 5_000);
+    }
+
+    #[test]
     fn no_factory_means_no_probe() {
-        set_probe_factory(None);
+        // The only factory this binary installs yields a probe on its
+        // installing thread alone, so this thread resolves none whether
+        // or not that factory is installed right now.
         assert!(probe_for_current_thread().is_none());
     }
 }

@@ -24,7 +24,7 @@ use maia_mpi::bench::{
     CollectiveOp,
 };
 use maia_mpi::fastpath::EngineMode;
-use maia_mpi::partition::{DomainMap, PartitionPlan};
+use maia_mpi::partition::PartitionPlan;
 use maia_mpi::process_backend::Backend;
 
 const COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -127,7 +127,6 @@ fn shuffled_domain_placement_is_observationally_equivalent() {
     ];
     for fold in folds {
         let plan = PartitionPlan {
-            map: DomainMap::ByNode,
             partitions: 4,
             fold: Some(fold.clone()),
         };
