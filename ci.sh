@@ -69,6 +69,12 @@ golden_gate "faults across wheels (straggler plan, 4 process wheels)" \
     tests/golden/resilience_cluster.md \
     ./target/release/maia-bench faults --plan straggler --only C01,C02 --jobs 2 \
     --partitions 4 --backend process
+# A01 and A02 run their numerics on the first layout only and replay its
+# op log on the others, so a straggler must be priced at replay time on
+# every layout: the straggler report over the two apps pins it.
+golden_gate "faults across layouts (straggler plan, replayed apps)" \
+    tests/golden/resilience_apps.md \
+    ./target/release/maia-bench faults --plan straggler --only A01,A02 --jobs 2
 
 # trace_timeline counts every rank's scheduler transitions through a
 # Probe; a diff means the engine's schedule of the allreduce changed, or

@@ -5,14 +5,18 @@
 //! symmetric modes — here the numerics are verifiable against the
 //! shared-memory solver while the discrete-event engine prices the
 //! communication on host shared memory or PCIe.
+//!
+//! [`run_mpi_layouts`] solves once, live on its first layout, and prices
+//! every other layout by replaying the recorded exchanges and compute
+//! phases without payloads ([`MpiWorld::run_layouts`]).
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use maia_mpi::world::WorldResult;
 use maia_mpi::{MpiWorld, WorldSpec};
 use maia_omp::Team;
-use maia_sim::SimDuration;
 
 use crate::overflow::{
     adi_zone, apply_planes, extract_planes, mismatch_sq, zone_forcing, zone_interior_sq,
@@ -32,27 +36,65 @@ pub struct OverflowMpiResult {
     pub comm_fraction: f64,
 }
 
+/// A distributed OVERFLOW run over several layouts: the metrics,
+/// computed once, and one world per layout in the order given.
+#[derive(Debug, Clone)]
+pub struct OverflowMpiRuns {
+    /// Interior residual after the last step.
+    pub final_residual: f64,
+    /// Interface mismatch before the last exchange.
+    pub final_mismatch: f64,
+    /// The first layout's world ran live, the others are replays.
+    pub worlds: Vec<WorldResult>,
+}
+
+impl OverflowMpiRuns {
+    /// Layout `i`'s outcome.
+    pub fn layout(&self, i: usize) -> OverflowMpiResult {
+        let world = &self.worlds[i];
+        let total_comm: f64 = world.rank_stats.iter().map(|s| s.comm_s).sum();
+        let total_compute: f64 = world.rank_stats.iter().map(|s| s.compute_s).sum();
+        OverflowMpiResult {
+            final_residual: self.final_residual,
+            final_mismatch: self.final_mismatch,
+            wall_s: world.end_time.as_secs_f64(),
+            comm_fraction: total_comm / (total_comm + total_compute),
+        }
+    }
+}
+
 const TAG_DONOR_RIGHT: i32 = 100_000; // left zone's interior -> right rank
 const TAG_DONOR_LEFT: i32 = 200_000; // right zone's planes [1,2,3] -> left rank
 
-/// Run `steps` of the multi-zone solver with zones dealt in contiguous
-/// blocks to the ranks of `spec`, `threads_per_rank` OpenMP threads each.
-///
-/// # Panics
-/// Panics if there are fewer zones than ranks.
+/// [`run_mpi_layouts`] on one layout.
 pub fn run_mpi(
     case: &OverflowCase,
     steps: usize,
     threads_per_rank: usize,
     spec: &WorldSpec,
 ) -> OverflowMpiResult {
-    let p = spec.size();
+    run_mpi_layouts(case, steps, threads_per_rank, std::slice::from_ref(spec)).layout(0)
+}
+
+/// Run `steps` of the multi-zone solver with zones dealt in contiguous
+/// blocks to the ranks of each layout in `specs`, `threads_per_rank`
+/// OpenMP threads each.
+///
+/// # Panics
+/// Panics if there are fewer zones than ranks.
+pub fn run_mpi_layouts(
+    case: &OverflowCase,
+    steps: usize,
+    threads_per_rank: usize,
+    specs: &[WorldSpec],
+) -> OverflowMpiRuns {
+    let p = specs[0].size();
     assert!(case.zones >= p, "need at least one zone per rank");
     let case = case.clone();
     let out: Arc<Mutex<Option<(f64, f64)>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
 
-    let res = MpiWorld::run(spec, move |mut rank| {
+    let res = MpiWorld::run_layouts(specs, move |mut rank| {
         let out2 = Arc::clone(&out2);
         let case = case.clone();
         async move {
@@ -82,12 +124,8 @@ pub fn run_mpi(
                     zi + 1 < case.zones,
                 );
             }
-            let gflops = if rank.placement().device.is_phi() { 1.0 } else { 4.0 };
-            rank.compute(SimDuration::from_secs_f64(
-                (z_hi - z_lo) as f64 * zone_flops
-                    / (gflops * 1e9 * threads_per_rank as f64),
-            ))
-            .await;
+            rank.compute_flops((z_hi - z_lo) as f64 * zone_flops, threads_per_rank)
+                .await;
 
             let step_tag = (step as i32) << 8;
             let mut mismatch_acc = 0.0;
@@ -171,19 +209,16 @@ pub fn run_mpi(
         rank
         }
     })
-    .expect("OVERFLOW world deadlocked");
+    .unwrap_or_else(|e| panic!("OVERFLOW world failed: {e}"));
 
     let (final_residual, final_mismatch) = {
         let mut guard = out.lock();
         guard.take().expect("rank 0 stored the metrics")
     };
-    let total_comm: f64 = res.rank_stats.iter().map(|s| s.comm_s).sum();
-    let total_compute: f64 = res.rank_stats.iter().map(|s| s.compute_s).sum();
-    OverflowMpiResult {
+    OverflowMpiRuns {
         final_residual,
         final_mismatch,
-        wall_s: res.end_time.as_secs_f64(),
-        comm_fraction: total_comm / (total_comm + total_compute),
+        worlds: res,
     }
 }
 

@@ -279,7 +279,8 @@ COMMON OPTIONS (shared by run, check, profile and faults):
                        bit-identical across backends
 
 ENVIRONMENT (read once at entry by every subcommand that runs experiments;
-a malformed value exits 2 naming the variable):
+a malformed value, or a MAIA_* name that is none of these, exits 2 naming
+the variable):
     MAIA_EXPERIMENT_TIMEOUT_S    watchdog, finite seconds in (0, 86400] (300)
     MAIA_FAULT_PANIC|_DEADLOCK|_HANG  experiment codes to kill that way
     MAIA_SUPERVISE_RETRIES       worker respawns after a loss, 0..=32 (2)
@@ -330,7 +331,7 @@ EXIT CODES (shared by every subcommand):
        fail-soft executor (panic/deadlock/timeout; partial report is still
        printed), or any other runtime failure
     2  usage error (unknown subcommand, flag, experiment code or format, or
-       a malformed MAIA_* value)
+       a malformed or unknown MAIA_* knob)
 
 Tables go to stdout (or --out); the per-experiment timing summary always
 goes to stderr. A sweep with failures still prints every completed

@@ -139,6 +139,20 @@ fn hostile_plan_value_is_a_named_error() {
     assert!(stdout(&out).is_empty());
 }
 
+/// A misspelled knob is no knob: it exits 2 naming the variable instead
+/// of leaving the run at its defaults without a word. Names without the
+/// `MAIA_` prefix stay none of maia's business.
+#[test]
+fn misspelled_knobs_are_named_usage_errors() {
+    let out = bench(&["run", "--only", "T01"], &[("MAIA_SUPERVISE_RETRY", "0")]);
+    let se = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{se}");
+    assert!(se.contains("MAIA_SUPERVISE_RETRY=\"0\": expected a known MAIA_* knob"), "{se}");
+    assert!(stdout(&out).is_empty());
+    let out = bench(&["run", "--only", "T01"], &[("NOT_MAIA_KNOB", "0")]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+}
+
 /// Every `MAIA_*` knob is parsed once, at entry: a value outside its
 /// bounds is a usage error (exit 2) naming the variable and the value,
 /// never a silent default, a panic or an abort.

@@ -194,6 +194,30 @@ fn des_work_counters_match_the_golden() {
     );
 }
 
+/// The exact work of the default sweep's critical path, gated at any
+/// core count: A01's and A02's engines, events pushed and popped,
+/// blocked processes, rank spans and per-rank virtual time. The other
+/// layouts of both experiments are replays of the first layout's op log,
+/// so a replay that issued one await more or less than a live run would
+/// show up here.
+#[test]
+fn sweep_work_counters_match_the_golden() {
+    let doc = metrics_json(&[
+        "profile", "--only", "A01,A02", "--jobs", "2", "--metrics", "json",
+    ]);
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/sweep_counters.json"
+    ))
+    .expect("golden file");
+    let golden = parse(&golden).expect("sweep_counters.json is not valid JSON");
+    assert_eq!(
+        doc.get("virtual"),
+        Some(&golden),
+        "sweep work counters differ from tests/golden/sweep_counters.json"
+    );
+}
+
 #[test]
 fn profile_unknown_experiment_is_a_usage_error() {
     let out = maia_bench(&["profile", "--only", "F99"]);

@@ -110,8 +110,10 @@ impl RunConfig {
 
     /// This config under the `MAIA_*` knobs given as `(name, value)`
     /// pairs, applied in order: the one way to set how a run executes.
-    /// Other names are skipped. A knob whose value is outside its bounds
-    /// (listed in `maia-bench help`) or not UTF-8 is an error naming it.
+    /// Names without the `MAIA_` prefix are skipped. A knob whose value
+    /// is outside its bounds (listed in `maia-bench help`) or not UTF-8,
+    /// and a `MAIA_` name that is no knob (a misspelling would otherwise
+    /// change nothing, silently), are errors naming the variable.
     pub fn with_knobs(
         mut self,
         knobs: impl IntoIterator<Item = (impl AsRef<OsStr>, impl AsRef<OsStr>)>,
@@ -160,6 +162,9 @@ impl RunConfig {
                     sup.chaos = Some(spec.ok_or_else(|| err(expected))?);
                 }
                 "MAIA_WORKER_ATTEMPT" => sup.attempt = int(0, 32)? as u32,
+                _ if name.starts_with("MAIA_") => {
+                    return Err(err("a known MAIA_* knob (see maia-bench help)"))
+                }
                 _ => {}
             }
         }
@@ -220,7 +225,7 @@ mod tests {
 
     #[test]
     fn defaults_are_unchanged_and_other_names_are_skipped() {
-        let cfg = knobs(&[("PATH", "/bin"), ("MAIA_NOT_A_KNOB", "banana")]).expect("no knobs");
+        let cfg = knobs(&[("PATH", "/bin"), ("MAIA", "1"), ("maia_x", "1")]).expect("no knobs");
         assert_eq!(cfg.watchdog, Duration::from_secs(300));
         assert!(cfg.forced.is_empty());
         let sup = &cfg.supervise;
@@ -229,6 +234,17 @@ mod tests {
             (sup.chaos, sup.attempt, sup.worker_bin.clone()),
             (None, 0, None)
         );
+    }
+
+    #[test]
+    fn unknown_maia_names_are_rejected() {
+        for name in ["MAIA_NOT_A_KNOB", "MAIA_SUPERVISE_RETRY", "MAIA_"] {
+            let err = knobs(&[("PATH", "/bin"), (name, "0")]).expect_err(name);
+            assert_eq!(
+                err,
+                format!("{name}=\"0\": expected a known MAIA_* knob (see maia-bench help)")
+            );
+        }
     }
 
     #[test]

@@ -604,6 +604,10 @@ pub(super) fn a1() -> Vec<Check> {
 pub(super) fn a2() -> Vec<Check> {
     vec![
         // The distributed solver computes the same answer everywhere.
+        // A2 solves once and replays the other two layouts, so its rows
+        // show that one residual; `overflow_replays_match_live_runs`
+        // (tests/tests/layout_replay.rs) runs each layout live and pins
+        // that their residuals are bit-equal.
         Check::custom(
             "residuals_identical[final residual]",
             "every layout's residual is bit-identical text",

@@ -10,8 +10,8 @@
 //! * `MPI_Allgather` — Bruck's algorithm for messages ≤ 2 KB, ring above;
 //!   the switch is what produces the abrupt jump between 2 KB and 4 KB in
 //!   the paper's Figure 13.
-//! * `MPI_Alltoall` — pairwise exchange, with an incast-contention factor
-//!   that grows with the world size.
+//! * `MPI_Alltoall` — pairwise exchange, each send paying an incast
+//!   factor that grows with the world size.
 //! * `MPI_Barrier` — dissemination.
 
 use crate::world::Rank;
@@ -245,22 +245,20 @@ impl Rank {
         }
     }
 
-    /// Pairwise-exchange alltoall of `bytes` per (rank, rank) pair, with an
-    /// incast-contention inflation that grows with the world size (every
-    /// round, all p ranks target distinct peers through one shared fabric;
-    /// on the Phi's ring this congests hard).
+    /// Pairwise-exchange alltoall of `bytes` per (rank, rank) pair. Each
+    /// send pays the incast inflation that grows with the world size
+    /// ([`crate::transport::alltoall_incast`]), priced from the sender's
+    /// device.
     pub async fn alltoall(&mut self, bytes: u64) {
         let p = self.size();
         if p == 1 {
             return;
         }
         let me = self.rank();
-        let contention = self.alltoall_contention();
         for round in 1..p {
             let dest = (me + round) % p;
             let src = (me + p - round) % p;
-            self.send_with_factor(dest, TAG_ALLTOALL + round as i32, bytes, contention)
-                .await;
+            self.send_incast(dest, TAG_ALLTOALL + round as i32, bytes).await;
             let _ = self.recv(Some(src), TAG_ALLTOALL + round as i32).await;
         }
     }
@@ -468,18 +466,6 @@ impl Rank {
             mask <<= 1;
         }
         self.bcast_data_group(g, 0, buf).await;
-    }
-
-    /// Incast factor for [`Rank::alltoall`]: 1 + c·p, with c depending on
-    /// the fabric (calibrated so Figure 14's host/Phi factors land in the
-    /// paper's 8–20× / 1003–2603× ranges).
-    fn alltoall_contention(&self) -> f64 {
-        let p = self.size() as f64;
-        if self.placement().device.is_phi() {
-            1.0 + 0.008 * p
-        } else {
-            1.0 + 0.002 * p
-        }
     }
 }
 

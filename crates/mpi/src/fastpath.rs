@@ -240,19 +240,15 @@ fn allgather_end_from(msg: impl Fn(u64) -> u64, p: usize, bytes: u64) -> u64 {
 }
 
 /// Pairwise-exchange alltoall: p−1 lockstep rounds, each paying the
-/// contention-scaled message time. The scale factor round-trips through
-/// f64 seconds exactly as `send_with_factor` does, so the rounding to
-/// picoseconds is identical.
+/// incast-scaled message time. The scale factor round-trips through f64
+/// seconds exactly as an incast send in `Rank::post` does, so the
+/// rounding to picoseconds is identical.
 fn alltoall_end_ps(t: &TransportModel, device: Device, p: usize, bytes: u64) -> u64 {
     if p == 1 {
         return 0;
     }
-    let contention = if device.is_phi() {
-        1.0 + 0.008 * p as f64
-    } else {
-        1.0 + 0.002 * p as f64
-    };
-    alltoall_end_from(scaled_ps(msg_ps(t, device, bytes), contention), p)
+    let incast = crate::transport::alltoall_incast(device, p);
+    alltoall_end_from(scaled_ps(msg_ps(t, device, bytes), incast), p)
 }
 
 /// Core pairwise-exchange recurrence: p−1 rounds of `per_round_ps` each.
@@ -261,8 +257,8 @@ fn alltoall_end_from(per_round_ps: u64, p: usize) -> u64 {
 }
 
 /// Scale a picosecond cost by a contention factor, round-tripping
-/// through f64 seconds exactly as `Rank::send_with_factor` does, so the
-/// rounding back to picoseconds is identical.
+/// through f64 seconds exactly as `Rank::post` does, so the rounding back
+/// to picoseconds is identical.
 fn scaled_ps(base_ps: u64, factor: f64) -> u64 {
     SimDuration::from_secs_f64(SimDuration::from_ps(base_ps).as_secs_f64() * factor).as_ps()
 }

@@ -25,8 +25,10 @@
 //! messages and collectives (real `f64` payloads priced in virtual time —
 //! the basis of the verifiable distributed NPB and OVERFLOW runs),
 //! nonblocking `isend`/`wait` with genuine overlap semantics,
-//! sub-communicator [`Group`]s (`MPI_Comm_split`), and per-rank
-//! communication/compute accounting ([`RankStats`]).
+//! sub-communicator [`Group`]s (`MPI_Comm_split`), per-rank
+//! communication/compute accounting ([`RankStats`]), and
+//! [`MpiWorld::run_layouts`], which runs a program live on one layout and
+//! replays its recorded operations on the others ([`replay`]).
 //!
 //! A world runs on the machine its [`WorldSpec::faults`] describes
 //! (healthy in every constructor): straggling ranks stretch their
@@ -42,6 +44,7 @@ pub mod memory;
 pub mod partition;
 pub mod placement;
 pub mod process_backend;
+pub mod replay;
 pub mod transport;
 pub mod world;
 
@@ -50,4 +53,5 @@ pub use partition::PartitionPlan;
 pub use placement::{RankPlacement, WorldSpec};
 pub use transport::TransportModel;
 pub use coll::Group;
+pub use replay::LayoutsError;
 pub use world::{MpiWorld, Rank, RankStats, Request};

@@ -52,6 +52,30 @@ pub fn reduce_op_gbs(device: Device, threads_per_core: u32) -> f64 {
     }
 }
 
+/// Sustained GFLOP/s of one core of a device: the one rate
+/// [`crate::Rank::compute_flops`] prices a rank's numerics with. Coarse:
+/// enough to order compute-heavy against communication-heavy phases.
+pub fn core_gflops(device: Device) -> f64 {
+    match device {
+        Device::Host => 4.0,
+        Device::Phi0 | Device::Phi1 => 1.0,
+    }
+}
+
+/// Incast inflation of each message of a `p`-rank pairwise-exchange
+/// alltoall sent from `device`: 1 + c·p, with c depending on the fabric
+/// (every round, all p ranks target distinct peers through one shared
+/// fabric; on the Phi's ring this congests hard). Calibrated so Figure
+/// 14's host/Phi factors land in the paper's 8–20× / 1003–2603× ranges.
+pub fn alltoall_incast(device: Device, p: usize) -> f64 {
+    let p = p as f64;
+    if device.is_phi() {
+        1.0 + 0.008 * p
+    } else {
+        1.0 + 0.002 * p
+    }
+}
+
 /// The resolved transport model for one MPI world.
 #[derive(Debug, Clone)]
 pub struct TransportModel {

@@ -17,7 +17,8 @@ use maia_sim::{Engine, InjectCtx, Probe, SimCtx, SimDuration, SimError, SimTime}
 
 use crate::partition::{lookahead, node_domains, PartitionPlan};
 use crate::placement::{RankPlacement, WorldSpec};
-use crate::transport::TransportModel;
+use crate::replay::{replay_layouts, LayoutsError, Op, OpLog};
+use crate::transport::{alltoall_incast, core_gflops, TransportModel};
 
 /// Wildcard for [`Rank::recv`]'s source argument (`MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: Option<usize> = None;
@@ -84,13 +85,37 @@ impl MpiWorld {
         F: Fn(Rank) -> Fut + Send + Sync + 'static,
         Fut: Future<Output = Rank> + Send + 'static,
     {
-        let ranks = RankPlumbing::new(spec, program);
-        let mut engine = Engine::new();
-        for rank_id in 0..ranks.size {
-            ranks.spawn(&mut engine, rank_id, None);
-        }
-        let end_time = engine.run()?;
-        Ok(ranks.world_result(end_time))
+        Ok(run_live(spec, program, false)?.0)
+    }
+
+    /// Run `program` on every layout in `specs`, all of one size: live on
+    /// `specs[0]`, recording every rank's operations, then as a
+    /// payload-free replay of those operations on each other layout (see
+    /// [`crate::replay`]). The program's body runs `size` times, not once
+    /// per layout, and every layout still gets its own DES run: the
+    /// results, in `specs` order, are bit-identical to running each layout
+    /// live. One layout is exactly [`MpiWorld::run`], with no log.
+    ///
+    /// While recording, `recv(ANY_SOURCE)`, `isend` and `wait` fail the
+    /// call with [`LayoutsError::LayoutDependent`] once the live run ends.
+    ///
+    /// # Panics
+    /// Panics if `specs` is empty or its worlds differ in size.
+    pub fn run_layouts<F, Fut>(
+        specs: &[WorldSpec],
+        program: F,
+    ) -> Result<Vec<WorldResult>, LayoutsError>
+    where
+        F: Fn(Rank) -> Fut + Send + Sync + 'static,
+        Fut: Future<Output = Rank> + Send + 'static,
+    {
+        let (first, rest) = specs.split_first().expect("run_layouts needs a layout");
+        assert!(
+            rest.iter().all(|s| s.size() == first.size()),
+            "every layout of one program has the same world size"
+        );
+        let (live, logs) = run_live(first, program, !rest.is_empty())?;
+        replay_layouts(live, logs, rest)
     }
 
     /// Run `program` on every rank of `spec`'s world, sharded across
@@ -315,29 +340,49 @@ impl SimCommunicator<Msg> for KillAtWindow<'_> {
     }
 }
 
-/// The per-rank plumbing every world shares: the transport and
-/// placements its ranks price messages with, their mailboxes, the
-/// tables their results land in, and the program they run. All of it is
-/// a pure function of `(spec, program)`.
-struct RankPlumbing<F> {
-    size: usize,
-    transport: Arc<TransportModel>,
-    placements: Arc<Vec<RankPlacement>>,
-    mailboxes: Arc<Vec<SimChannel<Msg>>>,
-    finishes: Arc<Mutex<Vec<f64>>>,
-    stats: Arc<Mutex<Vec<RankStats>>>,
-    program: Arc<F>,
-}
-
-impl<F, Fut> RankPlumbing<F>
+/// The one live runner behind [`MpiWorld::run`], [`MpiWorld::run_layouts`]
+/// and every replay: all ranks of `spec` on one engine. With `record`
+/// set, also returns each rank's op log. Only the spawn loop depends on
+/// the program's type; the rest is shared by every program.
+pub(crate) fn run_live<F, Fut>(
+    spec: &WorldSpec,
+    program: F,
+    record: bool,
+) -> Result<(WorldResult, Vec<OpLog>), SimError>
 where
     F: Fn(Rank) -> Fut + Send + Sync + 'static,
     Fut: Future<Output = Rank> + Send + 'static,
 {
-    fn new(spec: &WorldSpec, program: F) -> Self {
+    let ranks = RankPlumbing::new(spec, record);
+    let program = Arc::new(program);
+    let mut engine = Engine::new();
+    for rank_id in 0..ranks.size {
+        ranks.spawn(&mut engine, rank_id, None, &program);
+    }
+    ranks.outcome(engine.run())
+}
+
+/// The per-rank plumbing every world shares: the transport and
+/// placements its ranks price messages with, their mailboxes, and the
+/// tables their results (and, when recording, their op logs) land in.
+/// All of it is a pure function of the spec. Not generic over the
+/// program, so every program shares one copy of the code that builds a
+/// rank and files its results.
+struct RankPlumbing {
+    size: usize,
+    transport: Arc<TransportModel>,
+    placements: Arc<Vec<RankPlacement>>,
+    mailboxes: Arc<Vec<SimChannel<Msg>>>,
+    finishes: Mutex<Vec<f64>>,
+    stats: Mutex<Vec<RankStats>>,
+    logs: Option<Mutex<Vec<OpLog>>>,
+}
+
+impl RankPlumbing {
+    fn new(spec: &WorldSpec, record: bool) -> Arc<Self> {
         spec.validate();
         let size = spec.size();
-        RankPlumbing {
+        Arc::new(RankPlumbing {
             size,
             transport: Arc::new(TransportModel::for_world(spec)),
             placements: Arc::new(spec.placements.clone()),
@@ -346,44 +391,69 @@ where
                     .map(|r| SimChannel::new(format!("mbox-{r}")))
                     .collect(),
             ),
-            finishes: Arc::new(Mutex::new(vec![0.0f64; size])),
-            stats: Arc::new(Mutex::new(vec![RankStats::default(); size])),
-            program: Arc::new(program),
-        }
+            finishes: Mutex::new(vec![0.0f64; size]),
+            stats: Mutex::new(vec![RankStats::default(); size]),
+            logs: record.then(|| Mutex::new((0..size).map(|_| OpLog::default()).collect())),
+        })
     }
 
     /// Spawn rank `rank_id` on `engine` as the inline process
-    /// `rank-{rank_id}`: it runs the program (staging cross-domain sends
-    /// through `partition`, if any), then records its finish time and
-    /// stats.
-    fn spawn(&self, engine: &mut Engine, rank_id: usize, partition: Option<PartitionIo>) {
-        let size = self.size;
-        let transport = Arc::clone(&self.transport);
-        let placements = Arc::clone(&self.placements);
-        let mailboxes = Arc::clone(&self.mailboxes);
-        let finishes = Arc::clone(&self.finishes);
-        let stats = Arc::clone(&self.stats);
-        let program = Arc::clone(&self.program);
+    /// `rank-{rank_id}`: it runs `program` (staging cross-domain sends
+    /// through `partition`, if any), then files its results.
+    fn spawn<F, Fut>(
+        self: &Arc<Self>,
+        engine: &mut Engine,
+        rank_id: usize,
+        partition: Option<PartitionIo>,
+        program: &Arc<F>,
+    ) where
+        F: Fn(Rank) -> Fut + Send + Sync + 'static,
+        Fut: Future<Output = Rank> + Send + 'static,
+    {
+        let ranks = Arc::clone(self);
+        let program = Arc::clone(program);
         engine.spawn_inline(format!("rank-{rank_id}"), move |ctx| async move {
             let started = ctx.now();
-            let rank = Rank {
-                ctx: ctx.clone(),
-                rank: rank_id,
-                size,
-                placements,
-                transport,
-                mailboxes,
-                unexpected: Vec::new(),
-                stats: RankStats::default(),
-                partition,
-            };
-            let rank = program(rank).await;
-            finishes.lock()[rank_id] = ctx.now().as_secs_f64();
-            stats.lock()[rank_id] = rank.stats;
-            // Rank-level telemetry span: the whole program, in virtual
-            // time. A no-op (name unformatted) unless a probe is attached.
-            ctx.emit_span(format_args!("rank-{rank_id}"), started);
+            let rank = program(ranks.rank(&ctx, rank_id, partition)).await;
+            ranks.finish(rank, &ctx, started);
         });
+    }
+
+    /// The handle rank `rank_id`'s program starts with.
+    fn rank(&self, ctx: &SimCtx, rank_id: usize, partition: Option<PartitionIo>) -> Rank {
+        Rank {
+            ctx: ctx.clone(),
+            rank: rank_id,
+            size: self.size,
+            placements: Arc::clone(&self.placements),
+            transport: Arc::clone(&self.transport),
+            mailboxes: Arc::clone(&self.mailboxes),
+            unexpected: Vec::new(),
+            stats: RankStats::default(),
+            partition,
+            log: self.logs.is_some().then(OpLog::default),
+        }
+    }
+
+    /// File a finished rank's finish time, stats and op log, and report
+    /// its whole program as a virtual-time span (a no-op, name
+    /// unformatted, unless a probe is attached).
+    fn finish(&self, rank: Rank, ctx: &SimCtx, started: SimTime) {
+        let rank_id = rank.rank;
+        self.finishes.lock()[rank_id] = ctx.now().as_secs_f64();
+        self.stats.lock()[rank_id] = rank.stats;
+        if let (Some(logs), Some(log)) = (&self.logs, rank.log) {
+            logs.lock()[rank_id] = log;
+        }
+        ctx.emit_span(format_args!("rank-{rank_id}"), started);
+    }
+
+    /// The world's result once its engine has run, and its op logs (none
+    /// unless recording).
+    fn outcome(&self, run: Result<SimTime, SimError>) -> Result<(WorldResult, Vec<OpLog>), SimError> {
+        let end_time = run?;
+        let logs = self.logs.as_ref().map(|l| std::mem::take(&mut *l.lock()));
+        Ok((self.world_result(end_time), logs.unwrap_or_default()))
     }
 
     fn world_result(&self, end_time: SimTime) -> WorldResult {
@@ -401,7 +471,8 @@ where
 /// is a pure function of `(spec, plan, program)`, so every participant
 /// reconstructs the identical world from the job description.
 struct PartitionSetup<F> {
-    ranks: RankPlumbing<F>,
+    ranks: Arc<RankPlumbing>,
+    program: Arc<F>,
     partitions: usize,
     window: SimDuration,
     domain_of: Arc<Vec<usize>>,
@@ -414,7 +485,7 @@ where
     Fut: Future<Output = Rank> + Send + 'static,
 {
     fn new(spec: &WorldSpec, plan: &PartitionPlan, program: F) -> Self {
-        let ranks = RankPlumbing::new(spec, program);
+        let ranks = RankPlumbing::new(spec, false);
         let domain_of = Arc::new(node_domains(spec));
         let ndomains = domain_of.iter().copied().max().unwrap_or(0) + 1;
         let fold = plan.resolve_fold(ndomains);
@@ -423,6 +494,7 @@ where
         let window = lookahead(spec, &ranks.transport, &domain_of);
         PartitionSetup {
             ranks,
+            program: Arc::new(program),
             partitions: plan.partitions,
             window,
             domain_of,
@@ -454,7 +526,7 @@ where
                 outbox: outbox.clone(),
                 seq: 0,
             };
-            self.ranks.spawn(&mut engine, rank_id, Some(io));
+            self.ranks.spawn(&mut engine, rank_id, Some(io), &self.program);
         }
         let mailboxes = Arc::clone(&self.ranks.mailboxes);
         Wheel {
@@ -533,6 +605,9 @@ pub struct Rank {
     stats: RankStats,
     /// Cross-domain routing state; `None` in unpartitioned worlds.
     partition: Option<PartitionIo>,
+    /// This rank's operations, while [`MpiWorld::run_layouts`] records;
+    /// otherwise `None`, and each op pays one check of this field.
+    log: Option<OpLog>,
 }
 
 /// Per-rank handle into the partition layer: decides whether a message
@@ -559,24 +634,46 @@ impl Rank {
         self.size
     }
 
-    /// Where this rank runs.
-    pub fn placement(&self) -> RankPlacement {
+    /// Where this rank runs. Crate-private, like the clock and the
+    /// message price, so a rank program cannot depend on its layout.
+    pub(crate) fn placement(&self) -> RankPlacement {
         self.placements[self.rank]
     }
 
-    /// Current virtual time, seconds.
-    pub fn now_s(&self) -> f64 {
-        self.ctx.now().as_secs_f64()
+    /// Append `op` to the log, if this rank is recording.
+    #[inline(always)]
+    fn record(&mut self, op: Op) {
+        if let Some(log) = &mut self.log {
+            log.push(op);
+        }
     }
 
     /// Consume `dur` of virtual compute time. A straggler fault in the
     /// world's [`WorldSpec::faults`] stretches this rank's phases once
     /// virtual time passes the fault's onset.
     pub async fn compute(&mut self, dur: SimDuration) {
+        self.record(Op::Compute(dur));
+        self.charge_compute(dur).await;
+    }
+
+    /// Consume the virtual time `flops` floating-point operations take on
+    /// `threads` cores of this rank's device, at
+    /// [`crate::transport::core_gflops`] per core; stretched by a
+    /// straggler like [`Rank::compute`].
+    pub async fn compute_flops(&mut self, flops: f64, threads: usize) {
+        self.record(Op::Flops { flops, threads });
+        let gflops = core_gflops(self.placement().device);
+        let dur = SimDuration::from_secs_f64(flops / (gflops * 1e9 * threads as f64));
+        self.charge_compute(dur).await;
+    }
+
+    /// Charge a compute phase of nominal length `dur`, stretched by any
+    /// straggler fault active at this instant.
+    fn charge_compute(&mut self, dur: SimDuration) -> maia_sim::engine::AdvanceFut {
         let (faults, now_s) = (&self.transport.faults, self.ctx.now().as_secs_f64());
         let dur = crate::faults::stretched_compute(faults, self.rank as u32, now_s, dur);
         self.stats.compute_s += dur.as_secs_f64();
-        self.ctx.advance(dur).await;
+        self.ctx.advance(dur)
     }
 
     /// Advance virtual time attributing it to communication.
@@ -586,7 +683,7 @@ impl Rank {
     }
 
     /// The modeled one-way cost of sending `bytes` to `dest` from here.
-    pub fn message_cost(&self, dest: usize, bytes: u64) -> SimDuration {
+    pub(crate) fn message_cost(&self, dest: usize, bytes: u64) -> SimDuration {
         self.transport
             .message_time(self.placements[self.rank], self.placements[dest], bytes)
     }
@@ -621,11 +718,12 @@ impl Rank {
     }
 
     /// The synchronous prologue of every blocking send: check `dest`,
-    /// price the message (scaled by a contention `factor`, if any), and
-    /// build it. A cross-domain message is staged for the window exchange
-    /// here, at send start; the receiver still sees it only at `ready`,
-    /// exactly as on the direct path. Returns the cost the sender pays
-    /// and the same-domain message to deliver once it has.
+    /// record the send, price the message (inflated by the alltoall
+    /// incast of this rank's device, for an `incast` send), and build it.
+    /// A cross-domain message is staged for the window exchange here, at
+    /// send start; the receiver still sees it only at `ready`, exactly as
+    /// on the direct path. Returns the cost the sender pays and the
+    /// same-domain message to deliver once it has.
     ///
     /// Inlined into each send: called instead, it cost ~3% CPU on
     /// `crosscheck --jobs 1` (2-vCPU host, 100 alternating pairs).
@@ -636,13 +734,19 @@ impl Rank {
         tag: i32,
         bytes: u64,
         data: Option<&[f64]>,
-        factor: Option<f64>,
+        incast: bool,
     ) -> (SimDuration, Option<Msg>) {
         assert!(dest < self.size, "send to rank {dest} out of 0..{}", self.size);
         assert_ne!(dest, self.rank, "blocking self-send would deadlock");
+        self.record(Op::Send {
+            dest,
+            tag,
+            bytes,
+            incast,
+        });
         let mut cost = self.message_cost(dest, bytes);
-        if let Some(factor) = factor {
-            assert!(factor >= 1.0, "contention factor must not speed messages up");
+        if incast {
+            let factor = alltoall_incast(self.placement().device, self.size);
             cost = SimDuration::from_secs_f64(cost.as_secs_f64() * factor);
         }
         let msg = Msg {
@@ -668,7 +772,7 @@ impl Rank {
     /// self-sends deadlock a blocking implementation and indicate a bug in
     /// the caller's algorithm.
     pub async fn send(&mut self, dest: usize, tag: i32, bytes: u64) {
-        let (cost, local) = self.post(dest, tag, bytes, None, None);
+        let (cost, local) = self.post(dest, tag, bytes, None, false);
         self.comm_advance(cost).await;
         if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
@@ -682,6 +786,9 @@ impl Rank {
     /// overlaps the transfer — the overlap the offload/symmetric codes
     /// depend on.
     pub async fn isend(&mut self, dest: usize, tag: i32, bytes: u64) -> Request {
+        if let Some(log) = &mut self.log {
+            log.refuse("isend");
+        }
         assert!(dest < self.size, "send to rank {dest} out of 0..{}", self.size);
         assert_ne!(dest, self.rank, "self-send would never match");
         let cost = self.message_cost(dest, bytes);
@@ -714,6 +821,9 @@ impl Rank {
     /// Complete a nonblocking operation: blocks (in virtual time) until
     /// the transfer has fully drained.
     pub async fn wait(&mut self, req: Request) {
+        if let Some(log) = &mut self.log {
+            log.refuse("wait");
+        }
         let now = self.ctx.now();
         if req.completion > now {
             self.comm_advance(req.completion.since(now)).await;
@@ -731,7 +841,7 @@ impl Rank {
     /// payload's byte size; the receiver gets the actual values.
     pub async fn send_data(&mut self, dest: usize, tag: i32, data: &[f64]) {
         let bytes = (data.len() * 8) as u64;
-        let (cost, local) = self.post(dest, tag, bytes, Some(data), None);
+        let (cost, local) = self.post(dest, tag, bytes, Some(data), false);
         self.comm_advance(cost).await;
         if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
@@ -752,11 +862,10 @@ impl Rank {
         (m.src, data)
     }
 
-    /// Like [`Rank::send`] but with the transport cost scaled by `factor`
-    /// — used by collectives to model fabric contention (e.g. alltoall
-    /// incast).
-    pub(crate) async fn send_with_factor(&mut self, dest: usize, tag: i32, bytes: u64, factor: f64) {
-        let (cost, local) = self.post(dest, tag, bytes, None, Some(factor));
+    /// Like [`Rank::send`] but paying the alltoall incast of this rank's
+    /// device ([`crate::transport::alltoall_incast`]).
+    pub(crate) async fn send_incast(&mut self, dest: usize, tag: i32, bytes: u64) {
+        let (cost, local) = self.post(dest, tag, bytes, None, true);
         self.comm_advance(cost).await;
         if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
@@ -766,6 +875,9 @@ impl Rank {
     /// Blocking receive (`MPI_Recv`). `src = None` accepts any source;
     /// `tag < 0` accepts any tag. Returns the matched message.
     pub async fn recv(&mut self, src: Option<usize>, tag: i32) -> Msg {
+        if let Some(log) = &mut self.log {
+            log.recv(src, tag);
+        }
         let matches = |m: &Msg| src.is_none_or(|s| s == m.src) && (tag < 0 || m.tag == tag);
         let m = if let Some(pos) = self.unexpected.iter().position(matches) {
             self.unexpected.remove(pos)
@@ -796,6 +908,7 @@ impl Rank {
     /// Apply the reduction-operator cost for `bytes` on this rank's
     /// device.
     pub async fn reduce_op(&mut self, bytes: u64) {
+        self.record(Op::Reduce(bytes));
         let t = self.transport.reduce_time(self.placements[self.rank].device, bytes);
         self.stats.compute_s += t.as_secs_f64();
         self.ctx.advance(t).await;
@@ -986,7 +1099,7 @@ mod nonblocking_tests {
                 let msg = rank.recv(Some(0), 0).await;
                 // Receiver's clock must be at least the wire time.
                 let wire = rank.message_cost(0, m).as_secs_f64();
-                assert!(rank.now_s() >= wire * 0.9, "recv returned too early");
+                assert!(rank.ctx.now().as_secs_f64() >= wire * 0.9, "recv returned too early");
                 assert_eq!(msg.bytes, m);
             }
             rank
@@ -1022,9 +1135,9 @@ mod nonblocking_tests {
                 let wire = rank.message_cost(1, 1024);
                 rank.compute(wire).await;
                 rank.compute(wire).await;
-                let before = rank.now_s();
+                let before = rank.ctx.now().as_secs_f64();
                 rank.wait(req).await; // already done
-                assert_eq!(rank.now_s(), before);
+                assert_eq!(rank.ctx.now().as_secs_f64(), before);
             } else {
                 let _ = rank.recv(Some(0), 0).await;
             }

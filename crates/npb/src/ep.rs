@@ -84,31 +84,9 @@ impl EpResult {
     }
 }
 
-/// Memo for [`run_batch`]: a batch is a pure function of `(k, pairs)`,
-/// and the same batches recur across runs (the distributed A1 figure
-/// executes each kernel once per device placement with identical
-/// numerics), so results are cached process-wide. A batch result is
-/// ~120 bytes; even a class-A run's 4096 batches stay well under 1 MB.
-static BATCH_MEMO: std::sync::Mutex<std::collections::BTreeMap<(u64, u64), EpResult>> =
-    std::sync::Mutex::new(std::collections::BTreeMap::new());
-
+/// One batch of `pairs` pairs from batch `k`'s stream: a pure function
+/// of `(k, pairs)`.
 pub(crate) fn run_batch(k: u64, pairs: u64) -> EpResult {
-    if let Some(hit) = BATCH_MEMO
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .get(&(k, pairs))
-    {
-        return hit.clone();
-    }
-    let fresh = run_batch_uncached(k, pairs);
-    BATCH_MEMO
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .insert((k, pairs), fresh.clone());
-    fresh
-}
-
-fn run_batch_uncached(k: u64, pairs: u64) -> EpResult {
     let mut rng = Ranlc::for_batch(k);
     let mut sx = 0.0;
     let mut sy = 0.0;

@@ -7,22 +7,32 @@
 //! communication time on the modeled fabric (host shared memory, Phi
 //! ring, or PCIe in symmetric layouts).
 //!
-//! * [`ep_mpi`] — batch distribution + allreduce of the sums/counts.
-//! * [`cg_mpi`] — row-block SpMV with replicated vectors (allgather per
-//!   iteration, allreduce for dot products), NPB CG's communication
-//!   pattern.
-//! * [`ft_mpi`] — slab-decomposed 3D FFT: local x/y transforms, an
-//!   all-to-all transpose for the z dimension — the transpose that
+//! Each kernel is one implementation over a list of layouts
+//! (`*_layouts`): the numerics run once, live on the first layout, and
+//! every other layout replays the recorded messages and compute phases
+//! without payloads ([`MpiWorld::run_layouts`]). The rank programs never
+//! ask where they run (compute is priced by
+//! [`maia_mpi::Rank::compute_flops`]), so the result is the same on every
+//! layout, and each layout's virtual time is still its own DES run. The
+//! single-layout functions are one-line wrappers.
+//!
+//! * [`ep_mpi_layouts`] — batch distribution + allreduce of the
+//!   sums/counts.
+//! * [`cg_mpi_layouts`] — row-block SpMV with replicated vectors
+//!   (allgather per iteration, allreduce for dot products), NPB CG's
+//!   communication pattern.
+//! * [`ft_mpi_layouts`] — slab-decomposed 3D FFT: local x/y transforms,
+//!   an all-to-all transpose for the z dimension — the transpose that
 //!   makes FT the paper's communication stress test.
-//! * [`is_mpi`] — local histogramming + allreduce, the counting-sort
-//!   exchange.
+//! * [`is_mpi_layouts`] — local histogramming + allreduce, the
+//!   counting-sort exchange.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use maia_mpi::{MpiWorld, Rank, WorldSpec};
-use maia_sim::SimDuration;
+use maia_mpi::world::WorldResult;
+use maia_mpi::{LayoutsError, MpiWorld, WorldSpec};
 
 use crate::ep::{run_batch, EpResult};
 use crate::ft::{fft_line, Complex, Field};
@@ -36,28 +46,59 @@ pub struct MpiRun<T> {
     pub wall_s: f64,
 }
 
-/// Modeled compute cost injected per flop on a rank (the DES only sees
-/// communication otherwise). Coarse: enough to order compute-heavy vs
-/// communication-heavy phases.
-fn flop_cost(rank: &Rank, flops: f64) -> SimDuration {
-    let per_core_gflops = if rank.placement().device.is_phi() {
-        1.0
-    } else {
-        4.0
-    };
-    SimDuration::from_secs_f64(flops / (per_core_gflops * 1e9))
+/// A distributed run over several layouts: the result, computed once,
+/// and one world per layout in the order given.
+#[derive(Debug, Clone)]
+pub struct MpiRuns<T> {
+    pub result: T,
+    /// The first layout's world ran live, the others are replays.
+    pub worlds: Vec<WorldResult>,
+}
+
+impl<T> MpiRuns<T> {
+    /// Virtual seconds from start to the last event of layout `i`.
+    pub fn wall_s(&self, i: usize) -> f64 {
+        self.worlds[i].end_time.as_secs_f64()
+    }
+
+    fn single(self) -> MpiRun<T> {
+        MpiRun {
+            wall_s: self.wall_s(0),
+            result: self.result,
+        }
+    }
+}
+
+/// Gather a kernel's outcome: its worlds, and the result its rank 0
+/// stored in `out` during the live run.
+fn finish<T>(
+    kernel: &str,
+    worlds: Result<Vec<WorldResult>, LayoutsError>,
+    out: &Mutex<Option<T>>,
+) -> MpiRuns<T> {
+    let worlds = worlds.unwrap_or_else(|e| panic!("{kernel} world failed: {e}"));
+    let result = out.lock().take();
+    MpiRuns {
+        result: result.unwrap_or_else(|| panic!("{kernel}: rank 0 stored no result")),
+        worlds,
+    }
+}
+
+/// Distributed EP on one layout.
+pub fn ep_mpi(log2_pairs: u32, spec: &WorldSpec) -> MpiRun<EpResult> {
+    ep_mpi_layouts(log2_pairs, std::slice::from_ref(spec)).single()
 }
 
 /// Distributed EP: batches are dealt round-robin to ranks; the Gaussian
 /// sums and annulus counts are combined with a data-carrying allreduce.
-pub fn ep_mpi(log2_pairs: u32, spec: &WorldSpec) -> MpiRun<EpResult> {
+pub fn ep_mpi_layouts(log2_pairs: u32, specs: &[WorldSpec]) -> MpiRuns<EpResult> {
     let batch_log2 = 16u32.min(log2_pairs);
     let batch_pairs = 1u64 << batch_log2;
     let batches = (1u64 << log2_pairs) / batch_pairs;
     let out: Arc<Mutex<Option<EpResult>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
 
-    let res = MpiWorld::run(spec, move |mut rank| {
+    let res = MpiWorld::run_layouts(specs, move |mut rank| {
         let out2 = Arc::clone(&out2);
         async move {
         let me = rank.rank() as u64;
@@ -82,8 +123,7 @@ pub fn ep_mpi(log2_pairs: u32, spec: &WorldSpec) -> MpiRun<EpResult> {
             k += p;
         }
         // ~60 flops per generated pair.
-        let t = flop_cost(&rank, local.pairs as f64 * 60.0);
-        rank.compute(t).await;
+        rank.compute_flops(local.pairs as f64 * 60.0, 1).await;
 
         // Pack into f64s (counts < 2^53, exact) and reduce.
         let mut buf = vec![local.sx, local.sy, local.accepted as f64, local.pairs as f64];
@@ -104,18 +144,11 @@ pub fn ep_mpi(log2_pairs: u32, spec: &WorldSpec) -> MpiRun<EpResult> {
         }
         rank
         }
-    })
-    .expect("EP world deadlocked");
-
-    MpiRun {
-        result: { let mut guard = out.lock(); guard.take().expect("rank 0 stored the result") },
-        wall_s: res.end_time.as_secs_f64(),
-    }
+    });
+    finish("EP", res, &out)
 }
 
-/// Distributed CG: every rank owns a block of matrix rows; the direction
-/// vector is re-replicated by an allgather each inner iteration and dot
-/// products reduce globally. Returns the eigenvalue estimate `zeta`.
+/// Distributed CG on one layout.
 pub fn cg_mpi(
     n: usize,
     nz_per_row: usize,
@@ -123,12 +156,25 @@ pub fn cg_mpi(
     shift: f64,
     spec: &WorldSpec,
 ) -> MpiRun<f64> {
+    cg_mpi_layouts(n, nz_per_row, niter, shift, std::slice::from_ref(spec)).single()
+}
+
+/// Distributed CG: every rank owns a block of matrix rows; the direction
+/// vector is re-replicated by an allgather each inner iteration and dot
+/// products reduce globally. Returns the eigenvalue estimate `zeta`.
+pub fn cg_mpi_layouts(
+    n: usize,
+    nz_per_row: usize,
+    niter: usize,
+    shift: f64,
+    specs: &[WorldSpec],
+) -> MpiRuns<f64> {
     let out: Arc<Mutex<Option<f64>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
     // Deterministic replicated matrix; each rank uses only its rows. One
     // shared build stands in for every rank's identical local copy.
     let a = Arc::new(crate::cg::make_matrix(n, nz_per_row, crate::ep::SEED));
-    let res = MpiWorld::run(spec, move |mut rank| {
+    let res = MpiWorld::run_layouts(specs, move |mut rank| {
         let out2 = Arc::clone(&out2);
         let a = Arc::clone(&a);
         async move {
@@ -167,7 +213,7 @@ pub fn cg_mpi(
             let mut ql = Vec::with_capacity(hi - lo);
             for _ in 0..25 {
                 spmv_rows(&pfull, &mut ql);
-                rank.compute(flop_cost(&rank, 2.0 * nnz_local as f64)).await;
+                rank.compute_flops(2.0 * nnz_local as f64, 1).await;
                 let pq = {
                     let mut b = vec![dot_local(&pfull[lo..hi], &ql)];
                     rank.allreduce_sum_data(&mut b).await;
@@ -209,27 +255,28 @@ pub fn cg_mpi(
         }
         rank
         }
-    })
-    .expect("CG world deadlocked");
-    MpiRun {
-        result: { let mut guard = out.lock(); guard.take().expect("rank 0 stored zeta") },
-        wall_s: res.end_time.as_secs_f64(),
-    }
+    });
+    finish("CG", res, &out)
+}
+
+/// Distributed FT on one layout.
+pub fn ft_mpi(nx: usize, ny: usize, nz: usize, spec: &WorldSpec) -> MpiRun<Complex> {
+    ft_mpi_layouts(nx, ny, nz, std::slice::from_ref(spec)).single()
 }
 
 /// Distributed FT: z-slab decomposition. Each rank transforms x and y
 /// lines inside its slab, then the slabs transpose (all-to-all) so the z
 /// dimension becomes local, is transformed, and transposes back.
 /// Returns the spectrum's checksum after one forward transform.
-pub fn ft_mpi(nx: usize, ny: usize, nz: usize, spec: &WorldSpec) -> MpiRun<Complex> {
-    let p = spec.size();
+pub fn ft_mpi_layouts(nx: usize, ny: usize, nz: usize, specs: &[WorldSpec]) -> MpiRuns<Complex> {
+    let p = specs[0].size();
     assert!(nz.is_multiple_of(p) && nx.is_multiple_of(p), "slab decomposition needs p | nz and p | nx");
     let out: Arc<Mutex<Option<Complex>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
     // Every rank cuts its slab from the same deterministic field.
     let full = Arc::new(Field::random(nx, ny, nz, crate::ep::SEED));
 
-    let res = MpiWorld::run(spec, move |mut rank| {
+    let res = MpiWorld::run_layouts(specs, move |mut rank| {
         let out2 = Arc::clone(&out2);
         let full = Arc::clone(&full);
         async move {
@@ -256,11 +303,8 @@ pub fn ft_mpi(nx: usize, ny: usize, nz: usize, spec: &WorldSpec) -> MpiRun<Compl
                 }
             }
         }
-        rank.compute(flop_cost(
-            &rank,
-            5.0 * (zloc * nx * ny) as f64 * ((nx * ny) as f64).log2(),
-        ))
-        .await;
+        rank.compute_flops(5.0 * (zloc * nx * ny) as f64 * ((nx * ny) as f64).log2(), 1)
+            .await;
 
         // Transpose x<->z: block for destination d holds x in d's range.
         let xloc = nx / p;
@@ -305,11 +349,8 @@ pub fn ft_mpi(nx: usize, ny: usize, nz: usize, spec: &WorldSpec) -> MpiRun<Compl
                 pencil[(il * ny + j) * nz..(il * ny + j + 1) * nz].copy_from_slice(&zline);
             }
         }
-        rank.compute(flop_cost(
-            &rank,
-            5.0 * (xloc * ny * nz) as f64 * (nz as f64).log2(),
-        ))
-        .await;
+        rank.compute_flops(5.0 * (xloc * ny * nz) as f64 * (nz as f64).log2(), 1)
+            .await;
 
         // Checksum over the same strided samples as Field::checksum,
         // each contributed by the rank owning that x index.
@@ -329,24 +370,24 @@ pub fn ft_mpi(nx: usize, ny: usize, nz: usize, spec: &WorldSpec) -> MpiRun<Compl
         }
         rank
         }
-    })
-    .expect("FT world deadlocked");
+    });
+    finish("FT", res, &out)
+}
 
-    MpiRun {
-        result: { let mut guard = out.lock(); guard.take().expect("rank 0 stored the checksum") },
-        wall_s: res.end_time.as_secs_f64(),
-    }
+/// Distributed IS on one layout.
+pub fn is_mpi(log2_n: u32, log2_max: u32, spec: &WorldSpec) -> MpiRun<Vec<u32>> {
+    is_mpi_layouts(log2_n, log2_max, std::slice::from_ref(spec)).single()
 }
 
 /// Distributed IS: each rank histograms its key range; histograms reduce
 /// globally; rank 0 materializes the sorted sequence. Returns the sorted
 /// keys.
-pub fn is_mpi(log2_n: u32, log2_max: u32, spec: &WorldSpec) -> MpiRun<Vec<u32>> {
+pub fn is_mpi_layouts(log2_n: u32, log2_max: u32, specs: &[WorldSpec]) -> MpiRuns<Vec<u32>> {
     let out: Arc<Mutex<Option<Vec<u32>>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
     // The replicated key sequence every rank slices its range from.
     let keys = Arc::new(crate::is::generate_keys(log2_n, log2_max, crate::ep::SEED));
-    let res = MpiWorld::run(spec, move |mut rank| {
+    let res = MpiWorld::run_layouts(specs, move |mut rank| {
         let out2 = Arc::clone(&out2);
         let keys = Arc::clone(&keys);
         async move {
@@ -359,7 +400,7 @@ pub fn is_mpi(log2_n: u32, log2_max: u32, spec: &WorldSpec) -> MpiRun<Vec<u32>> 
         for &k in &keys[lo..hi] {
             histo[k as usize] += 1.0;
         }
-        rank.compute(flop_cost(&rank, (hi - lo) as f64 * 4.0)).await;
+        rank.compute_flops((hi - lo) as f64 * 4.0, 1).await;
         rank.allreduce_sum_data(&mut histo).await;
         if me == 0 {
             let mut sorted = Vec::with_capacity(keys.len());
@@ -371,12 +412,8 @@ pub fn is_mpi(log2_n: u32, log2_max: u32, spec: &WorldSpec) -> MpiRun<Vec<u32>> 
         }
         rank
         }
-    })
-    .expect("IS world deadlocked");
-    MpiRun {
-        result: { let mut guard = out.lock(); guard.take().expect("rank 0 stored the sort") },
-        wall_s: res.end_time.as_secs_f64(),
-    }
+    });
+    finish("IS", res, &out)
 }
 
 #[cfg(test)]
