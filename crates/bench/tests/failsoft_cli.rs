@@ -139,6 +139,28 @@ fn hostile_plan_value_is_a_named_error() {
     assert!(stdout(&out).is_empty());
 }
 
+/// The largest slowdown and the longest link retry schedule a plan may
+/// ask for still price in the models' picosecond clock: F07 sends its
+/// messages over the degraded PCIe link and A02's rank 3 straggles, and
+/// both sweeps complete.
+#[test]
+fn plan_at_the_bounds_runs_to_completion() {
+    let path = std::env::temp_dir().join(format!("maia-bounds-plan-{}.txt", std::process::id()));
+    std::fs::write(
+        &path,
+        "name: bounds\nseed: 1\nfault: straggler rank=3 slowdown=1000 from_us=0\n\
+         fault: degraded-link retries=1 timeout_us=1000000\n",
+    )
+    .expect("writing the plan file");
+    let plan = path.to_str().expect("utf-8 path");
+    let out = bench(&["faults", "--plan", plan, "--only", "F07,A02", "--jobs", "2"], &[]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let so = stdout(&out);
+    assert!(so.contains("none — every experiment completed in both sweeps"), "{so}");
+    assert!(so.contains("| F07 |") && so.contains("| A02 |"), "{so}");
+}
+
 /// A misspelled knob is no knob: it exits 2 naming the variable instead
 /// of leaving the run at its defaults without a word. Names without the
 /// `MAIA_` prefix stay none of maia's business.

@@ -213,6 +213,16 @@ fn kind_tag(f: &Fault) -> &'static str {
     }
 }
 
+/// The largest straggler slowdown a plan may ask for. A 1000x straggler
+/// already sets every run's time, and a factor whose stretched phases
+/// outgrow the models' `u64` picosecond clock would panic.
+const MAX_SLOWDOWN: f64 = 1000.0;
+/// The longest retry schedule a degraded link may charge one message, in
+/// microseconds (1 s). Its doubling rounds sum to
+/// `timeout_us·(2^retries − 1)`, which at `retries=32` outgrows the
+/// `u64` picosecond clock for any timeout past 4.3 ms.
+const MAX_LINK_SCHEDULE_US: f64 = 1e6;
+
 fn parse_fault(s: &str) -> Result<Fault, String> {
     let mut parts = s.split_whitespace();
     let kind = parts.next().ok_or("empty fault")?;
@@ -236,11 +246,14 @@ fn parse_fault(s: &str) -> Result<Fault, String> {
         ok.then_some(v).ok_or_else(|| format!("{k}={v} must be finite and at least {min}"))
     };
     match kind {
-        "straggler" => Ok(Fault::StragglerRank {
-            rank: num_u32("rank", 0, u32::MAX)?,
-            slowdown: num_f64("slowdown", 1.0)?,
-            from_us: num_f64("from_us", 0.0)?,
-        }),
+        "straggler" => {
+            let rank = num_u32("rank", 0, u32::MAX)?;
+            let slowdown = num_f64("slowdown", 1.0)?;
+            if slowdown > MAX_SLOWDOWN {
+                return Err(format!("slowdown={slowdown:?} is outside 1..={MAX_SLOWDOWN}"));
+            }
+            Ok(Fault::StragglerRank { rank, slowdown, from_us: num_f64("from_us", 0.0)? })
+        }
         // The Phi's link has 16 lanes; a degraded one keeps 1 to 15.
         "degraded-pcie" => Ok(Fault::DegradedPcie { lanes: num_u32("lanes", 1, 15)? }),
         "dapl-fallback" => Ok(Fault::DaplFallback),
@@ -250,10 +263,18 @@ fn parse_fault(s: &str) -> Result<Fault, String> {
             disabled_banks: num_u32("disabled", 1, 127)?,
         }),
         // Each retry doubles the timeout, so the schedule stays short.
-        "degraded-link" => Ok(Fault::DegradedLink {
-            extra_retries: num_u32("retries", 0, 32)?,
-            timeout_us: num_f64("timeout_us", 0.0)?,
-        }),
+        "degraded-link" => {
+            let extra_retries = num_u32("retries", 0, 32)?;
+            let timeout_us = num_f64("timeout_us", 0.0)?;
+            let total_us = timeout_us * ((1u64 << extra_retries) - 1) as f64;
+            if total_us > MAX_LINK_SCHEDULE_US {
+                return Err(format!(
+                    "retries={extra_retries} timeout_us={timeout_us:?} sum to {total_us:e} us \
+                     per message, outside 0..={MAX_LINK_SCHEDULE_US:e}"
+                ));
+            }
+            Ok(Fault::DegradedLink { extra_retries, timeout_us })
+        }
         other => Err(format!("unknown fault kind {other:?}")),
     }
 }
@@ -665,6 +686,12 @@ mod tests {
             ("degraded-pcie lanes=16", "lanes=16"),
             ("gddr-banks disabled=0", "disabled=0"),
             ("gddr-banks disabled=128", "disabled=128"),
+            // Bounded, but past what the models can price.
+            ("straggler rank=3 slowdown=1e300 from_us=0", "slowdown=1e300 is outside 1..=1000"),
+            (
+                "degraded-link retries=32 timeout_us=10000",
+                "timeout_us=10000.0 sum to 4.294967295e13 us per message, outside 0..=1e6",
+            ),
         ] {
             let err = FaultPlan::parse(&format!("name: x\nseed: 1\nfault: {fault}\n"))
                 .expect_err(fault);

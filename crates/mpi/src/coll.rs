@@ -330,37 +330,37 @@ impl Rank {
         self.bcast_data(0, buf).await;
     }
 
-    /// Ring allgather carrying real data: every rank contributes `local`
-    /// and receives the concatenation of all contributions in rank order.
-    /// Contributions may differ in length.
-    pub async fn allgather_data(&mut self, local: &[f64]) -> Vec<Vec<f64>> {
+    /// Ring allgather carrying real data, in the shape of
+    /// `MPI_Allgatherv`: rank `r`'s contribution lands in
+    /// `out[displs[r]..displs[r + 1]]` on every rank, and `local` is this
+    /// rank's. Contributions may differ in length. Each ring round
+    /// forwards a block straight from `out` and copies its arrival into
+    /// the owner's slot.
+    ///
+    /// # Panics
+    /// Panics unless `displs` has `size + 1` nondecreasing entries ending
+    /// within `out`, and `local` and every arrival have their slot's
+    /// length.
+    pub async fn allgather_data(&mut self, local: &[f64], out: &mut [f64], displs: &[usize]) {
         let p = self.size();
         let me = self.rank();
-        let mut blocks: Vec<Option<Vec<f64>>> = vec![None; p];
-        blocks[me] = Some(local.to_vec());
-        if p == 1 {
-            return blocks.into_iter().map(|b| b.expect("own block")).collect();
-        }
+        assert_eq!(displs.len(), p + 1, "allgather needs size + 1 displacements");
+        let slot = |owner: usize| displs[owner]..displs[owner + 1];
+        out[slot(me)].copy_from_slice(local);
         let right = (me + 1) % p;
         let left = (me + p - 1) % p;
         for round in 0..p - 1 {
             // Forward the block that arrived last round (initially ours).
             let outgoing_owner = (me + p - round) % p;
-            let payload = blocks[outgoing_owner]
-                .as_deref()
-                .expect("block to forward is present");
+            let payload = &out[slot(outgoing_owner)];
             self.send_data(right, TAG_ALLGATHER_DATA + round as i32, payload)
                 .await;
             let (_, data) = self
                 .recv_data(Some(left), TAG_ALLGATHER_DATA + round as i32)
                 .await;
             let incoming_owner = (me + p - round - 1 + p) % p;
-            blocks[incoming_owner] = Some(data);
+            out[slot(incoming_owner)].copy_from_slice(&data);
         }
-        blocks
-            .into_iter()
-            .map(|b| b.expect("allgather left a hole"))
-            .collect()
     }
 
     /// Pairwise alltoall carrying real data: `blocks[d]` goes to rank
@@ -569,8 +569,13 @@ mod tests {
                 // allgather with ragged blocks: rank i contributes i copies
                 // of i (rank 0 contributes an empty block).
                 let local = vec![me; rank.rank()];
-                let gathered = rank.allgather_data(&local).await;
-                for (owner, block) in gathered.iter().enumerate() {
+                // Rank r's block starts at 0 + 1 + ... + (r - 1).
+                let displs: Vec<usize> =
+                    (0..=rank.size()).map(|r| r * r.saturating_sub(1) / 2).collect();
+                let mut gathered = vec![f64::NAN; displs[rank.size()]];
+                rank.allgather_data(&local, &mut gathered, &displs).await;
+                let blocks = displs.windows(2).map(|w| &gathered[w[0]..w[1]]);
+                for (owner, block) in blocks.enumerate() {
                     assert_eq!(block.len(), owner);
                     assert!(block.iter().all(|&v| v == owner as f64));
                 }

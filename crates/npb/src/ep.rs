@@ -7,6 +7,24 @@
 //! counts `q[0..10)`. Batches of 2¹⁶ pairs are seeded independently by
 //! jumping the generator ahead (`a^(2·k·nk) mod 2⁴⁶`), which is what makes
 //! the benchmark embarrassingly parallel.
+//!
+//! Like NPB's `ep.f`, which calls `vranlc` to fill a block of uniforms
+//! before its acceptance loop, a batch runs in blocks. `LANES`
+//! independent generators fill a block: lane `r` starts at `x·a^(r+1)`
+//! and steps by `a^LANES`, so the block holds the scalar stream's draws
+//! in order. Pairs are then accepted without a branch, and the logs and
+//! square roots of the accepted pairs are taken in loops of their own.
+//! Every step is exact, so each result equals the one-draw-at-a-time
+//! stream's to the bit:
+//!
+//! * a wrapping `u64` product masked to 46 bits is the product
+//!   `mod 2⁴⁶`, because only a product's low 46 bits survive the modulus;
+//! * a 46-bit state ORed into the mantissa of 2⁵², minus 2⁵², is the
+//!   state as an `f64`, and scaling by 2⁻⁴⁶ divides by a power of two;
+//! * `ln`, division and square root round each element alike whether
+//!   taken in a loop of their own or one pair at a time, and the
+//!   Gaussian sums still add in stream order (only the integer counts
+//!   are summed in another).
 
 use maia_omp::{Schedule, Team};
 
@@ -18,9 +36,28 @@ pub const SEED: u64 = 271_828_183;
 const M46: u64 = 1 << 46;
 /// Pairs per batch (NPB's `nk`).
 const BATCH_LOG2: u32 = 16;
+/// Independent generator lanes filling a block.
+const LANES: usize = 8;
+/// Pairs per block: the block's four buffers take 10 KiB of stack.
+const BLOCK: usize = 256;
+
+/// `a·b mod 2^46`: the low 46 bits of the wrapping product.
+fn mul46(a: u64, b: u64) -> u64 {
+    a.wrapping_mul(b) & (M46 - 1)
+}
+
+/// `a^LANES mod 2^46`, one step of a lane.
+const A_LANES: u64 = pow_mod46(A, LANES as u64);
+
+/// A 46-bit generator state as a uniform in (0,1), exactly
+/// `x as f64 / 2^46`.
+fn unit(x: u64) -> f64 {
+    const TWO52: f64 = (1u64 << 52) as f64;
+    (f64::from_bits(TWO52.to_bits() | x) - TWO52) * (1.0 / M46 as f64)
+}
 
 /// `a^e mod 2^46` by repeated squaring.
-fn pow_mod46(mut a: u64, mut e: u64) -> u64 {
+const fn pow_mod46(mut a: u64, mut e: u64) -> u64 {
     let mut r: u64 = 1;
     a %= M46;
     while e > 0 {
@@ -85,34 +122,65 @@ impl EpResult {
 }
 
 /// One batch of `pairs` pairs from batch `k`'s stream: a pure function
-/// of `(k, pairs)`.
+/// of `(k, pairs)`, computed in blocks of `BLOCK` pairs.
 pub(crate) fn run_batch(k: u64, pairs: u64) -> EpResult {
-    let mut rng = Ranlc::for_batch(k);
-    let mut sx = 0.0;
-    let mut sy = 0.0;
-    let mut q = [0u64; 10];
-    let mut accepted = 0u64;
-    for _ in 0..pairs {
-        let x = 2.0 * rng.next_f64() - 1.0;
-        let y = 2.0 * rng.next_f64() - 1.0;
-        let t = x * x + y * y;
-        if t <= 1.0 {
-            let f = (-2.0 * t.ln() / t).sqrt();
+    let mut lanes = [0u64; LANES];
+    let mut x = Ranlc::for_batch(k).x;
+    for lane in &mut lanes {
+        x = mul46(x, A);
+        *lane = x;
+    }
+    // `u` holds a block's uniforms, then its accepted pairs' factors.
+    let mut u = [0.0f64; 2 * BLOCK];
+    let (mut xs, mut ys, mut ts) = ([0.0f64; BLOCK], [0.0f64; BLOCK], [0.0f64; BLOCK]);
+    let (mut sx, mut sy) = (0.0, 0.0);
+    // Bin 10 collects the pairs beyond the last annulus.
+    let mut q = [0u64; 11];
+    let mut accepted = 0;
+    let mut left = pairs;
+    while left > 0 {
+        let n = left.min(BLOCK as u64) as usize;
+        left -= n as u64;
+        // A partial block overdraws its lanes by fewer than LANES draws;
+        // only the last block of a batch is partial.
+        for draws in u[..(2 * n).next_multiple_of(LANES)].chunks_exact_mut(LANES) {
+            for (v, lane) in draws.iter_mut().zip(&mut lanes) {
+                *v = unit(*lane);
+                *lane = mul46(*lane, A_LANES);
+            }
+        }
+        // Every pair is stored and only an accepted one advances `m`, so
+        // the first `m` entries are the accepted pairs in stream order.
+        let mut m = 0;
+        for xy in u[..2 * n].chunks_exact(2) {
+            let x = 2.0 * xy[0] - 1.0;
+            let y = 2.0 * xy[1] - 1.0;
+            let t = x * x + y * y;
+            (xs[m], ys[m], ts[m]) = (x, y, t);
+            m += usize::from(t <= 1.0);
+        }
+        let (f, ts) = (&mut u[..m], &ts[..m]);
+        for (f, t) in f.iter_mut().zip(ts) {
+            *f = t.ln();
+        }
+        for (f, t) in f.iter_mut().zip(ts) {
+            *f = (-2.0 * *f / t).sqrt();
+        }
+        for ((f, x), y) in f.iter().zip(&xs[..m]).zip(&ys[..m]) {
             let gx = x * f;
             let gy = y * f;
-            let l = gx.abs().max(gy.abs()) as usize;
-            if l < q.len() {
-                q[l] += 1;
-            }
+            // `as u32` floors and saturates as `as usize` does (NaN to
+            // 0), and is the cheaper conversion.
+            q[(gx.abs().max(gy.abs()) as u32).min(10) as usize] += 1;
             sx += gx;
             sy += gy;
-            accepted += 1;
         }
+        accepted += m as u64;
     }
     EpResult {
         sx,
         sy,
-        q,
+        q: q[..10].try_into().expect("ten annuli"),
         accepted,
         pairs,
     }
@@ -165,6 +233,63 @@ pub fn run(log2_pairs: u32, threads: usize) -> EpResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The definition `run_batch` must equal to the bit: one draw at a
+    /// time, one branch per pair.
+    fn run_batch_scalar(k: u64, pairs: u64) -> EpResult {
+        let mut rng = Ranlc::for_batch(k);
+        let mut sx = 0.0;
+        let mut sy = 0.0;
+        let mut q = [0u64; 10];
+        let mut accepted = 0u64;
+        for _ in 0..pairs {
+            let x = 2.0 * rng.next_f64() - 1.0;
+            let y = 2.0 * rng.next_f64() - 1.0;
+            let t = x * x + y * y;
+            if t <= 1.0 {
+                let f = (-2.0 * t.ln() / t).sqrt();
+                let gx = x * f;
+                let gy = y * f;
+                let l = gx.abs().max(gy.abs()) as usize;
+                if l < q.len() {
+                    q[l] += 1;
+                }
+                sx += gx;
+                sy += gy;
+                accepted += 1;
+            }
+        }
+        EpResult {
+            sx,
+            sy,
+            q,
+            accepted,
+            pairs,
+        }
+    }
+
+    #[test]
+    fn blocked_batches_equal_the_scalar_stream_bit_for_bit() {
+        let bits = |r: &EpResult| (r.sx.to_bits(), r.sy.to_bits(), r.q, r.accepted, r.pairs);
+        // Full batches, a partial block, one pair, pair counts that are
+        // not a multiple of the lane count or of a block.
+        let full = 1u64 << BATCH_LOG2;
+        for (k, pairs) in [
+            (0, full),
+            (3, full),
+            (7, BLOCK as u64 / 2),
+            (1, 1),
+            (2, (LANES / 2 + 1) as u64),
+            (5, 3 * BLOCK as u64 + 13),
+            (11, full - 1),
+        ] {
+            assert_eq!(
+                bits(&run_batch(k, pairs)),
+                bits(&run_batch_scalar(k, pairs)),
+                "({k}, {pairs})"
+            );
+        }
+    }
 
     #[test]
     fn lcg_is_deterministic_and_in_range() {

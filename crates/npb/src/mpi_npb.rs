@@ -20,7 +20,8 @@
 //!   sums/counts.
 //! * [`cg_mpi_layouts`] — row-block SpMV with replicated vectors
 //!   (allgather per iteration, allreduce for dot products), NPB CG's
-//!   communication pattern.
+//!   communication pattern. The allgather lands each block straight in
+//!   the rank's replicated vector, and each row sums in CSR order.
 //! * [`ft_mpi_layouts`] — slab-decomposed 3D FFT: local x/y transforms,
 //!   an all-to-all transpose for the z dimension — the transpose that
 //!   makes FT the paper's communication stress test.
@@ -180,18 +181,16 @@ pub fn cg_mpi_layouts(
         async move {
         let p = rank.size();
         let me = rank.rank();
-        let lo = n * me / p;
-        let hi = n * (me + 1) / p;
+        // Rank r owns rows displs[r]..displs[r + 1].
+        let displs: Vec<usize> = (0..=p).map(|r| n * r / p).collect();
+        let (lo, hi) = (displs[me], displs[me + 1]);
 
         let spmv_rows = |x: &[f64], out: &mut Vec<f64>| {
             out.clear();
-            for row in lo..hi {
-                let mut acc = 0.0;
-                for idx in a.row_ptr[row]..a.row_ptr[row + 1] {
-                    acc += a.val[idx] * x[a.col[idx] as usize];
-                }
-                out.push(acc);
-            }
+            out.extend(a.row_ptr[lo..=hi].windows(2).map(|row| {
+                let (val, col) = (&a.val[row[0]..row[1]], &a.col[row[0]..row[1]]);
+                val.iter().zip(col).fold(0.0, |acc, (v, &c)| acc + v * x[c as usize])
+            }));
         };
         let dot_local = |u: &[f64], v: &[f64]| -> f64 {
             u.iter().zip(v).map(|(a, b)| a * b).sum()
@@ -199,12 +198,15 @@ pub fn cg_mpi_layouts(
         let nnz_local = a.row_ptr[hi] - a.row_ptr[lo];
 
         let mut x = vec![1.0f64; n];
+        let mut pfull = vec![0.0f64; n];
+        // This rank's block of the next vector to re-replicate.
+        let mut local = Vec::with_capacity(hi - lo);
         let mut zeta = 0.0;
         for _ in 0..niter {
             // Inner CG solve of A z = x, vectors split into [lo, hi).
             let mut zl = vec![0.0f64; hi - lo];
             let mut rl: Vec<f64> = x[lo..hi].to_vec();
-            let mut pfull = x.clone();
+            pfull.copy_from_slice(&x);
             let mut rho = {
                 let mut b = vec![dot_local(&rl, &rl)];
                 rank.allreduce_sum_data(&mut b).await;
@@ -231,12 +233,10 @@ pub fn cg_mpi_layouts(
                 };
                 let beta = rho_new / rho;
                 rho = rho_new;
-                let pl: Vec<f64> = (0..hi - lo)
-                    .map(|i| rl[i] + beta * pfull[lo + i])
-                    .collect();
+                local.clear();
+                local.extend(rl.iter().zip(&pfull[lo..hi]).map(|(r, p)| r + beta * p));
                 // Re-replicate the direction vector.
-                let blocks = rank.allgather_data(&pl).await;
-                pfull = blocks.concat();
+                rank.allgather_data(&local, &mut pfull, &displs).await;
             }
             // zeta = shift + 1 / (x . z), then x = z / ||z||.
             let xz_zz = {
@@ -246,9 +246,9 @@ pub fn cg_mpi_layouts(
             };
             zeta = shift + 1.0 / xz_zz[0];
             let norm = xz_zz[1].sqrt();
-            let xl: Vec<f64> = zl.iter().map(|v| v / norm).collect();
-            let blocks = rank.allgather_data(&xl).await;
-            x = blocks.concat();
+            local.clear();
+            local.extend(zl.iter().map(|v| v / norm));
+            rank.allgather_data(&local, &mut x, &displs).await;
         }
         if me == 0 {
             *out2.lock() = Some(zeta);
