@@ -28,6 +28,11 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 echo "== cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# A doc link to a deleted item, or from public docs to a private one,
+# fails here instead of rendering as dead text.
+echo "== cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 tmp=$(mktemp)
 tmp_err=$(mktemp)
 trap 'rm -f "$tmp" "$tmp_err"' EXIT

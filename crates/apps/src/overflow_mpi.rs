@@ -159,8 +159,7 @@ pub fn run_mpi_layouts(
 
             // 4. Receive and apply the cross-rank donors.
             if has_right_neighbor {
-                let (_, planes123) =
-                    rank.recv_data(Some(me + 1), TAG_DONOR_LEFT + step_tag).await;
+                let planes123 = rank.recv_data(me + 1, TAG_DONOR_LEFT + step_tag).await;
                 let per_plane = planes123.len() / 3;
                 mismatch_acc += mismatch_sq(
                     zones.last().expect("owns zones"),
@@ -173,8 +172,7 @@ pub fn run_mpi_layouts(
                 );
             }
             if has_left_neighbor {
-                let (_, donor) =
-                    rank.recv_data(Some(me - 1), TAG_DONOR_RIGHT + step_tag).await;
+                let donor = rank.recv_data(me - 1, TAG_DONOR_RIGHT + step_tag).await;
                 apply_planes(&mut zones[0], &[0, 1], &donor);
             }
 

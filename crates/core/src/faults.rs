@@ -172,7 +172,10 @@ impl FaultPlan {
 
     /// Parse the text format produced by [`FaultPlan::to_text`]:
     /// `name:` / `seed:` headers and one `fault: <kind> k=v ...` line
-    /// per fault; `#` comments and blank lines are ignored.
+    /// per fault; `#` comments and blank lines are ignored. A plan arms
+    /// all it says, so a second fault of one kind (or a second straggler
+    /// on one rank), a key the kind does not take and a key given twice
+    /// are errors, not dropped.
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut name: Option<String> = None;
         let mut seed: u64 = 0;
@@ -188,7 +191,11 @@ impl FaultPlan {
             } else if let Some(v) = line.strip_prefix("seed:") {
                 seed = v.trim().parse().map_err(|_| err("bad seed"))?;
             } else if let Some(v) = line.strip_prefix("fault:") {
-                faults.push(parse_fault(v.trim()).map_err(|m| err(&m))?);
+                let fault = parse_fault(v.trim()).map_err(|m| err(&m))?;
+                if faults.iter().any(|f| knob(f) == knob(&fault)) {
+                    return Err(err(&format!("{} is armed twice", knob(&fault))));
+                }
+                faults.push(fault);
             } else {
                 return Err(err("unrecognized line"));
             }
@@ -213,6 +220,27 @@ fn kind_tag(f: &Fault) -> &'static str {
     }
 }
 
+/// The keys a fault of `f`'s kind takes: the ones its `Display` writes.
+fn keys(f: &Fault) -> &'static [&'static str] {
+    match f {
+        Fault::StragglerRank { .. } => &["rank", "slowdown", "from_us"],
+        Fault::DegradedPcie { .. } => &["lanes"],
+        Fault::DaplFallback => &[],
+        Fault::DeadCard { .. } => &["card"],
+        Fault::GddrBankDegradation { .. } => &["disabled"],
+        Fault::DegradedLink { .. } => &["retries", "timeout_us"],
+    }
+}
+
+/// The knob of the machine arming `f` sets: one per kind, and one per
+/// rank for stragglers.
+fn knob(f: &Fault) -> String {
+    match f {
+        Fault::StragglerRank { rank, .. } => format!("straggler rank={rank}"),
+        _ => kind_tag(f).to_string(),
+    }
+}
+
 /// The largest straggler slowdown a plan may ask for. A 1000x straggler
 /// already sets every run's time, and a factor whose stretched phases
 /// outgrow the models' `u64` picosecond clock would panic.
@@ -226,12 +254,18 @@ const MAX_LINK_SCHEDULE_US: f64 = 1e6;
 fn parse_fault(s: &str) -> Result<Fault, String> {
     let mut parts = s.split_whitespace();
     let kind = parts.next().ok_or("empty fault")?;
-    let mut kv: HashMap<&str, &str> = HashMap::new();
+    let mut kv: Vec<(&str, &str)> = Vec::new();
     for p in parts {
         let (k, v) = p.split_once('=').ok_or_else(|| format!("expected k=v, got {p:?}"))?;
-        kv.insert(k, v);
+        if kv.iter().any(|&(seen, _)| seen == k) {
+            return Err(format!("{k}= given twice"));
+        }
+        kv.push((k, v));
     }
-    let get = |k: &str| kv.get(k).copied().ok_or_else(|| format!("missing {k}="));
+    let get = |k: &str| {
+        let v = kv.iter().find(|&&(seen, _)| seen == k).map(|&(_, v)| v);
+        v.ok_or_else(|| format!("missing {k}="))
+    };
     // Values the modeled machine cannot have are named errors, never a
     // silent default: `lo..=hi` for counts, finite and `>= min` for
     // rates and times.
@@ -245,7 +279,7 @@ fn parse_fault(s: &str) -> Result<Fault, String> {
         let ok = v.is_finite() && v >= min;
         ok.then_some(v).ok_or_else(|| format!("{k}={v} must be finite and at least {min}"))
     };
-    match kind {
+    let fault = match kind {
         "straggler" => {
             let rank = num_u32("rank", 0, u32::MAX)?;
             let slowdown = num_f64("slowdown", 1.0)?;
@@ -276,6 +310,11 @@ fn parse_fault(s: &str) -> Result<Fault, String> {
             Ok(Fault::DegradedLink { extra_retries, timeout_us })
         }
         other => Err(format!("unknown fault kind {other:?}")),
+    }?;
+    // A key the kind does not read is a typo, not a comment.
+    match kv.iter().find(|(k, _)| !keys(&fault).contains(k)) {
+        Some((k, _)) => Err(format!("{kind} takes no {k}= key")),
+        None => Ok(fault),
     }
 }
 
@@ -698,6 +737,33 @@ mod tests {
             assert!(err.starts_with("fault plan line 3: "), "{err}");
             assert!(err.contains(named), "{fault}: {err}");
         }
+        // A plan arms all it says: a second fault of one kind, a second
+        // straggler on one rank, a stray key and a repeated key are each a
+        // named error on their line, not a fault or key dropped.
+        let plan = |faults: &[&str]| {
+            let lines: String = faults.iter().map(|f| format!("fault: {f}\n")).collect();
+            FaultPlan::parse(&format!("name: x\nseed: 1\n{lines}"))
+        };
+        let link = "degraded-link retries=3 timeout_us=100";
+        let stray = "degraded-link retries=1 timeout_us=1 timeout_ms=50";
+        let straggler = "straggler rank=3 slowdown=2 from_us=0";
+        let again = "straggler rank=3 slowdown=4 from_us=5";
+        for (faults, named) in [
+            (&["degraded-pcie lanes=8"; 2][..], "4: degraded-pcie is armed twice"),
+            (&["dapl-fallback"; 2], "4: dapl-fallback is armed twice"),
+            (&["dead-card card=1"; 2], "4: dead-card is armed twice"),
+            (&["gddr-banks disabled=64"; 2], "4: gddr-banks is armed twice"),
+            (&[link, "degraded-link retries=1 timeout_us=1"], "4: degraded-link is armed twice"),
+            (&[straggler, again], "4: straggler rank=3 is armed twice"),
+            (&[stray], "3: degraded-link takes no timeout_ms= key"),
+            (&["dapl-fallback lanes=4"], "3: dapl-fallback takes no lanes= key"),
+            (&["dead-card card=0 card=1"], "3: card= given twice"),
+        ] {
+            let err = plan(faults).expect_err(named);
+            assert!(err.starts_with(&format!("fault plan line {named}")), "{err}");
+        }
+        let other_rank = "straggler rank=1 slowdown=2 from_us=0";
+        assert_eq!(plan(&[straggler, other_rank]).expect("two ranks").faults.len(), 2);
     }
 
     #[test]

@@ -201,7 +201,7 @@ impl WorkerSet {
 }
 
 /// The worker processes an experiment's cells run on: at most one live
-/// [`WorkerSet`] per effective wheel count, spawned the first time a cell
+/// `WorkerSet` per effective wheel count, spawned the first time a cell
 /// needs it and kept until a loss kills it or the owner drops this value.
 #[derive(Default)]
 pub struct WorkerSets {

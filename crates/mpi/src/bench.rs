@@ -40,9 +40,9 @@ pub fn pcie_latency_us(stack: SoftwareStack, path: NodePath, faults: &Faults) ->
         for i in 0..iters as i32 {
             if rank.rank() == 0 {
                 rank.send(1, i, 0).await;
-                let _ = rank.recv(Some(1), i).await;
+                rank.recv(1, i).await;
             } else {
-                let _ = rank.recv(Some(0), i).await;
+                rank.recv(0, i).await;
                 rank.send(0, i, 0).await;
             }
         }
@@ -68,7 +68,7 @@ pub fn pcie_bandwidth(
             if rank.rank() == 0 {
                 rank.send(1, i, bytes).await;
             } else {
-                let _ = rank.recv(Some(0), i).await;
+                rank.recv(0, i).await;
             }
         }
         rank

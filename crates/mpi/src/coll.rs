@@ -4,7 +4,8 @@
 //! Algorithm selection mirrors the production library the paper used:
 //!
 //! * `MPI_Bcast` — binomial tree.
-//! * `MPI_Reduce` — reversed binomial tree with per-hop combine cost.
+//! * `MPI_Reduce` — reversed binomial tree with per-hop combine cost
+//!   ([`Rank::reduce_sum_data`], which carries the data).
 //! * `MPI_Allreduce` — recursive doubling on a power-of-two subgroup
 //!   (extra ranks fold in and out), per MPICH.
 //! * `MPI_Allgather` — Bruck's algorithm for messages ≤ 2 KB, ring above;
@@ -13,13 +14,18 @@
 //! * `MPI_Alltoall` — pairwise exchange, each send paying an incast
 //!   factor that grows with the world size.
 //! * `MPI_Barrier` — dissemination.
+//!
+//! Each collective spans the whole world, and each of its receives names
+//! its source and tag, so the messages a rank sends and receives are a
+//! function of its rank, the world size and the arguments alone: what
+//! [`crate::replay`] relies on. The `*_data` variants carry real `f64`
+//! payloads for the distributed NPB and OVERFLOW runs.
 
 use crate::world::Rank;
 
 /// Tag bases per collective so concurrent phases never cross-match.
 const TAG_BARRIER: i32 = 1_000_000;
 const TAG_BCAST: i32 = 2_000_000;
-const TAG_REDUCE: i32 = 3_000_000;
 const TAG_ALLREDUCE: i32 = 4_000_000;
 const TAG_ALLGATHER: i32 = 5_000_000;
 const TAG_ALLTOALL: i32 = 6_000_000;
@@ -28,50 +34,9 @@ const TAG_REDUCE_DATA: i32 = 8_000_000;
 const TAG_ALLGATHER_DATA: i32 = 9_000_000;
 const TAG_ALLTOALL_DATA: i32 = 10_000_000;
 
-const TAG_GROUP_BARRIER: i32 = 11_000_000;
-const TAG_GROUP_BCAST: i32 = 12_000_000;
-const TAG_GROUP_REDUCE: i32 = 13_000_000;
-
 /// Message size (bytes per rank) above which Allgather switches from
 /// Bruck to ring — the Figure 13 algorithm-change point.
 pub const ALLGATHER_BRUCK_MAX: u64 = 2 * 1024;
-
-/// A sub-communicator: an ordered subset of world ranks
-/// (`MPI_Comm_split`). NPB BT and SP build row and column groups of their
-/// square process grids this way.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Group {
-    /// World ranks, in group-rank order.
-    pub members: Vec<usize>,
-}
-
-impl Group {
-    /// Build the group of every world rank whose `color` matches
-    /// `color_of(my_world_rank)` — the `MPI_Comm_split` semantics
-    /// (callable identically on every rank).
-    pub fn split(world_size: usize, my_world_rank: usize, color_of: impl Fn(usize) -> u32) -> Group {
-        let my_color = color_of(my_world_rank);
-        Group {
-            members: (0..world_size).filter(|&r| color_of(r) == my_color).collect(),
-        }
-    }
-
-    /// Group size.
-    pub fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The group rank of a world rank.
-    ///
-    /// # Panics
-    /// Panics if the rank is not a member.
-    pub fn rank_of(&self, world_rank: usize) -> usize {
-        self.members
-            .iter()
-            .position(|&m| m == world_rank)
-            .unwrap_or_else(|| panic!("rank {world_rank} not in group {:?}", self.members))
-    }
-}
 
 impl Rank {
     /// Dissemination barrier: ⌈log₂ p⌉ rounds of zero-byte exchanges.
@@ -86,7 +51,7 @@ impl Rank {
             let dest = (self.rank() + dist) % p;
             let src = (self.rank() + p - dist) % p;
             self.send(dest, TAG_BARRIER + k as i32, 0).await;
-            let _ = self.recv(Some(src), TAG_BARRIER + k as i32).await;
+            self.recv(src, TAG_BARRIER + k as i32).await;
             dist <<= 1;
             k += 1;
         }
@@ -104,7 +69,7 @@ impl Rank {
         while mask < p {
             if vrank & mask != 0 {
                 let src = (self.rank() + p - mask) % p;
-                let _ = self.recv(Some(src), TAG_BCAST).await;
+                self.recv(src, TAG_BCAST).await;
                 break;
             }
             mask <<= 1;
@@ -117,33 +82,6 @@ impl Rank {
                 self.send(dest, TAG_BCAST, bytes).await;
             }
             mask >>= 1;
-        }
-    }
-
-    /// Binomial-tree reduction of `bytes` to `root`, costing the combine
-    /// operator at every merge.
-    pub async fn reduce(&mut self, root: usize, bytes: u64) {
-        let p = self.size();
-        if p == 1 {
-            return;
-        }
-        let vrank = (self.rank() + p - root) % p;
-        let mut mask = 1usize;
-        while mask < p {
-            if vrank & mask == 0 {
-                let src_v = vrank | mask;
-                if src_v < p {
-                    let src = (src_v + root) % p;
-                    let _ = self.recv(Some(src), TAG_REDUCE).await;
-                    self.reduce_op(bytes).await;
-                }
-            } else {
-                let dest_v = vrank & !mask;
-                let dest = (dest_v + root) % p;
-                self.send(dest, TAG_REDUCE, bytes).await;
-                break;
-            }
-            mask <<= 1;
         }
     }
 
@@ -165,7 +103,7 @@ impl Rank {
                 self.send(me + 1, TAG_ALLREDUCE, bytes).await;
                 None // retires from the doubling phase
             } else {
-                let _ = self.recv(Some(me - 1), TAG_ALLREDUCE).await;
+                self.recv(me - 1, TAG_ALLREDUCE).await;
                 self.reduce_op(bytes).await;
                 Some(me / 2)
             }
@@ -183,7 +121,7 @@ impl Rank {
                     partner_nr + rem
                 };
                 self.send(partner, TAG_ALLREDUCE + mask as i32, bytes).await;
-                let _ = self.recv(Some(partner), TAG_ALLREDUCE + mask as i32).await;
+                self.recv(partner, TAG_ALLREDUCE + mask as i32).await;
                 self.reduce_op(bytes).await;
                 mask <<= 1;
             }
@@ -192,7 +130,7 @@ impl Rank {
         // Unfold: odd partners return the result to the retired evens.
         if me < 2 * rem {
             if me.is_multiple_of(2) {
-                let _ = self.recv(Some(me + 1), TAG_ALLREDUCE + 1_000).await;
+                self.recv(me + 1, TAG_ALLREDUCE + 1_000).await;
             } else {
                 self.send(me - 1, TAG_ALLREDUCE + 1_000, bytes).await;
             }
@@ -224,7 +162,7 @@ impl Rank {
             let dest = (me + p - dist) % p;
             let src = (me + dist) % p;
             self.send(dest, TAG_ALLGATHER + k, blocks * bytes).await;
-            let _ = self.recv(Some(src), TAG_ALLGATHER + k).await;
+            self.recv(src, TAG_ALLGATHER + k).await;
             dist <<= 1;
             k += 1;
         }
@@ -241,7 +179,7 @@ impl Rank {
         let left = (me + p - 1) % p;
         for round in 0..(p - 1) as i32 {
             self.send(right, TAG_ALLGATHER + round, bytes).await;
-            let _ = self.recv(Some(left), TAG_ALLGATHER + round).await;
+            self.recv(left, TAG_ALLGATHER + round).await;
         }
     }
 
@@ -259,7 +197,7 @@ impl Rank {
             let dest = (me + round) % p;
             let src = (me + p - round) % p;
             self.send_incast(dest, TAG_ALLTOALL + round as i32, bytes).await;
-            let _ = self.recv(Some(src), TAG_ALLTOALL + round as i32).await;
+            self.recv(src, TAG_ALLTOALL + round as i32).await;
         }
     }
 
@@ -275,8 +213,7 @@ impl Rank {
         while mask < p {
             if vrank & mask != 0 {
                 let src = (self.rank() + p - mask) % p;
-                let (_, data) = self.recv_data(Some(src), TAG_BCAST_DATA).await;
-                *buf = data;
+                *buf = self.recv_data(src, TAG_BCAST_DATA).await;
                 break;
             }
             mask <<= 1;
@@ -306,7 +243,7 @@ impl Rank {
                 let src_v = vrank | mask;
                 if src_v < p {
                     let src = (src_v + root) % p;
-                    let (_, data) = self.recv_data(Some(src), TAG_REDUCE_DATA).await;
+                    let data = self.recv_data(src, TAG_REDUCE_DATA).await;
                     assert_eq!(data.len(), buf.len(), "reduce buffer length mismatch");
                     for (b, d) in buf.iter_mut().zip(&data) {
                         *b += d;
@@ -355,9 +292,7 @@ impl Rank {
             let payload = &out[slot(outgoing_owner)];
             self.send_data(right, TAG_ALLGATHER_DATA + round as i32, payload)
                 .await;
-            let (_, data) = self
-                .recv_data(Some(left), TAG_ALLGATHER_DATA + round as i32)
-                .await;
+            let data = self.recv_data(left, TAG_ALLGATHER_DATA + round as i32).await;
             let incoming_owner = (me + p - round - 1 + p) % p;
             out[slot(incoming_owner)].copy_from_slice(&data);
         }
@@ -380,92 +315,9 @@ impl Rank {
             let payload = std::mem::take(&mut blocks[dest]);
             self.send_data(dest, TAG_ALLTOALL_DATA + round as i32, &payload)
                 .await;
-            let (_, data) = self
-                .recv_data(Some(src), TAG_ALLTOALL_DATA + round as i32)
-                .await;
-            out[src] = data;
+            out[src] = self.recv_data(src, TAG_ALLTOALL_DATA + round as i32).await;
         }
         out
-    }
-
-    /// Dissemination barrier over a sub-communicator.
-    pub async fn barrier_group(&mut self, g: &Group) {
-        let p = g.size();
-        if p <= 1 {
-            return;
-        }
-        let vr = g.rank_of(self.rank());
-        let mut k = 0i32;
-        let mut dist = 1usize;
-        while dist < p {
-            let dest = g.members[(vr + dist) % p];
-            let src = g.members[(vr + p - dist) % p];
-            self.send(dest, TAG_GROUP_BARRIER + k, 0).await;
-            let _ = self.recv(Some(src), TAG_GROUP_BARRIER + k).await;
-            dist <<= 1;
-            k += 1;
-        }
-    }
-
-    /// Binomial broadcast over a sub-communicator (`root` is a *group*
-    /// rank); carries real data.
-    pub async fn bcast_data_group(&mut self, g: &Group, root: usize, buf: &mut Vec<f64>) {
-        let p = g.size();
-        if p <= 1 {
-            return;
-        }
-        let vr = (g.rank_of(self.rank()) + p - root) % p;
-        let mut mask = 1usize;
-        while mask < p {
-            if vr & mask != 0 {
-                let src_v = (vr + p - mask) % p;
-                let src = g.members[(src_v + root) % p];
-                let (_, data) = self.recv_data(Some(src), TAG_GROUP_BCAST).await;
-                *buf = data;
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if vr + mask < p {
-                let dest = g.members[(vr + mask + root) % p];
-                self.send_data(dest, TAG_GROUP_BCAST, buf).await;
-            }
-            mask >>= 1;
-        }
-    }
-
-    /// Elementwise-sum allreduce over a sub-communicator, carrying real
-    /// data (binomial reduce to group rank 0, then broadcast).
-    pub async fn allreduce_sum_data_group(&mut self, g: &Group, buf: &mut Vec<f64>) {
-        let p = g.size();
-        if p <= 1 {
-            return;
-        }
-        let vr = g.rank_of(self.rank());
-        // Reduce to group rank 0.
-        let mut mask = 1usize;
-        while mask < p {
-            if vr & mask == 0 {
-                let src_v = vr | mask;
-                if src_v < p {
-                    let src = g.members[src_v];
-                    let (_, data) = self.recv_data(Some(src), TAG_GROUP_REDUCE).await;
-                    assert_eq!(data.len(), buf.len(), "group reduce length mismatch");
-                    for (b, d) in buf.iter_mut().zip(&data) {
-                        *b += d;
-                    }
-                    self.reduce_op((buf.len() * 8) as u64).await;
-                }
-            } else {
-                let dest = g.members[vr & !mask];
-                self.send_data(dest, TAG_GROUP_REDUCE, buf).await;
-                break;
-            }
-            mask <<= 1;
-        }
-        self.bcast_data_group(g, 0, buf).await;
     }
 }
 
@@ -484,7 +336,6 @@ mod tests {
             MpiWorld::run(&spec, |mut rank| async move {
                 rank.barrier().await;
                 rank.bcast(0, 4096).await;
-                rank.reduce(0, 4096).await;
                 rank.allreduce(4096).await;
                 rank.allgather(512).await;
                 rank.allgather(16 * 1024).await;
@@ -494,56 +345,6 @@ mod tests {
             })
             .unwrap_or_else(|e| panic!("p={p}: {e}"));
         }
-    }
-
-    #[test]
-    fn row_and_column_groups_like_bt() {
-        use super::Group;
-        // A 3x3 process grid: row groups and column groups, the BT/SP
-        // multi-partition pattern.
-        let q = 3usize;
-        let spec = WorldSpec::all_on(Device::Host, q * q);
-        MpiWorld::run(&spec, move |mut rank| async move {
-            let me = rank.rank();
-            let (row, col) = (me / q, me % q);
-            let row_group = Group::split(rank.size(), me, |r| (r / q) as u32);
-            let col_group = Group::split(rank.size(), me, |r| (r % q) as u32);
-            assert_eq!(row_group.size(), q);
-            assert_eq!(col_group.size(), q);
-
-            // Row allreduce: sum of column indices = 0+1+2 = 3 per row.
-            let mut v = vec![col as f64];
-            rank.allreduce_sum_data_group(&row_group, &mut v).await;
-            assert_eq!(v[0], 3.0);
-
-            // Column bcast from the top row: everyone learns row 0's
-            // payload for their column.
-            let mut b = if row == 0 { vec![col as f64 * 7.0] } else { Vec::new() };
-            rank.bcast_data_group(&col_group, 0, &mut b).await;
-            assert_eq!(b, vec![col as f64 * 7.0]);
-
-            rank.barrier_group(&row_group).await;
-            rank.barrier_group(&col_group).await;
-            rank.barrier().await;
-            rank
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn group_of_one_is_trivial() {
-        use super::Group;
-        let spec = WorldSpec::all_on(Device::Host, 3);
-        MpiWorld::run(&spec, |mut rank| async move {
-            let solo = Group::split(rank.size(), rank.rank(), |r| r as u32);
-            assert_eq!(solo.size(), 1);
-            let mut v = vec![1.0];
-            rank.allreduce_sum_data_group(&solo, &mut v).await;
-            assert_eq!(v, vec![1.0]);
-            rank.barrier_group(&solo).await;
-            rank
-        })
-        .unwrap();
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //! Beyond the paper's needs, the runtime also offers: *data-carrying*
 //! messages and collectives (real `f64` payloads priced in virtual time —
 //! the basis of the verifiable distributed NPB and OVERFLOW runs),
-//! nonblocking `isend`/`wait` with genuine overlap semantics,
-//! sub-communicator [`Group`]s (`MPI_Comm_split`), per-rank
-//! communication/compute accounting ([`RankStats`]), and
+//! per-rank communication/compute accounting ([`RankStats`]), and
 //! [`MpiWorld::run_layouts`], which runs a program live on one layout and
-//! replays its recorded operations on the others ([`replay`]).
+//! replays its recorded operations on the others ([`replay`]). A rank
+//! program calls only blocking sends, receives that name their source and
+//! tag, and world-wide collectives, so no program can observe its layout
+//! and every one can be replayed.
 //!
 //! A world runs on the machine its [`WorldSpec::faults`] describes
 //! (healthy in every constructor): straggling ranks stretch their
@@ -52,6 +53,4 @@ pub use memory::{MemoryBudget, OomError};
 pub use partition::PartitionPlan;
 pub use placement::{RankPlacement, WorldSpec};
 pub use transport::TransportModel;
-pub use coll::Group;
-pub use replay::LayoutsError;
-pub use world::{MpiWorld, Rank, RankStats, Request};
+pub use world::{MpiWorld, Rank, RankStats};

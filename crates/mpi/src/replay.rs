@@ -6,7 +6,7 @@
 //! operations — sends, receives, compute and reduction operators — are a
 //! function of its rank, the world size and its numerics alone.
 //! [`crate::MpiWorld::run_layouts`] runs the program live on the first
-//! layout while every rank appends its operations to an [`OpLog`], then
+//! layout while every rank appends its operations to an op log, then
 //! replays each rank's log on every other layout: no payloads, no
 //! numerics. A replayed op is the live op with the same arguments, so a
 //! replay issues exactly the awaits the live program would issue on that
@@ -15,10 +15,10 @@
 //! and Lumsdaine, HPDC 2010), which prices one MPI trace under many
 //! network models.
 //!
-//! Two calls make a schedule layout-dependent and are refused while
-//! recording: `recv(ANY_SOURCE)` matches whichever message arrives first,
-//! which depends on the layout's timing, and `isend`/`wait`, which the
-//! log does not record.
+//! No call a rank program can make depends on the layout's timing: every
+//! receive names its source and tag, so which message it matches is fixed
+//! by the program, and every send blocks until its message is ready. So
+//! every program that compiles can be recorded and replayed.
 
 use std::sync::Arc;
 
@@ -26,37 +26,6 @@ use maia_sim::{SimDuration, SimError};
 
 use crate::placement::WorldSpec;
 use crate::world::{run_live, Rank, WorldResult};
-
-/// Why [`crate::MpiWorld::run_layouts`] failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LayoutsError {
-    /// The live run or a replay failed (deadlock, rank panic).
-    Sim(SimError),
-    /// While recording, rank `rank` made `call`, whose outcome depends on
-    /// the layout; the live run's log cannot stand for the others.
-    LayoutDependent { rank: usize, call: &'static str },
-}
-
-impl From<SimError> for LayoutsError {
-    fn from(e: SimError) -> Self {
-        LayoutsError::Sim(e)
-    }
-}
-
-impl std::fmt::Display for LayoutsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LayoutsError::Sim(e) => write!(f, "{e}"),
-            LayoutsError::LayoutDependent { rank, call } => write!(
-                f,
-                "rank {rank} called {call}, whose outcome depends on the layout, \
-                 so its run cannot be replayed on another"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for LayoutsError {}
 
 /// One recorded rank operation, with the arguments a replay needs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,8 +65,6 @@ const REDUCE: u8 = 5;
 #[derive(Debug, Default)]
 pub(crate) struct OpLog {
     bytes: Vec<u8>,
-    /// The first layout-dependent call this rank made, if any.
-    layout_dependent: Option<&'static str>,
 }
 
 impl OpLog {
@@ -134,20 +101,6 @@ impl OpLog {
                 put(b, bytes);
             }
         }
-    }
-
-    /// Record a receive; a wildcard source cannot be replayed.
-    pub(crate) fn recv(&mut self, src: Option<usize>, tag: i32) {
-        match src {
-            Some(src) => self.push(Op::Recv { src, tag }),
-            None => self.refuse("recv(ANY_SOURCE)"),
-        }
-    }
-
-    /// Note a call whose outcome depends on the layout; the first one
-    /// sticks.
-    pub(crate) fn refuse(&mut self, call: &'static str) {
-        self.layout_dependent.get_or_insert(call);
     }
 }
 
@@ -240,9 +193,7 @@ impl Rank {
                     bytes,
                     incast: true,
                 } => self.send_incast(dest, tag, bytes).await,
-                Op::Recv { src, tag } => {
-                    let _ = self.recv(Some(src), tag).await;
-                }
+                Op::Recv { src, tag } => self.recv(src, tag).await,
                 Op::Compute(dur) => self.compute(dur).await,
                 Op::Flops { flops, threads } => self.compute_flops(flops, threads).await,
                 Op::Reduce(bytes) => self.reduce_op(bytes).await,
@@ -259,14 +210,7 @@ pub(crate) fn replay_layouts(
     live: WorldResult,
     logs: Vec<OpLog>,
     specs: &[WorldSpec],
-) -> Result<Vec<WorldResult>, LayoutsError> {
-    if let Some((rank, call)) = logs
-        .iter()
-        .enumerate()
-        .find_map(|(rank, log)| log.layout_dependent.map(|call| (rank, call)))
-    {
-        return Err(LayoutsError::LayoutDependent { rank, call });
-    }
+) -> Result<Vec<WorldResult>, SimError> {
     let logs: Arc<[Box<[u8]>]> = logs.into_iter().map(|log| log.bytes.into()).collect();
     let mut worlds = Vec::with_capacity(specs.len() + 1);
     worlds.push(live);
@@ -320,11 +264,13 @@ mod tests {
         }
     }
 
-    /// A timing-only program of every kind of op a log holds: compute by
-    /// duration and by flops, a bcast, an allreduce (reduce operators
-    /// included) and an incast alltoall.
+    /// A program of every op a rank can call: compute by duration and by
+    /// flops, a barrier, a sendrecv ring, each timing-only collective
+    /// (allgather on both sides of [`crate::coll::ALLGATHER_BRUCK_MAX`],
+    /// allreduce with its reduce operators, an incast alltoall), and each
+    /// data-carrying collective, whose payloads a replay drops.
     async fn collectives(mut rank: Rank) -> Rank {
-        let me = rank.rank();
+        let (me, p) = (rank.rank(), rank.size());
         rank.compute(SimDuration::from_us(1.0 + me as f64)).await;
         rank.bcast(0, 64 * 1024).await;
         rank.compute_flops(2e5 * (me + 1) as f64, 2).await;
@@ -333,6 +279,18 @@ mod tests {
         rank.compute(SimDuration::from_us(3.0)).await;
         rank.allreduce(256 * 1024).await;
         rank.compute_flops(4e4, 1).await;
+        rank.barrier().await;
+        rank.sendrecv((me + 1) % p, (me + p - 1) % p, 7, 32 * 1024).await;
+        rank.allgather(512).await;
+        rank.allgather(16 * 1024).await;
+        let mut sum = vec![me as f64; 300];
+        rank.allreduce_sum_data(&mut sum).await;
+        let displs: Vec<usize> = (0..=p).map(|r| 100 * r).collect();
+        let mut gathered = vec![0.0; 100 * p];
+        rank.allgather_data(&[me as f64; 100], &mut gathered, &displs).await;
+        let blocks = (0..p).map(|d| vec![me as f64; 50 * (d + 1)]).collect();
+        rank.alltoall_data(blocks).await;
+        rank.compute(SimDuration::from_us(2.0)).await;
         rank
     }
 
@@ -381,56 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn layout_dependent_calls_are_refused_while_recording() {
-        let any_source = MpiWorld::run_layouts(&layouts(), |mut rank| async move {
-            if rank.rank() == 0 {
-                for _ in 1..rank.size() {
-                    let _ = rank.recv(crate::world::ANY_SOURCE, 5).await;
-                }
-            } else {
-                rank.send(0, 5, 64).await;
-            }
-            rank
-        });
-        assert_eq!(
-            any_source.unwrap_err(),
-            LayoutsError::LayoutDependent {
-                rank: 0,
-                call: "recv(ANY_SOURCE)"
-            }
-        );
-        let isend = MpiWorld::run_layouts(&layouts(), |mut rank| async move {
-            if rank.rank() == 2 {
-                let req = rank.isend(1, 5, 64).await;
-                rank.wait(req).await;
-            } else if rank.rank() == 1 {
-                let _ = rank.recv(Some(2), 5).await;
-            }
-            rank
-        });
-        let err = isend.unwrap_err();
-        assert_eq!(
-            err,
-            LayoutsError::LayoutDependent {
-                rank: 2,
-                call: "isend"
-            }
-        );
-        assert!(err.to_string().contains("rank 2 called isend"), "{err}");
-        // One layout records nothing, so it refuses nothing.
-        MpiWorld::run_layouts(&layouts()[..1], |mut rank| async move {
-            if rank.rank() == 1 {
-                let req = rank.isend(0, 5, 64).await;
-                rank.wait(req).await;
-            } else if rank.rank() == 0 {
-                let _ = rank.recv(crate::world::ANY_SOURCE, 5).await;
-            }
-            rank
-        })
-        .unwrap();
-    }
-
-    #[test]
     fn ops_round_trip_through_the_log() {
         let ops = [
             Op::Send {
@@ -462,15 +370,5 @@ mod tests {
         }
         let back: Vec<Op> = Ops { bytes: &log.bytes }.collect();
         assert_eq!(back, ops);
-        assert_eq!(log.layout_dependent, None);
-    }
-
-    #[test]
-    fn first_refused_call_sticks() {
-        let mut log = OpLog::default();
-        log.recv(None, 4);
-        log.refuse("isend");
-        assert_eq!(log.layout_dependent, Some("recv(ANY_SOURCE)"));
-        assert!(log.bytes.is_empty());
     }
 }

@@ -17,11 +17,8 @@ use maia_sim::{Engine, InjectCtx, Probe, SimCtx, SimDuration, SimError, SimTime}
 
 use crate::partition::{lookahead, node_domains, PartitionPlan};
 use crate::placement::{RankPlacement, WorldSpec};
-use crate::replay::{replay_layouts, LayoutsError, Op, OpLog};
+use crate::replay::{replay_layouts, Op, OpLog};
 use crate::transport::{alltoall_incast, core_gflops, TransportModel};
-
-/// Wildcard for [`Rank::recv`]'s source argument (`MPI_ANY_SOURCE`).
-pub const ANY_SOURCE: Option<usize> = None;
 
 /// An in-flight simulated message. Timing is always driven by `bytes`;
 /// `data` optionally carries a *real* payload so distributed algorithms
@@ -34,17 +31,10 @@ pub struct Msg {
     /// Real payload (f64 words), if the sender used [`Rank::send_data`].
     pub data: Option<Vec<f64>>,
     /// Virtual instant at which the payload is fully on the receiver's
-    /// side. Blocking sends deliver at the sender's post-transfer time;
-    /// nonblocking sends deliver "into the future" and the receiver waits
-    /// out the remainder.
+    /// side: the sender's post-transfer time. Every send blocks until
+    /// then, so a receiver never holds a message before it is ready; the
+    /// partition layer delivers a cross-domain message at this instant.
     pub ready: SimTime,
-}
-
-/// Handle for a nonblocking operation; complete it with [`Rank::wait`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[must_use = "a Request must be waited on"]
-pub struct Request {
-    completion: SimTime,
 }
 
 /// Per-rank time accounting, split the way the paper discusses symmetric
@@ -52,7 +42,8 @@ pub struct Request {
 /// outweigh the speedup").
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RankStats {
-    /// Virtual seconds spent in sends, receives and waits.
+    /// Virtual seconds spent in sends. A receiver's blocking time is
+    /// idle, not charged.
     pub comm_s: f64,
     /// Virtual seconds spent in injected compute and reduction operators.
     pub compute_s: f64,
@@ -96,15 +87,16 @@ impl MpiWorld {
     /// results, in `specs` order, are bit-identical to running each layout
     /// live. One layout is exactly [`MpiWorld::run`], with no log.
     ///
-    /// While recording, `recv(ANY_SOURCE)`, `isend` and `wait` fail the
-    /// call with [`LayoutsError::LayoutDependent`] once the live run ends.
+    /// Every program can be replayed: a [`Rank`] offers no clock, no
+    /// placement and no call whose outcome depends on the layout's timing
+    /// (every receive names its source and tag, every send blocks).
     ///
     /// # Panics
     /// Panics if `specs` is empty or its worlds differ in size.
     pub fn run_layouts<F, Fut>(
         specs: &[WorldSpec],
         program: F,
-    ) -> Result<Vec<WorldResult>, LayoutsError>
+    ) -> Result<Vec<WorldResult>, SimError>
     where
         F: Fn(Rank) -> Fut + Send + Sync + 'static,
         Fut: Future<Output = Rank> + Send + 'static,
@@ -682,12 +674,6 @@ impl Rank {
         self.ctx.advance(dur).await;
     }
 
-    /// The modeled one-way cost of sending `bytes` to `dest` from here.
-    pub(crate) fn message_cost(&self, dest: usize, bytes: u64) -> SimDuration {
-        self.transport
-            .message_time(self.placements[self.rank], self.placements[dest], bytes)
-    }
-
     /// Whether a message to `dest` crosses a partition-domain boundary
     /// (always false in unpartitioned worlds).
     fn is_cross_domain(&self, dest: usize) -> bool {
@@ -744,9 +730,10 @@ impl Rank {
             bytes,
             incast,
         });
-        let mut cost = self.message_cost(dest, bytes);
+        let from = self.placement();
+        let mut cost = self.transport.message_time(from, self.placements[dest], bytes);
         if incast {
-            let factor = alltoall_incast(self.placement().device, self.size);
+            let factor = alltoall_incast(from.device, self.size);
             cost = SimDuration::from_secs_f64(cost.as_secs_f64() * factor);
         }
         let msg = Msg {
@@ -779,64 +766,6 @@ impl Rank {
         }
     }
 
-    /// Nonblocking send (`MPI_Isend`): the sender pays only a small
-    /// injection overhead now; the payload lands at the receiver at
-    /// `now + full transport cost`, and the returned [`Request`]
-    /// completes then. Compute placed between `isend` and [`Rank::wait`]
-    /// overlaps the transfer — the overlap the offload/symmetric codes
-    /// depend on.
-    pub async fn isend(&mut self, dest: usize, tag: i32, bytes: u64) -> Request {
-        if let Some(log) = &mut self.log {
-            log.refuse("isend");
-        }
-        assert!(dest < self.size, "send to rank {dest} out of 0..{}", self.size);
-        assert_ne!(dest, self.rank, "self-send would never match");
-        let cost = self.message_cost(dest, bytes);
-        // Injection overhead: descriptor setup, ~5% of the wire time,
-        // at least the software latency share.
-        let inject = SimDuration::from_secs_f64(cost.as_secs_f64() * 0.05);
-        self.comm_advance(inject).await;
-        let ready = self.ctx.now() + cost;
-        let msg = Msg {
-            src: self.rank,
-            tag,
-            bytes,
-            data: None,
-            ready,
-        };
-        if self.is_cross_domain(dest) {
-            // Cross-domain nonblocking send: the payload travels through
-            // the window barrier and the receiver is woken at `ready`
-            // rather than blocking early on a future-stamped message —
-            // same completion time, but the receiver's wait is idle time
-            // instead of charged comm time. The cluster collectives use
-            // blocking semantics, where the two paths agree exactly.
-            self.route_remote(dest, msg);
-        } else {
-            self.mailboxes[dest].send_inline(&self.ctx, msg);
-        }
-        Request { completion: ready }
-    }
-
-    /// Complete a nonblocking operation: blocks (in virtual time) until
-    /// the transfer has fully drained.
-    pub async fn wait(&mut self, req: Request) {
-        if let Some(log) = &mut self.log {
-            log.refuse("wait");
-        }
-        let now = self.ctx.now();
-        if req.completion > now {
-            self.comm_advance(req.completion.since(now)).await;
-        }
-    }
-
-    /// Complete many requests.
-    pub async fn wait_all(&mut self, reqs: impl IntoIterator<Item = Request>) {
-        for r in reqs {
-            self.wait(r).await;
-        }
-    }
-
     /// Blocking send carrying a real payload: transport timing uses the
     /// payload's byte size; the receiver gets the actual values.
     pub async fn send_data(&mut self, dest: usize, tag: i32, data: &[f64]) {
@@ -846,20 +775,6 @@ impl Rank {
         if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
         }
-    }
-
-    /// Blocking receive of a payload-carrying message.
-    ///
-    /// # Panics
-    /// Panics if the matched message carries no payload — mixing the
-    /// timing-only and data-carrying APIs on one (source, tag) stream is
-    /// a caller bug.
-    pub async fn recv_data(&mut self, src: Option<usize>, tag: i32) -> (usize, Vec<f64>) {
-        let m = self.recv(src, tag).await;
-        let data = m
-            .data
-            .expect("recv_data matched a message without a payload");
-        (m.src, data)
     }
 
     /// Like [`Rank::send`] but paying the alltoall incast of this rank's
@@ -872,13 +787,39 @@ impl Rank {
         }
     }
 
-    /// Blocking receive (`MPI_Recv`). `src = None` accepts any source;
-    /// `tag < 0` accepts any tag. Returns the matched message.
-    pub async fn recv(&mut self, src: Option<usize>, tag: i32) -> Msg {
-        if let Some(log) = &mut self.log {
-            log.recv(src, tag);
-        }
-        let matches = |m: &Msg| src.is_none_or(|s| s == m.src) && (tag < 0 || m.tag == tag);
+    /// Blocking receive (`MPI_Recv`) of the message from `src` with
+    /// `tag`. Messages from other sources or with other tags wait,
+    /// in arrival order, for the receive that names them.
+    ///
+    /// # Panics
+    /// Panics when `src` is out of range or equal to the receiver: no
+    /// send could ever match it.
+    pub async fn recv(&mut self, src: usize, tag: i32) {
+        self.matched(src, tag).await;
+    }
+
+    /// Blocking receive of a payload-carrying message from `src` with
+    /// `tag`; returns the payload.
+    ///
+    /// # Panics
+    /// Panics like [`Rank::recv`], and if the matched message carries no
+    /// payload — mixing the timing-only and data-carrying APIs on one
+    /// (source, tag) stream is a caller bug.
+    pub async fn recv_data(&mut self, src: usize, tag: i32) -> Vec<f64> {
+        self.matched(src, tag)
+            .await
+            .data
+            .expect("recv_data matched a message without a payload")
+    }
+
+    /// The one matcher behind both receives: check `src`, record the
+    /// receive, and take the first message from `src` with `tag`, first
+    /// from the out-of-order arrivals, then from the mailbox.
+    async fn matched(&mut self, src: usize, tag: i32) -> Msg {
+        assert!(src < self.size, "recv from rank {src} out of 0..{}", self.size);
+        assert_ne!(src, self.rank, "recv from itself would never match");
+        self.record(Op::Recv { src, tag });
+        let matches = |m: &Msg| m.src == src && m.tag == tag;
         let m = if let Some(pos) = self.unexpected.iter().position(matches) {
             self.unexpected.remove(pos)
         } else {
@@ -890,19 +831,17 @@ impl Rank {
                 self.unexpected.push(m);
             }
         };
-        // A nonblocking sender may have stamped a future delivery time.
-        let now = self.ctx.now();
-        if m.ready > now {
-            self.comm_advance(m.ready.since(now)).await;
-        }
+        // Every send blocks until its message is ready, so none arrives
+        // early.
+        debug_assert!(m.ready <= self.ctx.now(), "message delivered before it was ready");
         m
     }
 
     /// Combined exchange (`MPI_Sendrecv`): send to `dest`, receive from
     /// `src`, overlapping as the transport allows.
-    pub async fn sendrecv(&mut self, dest: usize, src: usize, tag: i32, bytes: u64) -> Msg {
+    pub async fn sendrecv(&mut self, dest: usize, src: usize, tag: i32, bytes: u64) {
         self.send(dest, tag, bytes).await;
-        self.recv(Some(src), tag).await
+        self.recv(src, tag).await;
     }
 
     /// Apply the reduction-operator cost for `bytes` on this rank's
@@ -925,13 +864,14 @@ mod tests {
     fn two_ranks_ping_pong() {
         let spec = WorldSpec::all_on(Device::Host, 2);
         let res = MpiWorld::run(&spec, |mut rank| async move {
+            // 128 f64 words: 1 KB each way, echoed back.
             if rank.rank() == 0 {
-                rank.send(1, 7, 1024).await;
-                let m = rank.recv(Some(1), 7).await;
-                assert_eq!(m.bytes, 1024);
+                rank.send_data(1, 7, &[1.0; 128]).await;
+                let echo = rank.recv_data(1, 7).await;
+                assert_eq!(echo.len() * 8, 1024);
             } else {
-                let m = rank.recv(Some(0), 7).await;
-                rank.send(0, 7, m.bytes).await;
+                let m = rank.recv_data(0, 7).await;
+                rank.send_data(0, 7, &m).await;
             }
             rank
         })
@@ -946,33 +886,12 @@ mod tests {
         let spec = WorldSpec::all_on(Device::Host, 2);
         MpiWorld::run(&spec, |mut rank| async move {
             if rank.rank() == 0 {
-                rank.send(1, 1, 10).await;
-                rank.send(1, 2, 20).await;
+                rank.send_data(1, 1, &[10.0]).await;
+                rank.send_data(1, 2, &[20.0, 20.0]).await;
             } else {
                 // Receive in reverse tag order.
-                let m2 = rank.recv(Some(0), 2).await;
-                assert_eq!(m2.bytes, 20);
-                let m1 = rank.recv(Some(0), 1).await;
-                assert_eq!(m1.bytes, 10);
-            }
-            rank
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn any_source_matches_first_arrival() {
-        let spec = WorldSpec::all_on(Device::Host, 3);
-        MpiWorld::run(&spec, |mut rank| async move {
-            match rank.rank() {
-                0 => {
-                    let a = rank.recv(ANY_SOURCE, -1).await;
-                    let b = rank.recv(ANY_SOURCE, -1).await;
-                    let mut got = [a.src, b.src];
-                    got.sort_unstable();
-                    assert_eq!(got, [1, 2]);
-                }
-                _ => rank.send(0, 0, 64).await,
+                assert_eq!(rank.recv_data(0, 2).await, vec![20.0, 20.0]);
+                assert_eq!(rank.recv_data(0, 1).await, vec![10.0]);
             }
             rank
         })
@@ -1027,7 +946,7 @@ mod tests {
         let spec = WorldSpec::all_on(Device::Host, 2);
         let err = MpiWorld::run(&spec, |mut rank| async move {
             if rank.rank() == 1 {
-                let _ = rank.recv(Some(0), 99).await; // never sent
+                rank.recv(0, 99).await; // never sent
             }
             rank
         })
@@ -1037,113 +956,28 @@ mod tests {
             other => panic!("expected deadlock, got {other}"),
         }
     }
-}
-
-#[cfg(test)]
-mod nonblocking_tests {
-    use super::*;
-    use maia_arch::Device;
 
     #[test]
-    fn isend_overlaps_compute() {
-        // Blocking: send (t) then compute (t) => 2t.
-        // Nonblocking: isend, compute overlaps the wire time => ~t.
-        let m = 4 << 20;
+    fn recv_that_can_never_match_panics() {
+        // Like a send, a receive from itself or from outside the world
+        // fails the call instead of deadlocking the world.
         let spec = WorldSpec::all_on(Device::Host, 2);
-        let blocking = MpiWorld::run(&spec, move |mut rank| async move {
-            if rank.rank() == 0 {
-                let wire = rank.message_cost(1, m);
-                rank.send(1, 0, m).await;
-                rank.compute(wire).await;
-            } else {
-                let _ = rank.recv(Some(0), 0).await;
-            }
-            rank
-        })
-        .unwrap()
-        .end_time
-        .as_secs_f64();
-
-        let overlapped = MpiWorld::run(&spec, move |mut rank| async move {
-            if rank.rank() == 0 {
-                let wire = rank.message_cost(1, m);
-                let req = rank.isend(1, 0, m).await;
-                rank.compute(wire).await;
-                rank.wait(req).await;
-            } else {
-                let _ = rank.recv(Some(0), 0).await;
-            }
-            rank
-        })
-        .unwrap()
-        .end_time
-        .as_secs_f64();
-
-        assert!(
-            overlapped < 0.65 * blocking,
-            "no overlap: {overlapped} vs {blocking}"
-        );
-    }
-
-    #[test]
-    fn receiver_waits_for_late_delivery() {
-        // An eager receiver cannot see the data before the wire time has
-        // elapsed, even though the isend returns immediately.
-        let m = 1 << 20;
-        let spec = WorldSpec::all_on(Device::Host, 2);
-        let res = MpiWorld::run(&spec, move |mut rank| async move {
-            if rank.rank() == 0 {
-                let req = rank.isend(1, 0, m).await;
-                rank.wait(req).await;
-            } else {
-                let msg = rank.recv(Some(0), 0).await;
-                // Receiver's clock must be at least the wire time.
-                let wire = rank.message_cost(0, m).as_secs_f64();
-                assert!(rank.ctx.now().as_secs_f64() >= wire * 0.9, "recv returned too early");
-                assert_eq!(msg.bytes, m);
-            }
-            rank
-        })
-        .unwrap();
-        assert!(res.end_time.as_ps() > 0);
-    }
-
-    #[test]
-    fn wait_all_completes_every_request() {
-        let spec = WorldSpec::all_on(Device::Host, 4);
-        MpiWorld::run(&spec, |mut rank| async move {
-            if rank.rank() == 0 {
-                let mut reqs: Vec<Request> = Vec::new();
-                for d in 1..rank.size() {
-                    reqs.push(rank.isend(d, 9, 64 * 1024).await);
+        for (src, named) in [(1, "recv from itself"), (7, "recv from rank 7 out of 0..2")] {
+            let err = MpiWorld::run(&spec, move |mut rank| async move {
+                if rank.rank() == 1 {
+                    rank.recv(src, 0).await;
                 }
-                rank.wait_all(reqs).await;
-            } else {
-                let _ = rank.recv(Some(0), 9).await;
+                rank
+            })
+            .unwrap_err();
+            match err {
+                SimError::ProcessPanicked { name, message, .. } => {
+                    assert_eq!(name, "rank-1");
+                    assert!(message.contains(named), "{message}");
+                }
+                other => panic!("expected a panic, got {other}"),
             }
-            rank
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn wait_after_completion_is_free() {
-        let spec = WorldSpec::all_on(Device::Host, 2);
-        MpiWorld::run(&spec, |mut rank| async move {
-            if rank.rank() == 0 {
-                let req = rank.isend(1, 0, 1024).await;
-                let wire = rank.message_cost(1, 1024);
-                rank.compute(wire).await;
-                rank.compute(wire).await;
-                let before = rank.ctx.now().as_secs_f64();
-                rank.wait(req).await; // already done
-                assert_eq!(rank.ctx.now().as_secs_f64(), before);
-            } else {
-                let _ = rank.recv(Some(0), 0).await;
-            }
-            rank
-        })
-        .unwrap();
+        }
     }
 }
 
@@ -1160,7 +994,7 @@ mod stats_tests {
             if rank.rank() == 0 {
                 rank.send(1, 0, 1 << 20).await;
             } else {
-                let _ = rank.recv(Some(0), 0).await;
+                rank.recv(0, 0).await;
             }
             rank
         })
@@ -1251,8 +1085,7 @@ mod partitioned_tests {
             if rank.rank() == 0 {
                 rank.send_data(1, 7, &[1.5, 2.5, 3.0]).await;
             } else {
-                let (src, data) = rank.recv_data(Some(0), 7).await;
-                assert_eq!(src, 0);
+                let data = rank.recv_data(0, 7).await;
                 assert_eq!(data, vec![1.5, 2.5, 3.0]);
             }
             rank
@@ -1286,7 +1119,7 @@ mod partitioned_tests {
         let spec = WorldSpec::node_leaders(2);
         let err = MpiWorld::run_partitioned(&spec, &PartitionPlan::by_node(2), |mut rank| async move {
             if rank.rank() == 1 {
-                let _ = rank.recv(Some(0), 99).await; // never sent
+                rank.recv(0, 99).await; // never sent
             }
             rank
         })

@@ -33,7 +33,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use maia_mpi::world::WorldResult;
-use maia_mpi::{LayoutsError, MpiWorld, WorldSpec};
+use maia_mpi::{MpiWorld, WorldSpec};
+use maia_sim::SimError;
 
 use crate::ep::{run_batch, EpResult};
 use crate::ft::{fft_line, Complex, Field};
@@ -74,7 +75,7 @@ impl<T> MpiRuns<T> {
 /// stored in `out` during the live run.
 fn finish<T>(
     kernel: &str,
-    worlds: Result<Vec<WorldResult>, LayoutsError>,
+    worlds: Result<Vec<WorldResult>, SimError>,
     out: &Mutex<Option<T>>,
 ) -> MpiRuns<T> {
     let worlds = worlds.unwrap_or_else(|e| panic!("{kernel} world failed: {e}"));

@@ -4,15 +4,16 @@
 //! exactly one process, waits for that process to yield (by advancing
 //! time, blocking, or finishing), and only then picks the next event.
 //! Events are totally ordered by `(virtual time, sequence number)` in an
-//! arena-backed timer wheel ([`crate::wheel`]), so simulations are
-//! deterministic regardless of OS thread scheduling.
+//! arena-backed timer wheel (the private `wheel` module), so simulations
+//! are deterministic regardless of OS thread scheduling.
 //!
 //! Every simulated process is an inline state machine
 //! ([`Engine::spawn_inline`]): an `async` body written against [`SimCtx`]
 //! whose only awaited futures are [`SimCtx::advance`] and the channel
-//! waits built on [`SimCtx::block`]. The scheduler polls it directly on
-//! its own thread — no channel handoff, no park/unpark, no thread pool —
-//! and catches a panicking poll as [`SimError::ProcessPanicked`].
+//! waits built on the crate-private `SimCtx::block`. The scheduler polls
+//! it directly on its own thread — no channel handoff, no park/unpark, no
+//! thread pool — and catches a panicking poll as
+//! [`SimError::ProcessPanicked`].
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -191,7 +192,7 @@ impl Future for AdvanceFut {
     }
 }
 
-/// Leaf future of [`SimCtx::block`]: parks until another process (or an
+/// Leaf future of the crate-private `SimCtx::block`: parks until another process (or an
 /// injection) wakes this pid.
 #[must_use = "simulation futures do nothing unless awaited"]
 pub struct BlockFut {

@@ -70,7 +70,7 @@ fn internode_vs_phi_to_phi() {
             if rank.rank() == 0 {
                 rank.send(1, 0, m).await;
             } else {
-                let _ = rank.recv(Some(0), 0).await;
+                rank.recv(0, 0).await;
             }
             rank
         })
