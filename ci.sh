@@ -60,6 +60,9 @@ golden_gate "conformance gate (check --all)" tests/golden/conformance.md \
 # changed without the report being regenerated.
 golden_gate "EXPERIMENTS.md (maia-bench report)" EXPERIMENTS.md \
     ./target/release/maia-bench report
+# USAGE is the one description of every subcommand, flag, knob and exit
+# code; a diff means the CLI's documented contract changed.
+golden_gate "usage text (maia-bench help)" tests/golden/usage.txt ./target/release/maia-bench help
 # Bit-identical resilience report at fixed plan/seed/--jobs: a diff here
 # means fault injection stopped being deterministic, or a hook leaked
 # into (or drifted from) the nominal models.

@@ -5,8 +5,11 @@
 //! through `maia_core::run_experiments_parallel`, and `maia-bench run
 //! --only F04` regenerates one, with `--format md|csv|json`, `--out DIR`
 //! and a timing summary on stderr. `maia-bench report` prints the
-//! complete EXPERIMENTS.md. A Criterion bench measures the *real*
-//! STREAM kernels on the build machine, and the
+//! complete EXPERIMENTS.md. [`cli`] parses every subcommand's flags in
+//! one loop and runs the result through one `execute`; its
+//! [`cli::main_with_args`] is the whole binary, and the benchmark
+//! package's worker processes enter through it too. A Criterion bench
+//! measures the *real* STREAM kernels on the build machine, and the
 //! `ablation_coll_algo` binary quantifies the collective-algorithm design
 //! choice called out in DESIGN.md.
 

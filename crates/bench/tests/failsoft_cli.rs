@@ -121,22 +121,31 @@ fn usage_errors_exit_two() {
 
 /// A plan file with a value the machine cannot have is a named error on
 /// its line and exit 1: unbounded, 4294967295 link retries would ask the
-/// backoff schedule for a 32 GiB allocation.
+/// backoff schedule for a 32 GiB allocation. So is a plan that names
+/// itself twice, since its name and seed are its identity.
 #[test]
 fn hostile_plan_value_is_a_named_error() {
-    let path = std::env::temp_dir().join(format!("maia-hostile-plan-{}.txt", std::process::id()));
-    std::fs::write(
-        &path,
-        "name: hostile\nseed: 1\nfault: degraded-link retries=4294967295 timeout_us=50.0\n",
-    )
-    .expect("writing the plan file");
-    let plan = path.to_str().expect("utf-8 path");
-    let out = bench(&["faults", "--plan", plan, "--only", "T01"], &[]);
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
-    let se = stderr(&out);
-    assert!(se.contains("fault plan line 3: retries=4294967295 is outside 0..=32"), "{se}");
-    assert!(stdout(&out).is_empty());
+    for (text, named) in [
+        (
+            "name: hostile\nseed: 1\nfault: degraded-link retries=4294967295 timeout_us=50.0\n",
+            "fault plan line 3: retries=4294967295 is outside 0..=32",
+        ),
+        (
+            "name: first\nname: second\nseed: 1\nseed: 9\nfault: dapl-fallback\n",
+            "fault plan line 2: name: is given twice",
+        ),
+    ] {
+        let path =
+            std::env::temp_dir().join(format!("maia-hostile-plan-{}.txt", std::process::id()));
+        std::fs::write(&path, text).expect("writing the plan file");
+        let plan = path.to_str().expect("utf-8 path");
+        let out = bench(&["faults", "--plan", plan, "--only", "T01"], &[]);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+        let se = stderr(&out);
+        assert!(se.contains(named), "{se}");
+        assert!(stdout(&out).is_empty());
+    }
 }
 
 /// The largest slowdown and the longest link retry schedule a plan may

@@ -22,7 +22,7 @@
 
 use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
@@ -350,68 +350,6 @@ pub fn guard_cancelled() -> bool {
     })
 }
 
-/// A timed-out guard thread that refused the cancellation grace period:
-/// detached, but tracked so it is joined as soon as it finishes instead
-/// of leaking silently.
-struct ZombieGuard {
-    code: &'static str,
-    handle: std::thread::JoinHandle<()>,
-}
-
-static ZOMBIES: Mutex<Vec<ZombieGuard>> = Mutex::new(Vec::new());
-static REAPED: AtomicU64 = AtomicU64::new(0);
-
-/// Join every detached guard thread that has since finished. Called
-/// before each guarded run, so a hung-then-woken guard is collected by
-/// the next experiment rather than never.
-fn reap_finished_guards() {
-    let mut zombies = ZOMBIES.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut kept = Vec::new();
-    for z in zombies.drain(..) {
-        if z.handle.is_finished() {
-            let _ = z.handle.join();
-            REAPED.fetch_add(1, Ordering::Relaxed);
-        } else {
-            kept.push(z);
-        }
-    }
-    *zombies = kept;
-}
-
-/// Watchdog bookkeeping snapshot: how many timed-out guard threads are
-/// still detached (alive past cancellation) and how many were joined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogStats {
-    /// Detached guard threads not yet finished.
-    pub zombies: usize,
-    /// Guard threads joined after a timeout (at cancellation or later).
-    pub reaped: u64,
-}
-
-/// Current [`WatchdogStats`]; reaps finished detached guards first so
-/// the zombie count reflects threads that are actually still running.
-pub fn watchdog_stats() -> WatchdogStats {
-    reap_finished_guards();
-    WatchdogStats {
-        zombies: ZOMBIES
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len(),
-        reaped: REAPED.load(Ordering::Relaxed),
-    }
-}
-
-/// Experiment codes of detached guard threads still running.
-pub fn zombie_guard_codes() -> Vec<&'static str> {
-    reap_finished_guards();
-    ZOMBIES
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .iter()
-        .map(|z| z.code)
-        .collect()
-}
-
 /// How long the watchdog waits, after setting the cancellation flag,
 /// for the guard thread to reach a cancellation point and exit.
 const CANCEL_GRACE: Duration = Duration::from_millis(500);
@@ -449,8 +387,7 @@ fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
 /// (or [`FailureKind::Deadlock`] when the payload is a rendered
 /// `SimError::Deadlock`); a blown watchdog cancels the guard thread,
 /// joins it if it reaches a cancellation point within the grace period,
-/// and otherwise detaches it into the zombie registry (joined by a
-/// later [`reap_finished_guards`] pass) — either way the failure is
+/// and otherwise detaches it — either way the failure is
 /// [`FailureKind::Timeout`] and the thread never bleeds its state into
 /// a subsequent experiment's failure.
 fn run_experiment_guarded(
@@ -458,7 +395,6 @@ fn run_experiment_guarded(
     id: ExperimentId,
 ) -> Result<FigureData, ExperimentFailure> {
     install_quiet_experiment_hook();
-    reap_finished_guards();
     let code = id.meta().code;
     let cfg = cfg.clone();
     let t0 = Instant::now();
@@ -513,17 +449,11 @@ fn run_experiment_guarded(
             while !handle.is_finished() && Instant::now() < grace_deadline {
                 std::thread::sleep(Duration::from_millis(5));
             }
+            // A guard still running is truly stuck (there is no portable
+            // way to kill a thread): dropping its handle detaches it.
             let reaped = handle.is_finished();
             if reaped {
                 let _ = handle.join();
-                REAPED.fetch_add(1, Ordering::Relaxed);
-            } else {
-                // Truly stuck (no portable way to kill a thread): track
-                // it so a later pass joins it the moment it finishes.
-                ZOMBIES
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(ZombieGuard { code, handle });
             }
             Err(ExperimentFailure {
                 id,
@@ -535,7 +465,7 @@ fn run_experiment_guarded(
                     if reaped {
                         "cancelled and reaped"
                     } else {
-                        "detached pending reap"
+                        "detached"
                     }
                 ),
                 wall: t0.elapsed(),

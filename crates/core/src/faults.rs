@@ -175,10 +175,12 @@ impl FaultPlan {
     /// per fault; `#` comments and blank lines are ignored. A plan arms
     /// all it says, so a second fault of one kind (or a second straggler
     /// on one rank), a key the kind does not take and a key given twice
-    /// are errors, not dropped.
+    /// are errors, not dropped. The name and seed are the plan's identity
+    /// (its memo keys carry them), so a second `name:` or `seed:` line
+    /// and an empty name are errors too.
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut name: Option<String> = None;
-        let mut seed: u64 = 0;
+        let mut seed: Option<u64> = None;
         let mut faults = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -187,9 +189,18 @@ impl FaultPlan {
             }
             let err = |msg: &str| format!("fault plan line {}: {msg}: {line:?}", lineno + 1);
             if let Some(v) = line.strip_prefix("name:") {
+                if name.is_some() {
+                    return Err(err("name: is given twice"));
+                }
+                if v.trim().is_empty() {
+                    return Err(err("name: is empty"));
+                }
                 name = Some(v.trim().to_string());
             } else if let Some(v) = line.strip_prefix("seed:") {
-                seed = v.trim().parse().map_err(|_| err("bad seed"))?;
+                if seed.is_some() {
+                    return Err(err("seed: is given twice"));
+                }
+                seed = Some(v.trim().parse().map_err(|_| err("bad seed"))?);
             } else if let Some(v) = line.strip_prefix("fault:") {
                 let fault = parse_fault(v.trim()).map_err(|m| err(&m))?;
                 if faults.iter().any(|f| knob(f) == knob(&fault)) {
@@ -204,7 +215,11 @@ impl FaultPlan {
         if faults.is_empty() {
             return Err(format!("fault plan '{name}' declares no faults"));
         }
-        Ok(FaultPlan { name, seed, faults })
+        Ok(FaultPlan {
+            name,
+            seed: seed.unwrap_or(0),
+            faults,
+        })
     }
 }
 
@@ -764,6 +779,25 @@ mod tests {
         }
         let other_rank = "straggler rank=1 slowdown=2 from_us=0";
         assert_eq!(plan(&[straggler, other_rank]).expect("two ranks").faults.len(), 2);
+        // A plan names itself once: a second `name:` or `seed:` line and
+        // an empty name are named errors on their line, not the last line
+        // winning.
+        for (headers, named) in [
+            (
+                "name: first\nname: second\nseed: 1\nseed: 9\n",
+                "2: name: is given twice",
+            ),
+            ("name: x\nseed: 1\nseed: 9\n", "3: seed: is given twice"),
+            ("seed: 1\nname:\n", "2: name: is empty"),
+            ("name:   \n", "1: name: is empty"),
+        ] {
+            let err =
+                FaultPlan::parse(&format!("{headers}fault: dapl-fallback\n")).expect_err(named);
+            assert!(
+                err.starts_with(&format!("fault plan line {named}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -110,20 +110,6 @@ impl FigureData {
     }
 }
 
-/// Write every experiment's CSV into `dir` as `<id>.csv`; returns the
-/// written paths. Used by plotting pipelines outside this repository.
-pub fn write_all_csv(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
-    std::fs::create_dir_all(dir)?;
-    let mut paths = Vec::new();
-    for id in crate::experiments::all_experiments() {
-        let data = crate::experiments::run_experiment(id);
-        let path = dir.join(format!("{}.csv", data.id));
-        std::fs::write(&path, data.to_csv())?;
-        paths.push(path);
-    }
-    Ok(paths)
-}
-
 /// Quote and escape a string for JSON output.
 pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);

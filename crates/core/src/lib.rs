@@ -38,7 +38,7 @@ pub use faults::{run_resilience, Fault, FaultPlan, ForcedFailure, ResilienceRepo
 pub use experiments::{
     all_experiments, run_experiment, ExperimentDef, ExperimentId, ExperimentSelection,
 };
-pub use figdata::{write_all_csv, FigureData};
+pub use figdata::FigureData;
 pub use oracle::{check, check_figure, check_sweep, Check, ConformanceReport, PredicateResult};
 pub use telemetry::ProfileReport;
 
@@ -67,18 +67,6 @@ mod tests {
     #[test]
     fn table1_contains_phi_peak() {
         assert!(Maia::table1().contains("1008"));
-    }
-
-    #[test]
-    fn csv_export_writes_every_artifact() {
-        let dir = std::env::temp_dir().join("maia-csv-test");
-        let paths = write_all_csv(&dir).expect("csv export failed");
-        assert_eq!(paths.len(), all_experiments().len());
-        for p in &paths {
-            let content = std::fs::read_to_string(p).unwrap();
-            assert!(content.lines().count() >= 2, "{p:?} nearly empty");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
