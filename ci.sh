@@ -83,6 +83,12 @@ golden_gate "faults across wheels (straggler plan, 4 process wheels)" \
 golden_gate "faults across layouts (straggler plan, replayed apps)" \
     tests/golden/resilience_apps.md \
     ./target/release/maia-bench faults --plan straggler --only A01,A02 --jobs 2
+# A straggler never reaches a PCIe-crossing replay; the degraded stack
+# does: A02's symmetric layout pays the DAPL fallback and the link
+# retries on every replayed PCIe message, priced at replay time.
+golden_gate "faults across layouts (degraded-stack plan, replayed PCIe messages)" \
+    tests/golden/resilience_apps_pcie.md \
+    ./target/release/maia-bench faults --plan degraded-stack --only A01,A02 --jobs 2
 
 # trace_timeline counts every rank's scheduler transitions through a
 # Probe; a diff means the engine's schedule of the allreduce changed, or

@@ -215,8 +215,9 @@ fn positive(it: &mut std::slice::Iter<'_, String>, name: &str) -> Result<usize, 
 }
 
 /// Parse the argument list (without the program name). Flags are
-/// checked as they come, so an unknown or malformed one is the error
-/// even when a check on the whole line below would also fail.
+/// checked as they come, each given at most once, so an unknown,
+/// repeated or malformed one is the error even when a check on the whole
+/// line below would also fail.
 fn parse(args: &[String]) -> Result<Invocation, String> {
     use Sub::*;
     let it = &mut args.iter();
@@ -249,11 +250,17 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
         wheel: None,
     };
     let mut all = false;
+    let mut seen: Vec<&str> = Vec::new();
     while let Some(arg) = it.next() {
+        // A flag given twice would silently keep its last value.
+        if seen.contains(&arg.as_str()) {
+            return Err(format!("{arg} given twice"));
+        }
+        seen.push(arg);
         match (arg.as_str(), sub) {
-            (_, Help) => break,
-            (_, List | Report) => {
-                return Err(format!("unknown argument '{arg}' ({name} takes none)"))
+            (_, Help | List | Report) => {
+                let name = if sub == Help { "help" } else { name };
+                return Err(format!("unknown argument '{arg}' ({name} takes none)"));
             }
             ("--all", Run | Check | Profile | Faults) => all = true,
             ("--only", Run | Check | Profile | Faults) => {

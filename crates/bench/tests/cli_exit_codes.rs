@@ -111,6 +111,19 @@ fn bad_flags_and_subcommands_exit_two() {
         (&["partition-worker", "--wheel", "1", "--partitions", "2", "--wat"], "unknown argument '--wat'"),
         (&["list", "run"], "unknown argument 'run' (list takes none)"),
         (&["report", "--only", "F04"], "unknown argument '--only' (report takes none)"),
+        (&["help", "--bogus"], "unknown argument '--bogus' (help takes none)"),
+        (&["--help", "run"], "unknown argument 'run' (help takes none)"),
+        (&["-h", "-h"], "unknown argument '-h' (help takes none)"),
+        // A flag given twice, whatever its values.
+        (&["run", "--only", "F04", "--only", "T01", "--jobs", "1"], "--only given twice"),
+        (&["run", "--all", "--all"], "--all given twice"),
+        (&["check", "--jobs", "1", "--jobs", "1"], "--jobs given twice"),
+        (&["profile", "--format", "md", "--format", "json"], "--format given twice"),
+        (&["profile", "--metrics", "md", "--metrics", "json"], "--metrics given twice"),
+        (&["crosscheck", "--out", "a", "--out", "b"], "--out given twice"),
+        (&["faults", "--plan", "x", "--plan", "y"], "--plan given twice"),
+        (&["run", "--engine", "des", "--engine", "warp"], "--engine given twice"),
+        (&["partition-worker", "--wheel", "1", "--wheel", "2"], "--wheel given twice"),
         // Checks on the whole line, in their order; an unknown flag fails first.
         (&["run", "--only", "F04", "--all"], "--all and --only are mutually exclusive"),
         (&["profile", "--all", "--only", "F05"], "--all and --only are mutually exclusive"),

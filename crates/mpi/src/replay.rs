@@ -1,4 +1,4 @@
-//! Record one live world, replay it on other layouts.
+//! Record one live world, price it on other layouts.
 //!
 //! A rank program cannot ask where it runs: compute is priced by
 //! [`Rank::compute_flops`] from the rank's device, an alltoall's incast
@@ -7,25 +7,32 @@
 //! function of its rank, the world size and its numerics alone.
 //! [`crate::MpiWorld::run_layouts`] runs the program live on the first
 //! layout while every rank appends its operations to an op log, then
-//! replays each rank's log on every other layout: no payloads, no
-//! numerics. A replayed op is the live op with the same arguments, so a
-//! replay issues exactly the awaits the live program would issue on that
-//! layout, and each layout's virtual time is still its own DES run. This
-//! is the shape of LogGOPSim's trace-driven replay (Hoefler, Schneider
-//! and Lumsdaine, HPDC 2010), which prices one MPI trace under many
-//! network models.
+//! prices each rank's log on every other layout: no payloads, no
+//! numerics. Every op is priced by one function, `Op::price`, which a
+//! live [`Rank`] calls too.
 //!
-//! No call a rank program can make depends on the layout's timing: every
-//! receive names its source and tag, so which message it matches is fixed
-//! by the program, and every send blocks until its message is ready. So
-//! every program that compiles can be recorded and replayed.
+//! No call a rank program can make depends on the layout's timing
+//! either: every receive names its source and tag, so which message it
+//! matches is fixed by the program, and every send is eager and blocks
+//! until its message is ready. So every program that compiles can be
+//! recorded, and on another layout each rank's clock is a recurrence
+//! over its own ops: `evaluate` walks the logs once, with no engine.
+//! Only while a probe could observe engines
+//! (`maia_sim::factory_installed`) does a replayed layout get a DES run
+//! of its own (`des_replay`), which issues exactly the awaits the live
+//! program would, so the profile sees every event. Both give a live
+//! run's [`WorldResult`], bit for bit. This is LogGOPSim's trace-driven
+//! replay (Hoefler, Schneider and Lumsdaine, HPDC 2010), which prices
+//! one MPI trace under many network models.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use maia_sim::{SimDuration, SimError};
+use maia_sim::{SimDuration, SimError, SimTime};
 
-use crate::placement::WorldSpec;
-use crate::world::{run_live, Rank, WorldResult};
+use crate::placement::{RankPlacement, WorldSpec};
+use crate::transport::{alltoall_incast, core_gflops, TransportModel};
+use crate::world::{run_live, Rank, RankStats, WorldResult};
 
 /// One recorded rank operation, with the arguments a replay needs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,6 +57,61 @@ pub(crate) enum Op {
     },
     /// [`Rank::reduce_op`] over `bytes`.
     Reduce(u64),
+}
+
+impl Op {
+    /// What this op costs rank `rank` of a world placed by `placements`,
+    /// starting at its clock `now()`, charged to its `stats`. A send pays
+    /// its message time (times the alltoall incast of the sender's
+    /// device for an incast send) as communication; compute, flops and
+    /// reduction operators are compute, and compute and flops stretch
+    /// under a straggler active at `now()`, the only ops that read it (a
+    /// live rank's clock is a thread-local read). A receive costs
+    /// nothing: its wait is idle. The one pricing a live [`Rank`] and
+    /// [`evaluate`] share, so the two cannot drift apart by a rounding.
+    #[inline(always)]
+    pub(crate) fn price(
+        self,
+        transport: &TransportModel,
+        placements: &[RankPlacement],
+        rank: usize,
+        now: impl FnOnce() -> SimTime,
+        stats: &mut RankStats,
+    ) -> SimDuration {
+        let here = || placements[rank];
+        let stretched = |dur| {
+            let now_s = now().as_secs_f64();
+            crate::faults::stretched_compute(&transport.faults, rank as u32, now_s, dur)
+        };
+        let dur = match self {
+            Op::Send {
+                dest,
+                bytes,
+                incast,
+                ..
+            } => {
+                let from = here();
+                let mut cost = transport.message_time(from, placements[dest], bytes);
+                if incast {
+                    let factor = alltoall_incast(from.device, placements.len());
+                    cost = SimDuration::from_secs_f64(cost.as_secs_f64() * factor);
+                }
+                stats.comm_s += cost.as_secs_f64();
+                return cost;
+            }
+            Op::Recv { .. } => return SimDuration::ZERO,
+            Op::Compute(dur) => stretched(dur),
+            Op::Flops { flops, threads } => {
+                let gflops = core_gflops(here().device);
+                stretched(SimDuration::from_secs_f64(
+                    flops / (gflops * 1e9 * threads as f64),
+                ))
+            }
+            Op::Reduce(bytes) => transport.reduce_time(here().device, bytes),
+        };
+        stats.compute_s += dur.as_secs_f64();
+        dur
+    }
 }
 
 const SEND: u8 = 0;
@@ -203,29 +265,119 @@ impl Rank {
     }
 }
 
-/// Replay the live world's per-rank `logs` on each of `specs`, after the
-/// live world's own result. Not generic over the program, so every
-/// kernel shares this one copy of the replay.
+/// Price the live world's per-rank `logs` on each of `specs`, after the
+/// live world's own result: evaluated, or as a DES run while a probe
+/// could observe engines. Not generic over the program, so every kernel
+/// shares this one copy of the replay.
 pub(crate) fn replay_layouts(
     live: WorldResult,
     logs: Vec<OpLog>,
     specs: &[WorldSpec],
 ) -> Result<Vec<WorldResult>, SimError> {
     let logs: Arc<[Box<[u8]>]> = logs.into_iter().map(|log| log.bytes.into()).collect();
+    let probed = maia_sim::factory_installed();
     let mut worlds = Vec::with_capacity(specs.len() + 1);
     worlds.push(live);
     for spec in specs {
-        let logs = Arc::clone(&logs);
-        let replay = move |rank: Rank| {
-            let logs = Arc::clone(&logs);
-            async move {
-                let me = rank.rank();
-                rank.replay(&logs[me]).await
-            }
-        };
-        worlds.push(run_live(spec, replay, false)?.0);
+        worlds.push(if probed {
+            des_replay(spec, &logs)?
+        } else {
+            evaluate(spec, &logs)?
+        });
     }
     Ok(worlds)
+}
+
+/// Replay `logs` on `spec` as its own DES run, through the calls the
+/// live program made, so a probe sees every event a live run schedules.
+pub(crate) fn des_replay(
+    spec: &WorldSpec,
+    logs: &Arc<[Box<[u8]>]>,
+) -> Result<WorldResult, SimError> {
+    let logs = Arc::clone(logs);
+    let replay = move |rank: Rank| {
+        let logs = Arc::clone(&logs);
+        async move {
+            let me = rank.rank();
+            rank.replay(&logs[me]).await
+        }
+    };
+    Ok(run_live(spec, replay, false)?.0)
+}
+
+/// Evaluate `logs` on `spec` without an engine. A send advances its
+/// rank's clock by the send's price and leaves the message ready at the
+/// new clock; a receive takes the clock to the later of itself and the
+/// ready time of the first message from its source with its tag, in send
+/// order, or parks the rank until that message is sent; every other op
+/// advances the clock by its price. Ranks run from a worklist until each
+/// finishes or parks; one still parked when the worklist empties is
+/// blocked for good, and the world deadlocks as the engine reports it.
+/// The result is the DES replay's, bit for bit: every op is priced by
+/// [`Op::price`] at the same clock, and fault tallies are integer sums,
+/// so the order ranks run in changes nothing.
+pub(crate) fn evaluate(spec: &WorldSpec, logs: &[Box<[u8]>]) -> Result<WorldResult, SimError> {
+    spec.validate();
+    let n = spec.size();
+    let transport = TransportModel::for_world(spec);
+    let placements = &spec.placements[..];
+    let mut cursors: Vec<Ops> = logs.iter().map(|log| Ops { bytes: log }).collect();
+    let mut clocks = vec![SimTime::ZERO; n];
+    let mut stats = vec![RankStats::default(); n];
+    // Messages sent and not yet received, `(tag, ready)` in send order,
+    // per `(src, dest)`; and the `(src, tag)` each parked rank waits on.
+    let mut sent: Vec<VecDeque<(i32, SimTime)>> = vec![VecDeque::new(); n * n];
+    let mut parked: Vec<Option<(usize, i32)>> = vec![None; n];
+    let mut runnable: Vec<usize> = (0..n).rev().collect();
+    while let Some(me) = runnable.pop() {
+        let (ops, now, charged) = (&mut cursors[me], &mut clocks[me], &mut stats[me]);
+        loop {
+            let unread = ops.bytes;
+            let Some(op) = ops.next() else { break };
+            match op {
+                Op::Recv { src, tag } => {
+                    let queue = &mut sent[src * n + me];
+                    let Some(i) = queue.iter().position(|&(t, _)| t == tag) else {
+                        // Unread, so the rank retries it once woken.
+                        ops.bytes = unread;
+                        parked[me] = Some((src, tag));
+                        break;
+                    };
+                    let (_, ready) = queue.remove(i).expect("a found message");
+                    *now = (*now).max(ready);
+                }
+                Op::Send { dest, tag, .. } => {
+                    let at = *now;
+                    *now += op.price(&transport, placements, me, || at, charged);
+                    sent[me * n + dest].push_back((tag, *now));
+                    if parked[dest] == Some((me, tag)) {
+                        parked[dest] = None;
+                        runnable.push(dest);
+                    }
+                }
+                _ => {
+                    let at = *now;
+                    *now += op.price(&transport, placements, me, || at, charged);
+                }
+            }
+        }
+    }
+    let end_time = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
+    let blocked: Vec<String> = (0..n)
+        .filter(|&r| parked[r].is_some())
+        .map(|r| format!("rank-{r}"))
+        .collect();
+    if !blocked.is_empty() {
+        return Err(SimError::Deadlock {
+            blocked,
+            at: end_time,
+        });
+    }
+    Ok(WorldResult {
+        end_time,
+        rank_finish_s: clocks.iter().map(|c| c.as_secs_f64()).collect(),
+        rank_stats: stats,
+    })
 }
 
 #[cfg(test)]
@@ -235,6 +387,7 @@ mod tests {
     use maia_arch::faults::Straggler;
     use maia_arch::{Device, Faults};
     use maia_interconnect::SoftwareStack;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Three 4-rank layouts: one device each, and symmetric mode.
@@ -336,6 +489,186 @@ mod tests {
         .unwrap();
         assert_eq!(worlds.len(), 3);
         assert_eq!(calls.load(Ordering::SeqCst), 4, "one body per rank");
+    }
+
+    /// A splitmix64 stream: a generated program's only randomness.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// One step of a generated program; every rank runs every step.
+    #[derive(Debug)]
+    enum Step {
+        /// Rank `r` sends each `(tag, bytes)` to `to[r]` in order, then
+        /// receives them from the rank that sends to it, last first.
+        Exchange {
+            to: Vec<usize>,
+            msgs: Vec<(i32, u64)>,
+        },
+        /// Picoseconds of compute, times one more than the rank.
+        Compute(u64),
+        Flops {
+            flops: f64,
+            threads: usize,
+        },
+        Reduce(u64),
+        Alltoall(u64),
+    }
+
+    /// A 4-rank program from `seed`, ending in an incast alltoall. Sends
+    /// are eager, so every send-then-receive round completes: the
+    /// program cannot deadlock.
+    fn program_from(seed: u64) -> Vec<Step> {
+        let mut mix = Mix(seed);
+        let mut steps: Vec<Step> = (0..4 + mix.below(12))
+            .map(|_| match mix.below(6) {
+                0 | 1 => {
+                    let mut to: Vec<usize> = (0..4).collect();
+                    for i in (1..4).rev() {
+                        to.swap(i, mix.below(i as u64 + 1) as usize);
+                    }
+                    let msgs = (0..1 + mix.below(2))
+                        .map(|_| (mix.below(5) as i32 - 2, 1 + mix.below(512 * 1024)))
+                        .collect();
+                    Step::Exchange { to, msgs }
+                }
+                2 => Step::Compute(1 + mix.below(4_000_000)),
+                3 => Step::Flops {
+                    flops: (1 + mix.below(1_000_000)) as f64,
+                    threads: 1 + mix.below(4) as usize,
+                },
+                4 => Step::Reduce(1 + mix.below(256 * 1024)),
+                _ => Step::Alltoall(1 + mix.below(64 * 1024)),
+            })
+            .collect();
+        steps.push(Step::Alltoall(1 + mix.below(64 * 1024)));
+        steps
+    }
+
+    async fn run_steps(mut rank: Rank, steps: Arc<Vec<Step>>) -> Rank {
+        let me = rank.rank();
+        let scale = 1 + me as u64;
+        for step in steps.iter() {
+            match step {
+                Step::Exchange { to, msgs } => {
+                    let from = to.iter().position(|&d| d == me).expect("a permutation");
+                    if from == me {
+                        continue;
+                    }
+                    for &(tag, bytes) in msgs {
+                        rank.send(to[me], tag, bytes).await;
+                    }
+                    for &(tag, _) in msgs.iter().rev() {
+                        rank.recv(from, tag).await;
+                    }
+                }
+                Step::Compute(ps) => rank.compute(SimDuration::from_ps(ps * scale)).await,
+                Step::Flops { flops, threads } => {
+                    rank.compute_flops(flops * scale as f64, *threads).await
+                }
+                Step::Reduce(bytes) => rank.reduce_op(bytes * scale).await,
+                Step::Alltoall(bytes) => rank.alltoall(*bytes).await,
+            }
+        }
+        rank
+    }
+
+    fn frozen(logs: Vec<OpLog>) -> Arc<[Box<[u8]>]> {
+        logs.into_iter().map(|log| log.bytes.into()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Any program's op log, evaluated on each layout, is the DES
+        /// replay of that log and a live run of the program, bit for
+        /// bit, with the same injected fault time: on the healthy
+        /// machine, under a straggler from mid-run on, and over a
+        /// degraded DAPL link, whose retries the symmetric layout's
+        /// PCIe messages pay.
+        #[test]
+        fn evaluated_logs_match_des_replays_and_live_runs(seed in any::<u64>()) {
+            let steps = Arc::new(program_from(seed));
+            let program = || {
+                let steps = Arc::clone(&steps);
+                move |rank: Rank| run_steps(rank, Arc::clone(&steps))
+            };
+            let (healthy, logs) = run_live(&layouts()[0], program(), true).unwrap();
+            let logs = frozen(logs);
+            let machine = |kind: usize| {
+                let mut faults = Faults::armed("replay-prop", None);
+                match kind {
+                    0 => {}
+                    1 => faults.stragglers.push(Straggler {
+                        rank: (seed % 4) as u32,
+                        slowdown: 3.0,
+                        from_s: healthy.end_time.as_secs_f64() / 2.0,
+                    }),
+                    _ => {
+                        faults.dapl_fallback = true;
+                        faults.link_timeouts_s = vec![2e-6, 4e-6];
+                    }
+                }
+                faults
+            };
+            for (i, layout) in layouts().into_iter().enumerate() {
+                for kind in 0..3 {
+                    let what = format!("seed {seed}, layout {i}, machine {kind}");
+                    let run = |how: usize| {
+                        let faults = machine(kind);
+                        let spec = layout.clone().with_faults(&faults);
+                        let world = match how {
+                            0 => evaluate(&spec, &logs),
+                            1 => des_replay(&spec, &logs),
+                            _ => MpiWorld::run(&spec, program()),
+                        };
+                        (world.unwrap(), faults.injected_ps())
+                    };
+                    let (evaluated, evaluated_ps) = run(0);
+                    for how in 1..3 {
+                        let (world, injected_ps) = run(how);
+                        assert_same_world(&world, &evaluated, &what);
+                        prop_assert_eq!(injected_ps, evaluated_ps, "{}: injected time", what);
+                    }
+                    if kind == 2 && i == 2 {
+                        prop_assert!(evaluated_ps > 0, "{}: no link retry priced", what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unmatched_receive_evaluates_to_the_engines_deadlock() {
+        let mut logs = vec![OpLog::default(), OpLog::default(), OpLog::default()];
+        logs[0].push(Op::Compute(SimDuration::from_us(5.0)));
+        logs[0].push(Op::Send {
+            dest: 1,
+            tag: 1,
+            bytes: 64,
+            incast: false,
+        });
+        logs[1].push(Op::Recv { src: 0, tag: 2 });
+        logs[2].push(Op::Reduce(4096));
+        let logs = frozen(logs);
+        let spec = WorldSpec::all_on(Device::Host, 3);
+        let err = evaluate(&spec, &logs).unwrap_err();
+        assert_eq!(err, des_replay(&spec, &logs).unwrap_err());
+        match err {
+            SimError::Deadlock { blocked, at } => {
+                assert_eq!(blocked, ["rank-1"]);
+                assert!(at > SimTime::ZERO);
+            }
+            other => panic!("expected a deadlock, got {other}"),
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use maia_sim::{Engine, InjectCtx, Probe, SimCtx, SimDuration, SimError, SimTime}
 use crate::partition::{lookahead, node_domains, PartitionPlan};
 use crate::placement::{RankPlacement, WorldSpec};
 use crate::replay::{replay_layouts, Op, OpLog};
-use crate::transport::{alltoall_incast, core_gflops, TransportModel};
+use crate::transport::TransportModel;
 
 /// An in-flight simulated message. Timing is always driven by `bytes`;
 /// `data` optionally carries a *real* payload so distributed algorithms
@@ -83,7 +83,9 @@ impl MpiWorld {
     /// `specs[0]`, recording every rank's operations, then as a
     /// payload-free replay of those operations on each other layout (see
     /// [`crate::replay`]). The program's body runs `size` times, not once
-    /// per layout, and every layout still gets its own DES run: the
+    /// per layout. A replayed layout is evaluated, a per-rank clock
+    /// recurrence over the logs with no engine, and is a DES run of its
+    /// own only while a probe could observe engines. Either way the
     /// results, in `specs` order, are bit-identical to running each layout
     /// live. One layout is exactly [`MpiWorld::run`], with no log.
     ///
@@ -333,7 +335,7 @@ impl SimCommunicator<Msg> for KillAtWindow<'_> {
 }
 
 /// The one live runner behind [`MpiWorld::run`], [`MpiWorld::run_layouts`]
-/// and every replay: all ranks of `spec` on one engine. With `record`
+/// and every DES replay: all ranks of `spec` on one engine. With `record`
 /// set, also returns each rank's op log. Only the spawn loop depends on
 /// the program's type; the rest is shared by every program.
 pub(crate) fn run_live<F, Fut>(
@@ -626,26 +628,30 @@ impl Rank {
         self.size
     }
 
-    /// Where this rank runs. Crate-private, like the clock and the
-    /// message price, so a rank program cannot depend on its layout.
-    pub(crate) fn placement(&self) -> RankPlacement {
-        self.placements[self.rank]
-    }
-
-    /// Append `op` to the log, if this rank is recording.
+    /// Append `op` to the log, if this rank is recording, and price it
+    /// at this rank's clock ([`Op::price`], which a replay evaluates
+    /// too), charging its stats.
     #[inline(always)]
-    fn record(&mut self, op: Op) {
+    fn charge(&mut self, op: Op) -> SimDuration {
         if let Some(log) = &mut self.log {
             log.push(op);
         }
+        let ctx = &self.ctx;
+        op.price(
+            &self.transport,
+            &self.placements,
+            self.rank,
+            || ctx.now(),
+            &mut self.stats,
+        )
     }
 
     /// Consume `dur` of virtual compute time. A straggler fault in the
     /// world's [`WorldSpec::faults`] stretches this rank's phases once
     /// virtual time passes the fault's onset.
     pub async fn compute(&mut self, dur: SimDuration) {
-        self.record(Op::Compute(dur));
-        self.charge_compute(dur).await;
+        let dur = self.charge(Op::Compute(dur));
+        self.ctx.advance(dur).await;
     }
 
     /// Consume the virtual time `flops` floating-point operations take on
@@ -653,24 +659,7 @@ impl Rank {
     /// [`crate::transport::core_gflops`] per core; stretched by a
     /// straggler like [`Rank::compute`].
     pub async fn compute_flops(&mut self, flops: f64, threads: usize) {
-        self.record(Op::Flops { flops, threads });
-        let gflops = core_gflops(self.placement().device);
-        let dur = SimDuration::from_secs_f64(flops / (gflops * 1e9 * threads as f64));
-        self.charge_compute(dur).await;
-    }
-
-    /// Charge a compute phase of nominal length `dur`, stretched by any
-    /// straggler fault active at this instant.
-    fn charge_compute(&mut self, dur: SimDuration) -> maia_sim::engine::AdvanceFut {
-        let (faults, now_s) = (&self.transport.faults, self.ctx.now().as_secs_f64());
-        let dur = crate::faults::stretched_compute(faults, self.rank as u32, now_s, dur);
-        self.stats.compute_s += dur.as_secs_f64();
-        self.ctx.advance(dur)
-    }
-
-    /// Advance virtual time attributing it to communication.
-    async fn comm_advance(&mut self, dur: SimDuration) {
-        self.stats.comm_s += dur.as_secs_f64();
+        let dur = self.charge(Op::Flops { flops, threads });
         self.ctx.advance(dur).await;
     }
 
@@ -704,8 +693,8 @@ impl Rank {
     }
 
     /// The synchronous prologue of every blocking send: check `dest`,
-    /// record the send, price the message (inflated by the alltoall
-    /// incast of this rank's device, for an `incast` send), and build it.
+    /// record and price the send (charged as communication), and build
+    /// the message.
     /// A cross-domain message is staged for the window exchange here, at
     /// send start; the receiver still sees it only at `ready`, exactly as
     /// on the direct path. Returns the cost the sender pays and the
@@ -724,18 +713,12 @@ impl Rank {
     ) -> (SimDuration, Option<Msg>) {
         assert!(dest < self.size, "send to rank {dest} out of 0..{}", self.size);
         assert_ne!(dest, self.rank, "blocking self-send would deadlock");
-        self.record(Op::Send {
+        let cost = self.charge(Op::Send {
             dest,
             tag,
             bytes,
             incast,
         });
-        let from = self.placement();
-        let mut cost = self.transport.message_time(from, self.placements[dest], bytes);
-        if incast {
-            let factor = alltoall_incast(from.device, self.size);
-            cost = SimDuration::from_secs_f64(cost.as_secs_f64() * factor);
-        }
         let msg = Msg {
             src: self.rank,
             tag,
@@ -760,7 +743,7 @@ impl Rank {
     /// the caller's algorithm.
     pub async fn send(&mut self, dest: usize, tag: i32, bytes: u64) {
         let (cost, local) = self.post(dest, tag, bytes, None, false);
-        self.comm_advance(cost).await;
+        self.ctx.advance(cost).await;
         if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
         }
@@ -771,7 +754,7 @@ impl Rank {
     pub async fn send_data(&mut self, dest: usize, tag: i32, data: &[f64]) {
         let bytes = (data.len() * 8) as u64;
         let (cost, local) = self.post(dest, tag, bytes, Some(data), false);
-        self.comm_advance(cost).await;
+        self.ctx.advance(cost).await;
         if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
         }
@@ -781,7 +764,7 @@ impl Rank {
     /// device ([`crate::transport::alltoall_incast`]).
     pub(crate) async fn send_incast(&mut self, dest: usize, tag: i32, bytes: u64) {
         let (cost, local) = self.post(dest, tag, bytes, None, true);
-        self.comm_advance(cost).await;
+        self.ctx.advance(cost).await;
         if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
         }
@@ -813,12 +796,12 @@ impl Rank {
     }
 
     /// The one matcher behind both receives: check `src`, record the
-    /// receive, and take the first message from `src` with `tag`, first
+    /// receive (it costs nothing), and take the first message from `src` with `tag`, first
     /// from the out-of-order arrivals, then from the mailbox.
     async fn matched(&mut self, src: usize, tag: i32) -> Msg {
         assert!(src < self.size, "recv from rank {src} out of 0..{}", self.size);
         assert_ne!(src, self.rank, "recv from itself would never match");
-        self.record(Op::Recv { src, tag });
+        self.charge(Op::Recv { src, tag });
         let matches = |m: &Msg| m.src == src && m.tag == tag;
         let m = if let Some(pos) = self.unexpected.iter().position(matches) {
             self.unexpected.remove(pos)
@@ -847,9 +830,7 @@ impl Rank {
     /// Apply the reduction-operator cost for `bytes` on this rank's
     /// device.
     pub async fn reduce_op(&mut self, bytes: u64) {
-        self.record(Op::Reduce(bytes));
-        let t = self.transport.reduce_time(self.placements[self.rank].device, bytes);
-        self.stats.compute_s += t.as_secs_f64();
+        let t = self.charge(Op::Reduce(bytes));
         self.ctx.advance(t).await;
     }
 }

@@ -13,8 +13,10 @@
 //! without payloads ([`MpiWorld::run_layouts`]). The rank programs never
 //! ask where they run (compute is priced by
 //! [`maia_mpi::Rank::compute_flops`]), so the result is the same on every
-//! layout, and each layout's virtual time is still its own DES run. The
-//! single-layout functions are one-line wrappers.
+//! layout. A replayed layout's virtual time is evaluated from the op log
+//! with no engine, bit-identical to a live run of it, and is a DES run
+//! of its own only while a probe observes engines. The single-layout
+//! functions are one-line wrappers.
 //!
 //! * [`ep_mpi_layouts`] — batch distribution + allreduce of the
 //!   sums/counts.
