@@ -68,6 +68,11 @@ golden_gate "usage text (maia-bench help)" tests/golden/usage.txt ./target/relea
 # into (or drifted from) the nominal models.
 golden_gate "faults smoke (degraded-stack plan)" tests/golden/resilience.md \
     ./target/release/maia-bench faults --plan degraded-stack --only F07,F08,F09,F18 --jobs 2
+# The same report as JSON: every count and relative delta of the
+# nominal-vs-degraded table diff, and the JSON renderer with them.
+golden_gate "faults smoke as JSON (degraded-stack plan)" tests/golden/resilience.json \
+    ./target/release/maia-bench faults --plan degraded-stack --only F07,F08,F09,F18 --jobs 2 \
+    --format json
 # One fault plan reaches every wheel: the straggler report over the
 # cluster experiments must not change when wheels 1-3 (and with them
 # the straggling rank) run in worker processes.
@@ -108,6 +113,10 @@ echo "== engine crosscheck: every F10-F14 and C01-C02 cell, closed forms vs DES"
     cat "$tmp" >&2
     exit 1
 }
+# The matching report itself: the cells compared per experiment, which
+# a diff that skipped a row or a column would change.
+golden_gate "engine crosscheck report (2 wheels)" tests/golden/crosscheck.md \
+    ./target/release/maia-bench crosscheck --jobs 2 --partitions 2
 
 # The partitioned engine must be a pure function of the simulated world:
 # single-wheel output pins the golden, and a 4-wheel run must be

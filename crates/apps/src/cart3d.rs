@@ -58,19 +58,6 @@ impl Cart3dCase {
         c
     }
 
-    /// An OneraM6-like case (6M cells) for the figure model.
-    pub fn onera_m6_like() -> Self {
-        Cart3dCase {
-            nx: 182,
-            ny: 182,
-            nz: 182,
-            body_radius: 0.15,
-            mach: 0.84,
-            cfl: 0.5,
-            farfield: true,
-        }
-    }
-
     /// Total cells in the bounding box.
     pub fn box_cells(&self) -> usize {
         self.nx * self.ny * self.nz

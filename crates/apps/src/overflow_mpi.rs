@@ -7,8 +7,9 @@
 //! communication on host shared memory or PCIe.
 //!
 //! [`run_mpi_layouts`] solves once, live on its first layout, and prices
-//! every other layout by replaying the recorded exchanges and compute
-//! phases without payloads ([`MpiWorld::run_layouts`]).
+//! every other layout by evaluating the recorded exchanges and compute
+//! phases, with no payloads and no engine ([`MpiWorld::run_layouts`]).
+//! Only while a probe observes engines does every layout solve live.
 
 use std::sync::Arc;
 
@@ -44,7 +45,7 @@ pub struct OverflowMpiRuns {
     pub final_residual: f64,
     /// Interface mismatch before the last exchange.
     pub final_mismatch: f64,
-    /// The first layout's world ran live, the others are replays.
+    /// One world per layout, each bit-identical to a live run of it.
     pub worlds: Vec<WorldResult>,
 }
 

@@ -57,13 +57,6 @@ impl ProcessorSpec {
         self.caches.iter().find(|c| c.level == level)
     }
 
-    /// The last (largest) cache level present.
-    pub fn last_level_cache(&self) -> &CacheSpec {
-        self.caches
-            .last()
-            .expect("a processor must have at least one cache level")
-    }
-
     /// Total cache bytes available to one core: its private levels plus its
     /// per-core share of any shared level. The paper notes 2.788 MB/core on
     /// the host vs 544 KB/core on the Phi — a factor of 5.1.

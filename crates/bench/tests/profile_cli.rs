@@ -196,10 +196,10 @@ fn des_work_counters_match_the_golden() {
 
 /// The exact work of the default sweep's critical path, gated at any
 /// core count: A01's and A02's engines, events pushed and popped,
-/// blocked processes, rank spans and per-rank virtual time. The other
-/// layouts of both experiments are replays of the first layout's op log,
-/// so a replay that issued one await more or less than a live run would
-/// show up here.
+/// blocked processes, rank spans and per-rank virtual time. Under the
+/// profile's probe every layout of both experiments runs live, so an
+/// unprobed run's evaluated layouts are pinned by the tables instead
+/// (`metrics_leave_every_table_unchanged`).
 #[test]
 fn sweep_work_counters_match_the_golden() {
     let doc = metrics_json(&[
@@ -216,6 +216,32 @@ fn sweep_work_counters_match_the_golden() {
         Some(&golden),
         "sweep work counters differ from tests/golden/sweep_counters.json"
     );
+}
+
+/// Observing a run changes no table. `--metrics` installs the probe
+/// factory, which runs every A01/A02 layout live where a plain run
+/// evaluates all but the first from its op log, and sends F13 and C01 to
+/// the DES where a plain run takes their closed forms.
+#[test]
+fn metrics_leave_every_table_unchanged() {
+    let tables = |extra: &[&str]| {
+        let mut args = vec!["run", "--only", "A01,A02,F13,C01", "--jobs", "2"];
+        args.extend(extra);
+        let out = maia_bench(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("tables are UTF-8")
+    };
+    let plain = tables(&[]);
+    assert!(
+        plain.contains("## A1 ") && plain.contains("## C1 "),
+        "{plain}"
+    );
+    assert_eq!(plain, tables(&["--metrics", "json"]));
 }
 
 #[test]

@@ -14,14 +14,12 @@
 //! run, and nothing process-wide is flipped. Both configs are healthy:
 //! a fault plan reaches only the runs whose config it was armed onto.
 
-use std::collections::HashMap;
-
 use maia_mpi::fastpath::EngineMode;
 
 use crate::config::RunConfig;
-use crate::executor::{run_experiments_parallel, ExperimentFailure};
+use crate::diff::{diff_sweeps, TableDiff};
+use crate::executor::ExperimentFailure;
 use crate::experiments::ExperimentId;
-use crate::figdata::FigureData;
 
 /// The experiments whose cells have closed-form fast paths. The cluster
 /// experiments run their DES side *partitioned* (at the run config's
@@ -37,33 +35,12 @@ pub const CROSSCHECK_IDS: [ExperimentId; 7] = [
     ExperimentId::C2ClusterAlltoall,
 ];
 
-/// One experiment's DES-vs-fastpath cell comparison.
-#[derive(Debug, Clone)]
-pub struct ExperimentCrosscheck {
-    /// Paper code (`F10`, ...).
-    pub code: String,
-    /// Data cells compared.
-    pub cells: usize,
-    /// Cells whose rendered value differed between the engines.
-    pub mismatched: usize,
-    /// First differing cell, as `row/column: des vs fast`.
-    pub first_mismatch: Option<String>,
-    /// Set when the two tables differ in headers or row count.
-    pub shape_note: Option<String>,
-}
-
-impl ExperimentCrosscheck {
-    /// Did this experiment render identically under both engines?
-    pub fn is_match(&self) -> bool {
-        self.mismatched == 0 && self.shape_note.is_none()
-    }
-}
-
 /// Output of [`run_crosscheck`]: deterministic at fixed jobs.
 #[derive(Debug, Clone)]
 pub struct CrosscheckReport {
     pub jobs: usize,
-    pub experiments: Vec<ExperimentCrosscheck>,
+    /// Each experiment's DES table (`a`) against its closed-form one.
+    pub experiments: Vec<TableDiff>,
     pub des_failures: Vec<ExperimentFailure>,
     pub fast_failures: Vec<ExperimentFailure>,
 }
@@ -71,7 +48,7 @@ pub struct CrosscheckReport {
 impl CrosscheckReport {
     /// True iff every cell matched and both sweeps completed fully.
     pub fn is_match(&self) -> bool {
-        self.experiments.iter().all(ExperimentCrosscheck::is_match)
+        self.experiments.iter().all(TableDiff::is_identical)
             && self.des_failures.is_empty()
             && self.fast_failures.is_empty()
     }
@@ -90,25 +67,27 @@ impl CrosscheckReport {
                 "| {} | {} | {} |{}\n",
                 e.code,
                 e.cells,
-                e.mismatched,
-                e.shape_note
-                    .as_ref()
-                    .map_or(String::new(), |n| format!(" <!-- {n} -->")),
+                e.changed,
+                e.reshaped
+                    .map_or(String::new(), |s| format!(" <!-- {} -->", shape_note(s))),
             ));
         }
-        let mismatches: Vec<&ExperimentCrosscheck> = self
+        let mismatches: Vec<&TableDiff> = self
             .experiments
             .iter()
-            .filter(|e| !e.is_match())
+            .filter(|e| !e.is_identical())
             .collect();
         if !mismatches.is_empty() {
             out.push_str("\n## Mismatches\n\n");
             for e in mismatches {
-                if let Some(first) = &e.first_mismatch {
-                    out.push_str(&format!("- {}: {first}\n", e.code));
+                if let Some((at, des, fast)) = &e.first_change {
+                    out.push_str(&format!(
+                        "- {}: {at}: des {des:?} vs fast {fast:?}\n",
+                        e.code
+                    ));
                 }
-                if let Some(note) = &e.shape_note {
-                    out.push_str(&format!("- {}: {note}\n", e.code));
+                if let Some(shapes) = e.reshaped {
+                    out.push_str(&format!("- {}: {}\n", e.code, shape_note(shapes)));
                 }
             }
         }
@@ -137,79 +116,35 @@ pub fn run_crosscheck(jobs: usize) -> CrosscheckReport {
 /// Compute every F10–F14, C01 and C02 cell on both engines, at `cfg`'s
 /// wheel count and backend, and diff the rendered tables.
 pub fn run_crosscheck_under(cfg: &RunConfig, jobs: usize) -> CrosscheckReport {
-    let sweep = |engine| {
-        let cfg = RunConfig {
-            engine,
-            ..cfg.clone()
-        };
-        run_experiments_parallel(&cfg, &CROSSCHECK_IDS, jobs)
+    let engine = |engine| RunConfig {
+        engine,
+        ..cfg.clone()
     };
-    let des = sweep(EngineMode::Des);
-    let fast = sweep(EngineMode::Fast);
-
-    let fast_by_code: HashMap<&str, &FigureData> = fast
-        .runs
-        .iter()
-        .map(|r| (r.id.meta().code, &r.data))
-        .collect();
-    let mut experiments = Vec::new();
-    for run in &des.runs {
-        let code = run.id.meta().code;
-        let Some(fast_data) = fast_by_code.get(code) else {
-            continue; // failed in the fast sweep; listed under failures
-        };
-        experiments.push(diff_tables(code, &run.data, fast_data));
-    }
-
+    let (experiments, [des_failures, fast_failures]) = diff_sweeps(
+        &engine(EngineMode::Des),
+        &engine(EngineMode::Fast),
+        &CROSSCHECK_IDS,
+        jobs,
+    );
     CrosscheckReport {
         jobs,
         experiments,
-        des_failures: des.failures,
-        fast_failures: fast.failures,
+        des_failures,
+        fast_failures,
     }
 }
 
-fn diff_tables(code: &str, des: &FigureData, fast: &FigureData) -> ExperimentCrosscheck {
-    let mut cells = 0usize;
-    let mut mismatched = 0usize;
-    let mut first_mismatch = None;
-    let shape_note = if des.headers != fast.headers || des.rows.len() != fast.rows.len() {
-        Some(format!(
-            "table shape differs: {}x{} des vs {}x{} fast",
-            des.rows.len(),
-            des.headers.len(),
-            fast.rows.len(),
-            fast.headers.len()
-        ))
-    } else {
-        None
-    };
-    for (d_row, f_row) in des.rows.iter().zip(fast.rows.iter()) {
-        for (col, (d_cell, f_cell)) in d_row.iter().zip(f_row.iter()).enumerate() {
-            cells += 1;
-            if d_cell != f_cell {
-                mismatched += 1;
-                if first_mismatch.is_none() {
-                    let header = des.headers.get(col).map_or("?", String::as_str);
-                    let key = d_row.first().map_or("?", String::as_str);
-                    first_mismatch =
-                        Some(format!("{key}/{header}: des {d_cell:?} vs fast {f_cell:?}"));
-                }
-            }
-        }
-    }
-    ExperimentCrosscheck {
-        code: code.to_string(),
-        cells,
-        mismatched,
-        first_mismatch,
-        shape_note,
-    }
+/// `(rows, headers)` of the DES and the closed-form table, in words.
+fn shape_note([(des_rows, des_cols), (fast_rows, fast_cols)]: [(usize, usize); 2]) -> String {
+    format!("table shape differs: {des_rows}x{des_cols} des vs {fast_rows}x{fast_cols} fast")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::diff_tables;
+    use crate::faults::{FaultPlan, ResilienceReport};
+    use crate::figdata::FigureData;
 
     // The full two-engine sweep runs in the cross-crate suite
     // (tests/tests/fastpath_equivalence.rs) and in ci.sh.
@@ -220,26 +155,65 @@ mod tests {
         assert_eq!(codes, ["F10", "F11", "F12", "F13", "F14", "C01", "C02"]);
     }
 
-    #[test]
-    fn mismatches_render_with_coordinates() {
-        let mut des = FigureData::new("F10", "t", &["config", "size", "MB/s"]);
-        des.push_row(vec!["host-16".into(), "64B".into(), "1.0".into()]);
-        let mut fast = FigureData::new("F10", "t", &["config", "size", "MB/s"]);
-        fast.push_row(vec!["host-16".into(), "64B".into(), "2.0".into()]);
-        let d = diff_tables("F10", &des, &fast);
-        assert!(!d.is_match());
-        assert_eq!(d.mismatched, 1);
-        assert_eq!(
-            d.first_mismatch.as_deref(),
-            Some("host-16/MB/s: des \"1.0\" vs fast \"2.0\"")
-        );
-        let report = CrosscheckReport {
+    /// An F10-shaped table of `(config, size, MB/s)` rows.
+    fn f10(rows: &[[&str; 3]]) -> FigureData {
+        let mut t = FigureData::new("F10", "t", &["config", "size", "MB/s"]);
+        for row in rows {
+            t.push_row(row.map(String::from).to_vec());
+        }
+        t
+    }
+
+    fn report(experiments: Vec<TableDiff>) -> CrosscheckReport {
+        CrosscheckReport {
             jobs: 1,
-            experiments: vec![d],
+            experiments,
             des_failures: vec![],
             fast_failures: vec![],
+        }
+    }
+
+    #[test]
+    fn mismatches_render_with_coordinates() {
+        let des = f10(&[["host-16", "64B", "5.0"], ["host-16", "4KiB", "1.0"]]);
+        let fast = f10(&[["host-16", "64B", "5.0"], ["host-16", "4KiB", "2.0"]]);
+        let d = diff_tables("F10", &des, &fast);
+        assert_eq!((d.cells, d.changed), (6, 1));
+        let crosscheck = report(vec![d]);
+        assert!(!crosscheck.is_match());
+        let md = crosscheck.to_markdown();
+        assert!(md.contains("MISMATCH"));
+        // The row is named by its cells left of the differing column,
+        // not by its first cell alone, which the 64B row shares.
+        assert!(
+            md.contains("- F10: host-16 4KiB/MB/s: des \"1.0\" vs fast \"2.0\"\n"),
+            "{md}"
+        );
+    }
+
+    #[test]
+    fn a_shape_change_renders_in_both_reports() {
+        let two = f10(&[["host-16", "64B", "1.0"], ["host-16", "4KiB", "3.0"]]);
+        let d = diff_tables("F10", &two, &f10(&[["host-16", "64B", "1.0"]]));
+        assert_eq!((d.cells, d.changed), (3, 0));
+        let md = report(vec![d.clone()]).to_markdown();
+        let note = "table shape differs: 2x3 des vs 1x3 fast";
+        assert!(
+            md.contains(&format!("| F10 | 3 | 0 | <!-- {note} -->\n")),
+            "{md}"
+        );
+        assert!(md.contains(&format!("- F10: {note}\n")), "{md}");
+        let resilience = ResilienceReport {
+            plan: FaultPlan::named("straggler").expect("canned plan"),
+            jobs: 1,
+            deltas: vec![d],
+            nominal_failures: vec![],
+            degraded_failures: vec![],
+            mode_switches: vec![],
+            injected_vt_ps: 0,
         };
-        assert!(!report.is_match());
-        assert!(report.to_markdown().contains("MISMATCH"));
+        let md = resilience.to_markdown();
+        let row = "| F10 | 3 | 0 | 0.0000 | <!-- table shape changed: 2x3 -> 1x3 -->\n";
+        assert!(md.contains(row), "{md}");
     }
 }

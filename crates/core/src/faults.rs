@@ -27,7 +27,6 @@
 //! should be killed in a controlled way (through a real `maia_sim`
 //! engine, so the failure carries a process name and virtual time).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,7 +35,8 @@ use maia_arch::{Device, Faults};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::config::RunConfig;
-use crate::executor::{run_experiments_parallel, ExperimentFailure};
+use crate::diff::{diff_sweeps, TableDiff};
+use crate::executor::ExperimentFailure;
 use crate::experiments::{ExperimentId, ExperimentSelection};
 use crate::figdata::json_escape;
 use crate::telemetry;
@@ -394,27 +394,13 @@ pub fn arm(cfg: &RunConfig, plan: &FaultPlan) -> RunConfig {
 // Resilience report
 // ---------------------------------------------------------------------------
 
-/// Nominal-vs-degraded comparison of one experiment's table.
-#[derive(Debug, Clone)]
-pub struct ExperimentDelta {
-    /// Paper code (`F8`, `T1`, ...).
-    pub code: String,
-    /// Total data cells compared.
-    pub cells: usize,
-    /// Cells whose rendered value changed under the fault plan.
-    pub changed: usize,
-    /// Largest relative change over numeric cells, `|d-n| / max(|n|,ε)`.
-    pub max_rel_delta: f64,
-    /// Set when the degraded table changed shape (headers/row count).
-    pub shape_note: Option<String>,
-}
-
 /// Output of [`run_resilience`]: deterministic at fixed plan and jobs.
 #[derive(Debug, Clone)]
 pub struct ResilienceReport {
     pub plan: FaultPlan,
     pub jobs: usize,
-    pub deltas: Vec<ExperimentDelta>,
+    /// Each experiment's nominal table (`a`) against its degraded one.
+    pub deltas: Vec<TableDiff>,
     pub nominal_failures: Vec<ExperimentFailure>,
     pub degraded_failures: Vec<ExperimentFailure>,
     pub mode_switches: Vec<String>,
@@ -461,9 +447,9 @@ impl ResilienceReport {
                 d.cells,
                 d.changed,
                 d.max_rel_delta,
-                d.shape_note
-                    .as_ref()
-                    .map_or(String::new(), |n| format!(" <!-- {n} -->")),
+                d.reshaped.map_or(String::new(), |[(nr, nc), (dr, dc)]| {
+                    format!(" <!-- table shape changed: {nr}x{nc} -> {dr}x{dc} -->")
+                }),
             ));
         }
         out.push_str("\n## Failures\n\n");
@@ -557,75 +543,17 @@ pub fn run_resilience(
     selection: &ExperimentSelection,
     jobs: usize,
 ) -> ResilienceReport {
-    let ids = selection.resolve();
-    let nominal = run_experiments_parallel(cfg, &ids, jobs);
     let armed = arm(cfg, plan);
-    let degraded = run_experiments_parallel(&armed, &ids, jobs);
-
-    let degraded_by_code: HashMap<&str, &crate::figdata::FigureData> = degraded
-        .runs
-        .iter()
-        .map(|r| (r.id.meta().code, &r.data))
-        .collect();
-    let mut deltas = Vec::new();
-    for run in &nominal.runs {
-        let code = run.id.meta().code;
-        let Some(deg) = degraded_by_code.get(code) else {
-            continue; // failed in the degraded sweep; listed under failures
-        };
-        deltas.push(diff_tables(code, &run.data, deg));
-    }
-
+    let (deltas, [nominal_failures, degraded_failures]) =
+        diff_sweeps(cfg, &armed, &selection.resolve(), jobs);
     ResilienceReport {
         plan: plan.clone(),
         jobs,
         deltas,
-        nominal_failures: nominal.failures,
-        degraded_failures: degraded.failures,
+        nominal_failures,
+        degraded_failures,
         mode_switches: armed.faults().mode_switches(),
         injected_vt_ps: armed.faults().injected_ps(),
-    }
-}
-
-fn diff_tables(
-    code: &str,
-    nominal: &crate::figdata::FigureData,
-    degraded: &crate::figdata::FigureData,
-) -> ExperimentDelta {
-    let mut cells = 0usize;
-    let mut changed = 0usize;
-    let mut max_rel = 0.0f64;
-    let shape_note = if nominal.headers != degraded.headers
-        || nominal.rows.len() != degraded.rows.len()
-    {
-        Some(format!(
-            "table shape changed: {}x{} -> {}x{}",
-            nominal.rows.len(),
-            nominal.headers.len(),
-            degraded.rows.len(),
-            degraded.headers.len()
-        ))
-    } else {
-        None
-    };
-    for (n_row, d_row) in nominal.rows.iter().zip(degraded.rows.iter()) {
-        for (n_cell, d_cell) in n_row.iter().zip(d_row.iter()) {
-            cells += 1;
-            if n_cell != d_cell {
-                changed += 1;
-                if let (Ok(n), Ok(d)) = (n_cell.parse::<f64>(), d_cell.parse::<f64>()) {
-                    let rel = (d - n).abs() / n.abs().max(1e-12);
-                    max_rel = max_rel.max(rel);
-                }
-            }
-        }
-    }
-    ExperimentDelta {
-        code: code.to_string(),
-        cells,
-        changed,
-        max_rel_delta: max_rel,
-        shape_note,
     }
 }
 

@@ -20,6 +20,7 @@ pub mod backoff;
 pub mod cache;
 mod config;
 pub mod crosscheck;
+mod diff;
 pub mod executor;
 pub mod experiments;
 pub mod faults;
@@ -34,6 +35,7 @@ pub use executor::{
     SweepReport,
 };
 pub use crosscheck::{run_crosscheck, run_crosscheck_under, CrosscheckReport};
+pub use diff::TableDiff;
 pub use faults::{run_resilience, Fault, FaultPlan, ForcedFailure, ResilienceReport};
 pub use experiments::{
     all_experiments, run_experiment, ExperimentDef, ExperimentId, ExperimentSelection,

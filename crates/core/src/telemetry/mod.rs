@@ -307,18 +307,19 @@ pub fn add_model_vt(subsystem: &str, ns: f64) {
     }
 }
 
-/// Fault-injected model time from threads without a scope (simulated
-/// rank threads never inherit the experiment sink), merged by `collect`
-/// into the shared `faults` domain.
+/// Fault-injected model time from threads without a scope (the wheel
+/// threads of a partitioned run never inherit the experiment sink),
+/// merged by `collect` into the shared `faults` domain.
 static ORPHAN_FAULT_VT_PS: AtomicU64 = AtomicU64::new(0);
 
 /// Attribute fault-injected model time to the `faults` subsystem
 /// bucket. Unlike [`add_model_vt`] this also works on threads without a
-/// scope — the fault observers fire on simulated rank threads, which
-/// run outside any experiment scope — by accumulating into a
-/// process-global bucket that [`collect`] reports as a shared `faults`
-/// domain. The total stays deterministic: it is a sum over the fixed
-/// multiset of model calls, regardless of thread interleaving.
+/// scope — the fault observers fire on the wheel threads of a
+/// partitioned run, which run outside any experiment scope — by
+/// accumulating into a process-global bucket that [`collect`] reports as
+/// a shared `faults` domain. The total stays deterministic: it is a sum
+/// over the fixed multiset of model calls, regardless of thread
+/// interleaving.
 pub(crate) fn add_fault_vt(ns: f64) {
     if !is_enabled() {
         return;

@@ -103,15 +103,6 @@ impl AccessStats {
             self.level_hits[level] as f64 / self.total as f64
         }
     }
-
-    /// Fraction of accesses served by main memory.
-    pub fn memory_rate(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.memory_accesses as f64 / self.total as f64
-        }
-    }
 }
 
 /// A multi-level cache hierarchy simulator for one thread of access.

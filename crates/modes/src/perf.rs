@@ -72,11 +72,6 @@ impl KernelProfile {
             assert!((0.0..=1.0).contains(&f), "{}: {label} = {f}", self.name);
         }
     }
-
-    /// Bytes of DRAM traffic per flop.
-    pub fn bytes_per_flop(&self) -> f64 {
-        self.dram_bytes / self.flops
-    }
 }
 
 /// A device execution target: processor preset plus socket count.

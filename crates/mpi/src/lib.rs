@@ -26,10 +26,11 @@
 //! the basis of the verifiable distributed NPB and OVERFLOW runs),
 //! per-rank communication/compute accounting ([`RankStats`]), and
 //! [`MpiWorld::run_layouts`], which runs a program live on one layout and
-//! replays its recorded operations on the others ([`replay`]). A rank
+//! evaluates its recorded operations on the others ([`replay`]). A rank
 //! program calls only blocking sends, receives that name their source and
 //! tag, and world-wide collectives, so no program can observe its layout
-//! and every one can be replayed.
+//! and every one can be evaluated. The DES runs only live programs; an
+//! op log is only evaluated.
 //!
 //! A world runs on the machine its [`WorldSpec::faults`] describes
 //! (healthy in every constructor): straggling ranks stretch their

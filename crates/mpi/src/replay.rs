@@ -1,38 +1,37 @@
 //! Record one live world, price it on other layouts.
 //!
 //! A rank program cannot ask where it runs: compute is priced by
-//! [`Rank::compute_flops`] from the rank's device, an alltoall's incast
-//! from the sender's, and a message's cost by the transport. So its
-//! operations — sends, receives, compute and reduction operators — are a
-//! function of its rank, the world size and its numerics alone.
+//! [`Rank::compute_flops`](crate::Rank::compute_flops) from the rank's
+//! device, an alltoall's incast from the sender's, and a message's cost
+//! by the transport. So its operations — sends, receives, compute and
+//! reduction operators — are a function of its rank, the world size and
+//! its numerics alone.
 //! [`crate::MpiWorld::run_layouts`] runs the program live on the first
 //! layout while every rank appends its operations to an op log, then
 //! prices each rank's log on every other layout: no payloads, no
 //! numerics. Every op is priced by one function, `Op::price`, which a
-//! live [`Rank`] calls too.
+//! live [`Rank`](crate::Rank) calls too.
 //!
 //! No call a rank program can make depends on the layout's timing
 //! either: every receive names its source and tag, so which message it
 //! matches is fixed by the program, and every send is eager and blocks
 //! until its message is ready. So every program that compiles can be
 //! recorded, and on another layout each rank's clock is a recurrence
-//! over its own ops: `evaluate` walks the logs once, with no engine.
-//! Only while a probe could observe engines
-//! (`maia_sim::factory_installed`) does a replayed layout get a DES run
-//! of its own (`des_replay`), which issues exactly the awaits the live
-//! program would, so the profile sees every event. Both give a live
-//! run's [`WorldResult`], bit for bit. This is LogGOPSim's trace-driven
-//! replay (Hoefler, Schneider and Lumsdaine, HPDC 2010), which prices
-//! one MPI trace under many network models.
+//! over its own ops: `evaluate` walks the logs once, with no engine, and
+//! gives a live run's [`WorldResult`], bit for bit. The DES runs only
+//! live programs, and an op log is only evaluated: while a probe could
+//! observe engines (`maia_sim::factory_installed`), every layout runs
+//! live instead, so the profile sees each layout's events. This is
+//! LogGOPSim's trace-driven replay (Hoefler, Schneider and Lumsdaine,
+//! HPDC 2010), which prices one MPI trace under many network models.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use maia_sim::{SimDuration, SimError, SimTime};
 
 use crate::placement::{RankPlacement, WorldSpec};
 use crate::transport::{alltoall_incast, core_gflops, TransportModel};
-use crate::world::{run_live, Rank, RankStats, WorldResult};
+use crate::world::{LiveRun, RankStats, WorldResult};
 
 /// One recorded rank operation, with the arguments a replay needs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,14 +47,15 @@ pub(crate) enum Op {
         src: usize,
         tag: i32,
     },
-    /// [`Rank::compute`] of an explicit duration.
+    /// [`Rank::compute`](crate::Rank::compute) of an explicit duration.
     Compute(SimDuration),
-    /// [`Rank::compute_flops`], priced on the replaying rank's device.
+    /// [`Rank::compute_flops`](crate::Rank::compute_flops), priced on the
+    /// replaying rank's device.
     Flops {
         flops: f64,
         threads: usize,
     },
-    /// [`Rank::reduce_op`] over `bytes`.
+    /// [`Rank::reduce_op`](crate::Rank::reduce_op) over `bytes`.
     Reduce(u64),
 }
 
@@ -67,8 +67,9 @@ impl Op {
     /// reduction operators are compute, and compute and flops stretch
     /// under a straggler active at `now()`, the only ops that read it (a
     /// live rank's clock is a thread-local read). A receive costs
-    /// nothing: its wait is idle. The one pricing a live [`Rank`] and
-    /// [`evaluate`] share, so the two cannot drift apart by a rounding.
+    /// nothing: its wait is idle. The one pricing a live
+    /// [`Rank`](crate::Rank) and [`evaluate`] share, so the two cannot
+    /// drift apart by a rounding.
     #[inline(always)]
     pub(crate) fn price(
         self,
@@ -237,91 +238,50 @@ impl Iterator for Ops<'_> {
     }
 }
 
-impl Rank {
-    /// Run the recorded operations `log` on this rank, payload-free,
-    /// through the same calls the live program made.
-    async fn replay(mut self, log: &[u8]) -> Rank {
-        for op in (Ops { bytes: log }) {
-            match op {
-                Op::Send {
-                    dest,
-                    tag,
-                    bytes,
-                    incast: false,
-                } => self.send(dest, tag, bytes).await,
-                Op::Send {
-                    dest,
-                    tag,
-                    bytes,
-                    incast: true,
-                } => self.send_incast(dest, tag, bytes).await,
-                Op::Recv { src, tag } => self.recv(src, tag).await,
-                Op::Compute(dur) => self.compute(dur).await,
-                Op::Flops { flops, threads } => self.compute_flops(flops, threads).await,
-                Op::Reduce(bytes) => self.reduce_op(bytes).await,
-            }
-        }
-        self
-    }
-}
-
-/// Price the live world's per-rank `logs` on each of `specs`, after the
-/// live world's own result: evaluated, or as a DES run while a probe
-/// could observe engines. Not generic over the program, so every kernel
-/// shares this one copy of the replay.
-pub(crate) fn replay_layouts(
-    live: WorldResult,
-    logs: Vec<OpLog>,
+/// Run one program on every layout in `specs`, all of one size, given
+/// `live(spec, record)`, a live run of it that returns its op logs when
+/// `record` is set: `specs[0]` live while recording, then each other
+/// layout evaluated from its logs; or every layout live, with no log,
+/// while a probe could observe engines. Not generic over the program, so
+/// every kernel shares this one copy of the loop.
+///
+/// # Panics
+/// Panics if `specs` is empty or its worlds differ in size.
+pub(crate) fn run_layouts(
     specs: &[WorldSpec],
+    live: &dyn Fn(&WorldSpec, bool) -> LiveRun,
 ) -> Result<Vec<WorldResult>, SimError> {
-    let logs: Arc<[Box<[u8]>]> = logs.into_iter().map(|log| log.bytes.into()).collect();
-    let probed = maia_sim::factory_installed();
-    let mut worlds = Vec::with_capacity(specs.len() + 1);
-    worlds.push(live);
-    for spec in specs {
-        worlds.push(if probed {
-            des_replay(spec, &logs)?
-        } else {
-            evaluate(spec, &logs)?
-        });
+    let (first, rest) = specs.split_first().expect("run_layouts needs a layout");
+    assert!(
+        rest.iter().all(|s| s.size() == first.size()),
+        "every layout of one program has the same world size"
+    );
+    if maia_sim::factory_installed() {
+        return specs.iter().map(|spec| Ok(live(spec, false)?.0)).collect();
     }
-    Ok(worlds)
-}
-
-/// Replay `logs` on `spec` as its own DES run, through the calls the
-/// live program made, so a probe sees every event a live run schedules.
-pub(crate) fn des_replay(
-    spec: &WorldSpec,
-    logs: &Arc<[Box<[u8]>]>,
-) -> Result<WorldResult, SimError> {
-    let logs = Arc::clone(logs);
-    let replay = move |rank: Rank| {
-        let logs = Arc::clone(&logs);
-        async move {
-            let me = rank.rank();
-            rank.replay(&logs[me]).await
-        }
-    };
-    Ok(run_live(spec, replay, false)?.0)
+    let (world, logs) = live(first, !rest.is_empty())?;
+    let evaluated = rest.iter().map(|spec| evaluate(spec, &logs));
+    std::iter::once(Ok(world)).chain(evaluated).collect()
 }
 
 /// Evaluate `logs` on `spec` without an engine. A send advances its
 /// rank's clock by the send's price and leaves the message ready at the
 /// new clock; a receive takes the clock to the later of itself and the
 /// ready time of the first message from its source with its tag, in send
-/// order, or parks the rank until that message is sent; every other op
-/// advances the clock by its price. Ranks run from a worklist until each
-/// finishes or parks; one still parked when the worklist empties is
-/// blocked for good, and the world deadlocks as the engine reports it.
-/// The result is the DES replay's, bit for bit: every op is priced by
-/// [`Op::price`] at the same clock, and fault tallies are integer sums,
-/// so the order ranks run in changes nothing.
-pub(crate) fn evaluate(spec: &WorldSpec, logs: &[Box<[u8]>]) -> Result<WorldResult, SimError> {
+/// order, or parks the rank until that message is sent, which then
+/// completes the receive; every other op advances the clock by its
+/// price. Ranks run from a worklist until each finishes or parks; one
+/// still parked when the worklist empties is blocked for good, and the
+/// world deadlocks as the engine reports it. The result is a live run's,
+/// bit for bit: every op is priced by [`Op::price`] at the same clock,
+/// and fault tallies are integer sums, so the order ranks run in changes
+/// nothing.
+pub(crate) fn evaluate(spec: &WorldSpec, logs: &[OpLog]) -> Result<WorldResult, SimError> {
     spec.validate();
     let n = spec.size();
     let transport = TransportModel::for_world(spec);
     let placements = &spec.placements[..];
-    let mut cursors: Vec<Ops> = logs.iter().map(|log| Ops { bytes: log }).collect();
+    let mut cursors: Vec<Ops> = logs.iter().map(|log| Ops { bytes: &log.bytes }).collect();
     let mut clocks = vec![SimTime::ZERO; n];
     let mut stats = vec![RankStats::default(); n];
     // Messages sent and not yet received, `(tag, ready)` in send order,
@@ -330,37 +290,33 @@ pub(crate) fn evaluate(spec: &WorldSpec, logs: &[Box<[u8]>]) -> Result<WorldResu
     let mut parked: Vec<Option<(usize, i32)>> = vec![None; n];
     let mut runnable: Vec<usize> = (0..n).rev().collect();
     while let Some(me) = runnable.pop() {
-        let (ops, now, charged) = (&mut cursors[me], &mut clocks[me], &mut stats[me]);
-        loop {
-            let unread = ops.bytes;
-            let Some(op) = ops.next() else { break };
-            match op {
-                Op::Recv { src, tag } => {
-                    let queue = &mut sent[src * n + me];
-                    let Some(i) = queue.iter().position(|&(t, _)| t == tag) else {
-                        // Unread, so the rank retries it once woken.
-                        ops.bytes = unread;
-                        parked[me] = Some((src, tag));
-                        break;
-                    };
-                    let (_, ready) = queue.remove(i).expect("a found message");
-                    *now = (*now).max(ready);
-                }
-                Op::Send { dest, tag, .. } => {
-                    let at = *now;
-                    *now += op.price(&transport, placements, me, || at, charged);
-                    sent[me * n + dest].push_back((tag, *now));
-                    if parked[dest] == Some((me, tag)) {
-                        parked[dest] = None;
-                        runnable.push(dest);
-                    }
-                }
-                _ => {
-                    let at = *now;
-                    *now += op.price(&transport, placements, me, || at, charged);
+        let mut now = clocks[me];
+        for op in cursors[me].by_ref() {
+            if let Op::Recv { src, tag } = op {
+                let queue = &mut sent[src * n + me];
+                let Some(i) = queue.iter().position(|&(t, _)| t == tag) else {
+                    parked[me] = Some((src, tag));
+                    break;
+                };
+                let (_, ready) = queue.remove(i).expect("a found message");
+                now = now.max(ready);
+                continue;
+            }
+            let at = now;
+            now += op.price(&transport, placements, me, || at, &mut stats[me]);
+            if let Op::Send { dest, tag, .. } = op {
+                if parked[dest] == Some((me, tag)) {
+                    // The first message `dest` can match: its receive
+                    // completes, and `dest` runs on past it.
+                    parked[dest] = None;
+                    clocks[dest] = clocks[dest].max(now);
+                    runnable.push(dest);
+                } else {
+                    sent[me * n + dest].push_back((tag, now));
                 }
             }
         }
+        clocks[me] = now;
     }
     let end_time = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
     let blocked: Vec<String> = (0..n)
@@ -383,12 +339,13 @@ pub(crate) fn evaluate(spec: &WorldSpec, logs: &[Box<[u8]>]) -> Result<WorldResu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::MpiWorld;
+    use crate::world::{run_live, MpiWorld, Rank};
     use maia_arch::faults::Straggler;
     use maia_arch::{Device, Faults};
     use maia_interconnect::SoftwareStack;
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Three 4-rank layouts: one device each, and symmetric mode.
     fn layouts() -> Vec<WorldSpec> {
@@ -581,28 +538,19 @@ mod tests {
         rank
     }
 
-    fn frozen(logs: Vec<OpLog>) -> Arc<[Box<[u8]>]> {
-        logs.into_iter().map(|log| log.bytes.into()).collect()
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Any program's op log, evaluated on each layout, is the DES
-        /// replay of that log and a live run of the program, bit for
-        /// bit, with the same injected fault time: on the healthy
-        /// machine, under a straggler from mid-run on, and over a
-        /// degraded DAPL link, whose retries the symmetric layout's
-        /// PCIe messages pay.
+        /// Any program's op log, evaluated on each layout, is a live run
+        /// of the program, bit for bit, with the same injected fault
+        /// time: on the healthy machine, under a straggler from mid-run
+        /// on, and over a degraded DAPL link, whose retries the symmetric
+        /// layout's PCIe messages pay.
         #[test]
-        fn evaluated_logs_match_des_replays_and_live_runs(seed in any::<u64>()) {
+        fn evaluated_logs_match_live_runs(seed in any::<u64>()) {
             let steps = Arc::new(program_from(seed));
-            let program = || {
-                let steps = Arc::clone(&steps);
-                move |rank: Rank| run_steps(rank, Arc::clone(&steps))
-            };
-            let (healthy, logs) = run_live(&layouts()[0], program(), true).unwrap();
-            let logs = frozen(logs);
+            let program = Arc::new(move |rank: Rank| run_steps(rank, Arc::clone(&steps)));
+            let (healthy, logs) = run_live(&layouts()[0], &program, true).unwrap();
             let machine = |kind: usize| {
                 let mut faults = Faults::armed("replay-prop", None);
                 match kind {
@@ -622,22 +570,20 @@ mod tests {
             for (i, layout) in layouts().into_iter().enumerate() {
                 for kind in 0..3 {
                     let what = format!("seed {seed}, layout {i}, machine {kind}");
-                    let run = |how: usize| {
+                    let run = |live: bool| {
                         let faults = machine(kind);
                         let spec = layout.clone().with_faults(&faults);
-                        let world = match how {
-                            0 => evaluate(&spec, &logs),
-                            1 => des_replay(&spec, &logs),
-                            _ => MpiWorld::run(&spec, program()),
+                        let world = if live {
+                            run_live(&spec, &program, false).map(|(world, _)| world)
+                        } else {
+                            evaluate(&spec, &logs)
                         };
                         (world.unwrap(), faults.injected_ps())
                     };
-                    let (evaluated, evaluated_ps) = run(0);
-                    for how in 1..3 {
-                        let (world, injected_ps) = run(how);
-                        assert_same_world(&world, &evaluated, &what);
-                        prop_assert_eq!(injected_ps, evaluated_ps, "{}: injected time", what);
-                    }
+                    let (evaluated, evaluated_ps) = run(false);
+                    let (live, live_ps) = run(true);
+                    assert_same_world(&live, &evaluated, &what);
+                    prop_assert_eq!(live_ps, evaluated_ps, "{}: injected time", what);
                     if kind == 2 && i == 2 {
                         prop_assert!(evaluated_ps > 0, "{}: no link retry priced", what);
                     }
@@ -658,10 +604,21 @@ mod tests {
         });
         logs[1].push(Op::Recv { src: 0, tag: 2 });
         logs[2].push(Op::Reduce(4096));
-        let logs = frozen(logs);
         let spec = WorldSpec::all_on(Device::Host, 3);
         let err = evaluate(&spec, &logs).unwrap_err();
-        assert_eq!(err, des_replay(&spec, &logs).unwrap_err());
+        // A live program that makes the same calls.
+        let live = MpiWorld::run(&spec, |mut rank| async move {
+            match rank.rank() {
+                0 => {
+                    rank.compute(SimDuration::from_us(5.0)).await;
+                    rank.send(1, 1, 64).await;
+                }
+                1 => rank.recv(0, 2).await,
+                _ => rank.reduce_op(4096).await,
+            }
+            rank
+        });
+        assert_eq!(err, live.unwrap_err());
         match err {
             SimError::Deadlock { blocked, at } => {
                 assert_eq!(blocked, ["rank-1"]);

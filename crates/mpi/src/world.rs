@@ -17,7 +17,7 @@ use maia_sim::{Engine, InjectCtx, Probe, SimCtx, SimDuration, SimError, SimTime}
 
 use crate::partition::{lookahead, node_domains, PartitionPlan};
 use crate::placement::{RankPlacement, WorldSpec};
-use crate::replay::{replay_layouts, Op, OpLog};
+use crate::replay::{Op, OpLog};
 use crate::transport::TransportModel;
 
 /// An in-flight simulated message. Timing is always driven by `bytes`;
@@ -76,20 +76,20 @@ impl MpiWorld {
         F: Fn(Rank) -> Fut + Send + Sync + 'static,
         Fut: Future<Output = Rank> + Send + 'static,
     {
-        Ok(run_live(spec, program, false)?.0)
+        Ok(run_live(spec, &Arc::new(program), false)?.0)
     }
 
     /// Run `program` on every layout in `specs`, all of one size: live on
-    /// `specs[0]`, recording every rank's operations, then as a
-    /// payload-free replay of those operations on each other layout (see
-    /// [`crate::replay`]). The program's body runs `size` times, not once
-    /// per layout. A replayed layout is evaluated, a per-rank clock
-    /// recurrence over the logs with no engine, and is a DES run of its
-    /// own only while a probe could observe engines. Either way the
-    /// results, in `specs` order, are bit-identical to running each layout
-    /// live. One layout is exactly [`MpiWorld::run`], with no log.
+    /// `specs[0]`, recording every rank's operations, then each other
+    /// layout evaluated from those operations, a per-rank clock
+    /// recurrence with no payloads, numerics or engine (see
+    /// [`crate::replay`]), so the program's body runs `size` times, not
+    /// once per layout. While a probe could observe engines, every layout
+    /// runs live instead, its body included. Either way the results, in
+    /// `specs` order, are bit-identical to running each layout live. One
+    /// layout is exactly [`MpiWorld::run`], with no log.
     ///
-    /// Every program can be replayed: a [`Rank`] offers no clock, no
+    /// Every program can be evaluated: a [`Rank`] offers no clock, no
     /// placement and no call whose outcome depends on the layout's timing
     /// (every receive names its source and tag, every send blocks).
     ///
@@ -103,13 +103,8 @@ impl MpiWorld {
         F: Fn(Rank) -> Fut + Send + Sync + 'static,
         Fut: Future<Output = Rank> + Send + 'static,
     {
-        let (first, rest) = specs.split_first().expect("run_layouts needs a layout");
-        assert!(
-            rest.iter().all(|s| s.size() == first.size()),
-            "every layout of one program has the same world size"
-        );
-        let (live, logs) = run_live(first, program, !rest.is_empty())?;
-        replay_layouts(live, logs, rest)
+        let program = Arc::new(program);
+        crate::replay::run_layouts(specs, &|spec, record| run_live(spec, &program, record))
     }
 
     /// Run `program` on every rank of `spec`'s world, sharded across
@@ -334,24 +329,28 @@ impl SimCommunicator<Msg> for KillAtWindow<'_> {
     }
 }
 
-/// The one live runner behind [`MpiWorld::run`], [`MpiWorld::run_layouts`]
-/// and every DES replay: all ranks of `spec` on one engine. With `record`
-/// set, also returns each rank's op log. Only the spawn loop depends on
-/// the program's type; the rest is shared by every program.
+/// A live world's result, and its ranks' op logs if it recorded them.
+pub(crate) type LiveRun = Result<(WorldResult, Vec<OpLog>), SimError>;
+
+/// The one unpartitioned DES run, behind [`MpiWorld::run`] and every
+/// live layout of [`MpiWorld::run_layouts`]: all ranks of `spec` on one
+/// engine. The DES runs only live programs; an op log is only evaluated.
+/// With `record` set, also returns each rank's op log. Only the spawn
+/// loop depends on the program's type, and both callers share the
+/// program as one `Arc`, so each program instantiates this once.
 pub(crate) fn run_live<F, Fut>(
     spec: &WorldSpec,
-    program: F,
+    program: &Arc<F>,
     record: bool,
-) -> Result<(WorldResult, Vec<OpLog>), SimError>
+) -> LiveRun
 where
     F: Fn(Rank) -> Fut + Send + Sync + 'static,
     Fut: Future<Output = Rank> + Send + 'static,
 {
     let ranks = RankPlumbing::new(spec, record);
-    let program = Arc::new(program);
     let mut engine = Engine::new();
     for rank_id in 0..ranks.size {
-        ranks.spawn(&mut engine, rank_id, None, &program);
+        ranks.spawn(&mut engine, rank_id, None, program);
     }
     ranks.outcome(engine.run())
 }
@@ -444,7 +443,7 @@ impl RankPlumbing {
 
     /// The world's result once its engine has run, and its op logs (none
     /// unless recording).
-    fn outcome(&self, run: Result<SimTime, SimError>) -> Result<(WorldResult, Vec<OpLog>), SimError> {
+    fn outcome(&self, run: Result<SimTime, SimError>) -> LiveRun {
         let end_time = run?;
         let logs = self.logs.as_ref().map(|l| std::mem::take(&mut *l.lock()));
         Ok((self.world_result(end_time), logs.unwrap_or_default()))
@@ -629,7 +628,7 @@ impl Rank {
     }
 
     /// Append `op` to the log, if this rank is recording, and price it
-    /// at this rank's clock ([`Op::price`], which a replay evaluates
+    /// at this rank's clock ([`Op::price`], which the evaluator calls
     /// too), charging its stats.
     #[inline(always)]
     fn charge(&mut self, op: Op) -> SimDuration {

@@ -9,14 +9,14 @@
 //!
 //! Each kernel is one implementation over a list of layouts
 //! (`*_layouts`): the numerics run once, live on the first layout, and
-//! every other layout replays the recorded messages and compute phases
-//! without payloads ([`MpiWorld::run_layouts`]). The rank programs never
-//! ask where they run (compute is priced by
+//! every other layout's virtual time is evaluated from the recorded
+//! messages and compute phases, with no payloads and no engine
+//! ([`MpiWorld::run_layouts`]), bit-identical to a live run of it. The
+//! rank programs never ask where they run (compute is priced by
 //! [`maia_mpi::Rank::compute_flops`]), so the result is the same on every
-//! layout. A replayed layout's virtual time is evaluated from the op log
-//! with no engine, bit-identical to a live run of it, and is a DES run
-//! of its own only while a probe observes engines. The single-layout
-//! functions are one-line wrappers.
+//! layout. Only while a probe observes engines does every layout run
+//! live, numerics included. The single-layout functions are one-line
+//! wrappers.
 //!
 //! * [`ep_mpi_layouts`] — batch distribution + allreduce of the
 //!   sums/counts.
@@ -55,7 +55,7 @@ pub struct MpiRun<T> {
 #[derive(Debug, Clone)]
 pub struct MpiRuns<T> {
     pub result: T,
-    /// The first layout's world ran live, the others are replays.
+    /// One world per layout, each bit-identical to a live run of it.
     pub worlds: Vec<WorldResult>,
 }
 

@@ -18,9 +18,10 @@
 //! sent). Every partition computes the identical global minimum floor, so
 //! all wheels agree on the next window `[next, next+L)` without a
 //! coordinator, idle stretches are skipped in one hop, and the run
-//! terminates when the global floor is infinite. The
-//! [`LocalChannelCommunicator`] backend connects wheels over in-process
-//! channels; the trait leaves room for a cross-process backend later.
+//! terminates when the global floor is infinite. Two backends implement
+//! the exchange: [`LocalChannelCommunicator`] connects wheels over
+//! in-process channels, and [`process`] carries wheels `1..n` in worker
+//! processes over pipes.
 //!
 //! Determinism: within a wheel the engine's `(time, seq)` total order
 //! applies as ever; ingested messages are sorted by
@@ -83,9 +84,9 @@ pub enum ExchangeOutcome<T> {
 
 /// Transport between partitions for the window-barrier exchange.
 ///
-/// `LocalChannelCommunicator` is the in-process backend; the trait is the
-/// seam where a cross-process (socket/shared-memory) backend would slot
-/// in.
+/// `LocalChannelCommunicator` is the in-process backend, and
+/// [`process::ProcessCommunicator`] and [`process::WorkerEndpoint`] the
+/// two ends of the cross-process one.
 pub trait SimCommunicator<T>: Send {
     /// This partition's index.
     fn partition(&self) -> usize;

@@ -41,11 +41,6 @@ impl SimTime {
         self.0 as f64 / PS_PER_US as f64
     }
 
-    /// Time in milliseconds.
-    pub fn as_ms(self) -> f64 {
-        self.0 as f64 / PS_PER_MS as f64
-    }
-
     /// Time in seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / PS_PER_S as f64
@@ -120,11 +115,6 @@ impl SimDuration {
     /// Span in microseconds.
     pub fn as_us(self) -> f64 {
         self.0 as f64 / PS_PER_US as f64
-    }
-
-    /// Span in milliseconds.
-    pub fn as_ms(self) -> f64 {
-        self.0 as f64 / PS_PER_MS as f64
     }
 
     /// Span in seconds.
