@@ -390,14 +390,16 @@ mod tests {
         rank.allreduce(256 * 1024).await;
         rank.compute_flops(4e4, 1).await;
         rank.barrier().await;
-        rank.sendrecv((me + 1) % p, (me + p - 1) % p, 7, 32 * 1024).await;
+        rank.sendrecv((me + 1) % p, (me + p - 1) % p, 7, 32 * 1024)
+            .await;
         rank.allgather(512).await;
         rank.allgather(16 * 1024).await;
         let mut sum = vec![me as f64; 300];
         rank.allreduce_sum_data(&mut sum).await;
         let displs: Vec<usize> = (0..=p).map(|r| 100 * r).collect();
         let mut gathered = vec![0.0; 100 * p];
-        rank.allgather_data(&[me as f64; 100], &mut gathered, &displs).await;
+        rank.allgather_data(&[me as f64; 100], &mut gathered, &displs)
+            .await;
         let blocks = (0..p).map(|d| vec![me as f64; 50 * (d + 1)]).collect();
         rank.alltoall_data(blocks).await;
         rank.compute(SimDuration::from_us(2.0)).await;

@@ -137,15 +137,18 @@ impl MpiWorld {
         let mut wheels: Vec<Wheel<Msg>> = Vec::with_capacity(n);
         let mut wheel_probes = Vec::new();
         for w in 0..n {
-            let pp = probe.as_ref().map(|p| {
-                Arc::new(PartitionProbe::new(Arc::clone(p), setup.local_ranks(w)))
-            });
+            let pp = probe
+                .as_ref()
+                .map(|p| Arc::new(PartitionProbe::new(Arc::clone(p), setup.local_ranks(w))));
             if let Some(pp) = &pp {
                 wheel_probes.push(Arc::clone(pp));
             }
             wheels.push(setup.build_wheel(w, pp.map(|p| p as Arc<dyn Probe>)));
         }
-        let bundle = probe.map(|p| ProbeBundle { inner: p, wheel_probes });
+        let bundle = probe.map(|p| ProbeBundle {
+            inner: p,
+            wheel_probes,
+        });
         let (end_time, run_stats) = maia_sim::partition::run_partitioned(
             wheels,
             local_bus::<Msg>(n),
@@ -183,7 +186,11 @@ impl MpiWorld {
     {
         let setup = PartitionSetup::new(spec, plan, program);
         let n = setup.partitions;
-        assert_eq!(hub.partitions(), n, "the hub's session spans the plan's wheels");
+        assert_eq!(
+            hub.partitions(),
+            n,
+            "the hub's session spans the plan's wheels"
+        );
         if let Some(p) = &probe {
             setup.register_global_names(&**p);
         }
@@ -191,21 +198,23 @@ impl MpiWorld {
         // hub engine, the others replay targets for worker probe streams.
         let pps: Vec<Option<Arc<PartitionProbe>>> = (0..n)
             .map(|w| {
-                probe.as_ref().map(|p| {
-                    Arc::new(PartitionProbe::new(Arc::clone(p), setup.local_ranks(w)))
-                })
+                probe
+                    .as_ref()
+                    .map(|p| Arc::new(PartitionProbe::new(Arc::clone(p), setup.local_ranks(w))))
             })
             .collect();
         let wheel0 = setup.build_wheel(0, pps[0].clone().map(|p| p as Arc<dyn Probe>));
         let report0 = drive_wheel(wheel0, &mut *hub, setup.window);
         let collected = hub.collect_reports();
         let missed = hub.missed_heartbeats();
-        let worker_reports =
-            collected.map_err(|loss| ProcessWorldError::Lost { loss, missed })?;
+        let worker_reports = collected.map_err(|loss| ProcessWorldError::Lost { loss, missed })?;
         let mut reports = vec![report0];
         for (i, (report, extra)) in worker_reports.into_iter().enumerate() {
             let wheel = i + 1;
-            if setup.apply_worker_extra(&extra, pps[wheel].as_deref()).is_none() {
+            if setup
+                .apply_worker_extra(&extra, pps[wheel].as_deref())
+                .is_none()
+            {
                 return Err(ProcessWorldError::Lost {
                     loss: WorkerLoss {
                         wheel,
@@ -338,11 +347,7 @@ pub(crate) type LiveRun = Result<(WorldResult, Vec<OpLog>), SimError>;
 /// With `record` set, also returns each rank's op log. Only the spawn
 /// loop depends on the program's type, and both callers share the
 /// program as one `Arc`, so each program instantiates this once.
-pub(crate) fn run_live<F, Fut>(
-    spec: &WorldSpec,
-    program: &Arc<F>,
-    record: bool,
-) -> LiveRun
+pub(crate) fn run_live<F, Fut>(spec: &WorldSpec, program: &Arc<F>, record: bool) -> LiveRun
 where
     F: Fn(Rank) -> Fut + Send + Sync + 'static,
     Fut: Future<Output = Rank> + Send + 'static,
@@ -482,8 +487,7 @@ where
         let domain_of = Arc::new(node_domains(spec));
         let ndomains = domain_of.iter().copied().max().unwrap_or(0) + 1;
         let fold = plan.resolve_fold(ndomains);
-        let wheel_of_rank: Arc<Vec<usize>> =
-            Arc::new(domain_of.iter().map(|&d| fold[d]).collect());
+        let wheel_of_rank: Arc<Vec<usize>> = Arc::new(domain_of.iter().map(|&d| fold[d]).collect());
         let window = lookahead(spec, &ranks.transport, &domain_of);
         PartitionSetup {
             ranks,
@@ -497,7 +501,9 @@ where
 
     /// Global ranks living on wheel `w`, ascending.
     fn local_ranks(&self, w: usize) -> Vec<usize> {
-        (0..self.ranks.size).filter(|&r| self.wheel_of_rank[r] == w).collect()
+        (0..self.ranks.size)
+            .filter(|&r| self.wheel_of_rank[r] == w)
+            .collect()
     }
 
     fn register_global_names(&self, probe: &dyn Probe) {
@@ -519,7 +525,8 @@ where
                 outbox: outbox.clone(),
                 seq: 0,
             };
-            self.ranks.spawn(&mut engine, rank_id, Some(io), &self.program);
+            self.ranks
+                .spawn(&mut engine, rank_id, Some(io), &self.program);
         }
         let mailboxes = Arc::clone(&self.ranks.mailboxes);
         Wheel {
@@ -572,7 +579,10 @@ where
                 };
             }
         }
-        self.ranks.transport.faults.add_injected_ps(r.take_u64()? as i64);
+        self.ranks
+            .transport
+            .faults
+            .add_injected_ps(r.take_u64()? as i64);
         let probe_bytes = r.take_bytes()?;
         if let Some(pp) = pp {
             if !replay_probe(&probe_bytes, pp) {
@@ -710,7 +720,11 @@ impl Rank {
         data: Option<&[f64]>,
         incast: bool,
     ) -> (SimDuration, Option<Msg>) {
-        assert!(dest < self.size, "send to rank {dest} out of 0..{}", self.size);
+        assert!(
+            dest < self.size,
+            "send to rank {dest} out of 0..{}",
+            self.size
+        );
         assert_ne!(dest, self.rank, "blocking self-send would deadlock");
         let cost = self.charge(Op::Send {
             dest,
@@ -798,7 +812,11 @@ impl Rank {
     /// receive (it costs nothing), and take the first message from `src` with `tag`, first
     /// from the out-of-order arrivals, then from the mailbox.
     async fn matched(&mut self, src: usize, tag: i32) -> Msg {
-        assert!(src < self.size, "recv from rank {src} out of 0..{}", self.size);
+        assert!(
+            src < self.size,
+            "recv from rank {src} out of 0..{}",
+            self.size
+        );
         assert_ne!(src, self.rank, "recv from itself would never match");
         self.charge(Op::Recv { src, tag });
         let matches = |m: &Msg| m.src == src && m.tag == tag;
@@ -815,7 +833,10 @@ impl Rank {
         };
         // Every send blocks until its message is ready, so none arrives
         // early.
-        debug_assert!(m.ready <= self.ctx.now(), "message delivered before it was ready");
+        debug_assert!(
+            m.ready <= self.ctx.now(),
+            "message delivered before it was ready"
+        );
         m
     }
 
@@ -1026,7 +1047,8 @@ mod partitioned_tests {
         let spec = WorldSpec::node_leaders(nodes);
         let plan = PartitionPlan { partitions, fold };
         MpiWorld::run_partitioned(&spec, &plan, |mut rank| async move {
-            rank.compute(SimDuration::from_us(3.0 + rank.rank() as f64)).await;
+            rank.compute(SimDuration::from_us(3.0 + rank.rank() as f64))
+                .await;
             rank.allreduce(64 * 1024).await;
             rank
         })
@@ -1097,13 +1119,14 @@ mod partitioned_tests {
     #[test]
     fn partitioned_deadlock_is_reported() {
         let spec = WorldSpec::node_leaders(2);
-        let err = MpiWorld::run_partitioned(&spec, &PartitionPlan::by_node(2), |mut rank| async move {
-            if rank.rank() == 1 {
-                rank.recv(0, 99).await; // never sent
-            }
-            rank
-        })
-        .unwrap_err();
+        let err =
+            MpiWorld::run_partitioned(&spec, &PartitionPlan::by_node(2), |mut rank| async move {
+                if rank.rank() == 1 {
+                    rank.recv(0, 99).await; // never sent
+                }
+                rank
+            })
+            .unwrap_err();
         match err {
             SimError::Deadlock { blocked, .. } => {
                 assert_eq!(blocked, vec!["rank-1".to_string()])
