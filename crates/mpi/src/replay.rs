@@ -61,27 +61,25 @@ pub(crate) enum Op {
 
 impl Op {
     /// What this op costs rank `rank` of a world placed by `placements`,
-    /// starting at its clock `now()`, charged to its `stats`. A send pays
+    /// starting at its clock `now`, charged to its `stats`. A send pays
     /// its message time (times the alltoall incast of the sender's
     /// device for an incast send) as communication; compute, flops and
     /// reduction operators are compute, and compute and flops stretch
-    /// under a straggler active at `now()`, the only ops that read it (a
-    /// live rank's clock is a thread-local read). A receive costs
-    /// nothing: its wait is idle. The one pricing a live
-    /// [`Rank`](crate::Rank) and [`evaluate`] share, so the two cannot
-    /// drift apart by a rounding.
+    /// under a straggler active at `now`. A receive costs nothing: its
+    /// wait is idle. The one pricing a live [`Rank`](crate::Rank) and
+    /// [`evaluate`] share, so the two cannot drift apart by a rounding.
     #[inline(always)]
     pub(crate) fn price(
         self,
         transport: &TransportModel,
         placements: &[RankPlacement],
         rank: usize,
-        now: impl FnOnce() -> SimTime,
+        now: SimTime,
         stats: &mut RankStats,
     ) -> SimDuration {
         let here = || placements[rank];
         let stretched = |dur| {
-            let now_s = now().as_secs_f64();
+            let now_s = now.as_secs_f64();
             crate::faults::stretched_compute(&transport.faults, rank as u32, now_s, dur)
         };
         let dur = match self {
@@ -125,7 +123,7 @@ const REDUCE: u8 = 5;
 /// One rank's operations, LEB128-packed: an opcode byte, then its
 /// arguments as unsigned varints (tags zigzagged, flops as raw f64 bits).
 /// A01's CG world logs 98 KB over its 8 ranks.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct OpLog {
     bytes: Vec<u8>,
 }
@@ -239,11 +237,14 @@ impl Iterator for Ops<'_> {
 }
 
 /// Run one program on every layout in `specs`, all of one size, given
-/// `live(spec, record)`, a live run of it that returns its op logs when
-/// `record` is set: `specs[0]` live while recording, then each other
-/// layout evaluated from its logs; or every layout live, with no log,
-/// while a probe could observe engines. Not generic over the program, so
-/// every kernel shares this one copy of the loop.
+/// `live(spec, record)`, a live run of it that is timed, or timeless and
+/// returning its op logs when `record` is set: `specs[0]` recorded, then
+/// each other layout evaluated from its logs. Every layout runs timed
+/// instead, with no log, when there is only one, while a probe could
+/// observe engines, and when the recording run fails: a timeless engine
+/// never leaves instant zero, so only a timed one reports the failure
+/// as the engine does. Not generic over the program, so every kernel
+/// shares this one copy of the loop.
 ///
 /// # Panics
 /// Panics if `specs` is empty or its worlds differ in size.
@@ -256,10 +257,13 @@ pub(crate) fn run_layouts(
         rest.iter().all(|s| s.size() == first.size()),
         "every layout of one program has the same world size"
     );
-    if maia_sim::factory_installed() {
-        return specs.iter().map(|spec| Ok(live(spec, false)?.0)).collect();
+    let timed = || specs.iter().map(|spec| Ok(live(spec, false)?.0)).collect();
+    if rest.is_empty() || maia_sim::factory_installed() {
+        return timed();
     }
-    let (world, logs) = live(first, !rest.is_empty())?;
+    let Ok((world, logs)) = live(first, true) else {
+        return timed();
+    };
     let evaluated = rest.iter().map(|spec| evaluate(spec, &logs));
     std::iter::once(Ok(world)).chain(evaluated).collect()
 }
@@ -302,8 +306,7 @@ pub(crate) fn evaluate(spec: &WorldSpec, logs: &[OpLog]) -> Result<WorldResult, 
                 now = now.max(ready);
                 continue;
             }
-            let at = now;
-            now += op.price(&transport, placements, me, || at, &mut stats[me]);
+            now += op.price(&transport, placements, me, now, &mut stats[me]);
             if let Op::Send { dest, tag, .. } = op {
                 if parked[dest] == Some((me, tag)) {
                     // The first message `dest` can match: its receive
@@ -344,6 +347,7 @@ mod tests {
     use maia_arch::{Device, Faults};
     use maia_interconnect::SoftwareStack;
     use proptest::prelude::*;
+    use std::future::Future;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -543,16 +547,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Any program's op log, evaluated on each layout, is a live run
-        /// of the program, bit for bit, with the same injected fault
-        /// time: on the healthy machine, under a straggler from mid-run
-        /// on, and over a degraded DAPL link, whose retries the symmetric
-        /// layout's PCIe messages pay.
+        /// Any program's timeless recording run, and its op log evaluated
+        /// on each layout, are a timed run of the program, bit for bit,
+        /// with the same injected fault time: on the healthy machine,
+        /// under a straggler from mid-run on, and over a degraded DAPL
+        /// link, whose retries the symmetric layout's PCIe messages pay.
+        /// Every recording logs the same ops, whatever it runs on.
         #[test]
         fn evaluated_logs_match_live_runs(seed in any::<u64>()) {
             let steps = Arc::new(program_from(seed));
             let program = Arc::new(move |rank: Rank| run_steps(rank, Arc::clone(&steps)));
-            let (healthy, logs) = run_live(&layouts()[0], &program, true).unwrap();
+            let (healthy, _) = run_live(&layouts()[0], &program, false).unwrap();
             let machine = |kind: usize| {
                 let mut faults = Faults::armed("replay-prop", None);
                 match kind {
@@ -569,28 +574,83 @@ mod tests {
                 }
                 faults
             };
+            let mut first_logs: Option<Vec<OpLog>> = None;
             for (i, layout) in layouts().into_iter().enumerate() {
                 for kind in 0..3 {
                     let what = format!("seed {seed}, layout {i}, machine {kind}");
-                    let run = |live: bool| {
+                    // Each world on a fresh copy of the machine, so it
+                    // tallies only its own injected time.
+                    let on_machine = |run: &dyn Fn(&WorldSpec) -> LiveRun| {
                         let faults = machine(kind);
-                        let spec = layout.clone().with_faults(&faults);
-                        let world = if live {
-                            run_live(&spec, &program, false).map(|(world, _)| world)
-                        } else {
-                            evaluate(&spec, &logs)
-                        };
-                        (world.unwrap(), faults.injected_ps())
+                        let (world, logs) = run(&layout.clone().with_faults(&faults)).unwrap();
+                        (world, logs, faults.injected_ps())
                     };
-                    let (evaluated, evaluated_ps) = run(false);
-                    let (live, live_ps) = run(true);
-                    assert_same_world(&live, &evaluated, &what);
-                    prop_assert_eq!(live_ps, evaluated_ps, "{}: injected time", what);
+                    let (timed, _, timed_ps) = on_machine(&|spec| run_live(spec, &program, false));
+                    let (recorded, logs, recorded_ps) =
+                        on_machine(&|spec| run_live(spec, &program, true));
+                    match &first_logs {
+                        Some(first) => prop_assert!(*first == logs, "{}: another op log", what),
+                        None => first_logs = Some(logs),
+                    }
+                    let first = first_logs.as_deref().expect("recorded above");
+                    let (evaluated, _, evaluated_ps) =
+                        on_machine(&|spec| Ok((evaluate(spec, first)?, Vec::new())));
+                    assert_same_world(&timed, &recorded, &format!("{what}, recorded"));
+                    assert_same_world(&timed, &evaluated, &format!("{what}, evaluated"));
+                    prop_assert_eq!(timed_ps, recorded_ps, "{}: recorded injected time", what);
+                    prop_assert_eq!(timed_ps, evaluated_ps, "{}: evaluated injected time", what);
                     if kind == 2 && i == 2 {
                         prop_assert!(evaluated_ps > 0, "{}: no link retry priced", what);
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn failing_layouts_return_the_engines_error() {
+        // A receive that is never sent, and a panic after some compute:
+        // the timeless recording run fails at instant zero, so every
+        // layout runs timed and the first fails as the engine does.
+        async fn stuck(mut rank: Rank) -> Rank {
+            rank.compute(SimDuration::from_us(2.0)).await;
+            if rank.rank() == 1 {
+                rank.recv(0, 99).await;
+            }
+            rank
+        }
+        async fn panics(mut rank: Rank) -> Rank {
+            rank.compute(SimDuration::from_us(3.0)).await;
+            rank.allreduce(1024).await;
+            if rank.rank() == 2 {
+                rank.compute(SimDuration::from_us(1.0)).await;
+                panic!("rank 2 gives up");
+            }
+            rank
+        }
+        fn engines_error<Fut>(program: fn(Rank) -> Fut) -> SimError
+        where
+            Fut: Future<Output = Rank> + Send + 'static,
+        {
+            let specs = &layouts()[..2];
+            let err = MpiWorld::run_layouts(specs, program).unwrap_err();
+            assert_eq!(err, MpiWorld::run(&specs[0], program).unwrap_err());
+            err
+        }
+        match engines_error(stuck) {
+            SimError::Deadlock { blocked, at } => {
+                assert_eq!(blocked, ["rank-1"]);
+                assert!(at > SimTime::ZERO);
+            }
+            other => panic!("expected a deadlock, got {other}"),
+        }
+        match engines_error(panics) {
+            SimError::ProcessPanicked { name, message, at } => {
+                assert_eq!(name, "rank-2");
+                assert!(message.contains("rank 2 gives up"), "{message}");
+                assert!(at > SimTime::ZERO);
+            }
+            other => panic!("expected a panic, got {other}"),
         }
     }
 

@@ -31,9 +31,10 @@ pub struct Msg {
     /// Real payload (f64 words), if the sender used [`Rank::send_data`].
     pub data: Option<Vec<f64>>,
     /// Virtual instant at which the payload is fully on the receiver's
-    /// side: the sender's post-transfer time. Every send blocks until
-    /// then, so a receiver never holds a message before it is ready; the
-    /// partition layer delivers a cross-domain message at this instant.
+    /// side: the sender's clock plus the send's cost. Every send blocks
+    /// until then, so a receive takes the receiver's clock to the later
+    /// of its own and this; the partition layer delivers a cross-domain
+    /// message at this instant.
     pub ready: SimTime,
 }
 
@@ -372,6 +373,8 @@ struct RankPlumbing {
     placements: Arc<Vec<RankPlacement>>,
     mailboxes: Arc<Vec<SimChannel<Msg>>>,
     finishes: Mutex<Vec<f64>>,
+    /// The latest finish clock, the world's end.
+    latest: Mutex<SimTime>,
     stats: Mutex<Vec<RankStats>>,
     logs: Option<Mutex<Vec<OpLog>>>,
 }
@@ -390,6 +393,7 @@ impl RankPlumbing {
                     .collect(),
             ),
             finishes: Mutex::new(vec![0.0f64; size]),
+            latest: Mutex::new(SimTime::ZERO),
             stats: Mutex::new(vec![RankStats::default(); size]),
             logs: record.then(|| Mutex::new((0..size).map(|_| OpLog::default()).collect())),
         })
@@ -428,28 +432,38 @@ impl RankPlumbing {
             mailboxes: Arc::clone(&self.mailboxes),
             unexpected: Vec::new(),
             stats: RankStats::default(),
+            clock: SimTime::ZERO,
             partition,
             log: self.logs.is_some().then(OpLog::default),
         }
     }
 
-    /// File a finished rank's finish time, stats and op log, and report
+    /// File a finished rank's finish clock, stats and op log, and report
     /// its whole program as a virtual-time span (a no-op, name
     /// unformatted, unless a probe is attached).
     fn finish(&self, rank: Rank, ctx: &SimCtx, started: SimTime) {
         let rank_id = rank.rank;
-        self.finishes.lock()[rank_id] = ctx.now().as_secs_f64();
+        self.finishes.lock()[rank_id] = rank.clock.as_secs_f64();
         self.stats.lock()[rank_id] = rank.stats;
         if let (Some(logs), Some(log)) = (&self.logs, rank.log) {
             logs.lock()[rank_id] = log;
         }
         ctx.emit_span(format_args!("rank-{rank_id}"), started);
+        let mut latest = self.latest.lock();
+        *latest = latest.max(rank.clock);
     }
 
     /// The world's result once its engine has run, and its op logs (none
-    /// unless recording).
+    /// unless recording). It ends at its latest finish clock: a timed
+    /// engine stops there, and a recording world's is timeless and never
+    /// leaves instant zero.
     fn outcome(&self, run: Result<SimTime, SimError>) -> LiveRun {
-        let end_time = run?;
+        let engine_end = run?;
+        let end_time = *self.latest.lock();
+        debug_assert!(
+            self.logs.is_some() || engine_end == end_time,
+            "a timed engine ends at its latest finish clock"
+        );
         let logs = self.logs.as_ref().map(|l| std::mem::take(&mut *l.lock()));
         Ok((self.world_result(end_time), logs.unwrap_or_default()))
     }
@@ -606,10 +620,15 @@ pub struct Rank {
     /// Messages received but not yet matched (out-of-order arrivals).
     unexpected: Vec<Msg>,
     stats: RankStats,
+    /// This rank's virtual clock: every priced op adds its cost, and a
+    /// receive takes it to the matched message's `ready` if that is
+    /// later. A timed rank mirrors it onto the engine's clock.
+    clock: SimTime,
     /// Cross-domain routing state; `None` in unpartitioned worlds.
     partition: Option<PartitionIo>,
     /// This rank's operations, while [`MpiWorld::run_layouts`] records;
-    /// otherwise `None`, and each op pays one check of this field.
+    /// otherwise `None`, and each op pays one check of this field. A
+    /// recording rank is timeless: it never advances the engine.
     log: Option<OpLog>,
 }
 
@@ -637,30 +656,40 @@ impl Rank {
         self.size
     }
 
-    /// Append `op` to the log, if this rank is recording, and price it
-    /// at this rank's clock ([`Op::price`], which the evaluator calls
-    /// too), charging its stats.
+    /// Append `op` to the log, if this rank is recording, price it at
+    /// this rank's clock ([`Op::price`], which the evaluator calls too),
+    /// charging its stats, and move the clock past it.
     #[inline(always)]
     fn charge(&mut self, op: Op) -> SimDuration {
         if let Some(log) = &mut self.log {
             log.push(op);
         }
-        let ctx = &self.ctx;
-        op.price(
+        let dur = op.price(
             &self.transport,
             &self.placements,
             self.rank,
-            || ctx.now(),
+            self.clock,
             &mut self.stats,
-        )
+        );
+        self.clock += dur;
+        dur
+    }
+
+    /// Mirror `dur`, which [`Rank::charge`] put on this rank's clock,
+    /// onto the engine's: a timed rank waits it out in virtual time, a
+    /// recording one is timeless and runs straight on.
+    async fn pass(&self, dur: SimDuration) {
+        if self.log.is_none() {
+            self.ctx.advance(dur).await;
+        }
     }
 
     /// Consume `dur` of virtual compute time. A straggler fault in the
     /// world's [`WorldSpec::faults`] stretches this rank's phases once
-    /// virtual time passes the fault's onset.
+    /// its clock passes the fault's onset.
     pub async fn compute(&mut self, dur: SimDuration) {
         let dur = self.charge(Op::Compute(dur));
-        self.ctx.advance(dur).await;
+        self.pass(dur).await;
     }
 
     /// Consume the virtual time `flops` floating-point operations take on
@@ -669,7 +698,7 @@ impl Rank {
     /// straggler like [`Rank::compute`].
     pub async fn compute_flops(&mut self, flops: f64, threads: usize) {
         let dur = self.charge(Op::Flops { flops, threads });
-        self.ctx.advance(dur).await;
+        self.pass(dur).await;
     }
 
     /// Whether a message to `dest` crosses a partition-domain boundary
@@ -737,7 +766,7 @@ impl Rank {
             tag,
             bytes,
             data: data.map(<[f64]>::to_vec),
-            ready: self.ctx.now() + cost,
+            ready: self.clock,
         };
         if self.is_cross_domain(dest) {
             self.route_remote(dest, msg);
@@ -756,7 +785,7 @@ impl Rank {
     /// the caller's algorithm.
     pub async fn send(&mut self, dest: usize, tag: i32, bytes: u64) {
         let (cost, local) = self.post(dest, tag, bytes, None, false);
-        self.ctx.advance(cost).await;
+        self.pass(cost).await;
         if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
         }
@@ -767,7 +796,7 @@ impl Rank {
     pub async fn send_data(&mut self, dest: usize, tag: i32, data: &[f64]) {
         let bytes = (data.len() * 8) as u64;
         let (cost, local) = self.post(dest, tag, bytes, Some(data), false);
-        self.ctx.advance(cost).await;
+        self.pass(cost).await;
         if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
         }
@@ -777,7 +806,7 @@ impl Rank {
     /// device ([`crate::transport::alltoall_incast`]).
     pub(crate) async fn send_incast(&mut self, dest: usize, tag: i32, bytes: u64) {
         let (cost, local) = self.post(dest, tag, bytes, None, true);
-        self.ctx.advance(cost).await;
+        self.pass(cost).await;
         if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
         }
@@ -809,8 +838,9 @@ impl Rank {
     }
 
     /// The one matcher behind both receives: check `src`, record the
-    /// receive (it costs nothing), and take the first message from `src` with `tag`, first
-    /// from the out-of-order arrivals, then from the mailbox.
+    /// receive (it costs nothing), take the first message from `src` with
+    /// `tag`, first from the out-of-order arrivals, then from the
+    /// mailbox, and take the clock to its `ready` if that is later.
     async fn matched(&mut self, src: usize, tag: i32) -> Msg {
         assert!(
             src < self.size,
@@ -831,11 +861,12 @@ impl Rank {
                 self.unexpected.push(m);
             }
         };
-        // Every send blocks until its message is ready, so none arrives
-        // early.
+        self.clock = self.clock.max(m.ready);
+        // A timed rank wakes when its message is ready, never earlier
+        // (every send blocks until then), so its clock is the engine's.
         debug_assert!(
-            m.ready <= self.ctx.now(),
-            "message delivered before it was ready"
+            self.log.is_some() || self.clock == self.ctx.now(),
+            "a timed rank's clock left the engine's"
         );
         m
     }
@@ -851,7 +882,7 @@ impl Rank {
     /// device.
     pub async fn reduce_op(&mut self, bytes: u64) {
         let t = self.charge(Op::Reduce(bytes));
-        self.ctx.advance(t).await;
+        self.pass(t).await;
     }
 }
 
