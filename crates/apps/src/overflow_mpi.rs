@@ -9,7 +9,9 @@
 //! [`run_mpi_layouts`] solves once, live on its first layout, and prices
 //! every other layout by evaluating the recorded exchanges and compute
 //! phases, with no payloads and no engine ([`MpiWorld::run_layouts`]).
-//! Only while a probe observes engines does every layout solve live.
+//! Over two or more layouts the live solve is timeless: each rank keeps
+//! its own clock and the engine only orders its exchanges. Only while a probe observes engines
+//! does every layout solve live and timed.
 
 use std::sync::Arc;
 

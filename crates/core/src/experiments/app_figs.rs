@@ -93,7 +93,8 @@ pub fn a2_overflow_hybrid(cfg: &RunConfig) -> FigureData {
     .into_iter()
     .map(|(label, spec)| (label, spec.with_faults(cfg.faults())))
     .unzip();
-    // One solve, on the host layout; the other two replay its exchanges.
+    // One solve, on the host layout and timed by its ranks' own clocks;
+    // the other two layouts are evaluated from its exchanges.
     let runs = run_mpi_layouts(&case, steps, 1, &specs);
     for (i, label) in labels.into_iter().enumerate() {
         let r = runs.layout(i);

@@ -283,8 +283,9 @@ pub fn a1_npb_mpi_measured(cfg: &RunConfig) -> FigureData {
         &["benchmark", "ranks", "host ms", "phi0 ms", "phi/host"],
     );
     let ranks = 8usize;
-    // Each kernel runs its numerics once, on the host world, and replays
-    // its messages and compute phases on the Phi world.
+    // Each kernel runs its numerics once, on the host world, timed by its
+    // ranks' own clocks, and evaluates its messages and compute phases on
+    // the Phi world.
     let layouts = [Device::Host, Device::Phi0]
         .map(|d| WorldSpec::all_on(d, ranks).with_faults(cfg.faults()));
     let mut row = |name: &str, h: f64, p: f64| {

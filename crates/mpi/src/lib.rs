@@ -29,8 +29,10 @@
 //! evaluates its recorded operations on the others ([`replay`]). A rank
 //! program calls only blocking sends, receives that name their source and
 //! tag, and world-wide collectives, so no program can observe its layout
-//! and every one can be evaluated. The DES runs only live programs; an
-//! op log is only evaluated.
+//! or the time, and every one can be evaluated. Each [`Rank`] owns its
+//! clock; a timed rank mirrors it onto the engine, and the recording run
+//! is timeless: the engine only orders its ranks' sends and receives.
+//! The DES runs only live programs; an op log is only evaluated.
 //!
 //! A world runs on the machine its [`WorldSpec::faults`] describes
 //! (healthy in every constructor): straggling ranks stretch their

@@ -9,8 +9,12 @@
 //! [`crate::MpiWorld::run_layouts`] runs the program live on the first
 //! layout while every rank appends its operations to an op log, then
 //! prices each rank's log on every other layout: no payloads, no
-//! numerics. Every op is priced by one function, `Op::price`, which a
-//! live [`Rank`](crate::Rank) calls too.
+//! numerics. Every op is priced by one function, `Op::price`, at the
+//! rank's own clock, which a live [`Rank`](crate::Rank) carries too. The
+//! recording run is timeless: its ranks never advance the engine, which
+//! polls a rank only when it parks on a receive, and its result comes
+//! from the ranks' clocks. A timed rank mirrors its clock onto the
+//! engine, as every other world's ranks do.
 //!
 //! No call a rank program can make depends on the layout's timing
 //! either: every receive names its source and tag, so which message it
@@ -21,7 +25,9 @@
 //! gives a live run's [`WorldResult`], bit for bit. The DES runs only
 //! live programs, and an op log is only evaluated: while a probe could
 //! observe engines (`maia_sim::factory_installed`), every layout runs
-//! live instead, so the profile sees each layout's events. This is
+//! live and timed instead, so the profile sees each layout's events, and
+//! so they do after a recording run fails, so the error is the timed
+//! engine's, with its virtual time. This is
 //! LogGOPSim's trace-driven replay (Hoefler, Schneider and Lumsdaine,
 //! HPDC 2010), which prices one MPI trace under many network models.
 

@@ -85,10 +85,15 @@ impl MpiWorld {
     /// layout evaluated from those operations, a per-rank clock
     /// recurrence with no payloads, numerics or engine (see
     /// [`crate::replay`]), so the program's body runs `size` times, not
-    /// once per layout. While a probe could observe engines, every layout
-    /// runs live instead, its body included. Either way the results, in
-    /// `specs` order, are bit-identical to running each layout live. One
-    /// layout is exactly [`MpiWorld::run`], with no log.
+    /// once per layout. The recording run is timeless: each rank keeps
+    /// its own clock and never advances the engine, which only orders
+    /// sends and receives, and `specs[0]`'s result comes from those
+    /// clocks. While a probe could observe engines, and after a
+    /// recording run fails, every layout runs live and timed instead, its
+    /// body included, so a failure is the engine's own [`SimError`].
+    /// Either way the results, in `specs` order, are bit-identical to
+    /// running each layout live. One layout is exactly [`MpiWorld::run`],
+    /// with no log.
     ///
     /// Every program can be evaluated: a [`Rank`] offers no clock, no
     /// placement and no call whose outcome depends on the layout's timing
@@ -345,9 +350,12 @@ pub(crate) type LiveRun = Result<(WorldResult, Vec<OpLog>), SimError>;
 /// The one unpartitioned DES run, behind [`MpiWorld::run`] and every
 /// live layout of [`MpiWorld::run_layouts`]: all ranks of `spec` on one
 /// engine. The DES runs only live programs; an op log is only evaluated.
-/// With `record` set, also returns each rank's op log. Only the spawn
-/// loop depends on the program's type, and both callers share the
-/// program as one `Arc`, so each program instantiates this once.
+/// Timed unless `record` is set; a recording run is timeless (its ranks
+/// keep their own clocks and never advance the engine, so its result
+/// comes from those clocks, and a failure says instant zero) and also
+/// returns each rank's op log. Only the spawn loop depends on the
+/// program's type, and both callers share the program as one `Arc`, so
+/// each program instantiates this once.
 pub(crate) fn run_live<F, Fut>(spec: &WorldSpec, program: &Arc<F>, record: bool) -> LiveRun
 where
     F: Fn(Rank) -> Fut + Send + Sync + 'static,
@@ -373,10 +381,17 @@ struct RankPlumbing {
     placements: Arc<Vec<RankPlacement>>,
     mailboxes: Arc<Vec<SimChannel<Msg>>>,
     finishes: Mutex<Vec<f64>>,
-    /// The latest finish clock, the world's end.
-    latest: Mutex<SimTime>,
     stats: Mutex<Vec<RankStats>>,
-    logs: Option<Mutex<Vec<OpLog>>>,
+    recording: Option<Mutex<Recording>>,
+}
+
+/// What a recording world's ranks file besides their results: their op
+/// logs, and the latest finish clock, where the world ends (it is
+/// timeless, so its engine never leaves instant zero).
+#[derive(Default)]
+struct Recording {
+    logs: Vec<OpLog>,
+    end: SimTime,
 }
 
 impl RankPlumbing {
@@ -393,9 +408,13 @@ impl RankPlumbing {
                     .collect(),
             ),
             finishes: Mutex::new(vec![0.0f64; size]),
-            latest: Mutex::new(SimTime::ZERO),
             stats: Mutex::new(vec![RankStats::default(); size]),
-            logs: record.then(|| Mutex::new((0..size).map(|_| OpLog::default()).collect())),
+            recording: record.then(|| {
+                Mutex::new(Recording {
+                    logs: (0..size).map(|_| OpLog::default()).collect(),
+                    end: SimTime::ZERO,
+                })
+            }),
         })
     }
 
@@ -434,7 +453,7 @@ impl RankPlumbing {
             stats: RankStats::default(),
             clock: SimTime::ZERO,
             partition,
-            log: self.logs.is_some().then(OpLog::default),
+            log: self.recording.is_some().then(OpLog::default),
         }
     }
 
@@ -445,27 +464,24 @@ impl RankPlumbing {
         let rank_id = rank.rank;
         self.finishes.lock()[rank_id] = rank.clock.as_secs_f64();
         self.stats.lock()[rank_id] = rank.stats;
-        if let (Some(logs), Some(log)) = (&self.logs, rank.log) {
-            logs.lock()[rank_id] = log;
+        if let (Some(recording), Some(log)) = (&self.recording, rank.log) {
+            let mut recording = recording.lock();
+            recording.logs[rank_id] = log;
+            recording.end = recording.end.max(rank.clock);
         }
         ctx.emit_span(format_args!("rank-{rank_id}"), started);
-        let mut latest = self.latest.lock();
-        *latest = latest.max(rank.clock);
     }
 
     /// The world's result once its engine has run, and its op logs (none
-    /// unless recording). It ends at its latest finish clock: a timed
-    /// engine stops there, and a recording world's is timeless and never
-    /// leaves instant zero.
+    /// unless recording). A timed world ends when its engine does; a
+    /// recording one is timeless and ends at its latest finish clock.
     fn outcome(&self, run: Result<SimTime, SimError>) -> LiveRun {
         let engine_end = run?;
-        let end_time = *self.latest.lock();
-        debug_assert!(
-            self.logs.is_some() || engine_end == end_time,
-            "a timed engine ends at its latest finish clock"
-        );
-        let logs = self.logs.as_ref().map(|l| std::mem::take(&mut *l.lock()));
-        Ok((self.world_result(end_time), logs.unwrap_or_default()))
+        let Some(recording) = &self.recording else {
+            return Ok((self.world_result(engine_end), Vec::new()));
+        };
+        let Recording { logs, end } = std::mem::take(&mut *recording.lock());
+        Ok((self.world_result(end), logs))
     }
 
     fn world_result(&self, end_time: SimTime) -> WorldResult {
@@ -608,8 +624,11 @@ where
 }
 
 /// Handle given to each rank's program: MPI-like operations in virtual
-/// time. Owned by the program future for the lifetime of the rank, and
-/// handed back to the world when the program returns.
+/// time, on the rank's own clock. A timed rank (every world but the
+/// recording run of [`MpiWorld::run_layouts`]) mirrors that clock onto
+/// the engine's; a timeless one never advances the engine. Owned by the
+/// program future for the lifetime of the rank, and handed back to the
+/// world when the program returns.
 pub struct Rank {
     pub(crate) ctx: SimCtx,
     rank: usize,
@@ -628,7 +647,8 @@ pub struct Rank {
     partition: Option<PartitionIo>,
     /// This rank's operations, while [`MpiWorld::run_layouts`] records;
     /// otherwise `None`, and each op pays one check of this field. A
-    /// recording rank is timeless: it never advances the engine.
+    /// recording rank is timeless: it never advances the engine
+    /// ([`Rank::timed`]).
     log: Option<OpLog>,
 }
 
@@ -656,6 +676,14 @@ impl Rank {
         self.size
     }
 
+    /// Whether this rank mirrors its clock onto the engine, waiting out
+    /// each priced op in virtual time; a recording rank is timeless and
+    /// runs straight on.
+    #[inline(always)]
+    fn timed(&self) -> bool {
+        self.log.is_none()
+    }
+
     /// Append `op` to the log, if this rank is recording, price it at
     /// this rank's clock ([`Op::price`], which the evaluator calls too),
     /// charging its stats, and move the clock past it.
@@ -675,21 +703,14 @@ impl Rank {
         dur
     }
 
-    /// Mirror `dur`, which [`Rank::charge`] put on this rank's clock,
-    /// onto the engine's: a timed rank waits it out in virtual time, a
-    /// recording one is timeless and runs straight on.
-    async fn pass(&self, dur: SimDuration) {
-        if self.log.is_none() {
-            self.ctx.advance(dur).await;
-        }
-    }
-
     /// Consume `dur` of virtual compute time. A straggler fault in the
     /// world's [`WorldSpec::faults`] stretches this rank's phases once
     /// its clock passes the fault's onset.
     pub async fn compute(&mut self, dur: SimDuration) {
         let dur = self.charge(Op::Compute(dur));
-        self.pass(dur).await;
+        if self.timed() {
+            self.ctx.advance(dur).await;
+        }
     }
 
     /// Consume the virtual time `flops` floating-point operations take on
@@ -698,7 +719,9 @@ impl Rank {
     /// straggler like [`Rank::compute`].
     pub async fn compute_flops(&mut self, flops: f64, threads: usize) {
         let dur = self.charge(Op::Flops { flops, threads });
-        self.pass(dur).await;
+        if self.timed() {
+            self.ctx.advance(dur).await;
+        }
     }
 
     /// Whether a message to `dest` crosses a partition-domain boundary
@@ -785,7 +808,9 @@ impl Rank {
     /// the caller's algorithm.
     pub async fn send(&mut self, dest: usize, tag: i32, bytes: u64) {
         let (cost, local) = self.post(dest, tag, bytes, None, false);
-        self.pass(cost).await;
+        if self.timed() {
+            self.ctx.advance(cost).await;
+        }
         if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
         }
@@ -796,7 +821,9 @@ impl Rank {
     pub async fn send_data(&mut self, dest: usize, tag: i32, data: &[f64]) {
         let bytes = (data.len() * 8) as u64;
         let (cost, local) = self.post(dest, tag, bytes, Some(data), false);
-        self.pass(cost).await;
+        if self.timed() {
+            self.ctx.advance(cost).await;
+        }
         if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
         }
@@ -806,7 +833,9 @@ impl Rank {
     /// device ([`crate::transport::alltoall_incast`]).
     pub(crate) async fn send_incast(&mut self, dest: usize, tag: i32, bytes: u64) {
         let (cost, local) = self.post(dest, tag, bytes, None, true);
-        self.pass(cost).await;
+        if self.timed() {
+            self.ctx.advance(cost).await;
+        }
         if let Some(msg) = local {
             self.mailboxes[dest].send_inline(&self.ctx, msg);
         }
@@ -865,7 +894,7 @@ impl Rank {
         // A timed rank wakes when its message is ready, never earlier
         // (every send blocks until then), so its clock is the engine's.
         debug_assert!(
-            self.log.is_some() || self.clock == self.ctx.now(),
+            !self.timed() || self.clock == self.ctx.now(),
             "a timed rank's clock left the engine's"
         );
         m
@@ -882,7 +911,9 @@ impl Rank {
     /// device.
     pub async fn reduce_op(&mut self, bytes: u64) {
         let t = self.charge(Op::Reduce(bytes));
-        self.pass(t).await;
+        if self.timed() {
+            self.ctx.advance(t).await;
+        }
     }
 }
 

@@ -12,11 +12,13 @@
 //! every other layout's virtual time is evaluated from the recorded
 //! messages and compute phases, with no payloads and no engine
 //! ([`MpiWorld::run_layouts`]), bit-identical to a live run of it. The
-//! rank programs never ask where they run (compute is priced by
+//! live run of two or more layouts is timeless: each rank keeps its own
+//! clock and the engine only orders its messages. The rank programs
+//! never ask where they run or what time it is (compute is priced by
 //! [`maia_mpi::Rank::compute_flops`]), so the result is the same on every
 //! layout. Only while a probe observes engines does every layout run
-//! live, numerics included. The single-layout functions are one-line
-//! wrappers.
+//! live and timed, numerics included. The single-layout functions are
+//! one-line wrappers.
 //!
 //! * [`ep_mpi_layouts`] — batch distribution + allreduce of the
 //!   sums/counts.

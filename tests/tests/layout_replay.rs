@@ -1,10 +1,13 @@
 //! A01's kernels and A02's solver run their numerics once, live on the
 //! first layout of a multi-layout call, and replay the recorded ops on
-//! the others. Every layout must come out exactly as a live run of it:
-//! the same virtual wall time, rank finish times and `RankStats`, bit for
-//! bit, and the same numeric result — on the healthy machine and under a
-//! straggler that sets in mid-run, which a replay prices on its own
-//! clock.
+//! the others. That live run is timeless: each rank keeps its own clock
+//! and never advances the engine. Every layout must come out exactly as
+//! a timed live run of it (a one-layout call): the same virtual wall
+//! time, rank finish times and `RankStats`, bit for bit, and the same
+//! numeric result — on the healthy machine and under a straggler that
+//! sets in mid-run, which both the timeless run and a replay price on
+//! their own clocks. Every layout comes first in one rotation, so each
+//! one's timeless run is checked too.
 
 use maia_apps::overflow::OverflowCase;
 use maia_apps::overflow_mpi::run_mpi_layouts;
