@@ -299,7 +299,10 @@ impl Rank {
     }
 
     /// Pairwise alltoall carrying real data: `blocks[d]` goes to rank
-    /// `d`; the return value's entry `s` came from rank `s`.
+    /// `d`; the return value's entry `s` came from rank `s`. Unlike
+    /// [`Rank::alltoall`], it pays no alltoall incast
+    /// ([`crate::transport::alltoall_incast`]): its sends are plain
+    /// [`Rank::send_data`]s.
     ///
     /// # Panics
     /// Panics unless `blocks.len() == size`.

@@ -241,7 +241,7 @@ fn allgather_end_from(msg: impl Fn(u64) -> u64, p: usize, bytes: u64) -> u64 {
 
 /// Pairwise-exchange alltoall: p−1 lockstep rounds, each paying the
 /// incast-scaled message time. The scale factor round-trips through f64
-/// seconds exactly as an incast send in `Rank::post` does, so the
+/// seconds exactly as an incast send in `Op::price` does, so the
 /// rounding to picoseconds is identical.
 fn alltoall_end_ps(t: &TransportModel, device: Device, p: usize, bytes: u64) -> u64 {
     if p == 1 {
@@ -257,7 +257,7 @@ fn alltoall_end_from(per_round_ps: u64, p: usize) -> u64 {
 }
 
 /// Scale a picosecond cost by a contention factor, round-tripping
-/// through f64 seconds exactly as `Rank::post` does, so the rounding back
+/// through f64 seconds exactly as `Op::price` does, so the rounding back
 /// to picoseconds is identical.
 fn scaled_ps(base_ps: u64, factor: f64) -> u64 {
     SimDuration::from_secs_f64(SimDuration::from_ps(base_ps).as_secs_f64() * factor).as_ps()

@@ -32,7 +32,9 @@
 //! or the time, and every one can be evaluated. Each [`Rank`] owns its
 //! clock; a timed rank mirrors it onto the engine, and the recording run
 //! is timeless: the engine only orders its ranks' sends and receives.
-//! The DES runs only live programs; an op log is only evaluated.
+//! The DES runs only live programs; an op log is only evaluated. Each
+//! `Rank` operation is implemented once, a receive matches straight out
+//! of the rank's mailbox, and a rank holds its world as one shared value.
 //!
 //! A world runs on the machine its [`WorldSpec::faults`] describes
 //! (healthy in every constructor): straggling ranks stretch their

@@ -157,6 +157,12 @@ pub struct ClusterJob {
     pub stragglers: Vec<Straggler>,
 }
 
+/// Whether a worker can run a job of `nodes` nodes: 1 to the 128 of the
+/// modeled machine, so no claim allocates for ranks no experiment has.
+fn runnable_nodes(nodes: usize) -> bool {
+    (1..=maia_arch::presets::maia_system().nodes as usize).contains(&nodes)
+}
+
 /// Encoded size of one straggler (`u32` rank, two `f64`s): bounds how
 /// many a job payload can hold.
 const STRAGGLER_BYTES: usize = 20;
@@ -202,21 +208,27 @@ impl ClusterJob {
     }
 
     /// Inverse of [`ClusterJob::encode`]; `None` on malformed input,
-    /// including a straggler with a non-finite slowdown or onset.
+    /// including a straggler with a non-finite slowdown or onset, and a
+    /// job no worker can run: no nodes, or more than the 128 of the
+    /// machine the experiments model (`maia_arch::presets::maia_system`).
     pub fn decode(bytes: &[u8]) -> Option<ClusterJob> {
         let mut r = wire::Reader::new(bytes);
         let mut job = ClusterJob {
-            nodes: r.take_u32()? as usize,
+            nodes: Some(r.take_u32()? as usize).filter(|&n| runnable_nodes(n))?,
             bytes: r.take_u64()?,
             op: op_from(r.take_u8()?)?,
             partitions: r.take_u32()? as usize,
             wheel: r.take_u32()? as usize,
             probe: r.take_u8()? != 0,
-            phases: (SimDuration::from_ps(r.take_u64()?), SimDuration::from_ps(r.take_u64()?)),
+            phases: (
+                SimDuration::from_ps(r.take_u64()?),
+                SimDuration::from_ps(r.take_u64()?),
+            ),
             stragglers: Vec::new(),
         };
         let count = r.take_u32()? as usize;
-        job.stragglers.reserve(count.min(r.remaining() / STRAGGLER_BYTES));
+        job.stragglers
+            .reserve(count.min(r.remaining() / STRAGGLER_BYTES));
         let finite = |x: f64| x.is_finite().then_some(x);
         for _ in 0..count {
             job.stragglers.push(Straggler {
@@ -272,6 +284,7 @@ pub fn cluster_collective_run_process(
     op: CollectiveOp,
     hub: &mut ProcessCommunicator<Msg>,
 ) -> Result<(f64, PartitionRunStats, u64), ProcessWorldError> {
+    assert!(runnable_nodes(nodes), "no worker runs {nodes} nodes");
     let eff = hub.partitions();
     assert_eq!(
         effective_partitions(nodes, eff),
@@ -477,8 +490,16 @@ mod tests {
 
         let slow = ClusterJob {
             stragglers: vec![
-                Straggler { rank: 3, slowdown: 4.0, from_s: 0.0 },
-                Straggler { rank: 17, slowdown: 1.5, from_s: 2.5e-4 },
+                Straggler {
+                    rank: 3,
+                    slowdown: 4.0,
+                    from_s: 0.0,
+                },
+                Straggler {
+                    rank: 17,
+                    slowdown: 1.5,
+                    from_s: 2.5e-4,
+                },
             ],
             ..job.clone()
         };
@@ -497,19 +518,52 @@ mod tests {
         assert_eq!(ClusterJob::decode(&lying), None);
 
         let nan = ClusterJob {
-            stragglers: vec![Straggler { rank: 0, slowdown: f64::NAN, from_s: 0.0 }],
-            ..job
+            stragglers: vec![Straggler {
+                rank: 0,
+                slowdown: f64::NAN,
+                from_s: 0.0,
+            }],
+            ..job.clone()
         };
         assert_eq!(ClusterJob::decode(&nan.encode()), None);
+
+        // A job no worker can run is malformed: no nodes, or more than
+        // the modeled machine's 128 (a u32::MAX claim would have the
+        // worker allocate placements for 2^32 ranks).
+        for nodes in [0, 129, u32::MAX as usize] {
+            let bytes = ClusterJob {
+                nodes,
+                ..job.clone()
+            }
+            .encode();
+            assert_eq!(ClusterJob::decode(&bytes), None, "{nodes} nodes");
+        }
+        let full = ClusterJob { nodes: 128, ..job };
+        assert_eq!(ClusterJob::decode(&full.encode()), Some(full));
     }
 
     #[test]
     fn chaos_specs_roundtrip_and_heal_on_respawn() {
-        for spec in ["panic-on-connect", "stall", "stall:once", "kill:1", "kill:1:once"] {
+        for spec in [
+            "panic-on-connect",
+            "stall",
+            "stall:once",
+            "kill:1",
+            "kill:1:once",
+        ] {
             let parsed = ChaosSpec::parse(spec).expect(spec);
             assert_eq!(parsed.to_string(), spec);
         }
-        for bad in ["", "bogus", "kill:", "kill:x", "kill:-1", "kill:once", "stall:twice", "once"] {
+        for bad in [
+            "",
+            "bogus",
+            "kill:",
+            "kill:x",
+            "kill:-1",
+            "kill:once",
+            "stall:twice",
+            "once",
+        ] {
             assert_eq!(ChaosSpec::parse(bad), None, "{bad:?}");
         }
         let once = ChaosSpec::parse("kill:1:once").expect("spec");
@@ -651,6 +705,71 @@ mod tests {
                 assert_eq!(err.to_string(), "expected job frame, got tag 5");
             } else {
                 served.expect("a hang-up between jobs ends the worker cleanly");
+            }
+        }
+    }
+
+    /// A worker's result names exactly its wheel's ranks, in order: a
+    /// REPORT whose blob names another wheel's rank, its rank twice or no
+    /// rank, or is cut short, is a lost worker, never a result.
+    #[test]
+    fn a_worker_result_naming_other_ranks_is_a_loss() {
+        use maia_sim::partition::{drive_wheel, Outbox, Wheel};
+
+        fn blob(ranks: &[u32]) -> Vec<u8> {
+            let mut out = Vec::new();
+            wire::put_u32(&mut out, ranks.len() as u32);
+            for &rank in ranks {
+                wire::put_u32(&mut out, rank);
+                for x in [1e-6, 2e-7, 3e-7] {
+                    wire::put_f64(&mut out, x);
+                }
+            }
+            wire::put_u64(&mut out, 0);
+            wire::put_bytes(&mut out, &[]);
+            out
+        }
+        let whole = blob(&[1]);
+        for (case, extra) in [
+            ("another wheel's rank", blob(&[0])),
+            ("its rank twice", blob(&[1, 1])),
+            ("no rank", blob(&[])),
+            ("a truncated blob", whole[..whole.len() - 1].to_vec()),
+        ] {
+            // A fake worker for wheel 1 of an empty two-wheel job: it
+            // drives an empty wheel through the real protocol, then
+            // reports `extra` as its result.
+            let (hub_side, (r, w), _) = duplex();
+            let fake = std::thread::spawn(move || {
+                let (mut endpoint, _job) =
+                    WorkerEndpoint::<Msg>::connect(1, 2, r, w, fast_cfg()).expect("hello");
+                let wheel = Wheel {
+                    engine: maia_sim::Engine::with_probe(None),
+                    outbox: Outbox::new(2),
+                    deliver: Box::new(|_, _, _| {}),
+                };
+                let report = drive_wheel(wheel, &mut endpoint, SimDuration::from_us(1.0));
+                endpoint.report(&report, &extra).expect("report");
+            });
+            let mut hub =
+                ProcessCommunicator::connect(2, vec![hub_side], vec![Vec::new()], fast_cfg())
+                    .expect("handshake");
+            let result = MpiWorld::run_partitioned_hub(
+                &WorldSpec::node_leaders(2),
+                &PartitionPlan::by_node(2),
+                |rank| async move { rank },
+                &mut hub,
+                None,
+            );
+            fake.join().expect("fake worker");
+            match result {
+                Err(ProcessWorldError::Lost { loss, .. }) => assert_eq!(
+                    (loss.wheel, loss.detail.as_str()),
+                    (1, "malformed worker result payload"),
+                    "{case}"
+                ),
+                Err(other) => panic!("{case}: expected a lost worker, got {other}"),
+                Ok(_) => panic!("{case}: expected a lost worker, the run completed"),
             }
         }
     }

@@ -130,38 +130,19 @@ impl MpiWorld {
         F: Fn(Rank) -> Fut + Send + Sync + 'static,
         Fut: Future<Output = Rank> + Send + 'static,
     {
-        let setup = PartitionSetup::new(spec, plan, program);
-        let n = setup.partitions;
-        // One experiment probe shared by every wheel; rank names are
-        // registered in global order up front so probe-side tables match
-        // a single-wheel run (per-wheel spawn notifications are
-        // suppressed by the PartitionProbe wrapper).
-        let probe = maia_sim::probe::probe_for_current_thread();
-        if let Some(p) = &probe {
-            setup.register_global_names(&**p);
-        }
-        let mut wheels: Vec<Wheel<Msg>> = Vec::with_capacity(n);
-        let mut wheel_probes = Vec::new();
-        for w in 0..n {
-            let pp = probe
-                .as_ref()
-                .map(|p| Arc::new(PartitionProbe::new(Arc::clone(p), setup.local_ranks(w))));
-            if let Some(pp) = &pp {
-                wheel_probes.push(Arc::clone(pp));
-            }
-            wheels.push(setup.build_wheel(w, pp.map(|p| p as Arc<dyn Probe>)));
-        }
-        let bundle = probe.map(|p| ProbeBundle {
-            inner: p,
-            wheel_probes,
-        });
+        let world = RankPlumbing::new(spec, false, Some(plan));
+        let program = Arc::new(program);
+        let bundle = world.probe_bundle(maia_sim::probe::probe_for_current_thread());
+        let wheels = (0..plan.partitions)
+            .map(|w| world.build_wheel(w, wheel_probe(&bundle, w), &program))
+            .collect();
         let (end_time, run_stats) = maia_sim::partition::run_partitioned(
             wheels,
-            local_bus::<Msg>(n),
-            setup.window,
+            local_bus::<Msg>(plan.partitions),
+            world.maps().window,
             bundle,
         )?;
-        Ok((setup.ranks.world_result(end_time), run_stats))
+        Ok((world.world_result(end_time), run_stats))
     }
 
     /// Hub side of the multi-process backend: host wheel 0 on the
@@ -175,10 +156,11 @@ impl MpiWorld {
     /// the window protocol is identical, only the transport differs.
     ///
     /// Worker crashes and heartbeat-deadline hangs come back as
-    /// [`ProcessWorldError::Lost`]; deterministic simulation failures
-    /// (deadlock, rank panic) as [`ProcessWorldError::Sim`], exactly as
-    /// the in-process backend reports them. Retry/backoff policy is the
-    /// caller's (the supervisor's) job.
+    /// [`ProcessWorldError::Lost`], and so does a worker whose result
+    /// does not name exactly its wheel's ranks; deterministic simulation
+    /// failures (deadlock, rank panic) as [`ProcessWorldError::Sim`],
+    /// exactly as the in-process backend reports them. Retry/backoff
+    /// policy is the caller's (the supervisor's) job.
     pub fn run_partitioned_hub<F, Fut>(
         spec: &WorldSpec,
         plan: &PartitionPlan,
@@ -190,37 +172,22 @@ impl MpiWorld {
         F: Fn(Rank) -> Fut + Send + Sync + 'static,
         Fut: Future<Output = Rank> + Send + 'static,
     {
-        let setup = PartitionSetup::new(spec, plan, program);
-        let n = setup.partitions;
+        let world = RankPlumbing::new(spec, false, Some(plan));
         assert_eq!(
             hub.partitions(),
-            n,
+            plan.partitions,
             "the hub's session spans the plan's wheels"
         );
-        if let Some(p) = &probe {
-            setup.register_global_names(&**p);
-        }
-        // One remapping wrapper per wheel, wheel 0's feeding live off the
-        // hub engine, the others replay targets for worker probe streams.
-        let pps: Vec<Option<Arc<PartitionProbe>>> = (0..n)
-            .map(|w| {
-                probe
-                    .as_ref()
-                    .map(|p| Arc::new(PartitionProbe::new(Arc::clone(p), setup.local_ranks(w))))
-            })
-            .collect();
-        let wheel0 = setup.build_wheel(0, pps[0].clone().map(|p| p as Arc<dyn Probe>));
-        let report0 = drive_wheel(wheel0, &mut *hub, setup.window);
+        let bundle = world.probe_bundle(probe);
+        let wheel0 = world.build_wheel(0, wheel_probe(&bundle, 0), &Arc::new(program));
+        let report0 = drive_wheel(wheel0, &mut *hub, world.maps().window);
         let collected = hub.collect_reports();
         let missed = hub.missed_heartbeats();
         let worker_reports = collected.map_err(|loss| ProcessWorldError::Lost { loss, missed })?;
         let mut reports = vec![report0];
-        for (i, (report, extra)) in worker_reports.into_iter().enumerate() {
-            let wheel = i + 1;
-            if setup
-                .apply_worker_extra(&extra, pps[wheel].as_deref())
-                .is_none()
-            {
+        for (wheel, (report, extra)) in (1..).zip(worker_reports) {
+            let pp = bundle.as_ref().map(|b| &*b.wheel_probes[wheel]);
+            if world.apply_worker_extra(wheel, &extra, pp).is_none() {
                 return Err(ProcessWorldError::Lost {
                     loss: WorkerLoss {
                         wheel,
@@ -233,13 +200,9 @@ impl MpiWorld {
             }
             reports.push(report);
         }
-        let bundle = probe.map(|p| ProbeBundle {
-            inner: p,
-            wheel_probes: pps.into_iter().flatten().collect(),
-        });
         let (end_time, stats) =
             finalize_partitioned(reports, bundle).map_err(ProcessWorldError::Sim)?;
-        Ok((setup.ranks.world_result(end_time), stats, missed))
+        Ok((world.world_result(end_time), stats, missed))
     }
 
     /// Worker side of the multi-process backend: build wheel `wheel` of
@@ -262,14 +225,16 @@ impl MpiWorld {
         F: Fn(Rank) -> Fut + Send + Sync + 'static,
         Fut: Future<Output = Rank> + Send + 'static,
     {
-        let setup = PartitionSetup::new(spec, plan, program);
+        let world = RankPlumbing::new(spec, false, Some(plan));
         assert!(
-            wheel >= 1 && wheel < setup.partitions,
+            wheel >= 1 && wheel < plan.partitions,
             "worker wheel {wheel} out of 1..{}",
-            setup.partitions
+            plan.partitions
         );
         let rec = record_probe.then(|| Arc::new(RecordingProbe::new()));
-        let wheel_obj = setup.build_wheel(wheel, rec.clone().map(|r| r as Arc<dyn Probe>));
+        let engine_probe = rec.clone().map(|r| r as Arc<dyn Probe>);
+        let wheel_obj = world.build_wheel(wheel, engine_probe, &Arc::new(program));
+        let window = world.maps().window;
         let report = match kill_at_window {
             Some(at) => {
                 let mut chaos = KillAtWindow {
@@ -277,13 +242,12 @@ impl MpiWorld {
                     at,
                     window: 0,
                 };
-                drive_wheel(wheel_obj, &mut chaos, setup.window)
+                drive_wheel(wheel_obj, &mut chaos, window)
             }
-            None => drive_wheel(wheel_obj, &mut *endpoint, setup.window),
+            None => drive_wheel(wheel_obj, &mut *endpoint, window),
         };
         let probe_bytes = rec.map(|r| r.take()).unwrap_or_default();
-        let extra = setup.encode_worker_extra(wheel, &probe_bytes);
-        endpoint.report(&report, &extra)?;
+        endpoint.report(&report, &world.encode_worker_extra(wheel, &probe_bytes))?;
         Ok(report.windows)
     }
 }
@@ -294,10 +258,11 @@ pub enum ProcessWorldError {
     /// The simulation itself failed — deterministic, identical to what
     /// the in-process backend would report.
     Sim(SimError),
-    /// A worker process crashed or went silent; the run is incomplete
-    /// and a supervisor may retry it. Carries the heartbeat intervals
-    /// the hub saw missed before declaring the loss, so a supervisor
-    /// can account for them even though the attempt failed.
+    /// A worker process crashed, went silent or sent a malformed result;
+    /// the run is incomplete and a supervisor may retry it. Carries the
+    /// heartbeat intervals the hub saw missed before declaring the loss,
+    /// so a supervisor can account for them even though the attempt
+    /// failed.
     Lost { loss: WorkerLoss, missed: u64 },
 }
 
@@ -361,61 +326,109 @@ where
     F: Fn(Rank) -> Fut + Send + Sync + 'static,
     Fut: Future<Output = Rank> + Send + 'static,
 {
-    let ranks = RankPlumbing::new(spec, record);
+    let world = RankPlumbing::new(spec, record, None);
     let mut engine = Engine::new();
-    for rank_id in 0..ranks.size {
-        ranks.spawn(&mut engine, rank_id, None, program);
+    for rank_id in 0..world.placements.len() {
+        world.spawn(&mut engine, rank_id, None, program);
     }
-    ranks.outcome(engine.run())
+    world.outcome(engine.run())
 }
 
-/// The per-rank plumbing every world shares: the transport and
-/// placements its ranks price messages with, their mailboxes, and the
-/// tables their results (and, when recording, their op logs) land in.
-/// All of it is a pure function of the spec. Not generic over the
-/// program, so every program shares one copy of the code that builds a
-/// rank and files its results.
+/// One world, the single value every [`Rank`] of it shares through one
+/// `Arc`: the transport and placements its ranks price messages with,
+/// their mailboxes, a partitioned world's maps, and the one lock its
+/// finishing ranks file their results under. All of it but the filed
+/// results is a pure function of the spec (and plan), so every wheel and
+/// every worker process rebuilds the identical world. Not generic over
+/// the program, so every program shares one copy of the code that
+/// builds, partitions and probes a world and files its results.
 struct RankPlumbing {
-    size: usize,
-    transport: Arc<TransportModel>,
-    placements: Arc<Vec<RankPlacement>>,
-    mailboxes: Arc<Vec<SimChannel<Msg>>>,
-    finishes: Mutex<Vec<f64>>,
-    stats: Mutex<Vec<RankStats>>,
-    recording: Option<Mutex<Recording>>,
+    transport: TransportModel,
+    placements: Vec<RankPlacement>,
+    /// One per rank; a receive takes its matching message straight out
+    /// of its own.
+    mailboxes: Vec<SimChannel<Msg>>,
+    /// A partitioned world's maps; `None` in unpartitioned worlds.
+    partition: Option<Partitioning>,
+    /// Whether the ranks record op logs: the timeless recording run of
+    /// [`MpiWorld::run_layouts`].
+    record: bool,
+    filed: Mutex<Filed>,
 }
 
-/// What a recording world's ranks file besides their results: their op
-/// logs, and the latest finish clock, where the world ends (it is
-/// timeless, so its engine never leaves instant zero).
-#[derive(Default)]
-struct Recording {
+/// How a partitioned world is sharded, a pure function of the spec and
+/// the plan.
+struct Partitioning {
+    /// Global rank → domain.
+    domain_of: Vec<usize>,
+    /// Global rank → wheel (domain folded by the plan).
+    wheel_of_rank: Vec<usize>,
+    partitions: usize,
+    /// The window-barrier lookahead.
+    window: SimDuration,
+}
+
+/// What a world's finishing ranks file: each rank's finish clock and
+/// stats, and, while recording, its op log and the latest finish clock,
+/// where the world ends (it is timeless, so its engine never leaves
+/// instant zero).
+struct Filed {
+    finishes: Vec<f64>,
+    stats: Vec<RankStats>,
+    /// Empty unless recording.
     logs: Vec<OpLog>,
     end: SimTime,
 }
 
+/// Wheel `w`'s remapping view of a partitioned run's probe, if observed.
+fn wheel_probe(bundle: &Option<ProbeBundle>, w: usize) -> Option<Arc<dyn Probe>> {
+    bundle
+        .as_ref()
+        .map(|b| Arc::clone(&b.wheel_probes[w]) as Arc<dyn Probe>)
+}
+
 impl RankPlumbing {
-    fn new(spec: &WorldSpec, record: bool) -> Arc<Self> {
+    /// `spec`'s world, recording op logs if `record`, sharded per `plan`
+    /// if one is given.
+    fn new(spec: &WorldSpec, record: bool, plan: Option<&PartitionPlan>) -> Arc<Self> {
         spec.validate();
         let size = spec.size();
+        let transport = TransportModel::for_world(spec);
+        let partition = plan.map(|plan| {
+            let domain_of = node_domains(spec);
+            let ndomains = domain_of.iter().copied().max().unwrap_or(0) + 1;
+            let fold = plan.resolve_fold(ndomains);
+            Partitioning {
+                wheel_of_rank: domain_of.iter().map(|&d| fold[d]).collect(),
+                window: lookahead(spec, &transport, &domain_of),
+                partitions: plan.partitions,
+                domain_of,
+            }
+        });
         Arc::new(RankPlumbing {
-            size,
-            transport: Arc::new(TransportModel::for_world(spec)),
-            placements: Arc::new(spec.placements.clone()),
-            mailboxes: Arc::new(
-                (0..size)
-                    .map(|r| SimChannel::new(format!("mbox-{r}")))
-                    .collect(),
-            ),
-            finishes: Mutex::new(vec![0.0f64; size]),
-            stats: Mutex::new(vec![RankStats::default(); size]),
-            recording: record.then(|| {
-                Mutex::new(Recording {
-                    logs: (0..size).map(|_| OpLog::default()).collect(),
-                    end: SimTime::ZERO,
-                })
+            transport,
+            placements: spec.placements.clone(),
+            mailboxes: (0..size)
+                .map(|r| SimChannel::new(format!("mbox-{r}")))
+                .collect(),
+            partition,
+            record,
+            filed: Mutex::new(Filed {
+                finishes: vec![0.0; size],
+                stats: vec![RankStats::default(); size],
+                logs: if record {
+                    (0..size).map(|_| OpLog::default()).collect()
+                } else {
+                    Vec::new()
+                },
+                end: SimTime::ZERO,
             }),
         })
+    }
+
+    /// The maps of a partitioned world.
+    fn maps(&self) -> &Partitioning {
+        self.partition.as_ref().expect("a partitioned world")
     }
 
     /// Spawn rank `rank_id` on `engine` as the inline process
@@ -431,45 +444,21 @@ impl RankPlumbing {
         F: Fn(Rank) -> Fut + Send + Sync + 'static,
         Fut: Future<Output = Rank> + Send + 'static,
     {
-        let ranks = Arc::clone(self);
+        let world = Arc::clone(self);
         let program = Arc::clone(program);
         engine.spawn_inline(format!("rank-{rank_id}"), move |ctx| async move {
             let started = ctx.now();
-            let rank = program(ranks.rank(&ctx, rank_id, partition)).await;
-            ranks.finish(rank, &ctx, started);
+            let rank = Rank {
+                ctx,
+                rank: rank_id,
+                stats: RankStats::default(),
+                clock: SimTime::ZERO,
+                partition,
+                log: world.record.then(OpLog::default),
+                world,
+            };
+            program(rank).await.finish(started);
         });
-    }
-
-    /// The handle rank `rank_id`'s program starts with.
-    fn rank(&self, ctx: &SimCtx, rank_id: usize, partition: Option<PartitionIo>) -> Rank {
-        Rank {
-            ctx: ctx.clone(),
-            rank: rank_id,
-            size: self.size,
-            placements: Arc::clone(&self.placements),
-            transport: Arc::clone(&self.transport),
-            mailboxes: Arc::clone(&self.mailboxes),
-            unexpected: Vec::new(),
-            stats: RankStats::default(),
-            clock: SimTime::ZERO,
-            partition,
-            log: self.recording.is_some().then(OpLog::default),
-        }
-    }
-
-    /// File a finished rank's finish clock, stats and op log, and report
-    /// its whole program as a virtual-time span (a no-op, name
-    /// unformatted, unless a probe is attached).
-    fn finish(&self, rank: Rank, ctx: &SimCtx, started: SimTime) {
-        let rank_id = rank.rank;
-        self.finishes.lock()[rank_id] = rank.clock.as_secs_f64();
-        self.stats.lock()[rank_id] = rank.stats;
-        if let (Some(recording), Some(log)) = (&self.recording, rank.log) {
-            let mut recording = recording.lock();
-            recording.logs[rank_id] = log;
-            recording.end = recording.end.max(rank.clock);
-        }
-        ctx.emit_span(format_args!("rank-{rank_id}"), started);
     }
 
     /// The world's result once its engine has run, and its op logs (none
@@ -477,142 +466,132 @@ impl RankPlumbing {
     /// recording one is timeless and ends at its latest finish clock.
     fn outcome(&self, run: Result<SimTime, SimError>) -> LiveRun {
         let engine_end = run?;
-        let Some(recording) = &self.recording else {
-            return Ok((self.world_result(engine_end), Vec::new()));
-        };
-        let Recording { logs, end } = std::mem::take(&mut *recording.lock());
+        let mut filed = self.filed.lock();
+        let end = if self.record { filed.end } else { engine_end };
+        let logs = std::mem::take(&mut filed.logs);
+        drop(filed);
         Ok((self.world_result(end), logs))
     }
 
     fn world_result(&self, end_time: SimTime) -> WorldResult {
+        let filed = self.filed.lock();
         WorldResult {
             end_time,
-            rank_finish_s: self.finishes.lock().clone(),
-            rank_stats: self.stats.lock().clone(),
-        }
-    }
-}
-
-/// The layout of one partitioned world over its rank plumbing, shared by
-/// the in-process backend (which builds every wheel) and the process
-/// backend (hub builds wheel 0, each worker builds its own). All of it
-/// is a pure function of `(spec, plan, program)`, so every participant
-/// reconstructs the identical world from the job description.
-struct PartitionSetup<F> {
-    ranks: Arc<RankPlumbing>,
-    program: Arc<F>,
-    partitions: usize,
-    window: SimDuration,
-    domain_of: Arc<Vec<usize>>,
-    wheel_of_rank: Arc<Vec<usize>>,
-}
-
-impl<F, Fut> PartitionSetup<F>
-where
-    F: Fn(Rank) -> Fut + Send + Sync + 'static,
-    Fut: Future<Output = Rank> + Send + 'static,
-{
-    fn new(spec: &WorldSpec, plan: &PartitionPlan, program: F) -> Self {
-        let ranks = RankPlumbing::new(spec, false);
-        let domain_of = Arc::new(node_domains(spec));
-        let ndomains = domain_of.iter().copied().max().unwrap_or(0) + 1;
-        let fold = plan.resolve_fold(ndomains);
-        let wheel_of_rank: Arc<Vec<usize>> = Arc::new(domain_of.iter().map(|&d| fold[d]).collect());
-        let window = lookahead(spec, &ranks.transport, &domain_of);
-        PartitionSetup {
-            ranks,
-            program: Arc::new(program),
-            partitions: plan.partitions,
-            window,
-            domain_of,
-            wheel_of_rank,
+            rank_finish_s: filed.finishes.clone(),
+            rank_stats: filed.stats.clone(),
         }
     }
 
-    /// Global ranks living on wheel `w`, ascending.
+    /// Global ranks living on wheel `w` of a partitioned world,
+    /// ascending.
     fn local_ranks(&self, w: usize) -> Vec<usize> {
-        (0..self.ranks.size)
-            .filter(|&r| self.wheel_of_rank[r] == w)
+        let wheel_of_rank = &self.maps().wheel_of_rank;
+        (0..wheel_of_rank.len())
+            .filter(|&r| wheel_of_rank[r] == w)
             .collect()
     }
 
-    fn register_global_names(&self, probe: &dyn Probe) {
-        for r in 0..self.ranks.size {
-            register_global_process(probe, r, &format!("rank-{r}"));
+    /// The probe setup of a partitioned run `probe` observes: every
+    /// rank's name registered in global order up front, so probe-side
+    /// tables match a single-wheel run, and one remapping wrapper per
+    /// wheel, which suppresses the wheel's own spawn notifications.
+    fn probe_bundle(&self, probe: Option<Arc<dyn Probe>>) -> Option<ProbeBundle> {
+        let inner = probe?;
+        for r in 0..self.placements.len() {
+            register_global_process(&*inner, r, &format!("rank-{r}"));
         }
+        let wheel_probes = (0..self.maps().partitions)
+            .map(|w| Arc::new(PartitionProbe::new(Arc::clone(&inner), self.local_ranks(w))))
+            .collect();
+        Some(ProbeBundle {
+            inner,
+            wheel_probes,
+        })
     }
 
-    /// Build one wheel: an engine carrying this wheel's ranks as inline
-    /// processes, the shared outbox, and the mailbox delivery hook.
-    fn build_wheel(&self, w: usize, engine_probe: Option<Arc<dyn Probe>>) -> Wheel<Msg> {
+    /// Build wheel `w` of a partitioned world: an engine carrying the
+    /// wheel's ranks as inline processes, the outbox they stage
+    /// cross-domain sends in, and the hook that delivers inbound ones to
+    /// their mailboxes.
+    fn build_wheel<F, Fut>(
+        self: &Arc<Self>,
+        w: usize,
+        engine_probe: Option<Arc<dyn Probe>>,
+        program: &Arc<F>,
+    ) -> Wheel<Msg>
+    where
+        F: Fn(Rank) -> Fut + Send + Sync + 'static,
+        Fut: Future<Output = Rank> + Send + 'static,
+    {
         let mut engine = Engine::with_probe(engine_probe);
-        let outbox = Outbox::<Msg>::new(self.partitions);
+        let outbox = Outbox::<Msg>::new(self.maps().partitions);
         for rank_id in self.local_ranks(w) {
             let io = PartitionIo {
-                domain_of: Arc::clone(&self.domain_of),
-                wheel_of_rank: Arc::clone(&self.wheel_of_rank),
-                my_domain: self.domain_of[rank_id],
                 outbox: outbox.clone(),
                 seq: 0,
             };
-            self.ranks
-                .spawn(&mut engine, rank_id, Some(io), &self.program);
+            self.spawn(&mut engine, rank_id, Some(io), program);
         }
-        let mailboxes = Arc::clone(&self.ranks.mailboxes);
+        let world = Arc::clone(self);
         Wheel {
             engine,
             outbox,
             deliver: Box::new(move |ictx: &InjectCtx, slot: usize, msg: Msg| {
-                mailboxes[slot].send_injected(ictx, msg);
+                world.mailboxes[slot].send_injected(ictx, msg);
             }),
         }
     }
 
     /// Worker→hub result payload: `(rank, finish_s, comm_s, compute_s)`
-    /// for every local rank, the model time the wheel's faults injected
-    /// (signed picoseconds), then the recorded probe stream.
+    /// for every rank of `wheel`, in [`RankPlumbing::local_ranks`] order,
+    /// the model time the wheel's faults injected (signed picoseconds),
+    /// then the recorded probe stream.
     fn encode_worker_extra(&self, wheel: usize, probe_bytes: &[u8]) -> Vec<u8> {
         let locals = self.local_ranks(wheel);
-        let finishes = self.ranks.finishes.lock();
-        let stats = self.ranks.stats.lock();
+        let filed = self.filed.lock();
         let mut out = Vec::new();
         wire::put_u32(&mut out, locals.len() as u32);
         for &r in &locals {
             wire::put_u32(&mut out, r as u32);
-            wire::put_f64(&mut out, finishes[r]);
-            wire::put_f64(&mut out, stats[r].comm_s);
-            wire::put_f64(&mut out, stats[r].compute_s);
+            wire::put_f64(&mut out, filed.finishes[r]);
+            wire::put_f64(&mut out, filed.stats[r].comm_s);
+            wire::put_f64(&mut out, filed.stats[r].compute_s);
         }
-        wire::put_u64(&mut out, self.ranks.transport.faults.injected_ps() as u64);
+        wire::put_u64(&mut out, self.transport.faults.injected_ps() as u64);
         wire::put_bytes(&mut out, probe_bytes);
         out
     }
 
-    /// Merge one worker's result payload into the hub's tables and
-    /// faults tally, and replay its probe stream through the wheel's
-    /// remapping wrapper. `None` on a malformed payload.
-    fn apply_worker_extra(&self, extra: &[u8], pp: Option<&PartitionProbe>) -> Option<()> {
+    /// Merge wheel `wheel`'s result payload into the filed results and
+    /// the faults tally, and replay its probe stream through the wheel's
+    /// remapping wrapper. `None` on a malformed payload, one that names
+    /// anything but exactly the wheel's ranks in
+    /// [`RankPlumbing::local_ranks`] order included.
+    fn apply_worker_extra(
+        &self,
+        wheel: usize,
+        extra: &[u8],
+        pp: Option<&PartitionProbe>,
+    ) -> Option<()> {
+        let locals = self.local_ranks(wheel);
         let mut r = wire::Reader::new(extra);
-        let n = r.take_u32()? as usize;
+        if r.take_u32()? as usize != locals.len() {
+            return None;
+        }
         {
-            let mut finishes = self.ranks.finishes.lock();
-            let mut stats = self.ranks.stats.lock();
-            for _ in 0..n {
-                let rank = r.take_u32()? as usize;
-                if rank >= self.ranks.size {
+            let mut filed = self.filed.lock();
+            for rank in locals {
+                if r.take_u32()? as usize != rank {
                     return None;
                 }
-                finishes[rank] = r.take_f64()?;
-                stats[rank] = RankStats {
+                filed.finishes[rank] = r.take_f64()?;
+                filed.stats[rank] = RankStats {
                     comm_s: r.take_f64()?,
                     compute_s: r.take_f64()?,
                 };
             }
         }
-        self.ranks
-            .transport
-            .faults
-            .add_injected_ps(r.take_u64()? as i64);
+        self.transport.faults.add_injected_ps(r.take_u64()? as i64);
         let probe_bytes = r.take_bytes()?;
         if let Some(pp) = pp {
             if !replay_probe(&probe_bytes, pp) {
@@ -624,26 +603,23 @@ where
 }
 
 /// Handle given to each rank's program: MPI-like operations in virtual
-/// time, on the rank's own clock. A timed rank (every world but the
-/// recording run of [`MpiWorld::run_layouts`]) mirrors that clock onto
-/// the engine's; a timeless one never advances the engine. Owned by the
-/// program future for the lifetime of the rank, and handed back to the
-/// world when the program returns.
+/// time, on the rank's own clock, each implemented once. A timed rank
+/// (every world but the recording run of [`MpiWorld::run_layouts`])
+/// mirrors that clock onto the engine's; a timeless one never advances
+/// the engine. Everything a rank shares with the rest of its world
+/// (transport, placements, mailboxes, partition maps, filed results) is
+/// one `Arc`. Owned by the program future for the lifetime of the rank,
+/// and handed back to the world when the program returns.
 pub struct Rank {
-    pub(crate) ctx: SimCtx,
+    ctx: SimCtx,
     rank: usize,
-    size: usize,
-    placements: Arc<Vec<RankPlacement>>,
-    pub(crate) transport: Arc<TransportModel>,
-    mailboxes: Arc<Vec<SimChannel<Msg>>>,
-    /// Messages received but not yet matched (out-of-order arrivals).
-    unexpected: Vec<Msg>,
+    world: Arc<RankPlumbing>,
     stats: RankStats,
     /// This rank's virtual clock: every priced op adds its cost, and a
     /// receive takes it to the matched message's `ready` if that is
     /// later. A timed rank mirrors it onto the engine's clock.
     clock: SimTime,
-    /// Cross-domain routing state; `None` in unpartitioned worlds.
+    /// Cross-domain staging state; `None` in unpartitioned worlds.
     partition: Option<PartitionIo>,
     /// This rank's operations, while [`MpiWorld::run_layouts`] records;
     /// otherwise `None`, and each op pays one check of this field. A
@@ -652,14 +628,9 @@ pub struct Rank {
     log: Option<OpLog>,
 }
 
-/// Per-rank handle into the partition layer: decides whether a message
-/// crosses domains and, if so, stages it for the window-barrier exchange.
+/// Per-rank handle into the partition layer: where this rank's wheel
+/// stages cross-domain messages for the window-barrier exchange.
 struct PartitionIo {
-    /// Global rank → domain.
-    domain_of: Arc<Vec<usize>>,
-    /// Global rank → wheel (domain folded by the plan).
-    wheel_of_rank: Arc<Vec<usize>>,
-    my_domain: usize,
     outbox: Outbox<Msg>,
     /// Per-sender sequence for the layout-independent ordering key.
     seq: u64,
@@ -673,7 +644,7 @@ impl Rank {
 
     /// World size (`MPI_Comm_size`).
     pub fn size(&self) -> usize {
-        self.size
+        self.world.placements.len()
     }
 
     /// Whether this rank mirrors its clock onto the engine, waiting out
@@ -693,8 +664,8 @@ impl Rank {
             log.push(op);
         }
         let dur = op.price(
-            &self.transport,
-            &self.placements,
+            &self.world.transport,
+            &self.world.placements,
             self.rank,
             self.clock,
             &mut self.stats,
@@ -703,14 +674,28 @@ impl Rank {
         dur
     }
 
+    /// The one wait every priced op awaits once [`Rank::charge`] has
+    /// moved the clock `dur` past it: a timed rank advances the engine
+    /// by `dur`, a timeless one runs straight on. A timed rank's engine
+    /// stands at the clock the op started from: it wakes from a receive
+    /// when the message is ready, never earlier (every send blocks until
+    /// then).
+    async fn wait(&self, dur: SimDuration) {
+        if self.timed() {
+            debug_assert!(
+                self.ctx.now() + dur == self.clock,
+                "a timed rank's clock left the engine's"
+            );
+            self.ctx.advance(dur).await;
+        }
+    }
+
     /// Consume `dur` of virtual compute time. A straggler fault in the
     /// world's [`WorldSpec::faults`] stretches this rank's phases once
     /// its clock passes the fault's onset.
     pub async fn compute(&mut self, dur: SimDuration) {
         let dur = self.charge(Op::Compute(dur));
-        if self.timed() {
-            self.ctx.advance(dur).await;
-        }
+        self.wait(dur).await;
     }
 
     /// Consume the virtual time `flops` floating-point operations take on
@@ -719,31 +704,24 @@ impl Rank {
     /// straggler like [`Rank::compute`].
     pub async fn compute_flops(&mut self, flops: f64, threads: usize) {
         let dur = self.charge(Op::Flops { flops, threads });
-        if self.timed() {
-            self.ctx.advance(dur).await;
+        self.wait(dur).await;
+    }
+
+    /// Stage `msg` for the window-barrier exchange if `dest` lies in
+    /// another partition domain; hand it back for direct delivery
+    /// otherwise (always, in unpartitioned worlds).
+    #[inline(always)]
+    fn route(&mut self, dest: usize, msg: Msg) -> Option<Msg> {
+        let (Some(io), Some(maps)) = (&mut self.partition, &self.world.partition) else {
+            return Some(msg);
+        };
+        if maps.domain_of[dest] == maps.domain_of[self.rank] {
+            return Some(msg);
         }
-    }
-
-    /// Whether a message to `dest` crosses a partition-domain boundary
-    /// (always false in unpartitioned worlds).
-    fn is_cross_domain(&self, dest: usize) -> bool {
-        self.partition
-            .as_ref()
-            .is_some_and(|io| io.domain_of[dest] != io.my_domain)
-    }
-
-    /// Stage a cross-domain message for the window-barrier exchange.
-    /// Recorded at send *start*: `msg.ready` already carries the fully
-    /// costed arrival, which is at least one lookahead in the future.
-    fn route_remote(&mut self, dest: usize, msg: Msg) {
-        let io = self
-            .partition
-            .as_mut()
-            .expect("cross-domain send without partition state");
         let order = (self.rank as u64, io.seq);
         io.seq += 1;
         io.outbox.send(
-            io.wheel_of_rank[dest],
+            maps.wheel_of_rank[dest],
             RemoteMsg {
                 arrival: msg.ready,
                 dest_slot: dest,
@@ -751,20 +729,26 @@ impl Rank {
                 payload: msg,
             },
         );
+        None
     }
 
-    /// The synchronous prologue of every blocking send: check `dest`,
-    /// record and price the send (charged as communication), and build
-    /// the message.
-    /// A cross-domain message is staged for the window exchange here, at
-    /// send start; the receiver still sees it only at `ready`, exactly as
-    /// on the direct path. Returns the cost the sender pays and the
-    /// same-domain message to deliver once it has.
+    /// The one body behind every blocking send, up to its wait: check
+    /// `dest`, record and price the send (charged as communication), and
+    /// build the message; stage a cross-domain message for the window
+    /// exchange here, at send start (`ready` already carries the fully
+    /// costed arrival, at least one lookahead ahead, and the receiver sees
+    /// it only then, exactly as on the direct path). Returns the cost the
+    /// sender waits out and the same-domain message it then delivers.
     ///
     /// Inlined into each send: called instead, it cost ~3% CPU on
-    /// `crosscheck --jobs 1` (2-vCPU host, 100 alternating pairs).
+    /// `crosscheck --jobs 1` (2-vCPU host, 100 alternating pairs). Each
+    /// send then awaits the wait and delivers itself: an `async fn`'s
+    /// inline attribute reaches only the function that builds its
+    /// future, not its body, and one future shared by the three sends
+    /// for those two steps cost ~3% CPU on the same run (300 alternating
+    /// runs per side).
     #[inline(always)]
-    fn post(
+    fn transmit(
         &mut self,
         dest: usize,
         tag: i32,
@@ -772,11 +756,8 @@ impl Rank {
         data: Option<&[f64]>,
         incast: bool,
     ) -> (SimDuration, Option<Msg>) {
-        assert!(
-            dest < self.size,
-            "send to rank {dest} out of 0..{}",
-            self.size
-        );
+        let size = self.size();
+        assert!(dest < size, "send to rank {dest} out of 0..{size}");
         assert_ne!(dest, self.rank, "blocking self-send would deadlock");
         let cost = self.charge(Op::Send {
             dest,
@@ -791,11 +772,15 @@ impl Rank {
             data: data.map(<[f64]>::to_vec),
             ready: self.clock,
         };
-        if self.is_cross_domain(dest) {
-            self.route_remote(dest, msg);
-            (cost, None)
-        } else {
-            (cost, Some(msg))
+        (cost, self.route(dest, msg))
+    }
+
+    /// Hand a same-domain message to `dest`'s mailbox once the send's
+    /// cost is waited out.
+    #[inline(always)]
+    fn deliver(&self, dest: usize, local: Option<Msg>) {
+        if let Some(msg) = local {
+            self.world.mailboxes[dest].send_inline(&self.ctx, msg);
         }
     }
 
@@ -807,43 +792,31 @@ impl Rank {
     /// self-sends deadlock a blocking implementation and indicate a bug in
     /// the caller's algorithm.
     pub async fn send(&mut self, dest: usize, tag: i32, bytes: u64) {
-        let (cost, local) = self.post(dest, tag, bytes, None, false);
-        if self.timed() {
-            self.ctx.advance(cost).await;
-        }
-        if let Some(msg) = local {
-            self.mailboxes[dest].send_inline(&self.ctx, msg);
-        }
+        let (cost, local) = self.transmit(dest, tag, bytes, None, false);
+        self.wait(cost).await;
+        self.deliver(dest, local);
     }
 
     /// Blocking send carrying a real payload: transport timing uses the
-    /// payload's byte size; the receiver gets the actual values.
+    /// payload's byte size; the receiver gets a copy of the values.
     pub async fn send_data(&mut self, dest: usize, tag: i32, data: &[f64]) {
         let bytes = (data.len() * 8) as u64;
-        let (cost, local) = self.post(dest, tag, bytes, Some(data), false);
-        if self.timed() {
-            self.ctx.advance(cost).await;
-        }
-        if let Some(msg) = local {
-            self.mailboxes[dest].send_inline(&self.ctx, msg);
-        }
+        let (cost, local) = self.transmit(dest, tag, bytes, Some(data), false);
+        self.wait(cost).await;
+        self.deliver(dest, local);
     }
 
     /// Like [`Rank::send`] but paying the alltoall incast of this rank's
     /// device ([`crate::transport::alltoall_incast`]).
     pub(crate) async fn send_incast(&mut self, dest: usize, tag: i32, bytes: u64) {
-        let (cost, local) = self.post(dest, tag, bytes, None, true);
-        if self.timed() {
-            self.ctx.advance(cost).await;
-        }
-        if let Some(msg) = local {
-            self.mailboxes[dest].send_inline(&self.ctx, msg);
-        }
+        let (cost, local) = self.transmit(dest, tag, bytes, None, true);
+        self.wait(cost).await;
+        self.deliver(dest, local);
     }
 
     /// Blocking receive (`MPI_Recv`) of the message from `src` with
-    /// `tag`. Messages from other sources or with other tags wait,
-    /// in arrival order, for the receive that names them.
+    /// `tag`. Messages from other sources or with other tags stay in the
+    /// mailbox, in arrival order, for the receive that names them.
     ///
     /// # Panics
     /// Panics when `src` is out of range or equal to the receiver: no
@@ -868,35 +841,17 @@ impl Rank {
 
     /// The one matcher behind both receives: check `src`, record the
     /// receive (it costs nothing), take the first message from `src` with
-    /// `tag`, first from the out-of-order arrivals, then from the
-    /// mailbox, and take the clock to its `ready` if that is later.
+    /// `tag` out of this rank's mailbox, parking until one arrives, and
+    /// take the clock to its `ready` if that is later.
     async fn matched(&mut self, src: usize, tag: i32) -> Msg {
-        assert!(
-            src < self.size,
-            "recv from rank {src} out of 0..{}",
-            self.size
-        );
+        let size = self.size();
+        assert!(src < size, "recv from rank {src} out of 0..{size}");
         assert_ne!(src, self.rank, "recv from itself would never match");
         self.charge(Op::Recv { src, tag });
-        let matches = |m: &Msg| m.src == src && m.tag == tag;
-        let m = if let Some(pos) = self.unexpected.iter().position(matches) {
-            self.unexpected.remove(pos)
-        } else {
-            loop {
-                let m = self.mailboxes[self.rank].recv_inline(&self.ctx).await;
-                if matches(&m) {
-                    break m;
-                }
-                self.unexpected.push(m);
-            }
-        };
+        let m = self.world.mailboxes[self.rank]
+            .recv_matching(&self.ctx, |m| m.src == src && m.tag == tag)
+            .await;
         self.clock = self.clock.max(m.ready);
-        // A timed rank wakes when its message is ready, never earlier
-        // (every send blocks until then), so its clock is the engine's.
-        debug_assert!(
-            !self.timed() || self.clock == self.ctx.now(),
-            "a timed rank's clock left the engine's"
-        );
         m
     }
 
@@ -910,10 +865,25 @@ impl Rank {
     /// Apply the reduction-operator cost for `bytes` on this rank's
     /// device.
     pub async fn reduce_op(&mut self, bytes: u64) {
-        let t = self.charge(Op::Reduce(bytes));
-        if self.timed() {
-            self.ctx.advance(t).await;
+        let dur = self.charge(Op::Reduce(bytes));
+        self.wait(dur).await;
+    }
+
+    /// File this finished rank's finish clock, stats and op log with its
+    /// world, under the world's one lock, and report its whole program as
+    /// a virtual-time span (a no-op, name unformatted, unless a probe is
+    /// attached).
+    fn finish(self, started: SimTime) {
+        let mut filed = self.world.filed.lock();
+        filed.finishes[self.rank] = self.clock.as_secs_f64();
+        filed.stats[self.rank] = self.stats;
+        filed.end = filed.end.max(self.clock);
+        if let Some(log) = self.log {
+            filed.logs[self.rank] = log;
         }
+        drop(filed);
+        self.ctx
+            .emit_span(format_args!("rank-{}", self.rank), started);
     }
 }
 
@@ -946,19 +916,36 @@ mod tests {
 
     #[test]
     fn tag_matching_reorders_messages() {
-        let spec = WorldSpec::all_on(Device::Host, 2);
-        MpiWorld::run(&spec, |mut rank| async move {
-            if rank.rank() == 0 {
-                rank.send_data(1, 1, &[10.0]).await;
-                rank.send_data(1, 2, &[20.0, 20.0]).await;
-            } else {
-                // Receive in reverse tag order.
-                assert_eq!(rank.recv_data(0, 2).await, vec![20.0, 20.0]);
-                assert_eq!(rank.recv_data(0, 1).await, vec![10.0]);
+        // Rank 1 takes rank 0's messages in reverse tag order, and rank
+        // 2's, under another tag, in between, payloads checked: in the
+        // timeless recording world of a two-layout call, and in a timed
+        // world of each layout, which the call's results must equal.
+        async fn reordered(mut rank: Rank) -> Rank {
+            match rank.rank() {
+                0 => {
+                    rank.send_data(1, 1, &[10.0]).await;
+                    rank.send_data(1, 2, &[20.0, 20.0]).await;
+                }
+                1 => {
+                    assert_eq!(rank.recv_data(0, 2).await, vec![20.0, 20.0]);
+                    assert_eq!(rank.recv_data(2, 3).await, vec![30.0; 3]);
+                    assert_eq!(rank.recv_data(0, 1).await, vec![10.0]);
+                }
+                _ => rank.send_data(1, 3, &[30.0; 3]).await,
             }
             rank
-        })
-        .unwrap();
+        }
+        let specs = [
+            WorldSpec::all_on(Device::Host, 3),
+            WorldSpec::all_on(Device::Phi0, 3),
+        ];
+        let worlds = MpiWorld::run_layouts(&specs, reordered).unwrap();
+        for (spec, world) in specs.iter().zip(&worlds) {
+            let timed = MpiWorld::run(spec, reordered).unwrap();
+            assert_eq!(timed.end_time, world.end_time);
+            assert_eq!(timed.rank_finish_s, world.rank_finish_s);
+            assert_eq!(timed.rank_stats, world.rank_stats);
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! `send_inline` never blocks and consumes no virtual time — wire/transport
 //! time is a property of the *fabric*, so callers model it explicitly (the
 //! MPI layer advances the clock for latency and bandwidth before
-//! delivering the payload). `recv_inline` suspends the calling process in
-//! virtual time until a message is available.
+//! delivering the payload). `recv_matching` suspends the calling process
+//! in virtual time until a message it accepts is queued, and takes the
+//! oldest such; `recv_inline` accepts any message.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -16,11 +17,12 @@ use crate::engine::{InjectCtx, ProcessId, SimCtx};
 
 struct Inner<T> {
     queue: VecDeque<T>,
-    /// Processes parked in `recv_inline`, in arrival order.
+    /// Processes parked in a receive, in arrival order.
     waiters: VecDeque<ProcessId>,
 }
 
-/// An unbounded FIFO channel between simulated processes.
+/// An unbounded FIFO channel between simulated processes; a receiver
+/// takes the oldest queued message it accepts.
 ///
 /// Cloning is cheap and shares the underlying queue.
 pub struct SimChannel<T> {
@@ -78,20 +80,28 @@ impl<T: Send> SimChannel<T> {
         }
     }
 
-    /// Dequeue a message, suspending the calling process in virtual time
-    /// until one is available.
+    /// [`SimChannel::recv_matching`] accepting any message.
     pub async fn recv_inline(&self, ctx: &SimCtx) -> T {
+        self.recv_matching(ctx, |_| true).await
+    }
+
+    /// Dequeue the oldest message `matches` accepts, suspending the
+    /// calling process in virtual time until one arrives; the others stay
+    /// queued in arrival order. Each arrival wakes only the
+    /// longest-waiting receiver, once, match or not, so receivers that
+    /// match differently should not share a channel.
+    pub async fn recv_matching(&self, ctx: &SimCtx, matches: impl Fn(&T) -> bool) -> T {
         loop {
             {
                 let mut inner = self.inner.lock();
-                if let Some(v) = inner.queue.pop_front() {
-                    return v;
+                if let Some(i) = inner.queue.iter().position(&matches) {
+                    return inner.queue.remove(i).expect("a queued message");
                 }
                 inner.waiters.push_back(ctx.pid());
             }
             ctx.block().await;
-            // On wake-up the message may have been taken by a receiver that
-            // was scheduled earlier in the same instant; loop and re-check.
+            // On wake-up the message may not match, or may have been taken
+            // by a receiver scheduled earlier in the same instant; re-check.
         }
     }
 
@@ -164,6 +174,36 @@ mod tests {
         }
         eng.run().unwrap();
         assert_eq!(*total.lock(), 10);
+    }
+
+    #[test]
+    fn matching_receive_leaves_other_messages_queued() {
+        let mut eng = Engine::new();
+        let ch = SimChannel::<u32>::new("mailbox");
+        let got = Arc::new(PlMutex::new(Vec::new()));
+        {
+            let ch = ch.clone();
+            eng.spawn_inline("tx", move |ctx| async move {
+                for i in [1, 2, 3] {
+                    ch.send_inline(&ctx, i);
+                    ctx.advance(SimDuration::from_ns(1.0)).await;
+                }
+            });
+        }
+        {
+            let got = Arc::clone(&got);
+            eng.spawn_inline("rx", move |ctx| async move {
+                // 3 arrives last: the receive parks past 1 and 2, then
+                // takes 1, still queued, ahead of 2.
+                for want in [3, 1] {
+                    let v = ch.recv_matching(&ctx, |&v| v == want).await;
+                    got.lock().push(v);
+                }
+                assert_eq!(ch.recv_inline(&ctx).await, 2);
+            });
+        }
+        eng.run().unwrap();
+        assert_eq!(*got.lock(), vec![3, 1]);
     }
 
     #[test]
