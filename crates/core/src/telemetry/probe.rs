@@ -75,24 +75,15 @@ impl maia_sim::Probe for SimProbe {
 
     fn sched_stats(&self, stats: &maia_sim::SchedStats) {
         let mut s = lock_sink(&self.sink);
-        *s.counters.entry("sched.events_pushed".to_string()).or_insert(0) +=
-            stats.events_pushed;
-        *s.counters.entry("sched.events_popped".to_string()).or_insert(0) +=
-            stats.events_popped;
-        *s.counters.entry("sched.procs_inline".to_string()).or_insert(0) +=
-            stats.procs_inline;
-        // Wheel-occupancy histogram: bucket = wheel level (7 = far-future
-        // overflow), count = insertions that landed there. Inserted
-        // directly — the bucket key is the level itself, not a
-        // bit-length.
-        let h = s.hist.entry("sched.wheel_level".to_string()).or_default();
-        for (level, &pushes) in stats.wheel_level_pushes.iter().enumerate() {
-            if pushes > 0 {
-                *h.buckets.entry(level as u32).or_insert(0) += pushes;
-                h.count += pushes;
-                h.sum = h.sum.saturating_add(level as u64 * pushes);
-            }
-        }
+        *s.counters
+            .entry("sched.events_pushed".to_string())
+            .or_insert(0) += stats.events_pushed;
+        *s.counters
+            .entry("sched.events_popped".to_string())
+            .or_insert(0) += stats.events_popped;
+        *s.counters
+            .entry("sched.procs_inline".to_string())
+            .or_insert(0) += stats.procs_inline;
     }
 
     fn run_complete(&self, end_ps: u64) {
@@ -191,24 +182,21 @@ mod tests {
     }
 
     #[test]
-    fn sched_stats_land_in_counters_and_wheel_histogram() {
+    fn sched_stats_land_in_counters() {
         let sink: SharedSink = Arc::new(Mutex::new(super::super::Sink::default()));
         let probe = SimProbe::new(Arc::clone(&sink));
         let stats = maia_sim::SchedStats {
             events_pushed: 12,
-            events_popped: 12,
-            wheel_level_pushes: [8, 3, 0, 0, 0, 0, 0, 1],
+            events_popped: 11,
             procs_inline: 4,
         };
         probe.sched_stats(&stats);
+        probe.sched_stats(&stats);
         let s = lock_sink(&sink);
-        assert_eq!(s.counters.get("sched.events_pushed"), Some(&12));
-        assert_eq!(s.counters.get("sched.events_popped"), Some(&12));
-        assert_eq!(s.counters.get("sched.procs_inline"), Some(&4));
-        let h = s.hist.get("sched.wheel_level").expect("wheel histogram");
-        assert_eq!(h.buckets.get(&0), Some(&8));
-        assert_eq!(h.buckets.get(&1), Some(&3));
-        assert_eq!(h.buckets.get(&7), Some(&1)); // overflow level
-        assert_eq!(h.count, 12);
+        assert_eq!(s.counters.get("sched.events_pushed"), Some(&24));
+        assert_eq!(s.counters.get("sched.events_popped"), Some(&22));
+        assert_eq!(s.counters.get("sched.procs_inline"), Some(&8));
+        assert_eq!(s.counters.len(), 3);
+        assert!(s.hist.is_empty(), "sched stats feed no histogram");
     }
 }

@@ -33,7 +33,7 @@ pub struct ExperimentProfile {
     pub total_vt_ps: u64,
     /// Virtual time advanced per simulated process (descending, top 8).
     pub proc_vt_ps: Vec<(String, u64)>,
-    /// Value histograms (advance durations, wheel levels, ...).
+    /// Value histograms (`sim.advance_ps`: advance durations).
     pub hist: BTreeMap<String, Histogram>,
     /// Scheduler counters from the engine probe.
     pub sim: SimCounters,

@@ -3,9 +3,10 @@
 //! The scheduler enforces strict one-at-a-time execution: it resumes
 //! exactly one process, waits for that process to yield (by advancing
 //! time, blocking, or finishing), and only then picks the next event.
-//! Events are totally ordered by `(virtual time, sequence number)` in an
-//! arena-backed timer wheel (the private `wheel` module), so simulations
-//! are deterministic regardless of OS thread scheduling.
+//! Events are totally ordered by `(virtual time, push order)` in an
+//! instant queue, one FIFO per pending instant (the private `wheel`
+//! module), so simulations are deterministic regardless of OS thread
+//! scheduling.
 //!
 //! Every simulated process is an inline state machine
 //! ([`Engine::spawn_inline`]): an `async` body written against [`SimCtx`]
@@ -26,7 +27,7 @@ use std::task::{Context, Poll, Waker};
 
 use crate::probe::{Probe, SchedStats};
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::EventWheel;
+use crate::wheel::EventQueue;
 
 /// Identifier of a simulated process within one [`Engine`].
 ///
@@ -97,7 +98,11 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::Deadlock { blocked, at } => {
-                write!(f, "simulation deadlocked at {at}; blocked: {}", blocked.join(", "))
+                write!(
+                    f,
+                    "simulation deadlocked at {at}; blocked: {}",
+                    blocked.join(", ")
+                )
             }
             SimError::ProcessPanicked { name, message, at } => {
                 write!(f, "simulated process '{name}' panicked at {at}: {message}")
@@ -120,7 +125,7 @@ enum Outcome {
 /// Target of a queued event: a process resume, or a scheduled delivery
 /// token (e.g. a cross-partition message, see
 /// [`Engine::schedule_injection`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EvTarget {
     Proc(usize),
     Inject(usize),
@@ -314,7 +319,7 @@ struct ProcEntry {
     fut: Option<Pin<Box<dyn Future<Output = ()> + Send>>>,
 }
 
-/// The simulation engine: owns the event wheel and all process slots.
+/// The simulation engine: owns the event queue and all process slots.
 ///
 /// Typical lifecycle: construct, [`spawn_inline`](Engine::spawn_inline)
 /// every process, then [`run`](Engine::run) to completion. Results are
@@ -326,8 +331,8 @@ pub struct Engine {
     /// every [`ProcessId`] it mints.
     epoch: u32,
     procs: Vec<ProcEntry>,
-    /// Arena-backed timer wheel over (time, seq, target).
-    queue: EventWheel<EvTarget>,
+    /// Pending events: one FIFO of targets per pending instant.
+    queue: EventQueue<EvTarget>,
     /// Virtual time of the last processed event; persists across
     /// [`Engine::run_window`] calls.
     now: SimTime,
@@ -360,7 +365,7 @@ impl Engine {
         Engine {
             epoch: ENGINE_EPOCH.fetch_add(1, Ordering::Relaxed),
             procs: Vec::new(),
-            queue: EventWheel::new(),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             ran: false,
             wake_buf: Vec::new(),
@@ -425,10 +430,10 @@ impl Engine {
         self.queue.push(at.as_ps(), target);
     }
 
-    /// Queue delivery `token` on the event wheel at virtual time `at`.
+    /// Queue delivery `token` on the event queue at virtual time `at`.
     /// The partition layer uses this to deliver cross-partition messages:
     /// [`Engine::run_window_delivering`] hands the token back to its hook
-    /// on the scheduler thread, in deterministic `(time, seq)` order with
+    /// on the scheduler thread, in deterministic `(time, push order)` with
     /// every other event, and the hook may wake blocked processes through
     /// [`InjectCtx`] (e.g. via
     /// [`SimChannel::send_injected`](crate::channel::SimChannel::send_injected)).
@@ -467,14 +472,12 @@ impl Engine {
             .collect()
     }
 
-    /// Scheduler counters for the `sched.*` telemetry bucket: event-wheel
+    /// Scheduler counters for the `sched.*` telemetry bucket: event-queue
     /// traffic plus the process count.
     pub fn sched_stats(&self) -> SchedStats {
-        let w = self.queue.stats();
         SchedStats {
-            events_pushed: w.pushed,
-            events_popped: w.popped,
-            wheel_level_pushes: w.level_pushes,
+            events_pushed: self.queue.pushed(),
+            events_popped: self.queue.popped(),
             procs_inline: self.procs.len() as u64,
         }
     }
@@ -604,10 +607,15 @@ impl Engine {
         }
     }
 
-    /// The epilogue of every process step: notify the probe and
-    /// requeue/park/retire the process — in exactly the order the
-    /// pre-wheel engine used, so goldens are byte-identical.
-    fn apply_outcome(&mut self, pidx: usize, now: SimTime, outcome: Outcome) -> Result<(), SimError> {
+    /// The epilogue of every process step: notify the probe, then
+    /// requeue/park/retire the process — always in this order, which the
+    /// trace goldens pin.
+    fn apply_outcome(
+        &mut self,
+        pidx: usize,
+        now: SimTime,
+        outcome: Outcome,
+    ) -> Result<(), SimError> {
         let pid = self.pid_of(pidx);
         match outcome {
             Outcome::Advanced(dur) => {
@@ -979,9 +987,9 @@ mod tests {
 
     #[test]
     fn inline_zero_advance_still_yields() {
-        // advance(ZERO) must park and requeue at the same instant (later
-        // seq), not spin inside one poll: a same-time neighbour runs in
-        // between.
+        // advance(ZERO) must park and requeue at the same instant (behind
+        // its neighbour), not spin inside one poll: a same-time neighbour
+        // runs in between.
         let order = Arc::new(PlMutex::new(Vec::new()));
         let mut eng = Engine::new();
         for name in ["a", "b"] {
@@ -993,10 +1001,7 @@ mod tests {
             });
         }
         eng.run().unwrap();
-        assert_eq!(
-            *order.lock(),
-            vec![("a", 0), ("b", 0), ("a", 1), ("b", 1)]
-        );
+        assert_eq!(*order.lock(), vec![("a", 0), ("b", 0), ("a", 1), ("b", 1)]);
     }
 
     #[test]
@@ -1007,7 +1012,8 @@ mod tests {
         eng.spawn_inline("p", |ctx| async move {
             ctx.advance(SimDuration::from_ns(1.0)).await;
         });
-        eng.run_window(SimTime::ZERO + SimDuration::from_ns(0.5)).unwrap();
+        eng.run_window(SimTime::ZERO + SimDuration::from_ns(0.5))
+            .unwrap();
         let late = panic::catch_unwind(AssertUnwindSafe(|| {
             eng.spawn_inline("late", |_ctx| async move {});
         }));

@@ -4,10 +4,10 @@
 //! reproduction. It provides:
 //!
 //! * a virtual clock with picosecond resolution ([`SimTime`], [`SimDuration`]),
-//! * a conservative process-oriented engine ([`Engine`]) over an
-//!   arena-backed hierarchical timer wheel, in which processes execute
-//!   strictly one at a time, in a total order defined by `(time, sequence)`,
-//!   so every run is bit-for-bit deterministic,
+//! * a conservative process-oriented engine ([`Engine`]) over an instant
+//!   queue (one FIFO of events per pending instant), in which processes
+//!   execute strictly one at a time, in a total order defined by
+//!   `(time, push order)`, so every run is bit-for-bit deterministic,
 //! * message channels in virtual time ([`channel::SimChannel`]),
 //! * the [`Probe`] hook, the one way to observe the scheduler.
 //!

@@ -23,7 +23,7 @@
 //! in-process channels, and [`process`] carries wheels `1..n` in worker
 //! processes over pipes.
 //!
-//! Determinism: within a wheel the engine's `(time, seq)` total order
+//! Determinism: within a wheel the engine's `(time, push order)` total order
 //! applies as ever; ingested messages are sorted by
 //! `(arrival, order, dest_slot)` — where `order` is a partition-layout-
 //! independent key chosen by the caller (e.g. `(global sender rank,
@@ -565,7 +565,7 @@ where
             ExchangeOutcome::Continue { mut inbound, next } => {
                 stall_wall_ns += barrier.elapsed().as_nanos() as u64;
                 // Sort by a partition-layout-independent key so injected
-                // event order — and thus the engine's seq assignment — is
+                // event order — and thus the engine's push order — is
                 // identical for every domain→wheel folding.
                 inbound.sort_by(|a, b| {
                     (a.arrival, a.order, a.dest_slot).cmp(&(b.arrival, b.order, b.dest_slot))

@@ -26,15 +26,11 @@ use crate::engine::ProcessId;
 /// the raw material of the `sched.*` telemetry bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Events pushed onto the timer wheel (spawns, advances, injections,
-    /// wakes).
+    /// Events pushed onto the event queue (spawns, advances, injections,
+    /// wakes); each is filed once.
     pub events_pushed: u64,
-    /// Events popped in `(time, seq)` order.
+    /// Events popped in `(time, push order)`.
     pub events_popped: u64,
-    /// Wheel insertions per level (index 7 is the sorted far-future
-    /// overflow level; cascade redistributions count again at their new
-    /// level).
-    pub wheel_level_pushes: [u64; 8],
     /// Processes executed as inline state machines on the scheduler
     /// thread (every spawned process).
     pub procs_inline: u64,
@@ -80,7 +76,9 @@ static FACTORY: RwLock<Option<Arc<ProbeFactory>>> = RwLock::new(None);
 
 /// Install (or, with `None`, remove) the process-wide probe factory.
 pub fn set_probe_factory(factory: Option<Arc<ProbeFactory>>) {
-    let mut slot = FACTORY.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut slot = FACTORY
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     FACTORY_SET.store(factory.is_some(), Ordering::Release);
     *slot = factory;
 }
@@ -99,7 +97,9 @@ pub fn probe_for_current_thread() -> Option<Arc<dyn Probe>> {
     if !FACTORY_SET.load(Ordering::Acquire) {
         return None;
     }
-    let slot = FACTORY.read().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let slot = FACTORY
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     slot.as_ref().and_then(|f| f())
 }
 

@@ -95,8 +95,10 @@ impl SimDuration {
             "SimDuration must be finite and non-negative, got {secs}"
         );
         let ps = secs * PS_PER_S as f64;
+        // `u64::MAX as f64` rounds up to 2^64, so the bound is strict; the
+        // largest f64 below it, 2^64 - 2048, still fits.
         assert!(
-            ps <= u64::MAX as f64,
+            ps < u64::MAX as f64,
             "SimDuration overflow: {secs} s exceeds the u64 picosecond range"
         );
         SimDuration(ps.round() as u64)
@@ -239,6 +241,19 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn negative_duration_rejected() {
         let _ = SimDuration::from_secs_f64(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration overflow")]
+    fn duration_of_two_to_the_64_picoseconds_rejected() {
+        // 2^64 ps to the nearest f64, not u64::MAX saturated.
+        let _ = SimDuration::from_secs_f64(18_446_744.073_709_55);
+    }
+
+    #[test]
+    fn largest_duration_below_two_to_the_64_picoseconds_fits() {
+        let secs = 18_446_744.073_709_55_f64.next_down();
+        assert_eq!(SimDuration::from_secs_f64(secs).as_ps(), u64::MAX - 4095);
     }
 
     #[test]

@@ -77,7 +77,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The same program set always produces bit-identical traces: nothing
-    /// outside the `(time, seq)` order may leak into virtual time.
+    /// outside the `(time, push order)` total order may leak into virtual
+    /// time.
     #[test]
     fn engine_is_deterministic(
         programs in prop::collection::vec(
